@@ -206,51 +206,6 @@ BM_PairwiseSim(benchmark::State &state)
 BENCHMARK(BM_PairwiseSim);
 
 void
-BM_PairwiseSimMerge(benchmark::State &state)
-{
-    // The pre-kernel two-pointer/galloping merge over the same |Q|x|T|
-    // grid: the baseline the tiered kernel (BM_PairwiseSim) and the
-    // query-amortized probe (BM_QueryProbeScore) are measured against.
-    const auto &q = wget_index();
-    const auto &t = vendor_index();
-    for (auto _ : state) {
-        for (const auto &qp : q.procs) {
-            for (const auto &tp : t.procs) {
-                benchmark::DoNotOptimize(
-                    sim::sim_score_merge(qp.repr, tp.repr));
-            }
-        }
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(q.procs.size() * t.procs.size()));
-}
-BENCHMARK(BM_PairwiseSimMerge);
-
-void
-BM_QueryProbeScore(benchmark::State &state)
-{
-    // The batch hunt's inner loop shape: build the probe once per query
-    // procedure, score every target procedure against it. The items/s
-    // ratio to BM_PairwiseSimMerge is the query-amortization win the
-    // multi_hunt bench-json entry reports as kernel_speedup.
-    const auto &q = wget_index();
-    const auto &t = vendor_index();
-    for (auto _ : state) {
-        for (const auto &qp : q.procs) {
-            const sim::QueryProbe probe(qp.repr);
-            for (const auto &tp : t.procs) {
-                benchmark::DoNotOptimize(probe.score(tp.repr));
-            }
-        }
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(q.procs.size() * t.procs.size()));
-}
-BENCHMARK(BM_QueryProbeScore);
-
-void
 BM_PostingBestMatch(benchmark::State &state)
 {
     // The pruned counterpart of BM_PairwiseSim: one posting-list
@@ -319,7 +274,7 @@ BENCHMARK(BM_ParseIndexV2);
 void
 BM_MmapOpenV5(benchmark::State &state)
 {
-    // The zero-copy warm path: map a persisted FWIX v5 entry, verify
+    // The zero-copy warm path: map a persisted FWIX entry, verify
     // the payload checksum and open the index view over the mapped
     // arenas — no posting/hash vectors materialized. Compare against
     // BM_ParseIndexV2: the checksum pass is common to both, so the gap
@@ -424,54 +379,6 @@ BENCHMARK(BM_BatchHunt)
     ->Arg(static_cast<int>(
         std::max(2u, std::thread::hardware_concurrency())))
     ->Unit(benchmark::kMillisecond);
-
-void
-BM_MinHashSketch(benchmark::State &state)
-{
-    // Per-procedure sketch build cost over a whole executable — the
-    // price finalize() pays (cold path only; FWIX v4 ships sketches).
-    const sim::ExecutableIndex &index = wget_index();
-    std::uint64_t checksum = 0;
-    for (auto _ : state) {
-        for (const sim::ProcEntry &proc : index.procs) {
-            const strand::MinHashSketch sketch = strand::minhash_sketch(
-                proc.repr.hash_data(), proc.repr.hash_count());
-            checksum += sketch[0];
-        }
-    }
-    benchmark::DoNotOptimize(checksum);
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(index.procs.size()));
-}
-BENCHMARK(BM_MinHashSketch);
-
-void
-BM_LshProbe(benchmark::State &state)
-{
-    // One LSH candidate probe (band lookups + rare-hash floor + exact
-    // rescoring of survivors) per query procedure, against the vendor
-    // build — the per-call unit the game's GetBestMatch pays in Lsh
-    // mode. Compare against BM_BestMatch-style shared_candidates cost.
-    sim::ExecutableIndex q = wget_index();
-    sim::ExecutableIndex t = vendor_index();
-    q.finalize();
-    t.finalize();
-    t.build_lsh(16, 4);
-    std::uint64_t checksum = 0;
-    for (auto _ : state) {
-        for (const sim::ProcEntry &proc : q.procs) {
-            const std::vector<sim::Candidate> cands =
-                sim::lsh_candidates(t, proc.repr);
-            checksum += cands.size();
-        }
-    }
-    benchmark::DoNotOptimize(checksum);
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(q.procs.size()));
-}
-BENCHMARK(BM_LshProbe);
 
 }  // namespace
 

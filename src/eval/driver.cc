@@ -203,7 +203,7 @@ fold_load_split(ScanHealth &health,
 }
 
 /**
- * Publish a retrieval-ready index to the process resident cache (no-op
+ * Publish an index to the process resident cache (no-op
  * without one). Returns the evictions this put caused, so the calling
  * scan — not some later reader — is charged for them.
  */
@@ -270,8 +270,8 @@ Driver::build_query_impl(const std::string &package,
 
     // Hunt fast lane: a warm store serves the finalized query index
     // under its recipe key, skipping compile + lift + canonicalize —
-    // the FWIX round-trip is bit-faithful (hashes, postings, block
-    // summaries), so outcomes are identical to a fresh build. The
+    // the FWIX round-trip is bit-faithful (hashes, postings), so
+    // outcomes are identical to a fresh build. The
     // baseline graph is intentionally not rebuilt here: the hunt path
     // never reads it, and building it would need the lifted executable
     // this lane exists to avoid.
@@ -293,8 +293,6 @@ Driver::build_query_impl(const std::string &package,
             ++health_.query_cache_hits;
             c_query_cache_hits.add();
             query.index = std::move(loaded).take();
-            prepare_retrieval(query.index);
-            sync_retrieval_health();
             query.qv = query.index.find_by_name(procedure);
             FIRMUP_ASSERT(query.qv >= 0,
                           "query procedure missing: " + procedure);
@@ -313,8 +311,6 @@ Driver::build_query_impl(const std::string &package,
 
     query.index = sim::index_executable(lifted.value(), canon_options());
     sync_memo_health();
-    prepare_retrieval(query.index);
-    sync_retrieval_health();
     query.qv = query.index.find_by_name(procedure);
     FIRMUP_ASSERT(query.qv >= 0,
                   "query procedure missing: " + procedure);
@@ -362,36 +358,6 @@ Driver::sync_memo_health()
     health_.canon_memo_hits += now.hits - memo_seen_.hits;
     health_.canon_memo_misses += now.misses - memo_seen_.misses;
     memo_seen_ = now;
-}
-
-void
-Driver::sync_retrieval_health()
-{
-    const sim::RetrievalCounters now = sim::retrieval_counters();
-    health_.retrieval_probes_exact +=
-        now.probes_exact - retrieval_seen_.probes_exact;
-    health_.retrieval_candidates_exact +=
-        now.candidates_exact - retrieval_seen_.candidates_exact;
-    health_.retrieval_probes_lsh +=
-        now.probes_lsh - retrieval_seen_.probes_lsh;
-    health_.retrieval_candidates_lsh +=
-        now.candidates_lsh - retrieval_seen_.candidates_lsh;
-    health_.retrieval_lsh_exact_work +=
-        now.lsh_exact_work - retrieval_seen_.lsh_exact_work;
-    health_.sketch_seconds +=
-        static_cast<double>(now.sketch_micros -
-                            retrieval_seen_.sketch_micros) *
-        1e-6;
-    retrieval_seen_ = now;
-}
-
-void
-Driver::prepare_retrieval(sim::ExecutableIndex &index)
-{
-    if (options_.retrieval != sim::RetrievalMode::Lsh) {
-        return;
-    }
-    index.build_lsh(options_.lsh_bands, options_.lsh_rows);
 }
 
 sim::IndexCacheStore *
@@ -448,13 +414,6 @@ Driver::index_target(const loader::Executable &exe)
     const std::uint64_t key = content_key(exe);
     auto it = index_cache_.find(key);
     if (it != index_cache_.end()) {
-        // Entries cached by index_many may predate the LSH table (its
-        // workers build indexes, the merge loop prepares them); build_lsh
-        // is a no-op when the table already has the requested shape.
-        // Every pointer in this cache originates from a non-const
-        // make_shared, so the cast-back is defined.
-        prepare_retrieval(
-            *std::const_pointer_cast<sim::ExecutableIndex>(it->second));
         return it->second.get();
     }
     if (quarantined_.contains(key)) {
@@ -469,9 +428,6 @@ Driver::index_target(const loader::Executable &exe)
             ++health_.resident_hits;
             c_resident_hits.add();
             note_healthy(key);
-            prepare_retrieval(
-                *std::const_pointer_cast<sim::ExecutableIndex>(hot));
-            sync_retrieval_health();
             return index_cache_.emplace(key, std::move(hot))
                 .first->second.get();
         }
@@ -496,8 +452,6 @@ Driver::index_target(const loader::Executable &exe)
             note_healthy(key);
             auto warm = std::make_shared<sim::ExecutableIndex>(
                 std::move(loaded).take());
-            prepare_retrieval(*warm);
-            sync_retrieval_health();
             health_.resident_evictions +=
                 resident_publish(options_.resident_cache, key, warm);
             return index_cache_.emplace(key, std::move(warm))
@@ -514,8 +468,6 @@ Driver::index_target(const loader::Executable &exe)
         sim::index_executable(*lifted, canon_options(),
                               resolve_worker_threads(0)));
     sync_memo_health();
-    prepare_retrieval(*index);
-    sync_retrieval_health();
     if (sim::IndexCacheStore *store = cache_store()) {
         if (auto written = store->store(key, *index); written.ok()) {
             health_.cache_write_bytes += written.value();
@@ -738,12 +690,6 @@ Driver::index_many(const std::vector<const loader::Executable *> &work,
         note_healthy(key);
         ++indexed;
         if (slots[i].from_resident) {
-            // The shared object was prepared by whoever published it;
-            // build_lsh is a no-op when the table shape already matches
-            // (see index_target). Cast-back is defined: every resident
-            // pointer originates from a non-const make_shared below.
-            prepare_retrieval(*std::const_pointer_cast<
-                              sim::ExecutableIndex>(slots[i].resident));
             index_cache_.emplace(key, std::move(slots[i].resident));
             continue;
         }
@@ -752,13 +698,11 @@ Driver::index_many(const std::vector<const loader::Executable *> &work,
         }
         auto index = std::make_shared<sim::ExecutableIndex>(
             std::move(slots[i].index));
-        prepare_retrieval(*index);
         health_.resident_evictions +=
             resident_publish(resident, key, index);
         index_cache_.emplace(key, std::move(index));
     }
     sync_memo_health();
-    sync_retrieval_health();
     health_.index_seconds += seconds_since(start);
     health_.index_cpu_seconds +=
         static_cast<double>(trace::process_cpu_ns() - cpu_start) * 1e-9;
@@ -865,17 +809,17 @@ Driver::search_outcome(const Query &query,
                                 static_cast<int>(
                                     options_.min_margin_ratio *
                                     q_strands))) {
-        // Dominance fallback: compare against the runner-up. One query
-        // against every procedure of the target is the query-amortized
-        // kernel's shape — build the probe once, score each procedure
-        // with a branchless filter pass instead of a pairwise merge.
-        const sim::QueryProbe probe(q_repr);
+        // Dominance fallback: compare against the runner-up, the best
+        // Sim any other procedure of the target shares with the query.
+        // Procedures sharing nothing score 0 either way, so the posting
+        // lists the games already read cover every contender.
         int second = 0;
-        for (const sim::ProcEntry &proc : target.procs) {
-            if (proc.entry == outcome.matched_entry) {
-                continue;
+        for (const sim::Candidate &c :
+             sim::shared_candidates(target, q_repr)) {
+            if (target.procs[static_cast<std::size_t>(c.index)].entry !=
+                outcome.matched_entry) {
+                second = std::max(second, c.sim);
             }
-            second = std::max(second, probe.score(proc.repr));
         }
         accept = static_cast<double>(outcome.sim) >=
                  options_.margin_factor * static_cast<double>(second);
@@ -967,18 +911,6 @@ scan_fingerprint(const SearchOptions &options, const std::string &label,
     // Wall-clock knobs (game.max_seconds, the watchdog, the retry
     // policy) are deliberately excluded: they bound how long a scan may
     // take, not which answer a target deterministically produces.
-    //
-    // The retrieval knob changes which candidates games see, hence
-    // which answers a scan produces — it must split the fingerprint.
-    // Folded only in Lsh mode so every exact-mode journal written
-    // before the knob existed still resumes.
-    if (options.retrieval == sim::RetrievalMode::Lsh) {
-        fp = hash_combine(fp, fnv1a64("retrieval:lsh"));
-        fp = hash_combine(fp,
-                          static_cast<std::uint64_t>(options.lsh_bands));
-        fp = hash_combine(fp,
-                          static_cast<std::uint64_t>(options.lsh_rows));
-    }
     return fp != 0 ? fp : 1;  // 0 means "skip the check" in parse()
 }
 
@@ -998,7 +930,7 @@ Driver::open_journal(const std::string &label, bool confirm)
             if (opened.error_code() == ErrorCode::StaleFormat &&
                 opened.error_message() == kJournalFingerprintMismatch) {
                 // A structurally sound journal for a *different* scan
-                // configuration (e.g. another retrieval mode): silently
+                // configuration (e.g. another CVE list): silently
                 // rescanning under the new knobs while the old journal
                 // sits on disk would mix findings from two
                 // configurations on the next resume. Refuse the scan;
@@ -1304,7 +1236,6 @@ Driver::run_batch(
     // and is restored afterwards.
     const game::GameOptions saved_game = options_.game;
     options_.game.cancel = cancel;
-    options_.game.retrieval = options_.retrieval;
     if (options_.target_budget_seconds > 0.0 &&
         (options_.game.max_seconds <= 0.0 ||
          options_.target_budget_seconds < options_.game.max_seconds)) {
@@ -1419,7 +1350,6 @@ Driver::run_batch(
     if (cancel != nullptr && cancel->requested()) {
         health_.cancelled = true;
     }
-    sync_retrieval_health();
     journal_.flush();
     return out;
 }

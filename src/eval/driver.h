@@ -56,30 +56,6 @@ struct SearchOptions
     double margin_factor = 2.5;
     bool use_game = true;      ///< false = procedure-centric top-1
     game::GameOptions game;
-    /**
-     * Candidate retrieval stage (sim::RetrievalMode). Exact (default)
-     * is the complete posting-list path and the ablation baseline —
-     * bit-identical to every pre-LSH scan. Lsh prefilters candidates
-     * through the MinHash banding table: the driver builds each
-     * query's and target's LSH table (lsh_bands x lsh_rows) before its
-     * games run, and sketches ride the persistent FWIX v4 entries so
-     * warm scans never recompute them. Findings may differ from Exact
-     * (recall is property-tested and benchmarked, never assumed); the
-     * scan fingerprint covers this knob, so a journal written in one
-     * mode cannot be resumed into the other.
-     */
-    sim::RetrievalMode retrieval = sim::RetrievalMode::Exact;
-    /**
-     * LSH banding shape: bands x rows <= strand::kSketchSize. A pair
-     * with Jaccard similarity s collides in at least one band with
-     * probability 1-(1-s^r)^b — steep at 16x4 (near-certain above
-     * s=0.6, near-zero below s=0.2), which prunes hard; the probe's
-     * rare-hash containment floor (sim::lsh_candidates) is what keeps
-     * low-Jaccard-but-high-Sim matches reachable, so the bands can
-     * afford to be selective.
-     */
-    unsigned lsh_bands = 16;
-    unsigned lsh_rows = 4;
     strand::CanonOptions canon;  ///< section ranges filled per target
     /**
      * Share one cross-executable canonicalization memo (strand/memo.h)
@@ -91,14 +67,14 @@ struct SearchOptions
     bool canon_memo = true;
     /**
      * When non-empty, a persistent content-addressed index cache
-     * directory (sim::IndexCacheStore): finalized FWIX v2 indexes are
+     * directory (sim::IndexCacheStore): finalized FWIX indexes are
      * loaded from it before lifting and written back after indexing, so
      * the second scan of an immutable corpus skips lift+canon+finalize
      * entirely. Corrupt or stale entries degrade to misses.
      */
     std::string index_cache_dir;
     /**
-     * Serve persistent-store entries through the FWIX v5 mmap view path
+     * Serve persistent-store entries through the FWIX mmap view path
      * (zero-copy open: checksum pass + O(procs) materialization) when
      * the host supports it. False is the --no-mmap ablation baseline:
      * the copying parser streams every arena into owning vectors.
@@ -410,12 +386,6 @@ class Driver
     strand::CanonMemo canon_memo_;
     /** Memo stats already folded into health_ (see sync_memo_health). */
     strand::CanonMemo::Stats memo_seen_{};
-    /**
-     * Retrieval counters already folded into health_ (delta-based, like
-     * memo_seen_): the sim-level counters are process-wide, so each
-     * driver attributes only what changed since its last sync.
-     */
-    sim::RetrievalCounters retrieval_seen_ = sim::retrieval_counters();
     /** Scan journal (empty/closed when options_.journal_path is unset). */
     ScanJournal journal_;
     bool journal_opened_ = false;
@@ -440,17 +410,6 @@ class Driver
 
     /** Fold new canon-memo hits/misses into health_ (delta-based). */
     void sync_memo_health();
-
-    /** Fold new retrieval counters into health_ (delta-based). */
-    void sync_retrieval_health();
-
-    /**
-     * Build @p index's LSH banding table per options_ when retrieval is
-     * Lsh (no-op otherwise). Called at every point an index enters the
-     * scan — cold build, warm store load, query build — so games only
-     * ever see LSH-ready indexes in Lsh mode.
-     */
-    void prepare_retrieval(sim::ExecutableIndex &index);
 
     /** Count @p key as a seen + healthy executable, once. */
     void note_healthy(std::uint64_t key);
@@ -505,9 +464,10 @@ class Driver
      * to a journal-less scan (recorded in the health error histogram) —
      * a journal problem must never cost the scan itself. One exception:
      * resuming a structurally sound journal whose fingerprint binds it
-     * to a different scan configuration (e.g. another retrieval mode)
-     * sets health_.resume_rejected, and run_batch then refuses to scan
-     * — mixing two configurations' findings would be silently wrong.
+     * to a different scan configuration (e.g. another CVE list or
+     * confirm threshold) sets health_.resume_rejected, and run_batch
+     * then refuses to scan — mixing two configurations' findings would
+     * be silently wrong.
      */
     void open_journal(const std::string &label, bool confirm);
 

@@ -75,12 +75,6 @@ ScanHealth::merge(const ScanHealth &other)
     query_cache_misses += other.query_cache_misses;
     canon_memo_hits += other.canon_memo_hits;
     canon_memo_misses += other.canon_memo_misses;
-    retrieval_probes_exact += other.retrieval_probes_exact;
-    retrieval_candidates_exact += other.retrieval_candidates_exact;
-    retrieval_probes_lsh += other.retrieval_probes_lsh;
-    retrieval_candidates_lsh += other.retrieval_candidates_lsh;
-    retrieval_lsh_exact_work += other.retrieval_lsh_exact_work;
-    sketch_seconds += other.sketch_seconds;
     resume_rejected = resume_rejected || other.resume_rejected;
     if (resume_reject_reason.empty()) {
         resume_reject_reason = other.resume_reject_reason;
@@ -199,20 +193,6 @@ ScanHealth::summary() const
             static_cast<double>(canon_memo_hits) /
                 static_cast<double>(canon_memo_hits + canon_memo_misses) *
                 100.0);
-    }
-    if (retrieval_candidates_lsh > 0) {
-        // The reduction an LSH probe bought: exact-equivalent posting
-        // incidences over the candidates actually scored (>1 = the
-        // prefilter avoided work; ~1 = the bands let everything through).
-        const double reduction =
-            static_cast<double>(retrieval_lsh_exact_work) /
-            static_cast<double>(retrieval_candidates_lsh);
-        out += strprintf(
-            "; lsh retrieval %llu probe(s), %llu candidate(s), "
-            "%.1fx candidate reduction",
-            static_cast<unsigned long long>(retrieval_probes_lsh),
-            static_cast<unsigned long long>(retrieval_candidates_lsh),
-            reduction);
     }
     if (resume_rejected) {
         out += "; RESUME REJECTED (journal fingerprint mismatch)";

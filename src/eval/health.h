@@ -125,26 +125,9 @@ struct ScanHealth
     std::uint64_t canon_memo_misses = 0;
 
     /**
-     * Candidate-retrieval accounting (see sim::RetrievalCounters).
-     * Exact probes count the candidate pairs the posting/dense path
-     * scored; LSH probes count the pairs the MinHash band table let
-     * through plus `retrieval_lsh_exact_work`, the posting-list
-     * incidences an exact probe of the same query would have touched —
-     * the work the prefilter avoided. sketch_seconds is the wall clock
-     * spent building MinHash sketches (cold indexing only; warm FWIX v4
-     * loads ship sketches for free).
-     */
-    std::uint64_t retrieval_probes_exact = 0;
-    std::uint64_t retrieval_candidates_exact = 0;
-    std::uint64_t retrieval_probes_lsh = 0;
-    std::uint64_t retrieval_candidates_lsh = 0;
-    std::uint64_t retrieval_lsh_exact_work = 0;
-    double sketch_seconds = 0.0;
-
-    /**
      * A `--resume` was refused because the journal on disk was written
      * by a different scan configuration (fingerprint mismatch — e.g.
-     * another retrieval mode or threshold set). Unlike a corrupt
+     * another CVE list or threshold set). Unlike a corrupt
      * journal, which merely degrades to a journal-less scan, a
      * fingerprint mismatch means replaying would silently mix findings
      * from two different configurations, so the driver refuses to scan

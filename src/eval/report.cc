@@ -136,17 +136,6 @@ render_health(const ScanHealth &health)
                                         health.canon_memo_misses))
                 .c_str());
     }
-    if (health.retrieval_candidates_lsh > 0) {
-        out += strprintf(
-            "lsh retrieval: %llu probe(s), %llu candidate(s) scored, "
-            "%.1fx candidate reduction vs exact, %.3fs sketching\n",
-            static_cast<unsigned long long>(health.retrieval_probes_lsh),
-            static_cast<unsigned long long>(
-                health.retrieval_candidates_lsh),
-            static_cast<double>(health.retrieval_lsh_exact_work) /
-                static_cast<double>(health.retrieval_candidates_lsh),
-            health.sketch_seconds);
-    }
     if (health.resume_rejected) {
         out += strprintf("RESUME REJECTED: %s\n",
                          health.resume_reject_reason.c_str());

@@ -324,19 +324,13 @@ decode_frame(std::string_view payload, FrameFields *fields)
     X(query_cache_hits)                                                  \
     X(query_cache_misses)                                                \
     X(canon_memo_hits)                                                   \
-    X(canon_memo_misses)                                                 \
-    X(retrieval_probes_exact)                                            \
-    X(retrieval_candidates_exact)                                        \
-    X(retrieval_probes_lsh)                                              \
-    X(retrieval_candidates_lsh)                                          \
-    X(retrieval_lsh_exact_work)
+    X(canon_memo_misses)
 
 #define FIRMUP_SHARD_HEALTH_DOUBLE_FIELDS(X)                             \
     X(cache_load_seconds)                                                \
     X(cache_open_seconds)                                                \
     X(cache_checksum_seconds)                                            \
     X(cache_parse_seconds)                                               \
-    X(sketch_seconds)                                                    \
     X(index_seconds)                                                     \
     X(index_cpu_seconds)                                                 \
     X(game_seconds)                                                      \
@@ -506,9 +500,6 @@ run_shard_worker(const ShardWorkerOptions &options)
     SearchOptions sopt;
     sopt.index_cache_dir = options.index_cache_dir;
     sopt.mmap_index = options.mmap_index;
-    sopt.retrieval = options.retrieval;
-    sopt.lsh_bands = options.lsh_bands;
-    sopt.lsh_rows = options.lsh_rows;
     sopt.journal_path = options.journal_path;
     sopt.resume = !options.journal_path.empty();
     sim::ResidentIndexCache resident(options.resident_cache_mb * 1024 *
@@ -630,14 +621,6 @@ worker_args(const ShardScanOptions &options, std::size_t shard,
         args.push_back("--resident-cache-mb");
         args.push_back(std::to_string(options.resident_cache_mb));
     }
-    if (options.retrieval == sim::RetrievalMode::Lsh) {
-        args.push_back("--retrieval");
-        args.push_back("lsh");
-        args.push_back("--lsh-bands");
-        args.push_back(std::to_string(options.lsh_bands));
-        args.push_back("--lsh-rows");
-        args.push_back(std::to_string(options.lsh_rows));
-    }
     if (!options.confirm) {
         args.push_back("--no-confirm");
     }
@@ -679,15 +662,11 @@ run_shard_scan(const std::string &worker_binary,
     // The scan identity every per-shard journal (and the state
     // manifest) is bound to: must match what the workers' drivers
     // compute from the flags worker_args() hands them, or every resume
-    // would be refused. SearchOptions' deterministic knobs beyond the
-    // retrieval block are not exposed on the shard-scan CLI, so the
-    // defaults here are the workers' defaults.
-    SearchOptions proto;
-    proto.retrieval = options.retrieval;
-    proto.lsh_bands = options.lsh_bands;
-    proto.lsh_rows = options.lsh_rows;
+    // would be refused. SearchOptions' deterministic knobs are not
+    // exposed on the shard-scan CLI, so the defaults here are the
+    // workers' defaults.
     const std::uint64_t fp = scan_fingerprint(
-        proto, batch_scan_label(cves.value()), options.confirm);
+        SearchOptions{}, batch_scan_label(cves.value()), options.confirm);
 
     std::string state_dir = options.state_dir;
     const bool ephemeral = state_dir.empty();

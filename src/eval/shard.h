@@ -27,8 +27,8 @@
  *     pairs replay instead of re-running.
  *  3. **Incremental rescans.** A persistent scan-state manifest
  *     (`state.fwsj` in the state dir) is an ordinary FWSJ journal bound
- *     to the scan fingerprint — (scan label, confirm mode, canon/
- *     retrieval knobs). The coordinator seeds every per-shard journal
+ *     to the scan fingerprint — (scan label, confirm mode, matching
+ *     knobs). The coordinator seeds every per-shard journal
  *     from it before spawning, so unchanged executables (by content
  *     key) replay their prior outcomes with zero lift/canon/search
  *     work; after the fleet drains it rebuilds `state.fwsj` as the
@@ -141,9 +141,6 @@ struct ShardScanOptions
     std::string index_cache_dir;  ///< shared FWIX store ("" = none)
     bool mmap_index = true;
     std::size_t resident_cache_mb = 0;  ///< per-worker resident budget
-    sim::RetrievalMode retrieval = sim::RetrievalMode::Exact;
-    unsigned lsh_bands = 16;
-    unsigned lsh_rows = 4;
     /** Stall deadline: no frame from a worker for this long => respawn. */
     double heartbeat_seconds = 30.0;
     /** Respawns allowed per shard beyond the first spawn. */
@@ -184,9 +181,6 @@ struct ShardWorkerOptions
     std::string index_cache_dir;
     bool mmap_index = true;
     std::size_t resident_cache_mb = 0;
-    sim::RetrievalMode retrieval = sim::RetrievalMode::Exact;
-    unsigned lsh_bands = 16;
-    unsigned lsh_rows = 4;
     double heartbeat_seconds = 30.0;
     /** Test seams (see ShardScanOptions). */
     std::size_t exit_after_appends = 0;

@@ -72,7 +72,7 @@ struct CorpusOptions
     /** Percent of non-latest images shipped with full symbols. */
     int unstripped_percent = 12;
     /**
-     * Corpus multiplier for retrieval-scaling experiments: the device
+     * Corpus multiplier for scaling experiments: the device
      * loop runs num_devices * scale iterations, so scale N clones the
      * catalog into N times the devices, each clone with its own
      * perturbed build decisions (every device forks the corpus RNG

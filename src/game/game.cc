@@ -262,10 +262,7 @@ class Game
         const std::size_t i = static_cast<std::size_t>(m.index);
         if (!ready[i]) {
             const sim::ExecutableIndex &other = m.in_q ? t_ : q_;
-            memo[i] = opt_.retrieval == sim::RetrievalMode::Lsh
-                          ? sim::lsh_candidates(other, repr(m), &stats_)
-                          : sim::shared_candidates(other, repr(m),
-                                                   &stats_);
+            memo[i] = sim::shared_candidates(other, repr(m), &stats_);
             ready[i] = 1;
         }
         return memo[i];

@@ -41,15 +41,6 @@ struct GameOptions
     int min_sim = 1;  ///< below this, a pair shares nothing usable
     bool record_trace = false;  ///< narrate moves (Table 1 style)
     /**
-     * Candidate retrieval for GetBestMatch. Exact (default) scores
-     * every procedure sharing a strand hash with the probe; Lsh scores
-     * only MinHash-band collisions (sim::lsh_candidates) and silently
-     * falls back to Exact for any side without an LSH table or sketch,
-     * so a hand-built index never breaks. The game logic itself —
-     * consistency, budgets, tie-breaks — is retrieval-agnostic.
-     */
-    sim::RetrievalMode retrieval = sim::RetrievalMode::Exact;
-    /**
      * Cooperative cancellation: polled at the same 64-iteration sample
      * point as the wall-clock deadline, so a SIGTERM'd scan drains each
      * in-flight game within a bounded number of cheap steps instead of

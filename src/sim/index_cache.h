@@ -5,19 +5,19 @@
  *
  * The paper's evaluation machine indexes its ~200k-executable corpus
  * once and then serves every CVE hunt as pure lookups (section 5.1);
- * this store is that shape for our pipeline. Each entry is one FWIX v5
+ * this store is that shape for our pipeline. Each entry is one FWIX v6
  * file (sim/persist.h) named by the executable's content key
  * (eval::content_key — name + text bytes, so byte-identical executables
  * re-shipped across firmware versions share one entry, the section 5.2
  * observation). A warm scan loads `search_ready` indexes — procedure
- * strand sets, CSR postings, block summaries and MinHash sketches —
- * straight from disk and skips lift + canonicalize + finalize entirely;
- * entries written by older layouts (e.g. FWIX v4) fail the parse guards
- * as StaleFormat and are transparently re-indexed.
+ * strand sets and CSR postings — straight from disk and skips lift +
+ * canonicalize + finalize entirely; entries written by older layouts
+ * (e.g. FWIX v5) fail the parse guards as StaleFormat and are
+ * transparently re-indexed.
  *
  * Two tiers sit above the disk bytes:
  *
- *  - the **mmap view path**: the v5 flat layout lets load() map an
+ *  - the **mmap view path**: the flat layout lets load() map an
  *    entry and hand back an ExecutableIndex that *views* the mapped
  *    arenas (open_index_view) after a checksum pass — no vector
  *    materialization. The mapping is pinned by the index's `backing`

@@ -35,18 +35,16 @@ constexpr std::size_t kDirNamesLen = kDirOffset + 40;
 constexpr std::size_t kDirProcTableOff = kDirOffset + 48;
 constexpr std::size_t kDirHashesOff = kDirOffset + 56;
 constexpr std::size_t kDirHashesCount = kDirOffset + 64;
-constexpr std::size_t kDirSketchOff = kDirOffset + 72;
-constexpr std::size_t kDirSketchCount = kDirOffset + 80;
-constexpr std::size_t kDirPhOff = kDirOffset + 88;
-constexpr std::size_t kDirPhCount = kDirOffset + 96;
-constexpr std::size_t kDirPoOff = kDirOffset + 104;
-constexpr std::size_t kDirPoCount = kDirOffset + 112;
-constexpr std::size_t kDirPpOff = kDirOffset + 120;
-constexpr std::size_t kDirPpCount = kDirOffset + 128;
-constexpr std::size_t kDirEnd = kDirOffset + 136;
+constexpr std::size_t kDirPhOff = kDirOffset + 72;
+constexpr std::size_t kDirPhCount = kDirOffset + 80;
+constexpr std::size_t kDirPoOff = kDirOffset + 88;
+constexpr std::size_t kDirPoCount = kDirOffset + 96;
+constexpr std::size_t kDirPpOff = kDirOffset + 104;
+constexpr std::size_t kDirPpCount = kDirOffset + 112;
+constexpr std::size_t kDirEnd = kDirOffset + 120;
 
 /** Packed per-procedure record in the proc table (byte offsets). */
-constexpr std::size_t kProcRecSize = 104;
+constexpr std::size_t kProcRecSize = 40;
 constexpr std::size_t kProcEntry = 0;      // u64
 constexpr std::size_t kProcHashOff = 8;    // u64, absolute, 8-aligned
 constexpr std::size_t kProcHashCount = 16; // u32
@@ -54,16 +52,7 @@ constexpr std::size_t kProcNameOff = 20;   // u32, into names arena
 constexpr std::size_t kProcNameLen = 24;   // u32
 constexpr std::size_t kProcBlocks = 28;    // u32
 constexpr std::size_t kProcStmts = 32;     // u32
-constexpr std::size_t kProcFlags = 36;     // u32: bit0 summary, bit1 sketch
-constexpr std::size_t kProcSketchIdx = 40; // u32
-constexpr std::size_t kProcPad0 = 44;      // u32, zero
-constexpr std::size_t kProcBucketBits = 48;  // 4 x u64
-constexpr std::size_t kProcWordOffsets = 80; // 5 x u32
-constexpr std::size_t kProcPad1 = 100;       // u32, zero
-
-constexpr std::uint32_t kProcFlagSummary = 1u << 0;
-constexpr std::uint32_t kProcFlagSketch = 1u << 1;
-constexpr std::uint32_t kProcFlagsKnown = kProcFlagSummary | kProcFlagSketch;
+constexpr std::size_t kProcPad = 36;       // u32, zero
 
 constexpr std::uint8_t kDirFlagReady = 1u << 0;
 
@@ -122,7 +111,7 @@ pad_to(ByteBuffer &out, std::size_t align)
 }
 
 /**
- * The decoded v5 directory, bounds- and alignment-validated against the
+ * The decoded v6 directory, bounds- and alignment-validated against the
  * blob size. Every offset is absolute; every count is in elements.
  */
 struct Directory
@@ -134,7 +123,6 @@ struct Directory
     std::uint64_t names_off = 0, names_len = 0;
     std::uint64_t proc_table_off = 0;
     std::uint64_t hashes_off = 0, hashes_count = 0;
-    std::uint64_t sketch_off = 0, sketch_count = 0;
     std::uint64_t ph_off = 0, ph_count = 0;
     std::uint64_t po_off = 0, po_count = 0;
     std::uint64_t pp_off = 0, pp_count = 0;
@@ -179,8 +167,6 @@ read_directory(const std::uint8_t *bytes, std::size_t size, Directory &dir,
     dir.proc_table_off = read_u64_le(bytes + kDirProcTableOff);
     dir.hashes_off = read_u64_le(bytes + kDirHashesOff);
     dir.hashes_count = read_u64_le(bytes + kDirHashesCount);
-    dir.sketch_off = read_u64_le(bytes + kDirSketchOff);
-    dir.sketch_count = read_u64_le(bytes + kDirSketchCount);
     dir.ph_off = read_u64_le(bytes + kDirPhOff);
     dir.ph_count = read_u64_le(bytes + kDirPhCount);
     dir.po_off = read_u64_le(bytes + kDirPoOff);
@@ -210,10 +196,6 @@ read_directory(const std::uint8_t *bytes, std::size_t size, Directory &dir,
     if (!arena_ok(dir.hashes_off, dir.hashes_count, 8, 8)) {
         return truncated("hash arena");
     }
-    if (!arena_ok(dir.sketch_off, dir.sketch_count,
-                  8 * strand::kSketchSize, 8)) {
-        return truncated("sketch arena");
-    }
     if (!arena_ok(dir.ph_off, dir.ph_count, 8, 8) ||
         !arena_ok(dir.po_off, dir.po_count, 4, 4) ||
         !arena_ok(dir.pp_off, dir.pp_count, 4, 4)) {
@@ -241,11 +223,6 @@ struct ProcRec
     std::uint32_t name_len = 0;
     std::uint32_t block_count = 0;
     std::uint32_t stmt_count = 0;
-    bool summary = false;
-    bool sketch = false;
-    std::uint32_t sketch_idx = 0;
-    std::array<std::uint64_t, 4> bucket_bits{};
-    std::array<std::uint32_t, 5> word_offsets{};
 };
 
 Result<ExecutableIndex>
@@ -263,15 +240,7 @@ read_proc_rec(const std::uint8_t *bytes, const Directory &dir,
     rec.name_len = read_u32_le(p + kProcNameLen);
     rec.block_count = read_u32_le(p + kProcBlocks);
     rec.stmt_count = read_u32_le(p + kProcStmts);
-    const std::uint32_t flags = read_u32_le(p + kProcFlags);
-    if ((flags & ~kProcFlagsKnown) != 0) {
-        return malformed("bad proc flags");
-    }
-    rec.summary = (flags & kProcFlagSummary) != 0;
-    rec.sketch = (flags & kProcFlagSketch) != 0;
-    rec.sketch_idx = read_u32_le(p + kProcSketchIdx);
-    if (read_u32_le(p + kProcPad0) != 0 ||
-        read_u32_le(p + kProcPad1) != 0) {
+    if (read_u32_le(p + kProcPad) != 0) {
         return malformed("bad proc padding");
     }
     // Hash span: absolute, 8-aligned, wholly inside the hash arena.
@@ -285,41 +254,6 @@ read_proc_rec(const std::uint8_t *bytes, const Directory &dir,
     if (rec.name_off > dir.names_len ||
         rec.name_len > dir.names_len - rec.name_off) {
         return truncated("proc name span");
-    }
-    if (rec.sketch) {
-        if (rec.sketch_idx >= dir.sketch_count) {
-            return truncated("proc sketch index");
-        }
-    } else if (rec.sketch_idx != 0) {
-        return malformed("sketch index without sketch");
-    }
-    for (unsigned w = 0; w < 4; ++w) {
-        rec.bucket_bits[w] = read_u64_le(p + kProcBucketBits + 8 * w);
-    }
-    std::uint32_t prev = 0;
-    for (unsigned w = 0; w < 5; ++w) {
-        rec.word_offsets[w] = read_u32_le(p + kProcWordOffsets + 4 * w);
-        if (rec.word_offsets[w] < prev) {
-            return malformed("unsorted summary offsets");
-        }
-        prev = rec.word_offsets[w];
-    }
-    if (rec.summary) {
-        if (rec.word_offsets.front() != 0 ||
-            rec.word_offsets.back() != rec.hash_count) {
-            return malformed("inconsistent summary shape");
-        }
-    } else {
-        for (const std::uint32_t o : rec.word_offsets) {
-            if (o != 0) {
-                return malformed("summary offsets without summary");
-            }
-        }
-        for (const std::uint64_t w : rec.bucket_bits) {
-            if (w != 0) {
-                return malformed("summary bits without summary");
-            }
-        }
     }
     *ok = true;
     return malformed("unreachable");  // discarded when *ok
@@ -390,18 +324,13 @@ fwix_layout_hash()
     // emitted the same byte sequence, so a format change (e.g. the
     // pinned left-to-right emission order of stream-v2; DESIGN.md
     // section 12) must invalidate old caches the same way a layout
-    // change does. The sketch tag's mh64/v1 names the MinHash
-    // permutation family (strand/sketch.cc salts): new salts would make
-    // persisted sketches incomparable to fresh ones, so a salt change
-    // must bump that tag even though no field width moves.
+    // change does.
     static const std::uint64_t hash = fnv1a64(
-        "fwix-v5:hdr(magic4,ver-u16,layout-u64,ch64lane-payload-u64,"
+        "fwix-v6:hdr(magic4,ver-u16,layout-u64,ch64lane-payload-u64,"
         "pad-u16);dir@24(total-u64,arch-u8,flags-u8,pad-u16,procs-u32,"
-        "name-u64x2,names-u64x2,ptab-u64,hashes-u64x2,"
-        "sketch-u64x2:mh64/v1-64xu64,ph-u64x2,po-u64x2,pp-u64x2);"
-        "prec104(entry-u64,hoff-u64,hcnt-u32,noff-u32,nlen-u32,"
-        "blocks-u32,stmts-u32,flags-u32,sidx-u32,pad-u32,bits-4xu64,"
-        "woffs-5xu32,pad-u32);canon(stream-v2,lr-names)");
+        "name-u64x2,names-u64x2,ptab-u64,hashes-u64x2,ph-u64x2,po-u64x2,"
+        "pp-u64x2);prec40(entry-u64,hoff-u64,hcnt-u32,noff-u32,nlen-u32,"
+        "blocks-u32,stmts-u32,pad-u32);canon(stream-v2,lr-names)");
     return hash;
 }
 
@@ -452,7 +381,6 @@ serialize_index(const ExecutableIndex &index)
 
     // Arena 4: every procedure's hashes, concatenated.
     const std::size_t hashes_off = out.size();  // 8-aligned: table end
-    std::uint64_t sketch_slots = 0;
     for (std::size_t i = 0; i < index.procs.size(); ++i) {
         const ProcEntry &proc = index.procs[i];
         const std::size_t rec = proc_table_off + i * kProcRecSize;
@@ -467,24 +395,6 @@ serialize_index(const ExecutableIndex &index)
                  static_cast<std::uint32_t>(proc.repr.block_count));
         poke_u32(out, rec + kProcStmts,
                  static_cast<std::uint32_t>(proc.repr.stmt_count));
-        std::uint32_t flags = 0;
-        if (proc.repr.summary_built) {
-            flags |= kProcFlagSummary;
-            for (unsigned w = 0; w < 4; ++w) {
-                poke_u64(out, rec + kProcBucketBits + 8 * w,
-                         proc.repr.bucket_bits[w]);
-            }
-            for (unsigned w = 0; w < 5; ++w) {
-                poke_u32(out, rec + kProcWordOffsets + 4 * w,
-                         proc.repr.word_offsets[w]);
-            }
-        }
-        if (proc.repr.sketch_built) {
-            flags |= kProcFlagSketch;
-            poke_u32(out, rec + kProcSketchIdx,
-                     static_cast<std::uint32_t>(sketch_slots++));
-        }
-        poke_u32(out, rec + kProcFlags, flags);
         const std::uint64_t *hashes = proc.repr.hash_data();
         for (std::size_t h = 0; h < proc.repr.hash_count(); ++h) {
             append_u64_le(out, hashes[h]);
@@ -493,21 +403,7 @@ serialize_index(const ExecutableIndex &index)
     poke_u64(out, kDirHashesOff, hashes_off);
     poke_u64(out, kDirHashesCount, (out.size() - hashes_off) / 8);
 
-    // Arena 5: MinHash sketches, one 64-word block per sketch_built
-    // procedure, in procedure order (= sketch_idx order).
-    const std::size_t sketch_off = out.size();
-    for (const ProcEntry &proc : index.procs) {
-        if (!proc.repr.sketch_built) {
-            continue;
-        }
-        for (std::uint64_t word : proc.repr.sketch) {
-            append_u64_le(out, word);
-        }
-    }
-    poke_u64(out, kDirSketchOff, sketch_off);
-    poke_u64(out, kDirSketchCount, sketch_slots);
-
-    // Arenas 6-8: the CSR posting triple. The entry/name maps are not
+    // Arenas 5-7: the CSR posting triple. The entry/name maps are not
     // serialized — they are rebuilt in O(procs) at load, which keeps
     // the blob byte-deterministic (unordered_map iteration order is
     // not).
@@ -622,20 +518,6 @@ parse_index(const std::uint8_t *bytes, std::size_t size)
             // invariant for them.
             proc.repr.finalize();
         }
-        if (rec.summary) {
-            proc.repr.bucket_bits = rec.bucket_bits;
-            proc.repr.word_offsets = rec.word_offsets;
-            proc.repr.summary_built = true;
-        }
-        if (rec.sketch) {
-            const std::uint8_t *sk =
-                bytes + dir.sketch_off +
-                8ull * strand::kSketchSize * rec.sketch_idx;
-            for (unsigned w = 0; w < strand::kSketchSize; ++w) {
-                proc.repr.sketch[w] = read_u64_le(sk + 8 * w);
-            }
-            proc.repr.sketch_built = true;
-        }
         index.procs.push_back(std::move(proc));
     }
 
@@ -741,19 +623,6 @@ open_index_view(const std::uint8_t *bytes, std::size_t size,
         proc.repr.hash_view_count = rec.hash_count;
         proc.repr.block_count = rec.block_count;
         proc.repr.stmt_count = rec.stmt_count;
-        if (rec.summary) {
-            proc.repr.bucket_bits = rec.bucket_bits;
-            proc.repr.word_offsets = rec.word_offsets;
-            proc.repr.summary_built = true;
-        }
-        if (rec.sketch) {
-            const std::uint8_t *sk =
-                bytes + dir.sketch_off +
-                8ull * strand::kSketchSize * rec.sketch_idx;
-            std::memcpy(proc.repr.sketch.data(), sk,
-                        8 * strand::kSketchSize);
-            proc.repr.sketch_built = true;
-        }
         index.procs.push_back(std::move(proc));
     }
     index.posting_hashes_view =

@@ -10,32 +10,31 @@
  * canonicalized once and searched many times.
  *
  * Format history: v2 added the finalized search-acceleration state (the
- * CSR posting lists built by ExecutableIndex::finalize()); v3 added each
- * procedure's block summary; v4 added each procedure's MinHash sketch.
- * Format v5 keeps exactly that information but re-arranges it as a
- * **flat relocatable layout**: a fixed directory of absolute offsets
- * pointing at typed arenas (exe/proc names, a packed procedure table,
- * one hash arena, one sketch arena, the three CSR posting arrays), with
- * every u64 arena 8-byte aligned. Nothing is length-prefixed inline any
- * more — the blob can be consumed two ways:
+ * CSR posting lists built by ExecutableIndex::finalize()); v3 and v4
+ * added per-procedure data for the SIMD pairwise kernels and the MinHash
+ * prefilter; v5 moved to a **flat relocatable layout**. Format v6 keeps
+ * the v5 layout minus that per-procedure data, which nothing reads now
+ * that the posting lists are the one scoring path. A fixed directory of
+ * absolute offsets points at typed arenas (exe/proc names, a packed
+ * 40-byte procedure table, one hash arena, the three CSR posting
+ * arrays), with every u64 arena 8-byte aligned. Nothing is
+ * length-prefixed inline — the blob can be consumed two ways:
  *
  *  - open_index_view(): hand an ExecutableIndex *views* into the blob
  *    (procedure hash sets and posting arrays point straight at the
  *    mapped bytes; only the O(procs) fixed-size state — entries, names,
- *    summaries, sketches — is materialized). This is the mmap warm
- *    path: opening an index costs a checksum pass plus O(procs), not a
- *    full re-parse into freshly allocated vectors.
+ *    counts — is materialized). This is the mmap warm path: opening an
+ *    index costs a checksum pass plus O(procs), not a full re-parse
+ *    into freshly allocated vectors.
  *  - parse_index(): the classic copying parser (the --no-mmap ablation
  *    baseline and the portability fallback for hosts where the direct
  *    view is unavailable — see open_view_supported()).
  *
- * The LSH banding table is derived data and is rebuilt from the
- * sketches per SearchOptions (its shape is a query-time knob, not index
- * state). The header guards against stale or damaged blobs three ways:
+ * The header guards against stale or damaged blobs three ways:
  *
  *  - a format **version** (older blobs are rejected with a distinct
  *    ErrorCode::StaleFormat "stale format" error, never misparsed —
- *    a v4 store self-invalidates into cache misses),
+ *    a v5 store self-invalidates into cache misses),
  *  - a **layout hash** — a constant digest of the byte-layout
  *    descriptor, bumped whenever any field changes width or meaning, so
  *    a same-version blob written by an incompatible build is also
@@ -59,16 +58,16 @@
 namespace firmup::sim {
 
 /** Current FWIX format version (serialize_index always writes this). */
-inline constexpr std::uint16_t kFwixVersion = 5;
+inline constexpr std::uint16_t kFwixVersion = 6;
 
 /**
- * Digest of the v5 byte-layout descriptor. Serialized into every blob
+ * Digest of the v6 byte-layout descriptor. Serialized into every blob
  * and compared on parse; a mismatch means the blob was written by an
  * incompatible layout and is rejected as ErrorCode::StaleFormat.
  */
 std::uint64_t fwix_layout_hash();
 
-/** Serialize @p index into the FWIX v5 binary format. */
+/** Serialize @p index into the FWIX v6 binary format. */
 ByteBuffer serialize_index(const ExecutableIndex &index);
 
 /**
@@ -80,7 +79,7 @@ ByteBuffer serialize_index(const ExecutableIndex &index);
 Result<bool> check_container(const std::uint8_t *bytes, std::size_t size);
 
 /**
- * Parse an FWIX v5 blob into an owning index (every arena copied into
+ * Parse an FWIX v6 blob into an owning index (every arena copied into
  * vectors). A blob serialized from a finalized index parses straight to
  * `search_ready` (no finalize() re-run); one serialized from a
  * hand-built index is finalized on load. Runs check_container() first.
@@ -92,7 +91,7 @@ Result<ExecutableIndex> parse_index(const std::uint8_t *bytes,
 Result<ExecutableIndex> parse_index(const ByteBuffer &bytes);
 
 /**
- * True when this host can serve FWIX v5 views directly over mapped
+ * True when this host can serve FWIX views directly over mapped
  * bytes (little-endian byte order — the arenas are reinterpreted as
  * u64/u32 arrays in place). On other hosts open_index_view() fails and
  * callers fall back to parse_index().
@@ -100,7 +99,7 @@ Result<ExecutableIndex> parse_index(const ByteBuffer &bytes);
 bool open_view_supported();
 
 /**
- * Open a zero-copy *view* of an FWIX v5 blob: the returned index's
+ * Open a zero-copy *view* of an FWIX v6 blob: the returned index's
  * procedure hash sets and CSR posting arrays point into @p bytes, and
  * @p backing is retained on the index to pin those bytes alive for as
  * long as any copy of the index (or of its procedures) exists.
@@ -108,8 +107,8 @@ bool open_view_supported();
  * Validation contract: all container guards (check_container, run
  * here unless the caller already did — see @p checked) plus every
  * memory-safety invariant — arena bounds and alignment, posting offset
- * monotonicity and endpoints, posting procedure indices in range,
- * summary shape. Semantic invariants vouched for by the checksum (hash
+ * monotonicity and endpoints, posting procedure indices in range.
+ * Semantic invariants vouched for by the checksum (hash
  * sortedness inside an arena) are not re-scanned; that O(payload) work
  * is exactly what the view path exists to skip.
  *

@@ -1,18 +1,7 @@
 #include "sim/similarity.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-#if defined(__aarch64__) || defined(__ARM_NEON)
-#include <arm_neon.h>
-#endif
 
 #include "support/threadpool.h"
 #include "support/trace.h"
@@ -25,42 +14,6 @@ const trace::Counter c_finalize_calls("index.finalize_calls");
 const trace::Counter c_posting_hashes("index.posting_hashes");
 const trace::Counter c_posting_incidences("index.posting_incidences");
 const trace::Counter c_indexed_procs("index.procedures");
-const trace::Counter c_cand_exact("retrieval.candidates_exact");
-const trace::Counter c_cand_lsh("retrieval.candidates_lsh");
-const trace::Counter c_lsh_probes("retrieval.lsh_probes");
-const trace::Counter c_sketch_micros("retrieval.sketch_micros");
-
-/**
- * Always-on retrieval accounting (the trace counters above are gated on
- * the trace level; ScanHealth needs these regardless). Relaxed atomics:
- * monotonic totals, no ordering required.
- */
-struct RetrievalAtomics
-{
-    std::atomic<std::uint64_t> probes_exact{0};
-    std::atomic<std::uint64_t> candidates_exact{0};
-    std::atomic<std::uint64_t> probes_lsh{0};
-    std::atomic<std::uint64_t> candidates_lsh{0};
-    std::atomic<std::uint64_t> lsh_exact_work{0};
-    std::atomic<std::uint64_t> sketch_micros{0};
-};
-
-RetrievalAtomics g_retrieval;
-
-/** Build @p repr's MinHash sketch, charging the wall time spent. */
-void
-build_sketch_timed(strand::ProcedureStrands &repr)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    repr.build_sketch();
-    const auto micros =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    g_retrieval.sketch_micros.fetch_add(
-        static_cast<std::uint64_t>(micros), std::memory_order_relaxed);
-    c_sketch_micros.add(static_cast<std::uint64_t>(micros));
-}
 
 /**
  * First position in [first, last) not less than @p key, found by
@@ -131,299 +84,7 @@ for_each_shared(const std::uint64_t *a, std::size_t an,
     }
 }
 
-// ---- tiered intersection kernel ----------------------------------------
-//
-// Counting-only intersection (sim_score) does not need the ascending
-// visit order for_each_shared guarantees, which frees the inner loops to
-// use branchless and SIMD block compares. Every path below counts the
-// exact set intersection; the property tests sweep all of them against
-// the std::set reference and against sim_score_merge.
-
-constexpr std::size_t kGallopRatio = 16;
-/** Galloping binary searches stop at this window and scan it linearly. */
-constexpr std::size_t kProbeWindow = 8;
-
-#if defined(__SSE2__)
-/** 64-bit lane equality out of SSE2 (cmpeq_epi64 needs SSE4.1). */
-inline __m128i
-eq_epi64_sse2(__m128i a, __m128i b)
-{
-    const __m128i eq32 = _mm_cmpeq_epi32(a, b);
-    return _mm_and_si128(
-        eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-}
-#endif
-
-int
-merge_count_scalar(const std::uint64_t *a, const std::uint64_t *ae,
-                   const std::uint64_t *b, const std::uint64_t *be)
-{
-    // Branchless two-pointer merge: the three-way compare of the classic
-    // merge mispredicts on random sets; conditional increments do not.
-    int shared = 0;
-    while (a < ae && b < be) {
-        const std::uint64_t x = *a;
-        const std::uint64_t y = *b;
-        shared += x == y;
-        a += x <= y;
-        b += y <= x;
-    }
-    return shared;
-}
-
-#if defined(__SSE2__)
-int
-merge_count_sse2(const std::uint64_t *a, const std::uint64_t *ae,
-                 const std::uint64_t *b, const std::uint64_t *be)
-{
-    // 2x2 block merge: compare all four (a, b) pairings of two-element
-    // blocks at once, then advance whichever block's maximum is not
-    // larger. Unique sorted inputs mean each element matches at most
-    // once across the whole sweep, so per-lane indicators sum exactly.
-    int shared = 0;
-    while (ae - a >= 2 && be - b >= 2) {
-        const __m128i va =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(a));
-        const __m128i vb =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(b));
-        const __m128i vb_swap =
-            _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2));
-        const __m128i hit = _mm_or_si128(eq_epi64_sse2(va, vb),
-                                         eq_epi64_sse2(va, vb_swap));
-        const int mask = _mm_movemask_epi8(hit);
-        shared += ((mask & 0x00ff) != 0) + ((mask & 0xff00) != 0);
-        const std::uint64_t amax = a[1];
-        const std::uint64_t bmax = b[1];
-        a += amax <= bmax ? 2 : 0;
-        b += bmax <= amax ? 2 : 0;
-    }
-    return shared + merge_count_scalar(a, ae, b, be);
-}
-#endif
-
-#if defined(__aarch64__) || defined(__ARM_NEON)
-int
-merge_count_neon(const std::uint64_t *a, const std::uint64_t *ae,
-                 const std::uint64_t *b, const std::uint64_t *be)
-{
-    int shared = 0;
-    while (ae - a >= 2 && be - b >= 2) {
-        const uint64x2_t va = vld1q_u64(a);
-        const uint64x2_t vb = vld1q_u64(b);
-        const uint64x2_t vb_swap = vextq_u64(vb, vb, 1);
-        const uint64x2_t hit =
-            vorrq_u64(vceqq_u64(va, vb), vceqq_u64(va, vb_swap));
-        shared += static_cast<int>(vgetq_lane_u64(hit, 0) & 1) +
-                  static_cast<int>(vgetq_lane_u64(hit, 1) & 1);
-        const std::uint64_t amax = a[1];
-        const std::uint64_t bmax = b[1];
-        a += amax <= bmax ? 2 : 0;
-        b += bmax <= amax ? 2 : 0;
-    }
-    return shared + merge_count_scalar(a, ae, b, be);
-}
-#endif
-
-int
-merge_count(const std::uint64_t *a, const std::uint64_t *ae,
-            const std::uint64_t *b, const std::uint64_t *be, SimdTier tier)
-{
-#if defined(__SSE2__)
-    if (tier == SimdTier::Sse2) {
-        return merge_count_sse2(a, ae, b, be);
-    }
-#endif
-#if defined(__aarch64__) || defined(__ARM_NEON)
-    if (tier == SimdTier::Neon) {
-        return merge_count_neon(a, ae, b, be);
-    }
-#endif
-    (void)tier;
-    return merge_count_scalar(a, ae, b, be);
-}
-
-/** Is @p key among the @p n elements at @p p? (final gallop window) */
-bool
-window_contains(const std::uint64_t *p, std::size_t n, std::uint64_t key,
-                SimdTier tier)
-{
-#if defined(__SSE2__)
-    if (tier == SimdTier::Sse2) {
-        const __m128i k =
-            _mm_set1_epi64x(static_cast<long long>(key));
-        __m128i acc = _mm_setzero_si128();
-        std::size_t i = 0;
-        for (; i + 2 <= n; i += 2) {
-            const __m128i v = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(p + i));
-            acc = _mm_or_si128(acc, eq_epi64_sse2(v, k));
-        }
-        bool found = _mm_movemask_epi8(acc) != 0;
-        if (i < n) {
-            found |= p[i] == key;
-        }
-        return found;
-    }
-#endif
-#if defined(__aarch64__) || defined(__ARM_NEON)
-    if (tier == SimdTier::Neon) {
-        const uint64x2_t k = vdupq_n_u64(key);
-        uint64x2_t acc = vdupq_n_u64(0);
-        std::size_t i = 0;
-        for (; i + 2 <= n; i += 2) {
-            acc = vorrq_u64(acc, vceqq_u64(vld1q_u64(p + i), k));
-        }
-        bool found =
-            (vgetq_lane_u64(acc, 0) | vgetq_lane_u64(acc, 1)) != 0;
-        if (i < n) {
-            found |= p[i] == key;
-        }
-        return found;
-    }
-#endif
-    (void)tier;
-    bool found = false;
-    for (std::size_t i = 0; i < n; ++i) {
-        found |= p[i] == key;
-    }
-    return found;
-}
-
-/**
- * Lopsided intersection: gallop each small-side key into the large side,
- * bounding the binary search at kProbeWindow elements and scanning the
- * window with the tier's equality compare (the last few unpredictable
- * binary-search branches cost more than a vector sweep).
- */
-int
-gallop_count(const std::uint64_t *s, const std::uint64_t *se,
-             const std::uint64_t *l, const std::uint64_t *le,
-             SimdTier tier)
-{
-    int shared = 0;
-    for (; s != se && l != le; ++s) {
-        const std::uint64_t key = *s;
-        const std::size_t n = static_cast<std::size_t>(le - l);
-        std::size_t bound = 1;
-        while (bound < n && l[bound] < key) {
-            bound <<= 1;
-        }
-        // Invariant: any occurrence of key lies in [lo, hi).
-        std::size_t lo = bound >> 1;
-        std::size_t hi = std::min(bound + 1, n);
-        bool found = false;
-        while (hi - lo > kProbeWindow) {
-            const std::size_t mid = lo + (hi - lo) / 2;
-            if (l[mid] < key) {
-                lo = mid + 1;
-            } else if (l[mid] > key) {
-                hi = mid;
-            } else {
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            found = window_contains(l + lo, hi - lo, key, tier);
-        }
-        shared += found ? 1 : 0;
-        l += lo;  // monotone: everything below lo is < key < next key
-    }
-    return shared;
-}
-
-bool
-tier_compiled_in(SimdTier tier)
-{
-    switch (tier) {
-    case SimdTier::Scalar:
-        return true;
-    case SimdTier::Sse2:
-#if defined(__SSE2__)
-        return true;
-#else
-        return false;
-#endif
-    case SimdTier::Neon:
-#if defined(__aarch64__) || defined(__ARM_NEON)
-        return true;
-#else
-        return false;
-#endif
-    }
-    return false;
-}
-
-SimdTier
-detect_tier()
-{
-    // FIRMUP_SIMD pins the instruction-set tier for ops and the
-    // determinism sweeps; unset picks the best this binary carries.
-    if (const char *env = std::getenv("FIRMUP_SIMD")) {
-        if (std::strcmp(env, "scalar") == 0) {
-            return SimdTier::Scalar;
-        }
-        if (std::strcmp(env, "sse2") == 0 &&
-            tier_compiled_in(SimdTier::Sse2)) {
-            return SimdTier::Sse2;
-        }
-        if (std::strcmp(env, "neon") == 0 &&
-            tier_compiled_in(SimdTier::Neon)) {
-            return SimdTier::Neon;
-        }
-    }
-    if (tier_compiled_in(SimdTier::Sse2)) {
-        return SimdTier::Sse2;
-    }
-    if (tier_compiled_in(SimdTier::Neon)) {
-        return SimdTier::Neon;
-    }
-    return SimdTier::Scalar;
-}
-
-std::atomic<SimdTier> &
-tier_state()
-{
-    static std::atomic<SimdTier> tier{detect_tier()};
-    return tier;
-}
-
 }  // namespace
-
-SimdTier
-simd_tier()
-{
-    return tier_state().load(std::memory_order_relaxed);
-}
-
-void
-set_simd_tier(SimdTier tier)
-{
-    if (!tier_compiled_in(tier)) {
-        tier = SimdTier::Scalar;
-    }
-    tier_state().store(tier, std::memory_order_relaxed);
-}
-
-bool
-simd_tier_available(SimdTier tier)
-{
-    return tier_compiled_in(tier);
-}
-
-const char *
-simd_tier_name(SimdTier tier)
-{
-    switch (tier) {
-    case SimdTier::Scalar:
-        return "scalar";
-    case SimdTier::Sse2:
-        return "sse2";
-    case SimdTier::Neon:
-        return "neon";
-    }
-    return "scalar";
-}
 
 void
 ExecutableIndex::finalize()
@@ -473,56 +134,10 @@ ExecutableIndex::finalize()
     posting_offsets.push_back(
         static_cast<std::uint32_t>(posting_procs.size()));
     search_ready = true;
-    // Backstop for sketches the indexing fan-out (or a FWIX v4 load)
-    // did not already provide, so every finalized index can serve the
-    // LSH retrieval path.
-    for (ProcEntry &proc : procs) {
-        if (!proc.repr.sketch_built) {
-            build_sketch_timed(proc.repr);
-        }
-    }
     c_finalize_calls.add();
     c_posting_hashes.add(posting_hashes.size());
     c_posting_incidences.add(posting_procs.size());
     c_indexed_procs.add(procs.size());
-}
-
-void
-ExecutableIndex::build_lsh(unsigned bands, unsigned rows)
-{
-    bands = std::min<unsigned>(std::max(bands, 1u),
-                               static_cast<unsigned>(strand::kSketchSize));
-    rows = std::min<unsigned>(
-        std::max(rows, 1u),
-        static_cast<unsigned>(strand::kSketchSize) / bands);
-    if (lsh_bands == bands && lsh_rows == rows) {
-        return;
-    }
-    lsh_keys.clear();
-    lsh_procs.clear();
-    lsh_offsets.clear();
-    lsh_offsets.reserve(bands + 1);
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> segment;
-    for (unsigned b = 0; b < bands; ++b) {
-        lsh_offsets.push_back(static_cast<std::uint32_t>(lsh_keys.size()));
-        segment.clear();
-        for (std::size_t i = 0; i < procs.size(); ++i) {
-            const strand::ProcedureStrands &repr = procs[i].repr;
-            if (!repr.sketch_built || repr.hash_empty()) {
-                continue;
-            }
-            segment.emplace_back(strand::band_key(repr.sketch, b, rows),
-                                 static_cast<std::uint32_t>(i));
-        }
-        std::sort(segment.begin(), segment.end());
-        for (const auto &[key, proc] : segment) {
-            lsh_keys.push_back(key);
-            lsh_procs.push_back(proc);
-        }
-    }
-    lsh_offsets.push_back(static_cast<std::uint32_t>(lsh_keys.size()));
-    lsh_bands = bands;
-    lsh_rows = rows;
 }
 
 int
@@ -577,9 +192,6 @@ ExecutableIndex::memory_bytes() const
     bytes += posting_hashes.size() * sizeof(std::uint64_t);
     bytes += posting_offsets.size() * sizeof(std::uint32_t);
     bytes += posting_procs.size() * sizeof(std::uint32_t);
-    bytes += lsh_keys.size() * sizeof(std::uint64_t);
-    bytes += lsh_procs.size() * sizeof(std::uint32_t);
-    bytes += lsh_offsets.size() * sizeof(std::uint32_t);
     // entry_map / name_map: one entry per procedure each, roughly.
     bytes += procs.size() * 2 * sizeof(std::uint64_t) * 2;
     return bytes;
@@ -613,10 +225,6 @@ index_executable(const lifter::LiftedExecutable &lifted,
     const auto represent_slot = [&](std::size_t slot) {
         index.procs[slot].repr =
             strand::represent_procedure(*order[slot], options);
-        // Sketch here, not in finalize(): this closure is what the
-        // ThreadPool fans out, so sketching rides the same parallelism
-        // as canonicalization.
-        build_sketch_timed(index.procs[slot].repr);
     };
     // Procedures are independent units of work; each writes only its
     // own pre-sized slot, so any schedule yields the same index. Small
@@ -638,337 +246,10 @@ int
 sim_score(const strand::ProcedureStrands &q,
           const strand::ProcedureStrands &t)
 {
-    if (q.hash_empty() || t.hash_empty()) {
-        return 0;
-    }
-    const SimdTier tier = simd_tier();
-    const strand::ProcedureStrands *small = &q;
-    const strand::ProcedureStrands *large = &t;
-    if (small->hash_count() > large->hash_count()) {
-        std::swap(small, large);
-    }
-    const bool lopsided =
-        large->hash_count() / small->hash_count() >= kGallopRatio;
-    if (q.summary_built && t.summary_built) {
-        const std::uint64_t common[4] = {
-            q.bucket_bits[0] & t.bucket_bits[0],
-            q.bucket_bits[1] & t.bucket_bits[1],
-            q.bucket_bits[2] & t.bucket_bits[2],
-            q.bucket_bits[3] & t.bucket_bits[3],
-        };
-        if ((common[0] | common[1] | common[2] | common[3]) == 0) {
-            return 0;  // disjoint bucket occupancy: exact zero
-        }
-        if (lopsided) {
-            return gallop_count(
-                small->hash_data(),
-                small->hash_data() + small->hash_count(),
-                large->hash_data(),
-                large->hash_data() + large->hash_count(), tier);
-        }
-        // Comparable sizes: merge the matching per-word spans, skipping
-        // whole spans whose common occupancy is zero.
-        int shared = 0;
-        for (unsigned w = 0; w < 4; ++w) {
-            if (common[w] == 0) {
-                continue;
-            }
-            shared += merge_count(
-                q.hash_data() + q.word_offsets[w],
-                q.hash_data() + q.word_offsets[w + 1],
-                t.hash_data() + t.word_offsets[w],
-                t.hash_data() + t.word_offsets[w + 1], tier);
-        }
-        return shared;
-    }
-    // Hand-assembled sets without summaries: same kernels, full spans.
-    if (lopsided) {
-        return gallop_count(small->hash_data(),
-                            small->hash_data() + small->hash_count(),
-                            large->hash_data(),
-                            large->hash_data() + large->hash_count(),
-                            tier);
-    }
-    return merge_count(q.hash_data(),
-                       q.hash_data() + q.hash_count(),
-                       t.hash_data(), t.hash_data() + t.hash_count(),
-                       tier);
-}
-
-int
-sim_score_merge(const strand::ProcedureStrands &q,
-                const strand::ProcedureStrands &t)
-{
     int shared = 0;
     for_each_shared(q.hash_data(), q.hash_count(), t.hash_data(),
                     t.hash_count(), [&shared](std::uint64_t) { ++shared; });
     return shared;
-}
-
-// ---- query-amortized probe kernel --------------------------------------
-
-namespace {
-
-/** Buckets stop doubling here; beyond it the probe falls back to merge. */
-constexpr std::uint32_t kMaxBuckets = 1u << 15;
-
-/**
- * Exact membership of @p h in its 8-slot bucket. Empty slots hold zero
- * and are masked off by @p valid, so a zero-valued hash can never
- * produce a phantom match.
- */
-inline int
-bucket_contains(const std::uint64_t *slots, std::uint8_t valid,
-                std::uint64_t h, SimdTier tier)
-{
-#if defined(__SSE2__)
-    if (tier == SimdTier::Sse2) {
-        const __m128i key = _mm_set1_epi64x(static_cast<long long>(h));
-        const __m128i *s = reinterpret_cast<const __m128i *>(slots);
-        const __m128i e0 = eq_epi64_sse2(_mm_loadu_si128(s + 0), key);
-        const __m128i e1 = eq_epi64_sse2(_mm_loadu_si128(s + 1), key);
-        const __m128i e2 = eq_epi64_sse2(_mm_loadu_si128(s + 2), key);
-        const __m128i e3 = eq_epi64_sse2(_mm_loadu_si128(s + 3), key);
-        const int hits =
-            _mm_movemask_pd(_mm_castsi128_pd(e0)) |
-            (_mm_movemask_pd(_mm_castsi128_pd(e1)) << 2) |
-            (_mm_movemask_pd(_mm_castsi128_pd(e2)) << 4) |
-            (_mm_movemask_pd(_mm_castsi128_pd(e3)) << 6);
-        return (hits & valid) != 0 ? 1 : 0;
-    }
-#endif
-#if defined(__aarch64__) || defined(__ARM_NEON)
-    if (tier == SimdTier::Neon) {
-        const uint64x2_t key = vdupq_n_u64(h);
-        const uint64x2_t e0 = vceqq_u64(vld1q_u64(slots + 0), key);
-        const uint64x2_t e1 = vceqq_u64(vld1q_u64(slots + 2), key);
-        const uint64x2_t e2 = vceqq_u64(vld1q_u64(slots + 4), key);
-        const uint64x2_t e3 = vceqq_u64(vld1q_u64(slots + 6), key);
-        const int hits =
-            static_cast<int>(vgetq_lane_u64(e0, 0) & 1) |
-            static_cast<int>(vgetq_lane_u64(e0, 1) & 2) |
-            static_cast<int>((vgetq_lane_u64(e1, 0) & 1) << 2) |
-            static_cast<int>((vgetq_lane_u64(e1, 1) & 2) << 2) |
-            static_cast<int>((vgetq_lane_u64(e2, 0) & 1) << 4) |
-            static_cast<int>((vgetq_lane_u64(e2, 1) & 2) << 4) |
-            static_cast<int>((vgetq_lane_u64(e3, 0) & 1) << 6) |
-            static_cast<int>((vgetq_lane_u64(e3, 1) & 2) << 6);
-        return (hits & valid) != 0 ? 1 : 0;
-    }
-#endif
-    (void)tier;
-    int found = 0;
-    for (unsigned s = 0; s < 8; ++s) {
-        found |= ((valid >> s) & 1) & (slots[s] == h ? 1 : 0);
-    }
-    return found;
-}
-
-/**
- * Filter pass: test every target hash against the query bitmap,
- * appending survivors to @p cand branchlessly (store-then-advance; a
- * mispredicting per-element branch would cost more than the dead
- * stores). Returns the candidate count.
- */
-std::size_t
-probe_filter(const std::uint64_t *bm, const std::uint64_t *p,
-             std::size_t n, std::uint64_t *cand)
-{
-    std::size_t c = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const std::uint64_t h0 = p[i];
-        const std::uint64_t h1 = p[i + 1];
-        const std::uint64_t h2 = p[i + 2];
-        const std::uint64_t h3 = p[i + 3];
-        const std::uint32_t x0 = h0 & 0xffff;
-        const std::uint32_t x1 = h1 & 0xffff;
-        const std::uint32_t x2 = h2 & 0xffff;
-        const std::uint32_t x3 = h3 & 0xffff;
-        const std::uint64_t b0 = (bm[x0 >> 6] >> (x0 & 63)) & 1;
-        const std::uint64_t b1 = (bm[x1 >> 6] >> (x1 & 63)) & 1;
-        const std::uint64_t b2 = (bm[x2 >> 6] >> (x2 & 63)) & 1;
-        const std::uint64_t b3 = (bm[x3 >> 6] >> (x3 & 63)) & 1;
-        cand[c] = h0;
-        c += b0;
-        cand[c] = h1;
-        c += b1;
-        cand[c] = h2;
-        c += b2;
-        cand[c] = h3;
-        c += b3;
-    }
-    for (; i < n; ++i) {
-        const std::uint64_t h = p[i];
-        const std::uint32_t x = h & 0xffff;
-        cand[c] = h;
-        c += (bm[x >> 6] >> (x & 63)) & 1;
-    }
-    return c;
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-/**
- * Same filter, compiled with BMI2 so the variable bit-test shifts are
- * single-uop shrx instead of the two-uop flag-merging shr %cl.
- */
-__attribute__((target("bmi2"))) std::size_t
-probe_filter_bmi2(const std::uint64_t *bm, const std::uint64_t *p,
-                  std::size_t n, std::uint64_t *cand)
-{
-    std::size_t c = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const std::uint64_t h0 = p[i];
-        const std::uint64_t h1 = p[i + 1];
-        const std::uint64_t h2 = p[i + 2];
-        const std::uint64_t h3 = p[i + 3];
-        const std::uint32_t x0 = h0 & 0xffff;
-        const std::uint32_t x1 = h1 & 0xffff;
-        const std::uint32_t x2 = h2 & 0xffff;
-        const std::uint32_t x3 = h3 & 0xffff;
-        const std::uint64_t b0 = (bm[x0 >> 6] >> (x0 & 63)) & 1;
-        const std::uint64_t b1 = (bm[x1 >> 6] >> (x1 & 63)) & 1;
-        const std::uint64_t b2 = (bm[x2 >> 6] >> (x2 & 63)) & 1;
-        const std::uint64_t b3 = (bm[x3 >> 6] >> (x3 & 63)) & 1;
-        cand[c] = h0;
-        c += b0;
-        cand[c] = h1;
-        c += b1;
-        cand[c] = h2;
-        c += b2;
-        cand[c] = h3;
-        c += b3;
-    }
-    for (; i < n; ++i) {
-        const std::uint64_t h = p[i];
-        const std::uint32_t x = h & 0xffff;
-        cand[c] = h;
-        c += (bm[x >> 6] >> (x & 63)) & 1;
-    }
-    return c;
-}
-
-bool
-have_bmi2()
-{
-    static const bool have = __builtin_cpu_supports("bmi2");
-    return have;
-}
-#endif
-
-std::size_t
-run_probe_filter(const std::uint64_t *bm, const std::uint64_t *p,
-                 std::size_t n, std::uint64_t *cand)
-{
-#if defined(__x86_64__) || defined(__i386__)
-    if (have_bmi2()) {
-        return probe_filter_bmi2(bm, p, n, cand);
-    }
-#endif
-    return probe_filter(bm, p, n, cand);
-}
-
-}  // namespace
-
-void
-QueryProbe::reset(const strand::ProcedureStrands &q)
-{
-    const std::uint64_t *qh = q.hash_data();
-    const std::size_t nq = q.hash_count();
-    query_size_ = nq;
-    fallback_.clear();
-    bitmap_.assign(1024, 0);
-    std::uint32_t nbuckets = 16;
-    while (nbuckets * 4 < nq && nbuckets < kMaxBuckets) {
-        nbuckets <<= 1;
-    }
-    for (;;) {
-        bucket_mask_ = nbuckets - 1;
-        slots_.assign(static_cast<std::size_t>(nbuckets) * 8, 0);
-        valid_.assign(nbuckets, 0);
-        bool overflow = false;
-        for (std::size_t i = 0; i < nq; ++i) {
-            const std::uint64_t h = qh[i];
-            const std::uint32_t b =
-                static_cast<std::uint32_t>(h >> 16) & bucket_mask_;
-            const unsigned c = static_cast<unsigned>(
-                __builtin_popcount(valid_[b]));
-            if (c >= 8) {
-                overflow = true;
-                break;
-            }
-            slots_[static_cast<std::size_t>(b) * 8 + c] = h;
-            valid_[b] = static_cast<std::uint8_t>(valid_[b] | (1u << c));
-        }
-        if (!overflow) {
-            break;
-        }
-        if (nbuckets >= kMaxBuckets) {
-            // > 8 query hashes sharing bits 16..30: adversarial input.
-            // Keep a sorted copy and let score() take the merge path.
-            fallback_.assign(qh, qh + nq);
-            break;
-        }
-        nbuckets <<= 1;
-    }
-    for (std::size_t i = 0; i < nq; ++i) {
-        const std::uint32_t idx =
-            static_cast<std::uint32_t>(qh[i] & 0xffff);
-        bitmap_[idx >> 6] |= 1ull << (idx & 63);
-    }
-}
-
-int
-QueryProbe::score(const std::uint64_t *t, std::size_t n) const
-{
-    if (n == 0 || query_size_ == 0) {
-        return 0;
-    }
-    if (!fallback_.empty()) {
-        const SimdTier tier = simd_tier();
-        if (n / fallback_.size() >= kGallopRatio ||
-            fallback_.size() / n >= kGallopRatio) {
-            const bool query_small = fallback_.size() <= n;
-            const std::uint64_t *s =
-                query_small ? fallback_.data() : t;
-            const std::uint64_t *se =
-                query_small ? fallback_.data() + fallback_.size() : t + n;
-            const std::uint64_t *l =
-                query_small ? t : fallback_.data();
-            const std::uint64_t *le =
-                query_small ? t + n : fallback_.data() + fallback_.size();
-            return gallop_count(s, se, l, le, tier);
-        }
-        return merge_count(fallback_.data(),
-                           fallback_.data() + fallback_.size(), t, t + n,
-                           tier);
-    }
-    // The candidate buffer is per-thread so one built probe can be
-    // scored concurrently from many workers.
-    static thread_local std::vector<std::uint64_t> cand;
-    if (cand.size() < n) {
-        cand.resize(n);
-    }
-    const std::size_t c =
-        run_probe_filter(bitmap_.data(), t, n, cand.data());
-    const SimdTier tier = simd_tier();
-    int shared = 0;
-    for (std::size_t k = 0; k < c; ++k) {
-        const std::uint64_t h = cand[k];
-        const std::uint32_t b =
-            static_cast<std::uint32_t>(h >> 16) & bucket_mask_;
-        shared += bucket_contains(
-            slots_.data() + static_cast<std::size_t>(b) * 8, valid_[b], h,
-            tier);
-    }
-    return shared;
-}
-
-int
-QueryProbe::score(const strand::ProcedureStrands &t) const
-{
-    return score(t.hash_data(), t.hash_count());
 }
 
 std::vector<Candidate>
@@ -982,11 +263,10 @@ shared_candidates(const ExecutableIndex &T,
     }
     ScoringStats local;
     if (!T.search_ready) {
-        // Dense fallback for hand-assembled indexes: one query against
-        // every procedure — the query-amortized probe's home turf.
-        const QueryProbe probe(q);
+        // Dense fallback for hand-assembled indexes: one pairwise merge
+        // per procedure.
         for (std::size_t i = 0; i < T.procs.size(); ++i) {
-            const int s = probe.score(T.procs[i].repr);
+            const int s = sim_score(q, T.procs[i].repr);
             ++local.pairs_scored;
             local.elem_ops +=
                 q.hash_count() + T.procs[i].repr.hash_count();
@@ -998,10 +278,6 @@ shared_candidates(const ExecutableIndex &T,
             stats->pairs_scored += local.pairs_scored;
             stats->elem_ops += local.elem_ops;
         }
-        g_retrieval.probes_exact.fetch_add(1, std::memory_order_relaxed);
-        g_retrieval.candidates_exact.fetch_add(
-            local.pairs_scored, std::memory_order_relaxed);
-        c_cand_exact.add(local.pairs_scored);
         return out;
     }
     // Accumulate shared counts over the posting lists of q's strands:
@@ -1046,132 +322,6 @@ shared_candidates(const ExecutableIndex &T,
         stats->pairs_scored += local.pairs_scored;
         stats->elem_ops += local.elem_ops;
     }
-    g_retrieval.probes_exact.fetch_add(1, std::memory_order_relaxed);
-    g_retrieval.candidates_exact.fetch_add(local.pairs_scored,
-                                           std::memory_order_relaxed);
-    c_cand_exact.add(local.pairs_scored);
-    return out;
-}
-
-std::vector<Candidate>
-lsh_candidates(const ExecutableIndex &T,
-               const strand::ProcedureStrands &q, ScoringStats *stats)
-{
-    if (!T.lsh_ready() || !q.sketch_built) {
-        return shared_candidates(T, q, stats);
-    }
-    std::vector<Candidate> out;
-    if (T.procs.empty() || q.hash_empty()) {
-        return out;
-    }
-    // Band probes: binary-search each band's sorted segment for the
-    // query's band key; colliding procedures are the candidate pool.
-    std::vector<std::uint32_t> cand;
-    for (unsigned b = 0; b < T.lsh_bands; ++b) {
-        const std::uint64_t key = strand::band_key(q.sketch, b, T.lsh_rows);
-        const auto first = T.lsh_keys.begin() + T.lsh_offsets[b];
-        const auto last = T.lsh_keys.begin() + T.lsh_offsets[b + 1];
-        for (auto it = std::lower_bound(first, last, key);
-             it != last && *it == key; ++it) {
-            cand.push_back(T.lsh_procs[static_cast<std::size_t>(
-                it - T.lsh_keys.begin())]);
-        }
-    }
-    // Containment floor: MinHash bands model Jaccard similarity, which
-    // collapses when a small procedure's strand set is contained in a
-    // much larger one (|A∩B|/|A∪B| goes to 0 while Sim = |A∩B| stays
-    // high) — exactly the shape of a CVE query inside a statically
-    // linked target. The probe therefore always unions in the
-    // procedures behind the query's rarest strand hashes: the shortest
-    // posting lists are the most selective evidence and the cheapest to
-    // scan, so the floor is bounded by kRareProbes short lists. The
-    // same row lookup feeds the exact-work audit (the posting
-    // incidences an exact probe would have accumulated), one galloping
-    // search per query hash.
-    std::uint64_t exact_work = 0;
-    if (T.search_ready) {
-        constexpr std::size_t kRareProbes = 8;
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> lists;
-        lists.reserve(q.hash_count());
-        const std::uint64_t *base = T.posting_hash_data();
-        const std::uint32_t *offsets = T.posting_offset_data();
-        const std::uint32_t *plist = T.posting_proc_data();
-        const std::uint64_t *ph = base;
-        const std::uint64_t *pe = base + T.posting_hash_count();
-        const std::uint64_t *qh = q.hash_data();
-        const std::uint64_t *qe = qh + q.hash_count();
-        for (; qh != qe; ++qh) {
-            ph = gallop_lower_bound(ph, pe, *qh);
-            if (ph == pe) {
-                break;
-            }
-            if (*ph != *qh) {
-                continue;
-            }
-            const auto row = static_cast<std::uint32_t>(ph - base);
-            const std::uint32_t len = offsets[row + 1] - offsets[row];
-            exact_work += len;
-            lists.emplace_back(len, row);
-        }
-        if (lists.size() > kRareProbes) {
-            // (length, row) keys are unique per row, so the selection
-            // is deterministic regardless of the iteration above.
-            std::partial_sort(lists.begin(),
-                              lists.begin() + kRareProbes, lists.end());
-            lists.resize(kRareProbes);
-        }
-        for (const auto &[len, row] : lists) {
-            for (std::uint32_t i = offsets[row]; i < offsets[row + 1];
-                 ++i) {
-                cand.push_back(plist[i]);
-            }
-        }
-    }
-    std::sort(cand.begin(), cand.end());
-    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-    // Exact scoring of the survivors: same Sim as the posting path, so
-    // the result is a subset of shared_candidates(T, q) by construction.
-    ScoringStats local;
-    out.reserve(cand.size());
-    for (std::uint32_t proc : cand) {
-        const strand::ProcedureStrands &t = T.procs[proc].repr;
-        const int s = sim_score(q, t);
-        ++local.pairs_scored;
-        local.elem_ops += q.hash_count() + t.hash_count();
-        if (s > 0) {
-            out.push_back({static_cast<int>(proc), s});
-        }
-    }
-    if (stats != nullptr) {
-        stats->pairs_scored += local.pairs_scored;
-        stats->elem_ops += local.elem_ops;
-    }
-    g_retrieval.probes_lsh.fetch_add(1, std::memory_order_relaxed);
-    g_retrieval.candidates_lsh.fetch_add(local.pairs_scored,
-                                         std::memory_order_relaxed);
-    g_retrieval.lsh_exact_work.fetch_add(exact_work,
-                                         std::memory_order_relaxed);
-    c_lsh_probes.add();
-    c_cand_lsh.add(local.pairs_scored);
-    return out;
-}
-
-RetrievalCounters
-retrieval_counters()
-{
-    RetrievalCounters out;
-    out.probes_exact =
-        g_retrieval.probes_exact.load(std::memory_order_relaxed);
-    out.candidates_exact =
-        g_retrieval.candidates_exact.load(std::memory_order_relaxed);
-    out.probes_lsh =
-        g_retrieval.probes_lsh.load(std::memory_order_relaxed);
-    out.candidates_lsh =
-        g_retrieval.candidates_lsh.load(std::memory_order_relaxed);
-    out.lsh_exact_work =
-        g_retrieval.lsh_exact_work.load(std::memory_order_relaxed);
-    out.sketch_micros =
-        g_retrieval.sketch_micros.load(std::memory_order_relaxed);
     return out;
 }
 

@@ -46,48 +46,6 @@ struct Candidate
     int sim = 0;     ///< |shared strands| — exact, not an estimate
 };
 
-/**
- * How candidate procedures are retrieved before exact scoring.
- *
- *  - Exact: the CSR posting lists — every procedure sharing at least
- *    one strand hash is scored. Complete by construction; this is the
- *    default and the oracle the LSH path is tested against.
- *  - Lsh: MinHash/LSH prefilter — only procedures whose sketch collides
- *    with the query's in at least one band are scored (exactly, with
- *    the same Sim the posting path computes). Sublinear in corpus
- *    incidences, but may miss low-similarity candidates; recall floors
- *    are property-tested and benchmarked against Exact.
- */
-enum class RetrievalMode
-{
-    Exact,
-    Lsh,
-};
-
-/**
- * Process-wide retrieval accounting (monotonic, thread-safe), the
- * always-on analogue of the trace counters so ScanHealth can report
- * candidate reduction at any trace level. Drivers snapshot it before a
- * scan and attribute the delta (eval/health.h).
- */
-struct RetrievalCounters
-{
-    std::uint64_t probes_exact = 0;     ///< shared_candidates() calls
-    std::uint64_t candidates_exact = 0; ///< procedures they scored
-    std::uint64_t probes_lsh = 0;       ///< lsh_candidates() probes
-    std::uint64_t candidates_lsh = 0;   ///< procedures they scored
-    /**
-     * Posting incidences the exact path would have accumulated for the
-     * LSH probes — the work the prefilter avoided, measured from the
-     * posting lists at probe time (cheap: one lookup per query hash).
-     */
-    std::uint64_t lsh_exact_work = 0;
-    std::uint64_t sketch_micros = 0;    ///< wall time building sketches
-};
-
-/** Snapshot of the process-wide retrieval counters. */
-RetrievalCounters retrieval_counters();
-
 /** All procedures of one executable, represented for similarity search. */
 struct ExecutableIndex
 {
@@ -103,7 +61,7 @@ struct ExecutableIndex
      * indexes that never call finalize() still work — every consumer
      * falls back to a dense scan — but corpus-scale search wants this.
      *
-     * Owning mode only: a view-mode index (FWIX v5 mmap load) leaves
+     * Owning mode only: a view-mode index (FWIX mmap load) leaves
      * these empty and points the *_view members into the mapped blob.
      * Consumers go through the posting_*_data()/count() accessors.
      */
@@ -113,7 +71,7 @@ struct ExecutableIndex
     bool search_ready = false;  ///< postings + lookup maps are built
 
     /**
-     * Non-owning CSR views over an mmap'ed FWIX v5 blob, pinned alive
+     * Non-owning CSR views over an mmap'ed FWIX blob, pinned alive
      * by `backing`. posting_offsets_view has posting_count_view + 1
      * entries when set.
      */
@@ -138,41 +96,11 @@ struct ExecutableIndex
     std::unordered_map<std::string, int> name_map;
 
     /**
-     * LSH banding table over the procedures' MinHash sketches, built on
-     * demand by build_lsh() (it is derived data — never persisted; FWIX
-     * v4 persists the sketches it is rebuilt from). Band-major CSR:
-     * band b's segment is lsh_keys/lsh_procs[lsh_offsets[b] ..
-     * lsh_offsets[b+1]), sorted by (band key, procedure) so probes are
-     * binary searches and candidate order is deterministic. lsh_bands
-     * == 0 means "not built".
-     */
-    unsigned lsh_bands = 0;
-    unsigned lsh_rows = 0;
-    std::vector<std::uint64_t> lsh_keys;
-    std::vector<std::uint32_t> lsh_procs;
-    std::vector<std::uint32_t> lsh_offsets;
-
-    /**
-     * Build the posting lists and lookup maps, and backstop-build any
-     * missing procedure sketches (index_executable() builds them in its
-     * parallel fan-out; hand-assembled and pre-v4 indexes get them
-     * here). Called by index_executable() and parse_index(); call it
-     * yourself after assembling an index by hand to get the fast paths.
+     * Build the posting lists and lookup maps. Called by
+     * index_executable() and parse_index(); call it yourself after
+     * assembling an index by hand to get the fast paths.
      */
     void finalize();
-
-    /**
-     * (Re)build the LSH table with @p bands bands of @p rows sketch
-     * words each. Values are clamped so bands * rows <=
-     * strand::kSketchSize (bands first: bands in [1, 64], then rows in
-     * [1, 64 / bands]). No-op when already built with the same clamped
-     * shape. Procedures with empty strand sets are excluded — the
-     * exact path never returns them either.
-     */
-    void build_lsh(unsigned bands, unsigned rows);
-
-    /** True once build_lsh() has run. */
-    bool lsh_ready() const { return lsh_bands != 0; }
 
     /** Index of the procedure whose entry is @p addr, or -1. */
     int find_by_entry(std::uint64_t addr) const;
@@ -247,112 +175,15 @@ ExecutableIndex index_executable(const lifter::LiftedExecutable &lifted,
                                  unsigned threads = 1);
 
 /**
- * SIMD instruction set used by the intersection kernel's inner loops.
- * The kernel itself is tiered by pair shape (see sim_score); each tier's
- * inner loop is then dispatched at runtime to the best available
- * instruction set, with Scalar as the portable fallback. Every tier and
- * every instruction set produces bit-identical counts.
- */
-enum class SimdTier
-{
-    Scalar,
-    Sse2,
-    Neon,
-};
-
-/** The active instruction-set tier (set_simd_tier or FIRMUP_SIMD). */
-SimdTier simd_tier();
-
-/**
- * Force the instruction-set tier (test/bench seam; the property tests
- * sweep every tier against the std::set reference). Requesting an
- * unavailable tier clamps to Scalar. The FIRMUP_SIMD environment
- * variable ("scalar", "sse2", "neon") sets the initial tier; unset
- * picks the best the binary and CPU support.
- */
-void set_simd_tier(SimdTier tier);
-
-/** True when @p tier's instructions are compiled into this binary. */
-bool simd_tier_available(SimdTier tier);
-
-/** Stable lowercase name of @p tier ("scalar", "sse2", "neon"). */
-const char *simd_tier_name(SimdTier tier);
-
-/**
- * Sim(q, t): the number of shared canonical strands.
- *
- * Tiered intersection kernel over the sorted flat hash vectors:
- *  - summary reject: AND the 256-bit bucket-occupancy bitmaps; a zero
- *    intersection answers 0 without touching the hash vectors;
- *  - lopsided pairs (>= 16x size ratio) gallop from the small side,
- *    with a SIMD equality scan over the final search window;
- *  - comparable pairs run a block merge over the per-word spans of the
- *    summary, skipping spans whose common occupancy bits are zero —
- *    SSE2/NEON all-pairs block compare, branchless scalar fallback.
- * Exact by construction: every tier counts the same intersection the
- * reference merge does (sim_score_merge), bit-identically.
+ * Sim(q, t): the number of shared canonical strands. A two-pointer
+ * merge over the sorted flat hash vectors, galloping from the smaller
+ * side when the sizes are lopsided (>= 16x). The posting-list path
+ * (shared_candidates) computes the same count for every procedure of an
+ * executable at once; this pairwise form serves the baselines, the
+ * procedure-centric ablation and indexes that never ran finalize().
  */
 int sim_score(const strand::ProcedureStrands &q,
               const strand::ProcedureStrands &t);
-
-/**
- * Reference merge intersection (the pre-kernel two-pointer/galloping
- * path). Kept callable as the benchmark baseline and the property-test
- * oracle for sim_score.
- */
-int sim_score_merge(const strand::ProcedureStrands &q,
-                    const strand::ProcedureStrands &t);
-
-/**
- * Query-amortized intersection kernel: build once per query, score many
- * targets. This is the shape every hot caller actually has — one CVE
- * query played against a whole corpus, one query against every
- * procedure of a target executable — and amortizing the query-side
- * build is what a pairwise merge can never do: scoring a target costs
- * one branchless filter pass over its hashes plus an exact probe per
- * surviving candidate, with no data-dependent merge branches at all.
- *
- * Layout (all query-side, built by reset()):
- *  - an 8 KiB bitmap over the low 16 bits of the query's hashes — the
- *    filter pass tests each target hash against it branchlessly and
- *    emits survivors to a candidate buffer (false-positive rate
- *    |q| / 65536, so candidates ~= true matches);
- *  - an 8-slot bucket table keyed by hash bits 16.. for the exact
- *    64-bit verify of each candidate (SIMD across the 8 slots). Bucket
- *    counts are rebuilt with doubled bucket counts on overflow, so the
- *    verify is exact for any input; a pathological query falls back to
- *    the merge kernel.
- *
- * score() is exact — bit-identical to sim_score and sim_score_merge
- * for every input (property-tested) — and thread-safe: concurrent
- * score() calls against one built QueryProbe are safe, which is what
- * lets the batch scheduler share one probe per query across workers.
- */
-class QueryProbe
-{
-public:
-    QueryProbe() = default;
-    explicit QueryProbe(const strand::ProcedureStrands &q) { reset(q); }
-
-    /** (Re)build the filter + verify tables from @p q. */
-    void reset(const strand::ProcedureStrands &q);
-
-    /** Exact |q ∩ t| against the query given to reset(). */
-    int score(const strand::ProcedureStrands &t) const;
-    /** Same, over a raw sorted unique hash span. */
-    int score(const std::uint64_t *t, std::size_t n) const;
-
-    /** Number of hashes in the query this probe was built from. */
-    std::size_t query_size() const { return query_size_; }
-
-private:
-    std::vector<std::uint64_t> bitmap_;  ///< 1024 words / 64 Ki bits
-    std::vector<std::uint64_t> slots_;   ///< buckets x 8 hash slots
-    std::vector<std::uint8_t> valid_;    ///< per-bucket slot occupancy
-    std::vector<std::uint64_t> fallback_;  ///< sorted query copy (rare)
-    std::uint32_t bucket_mask_ = 0;
-    std::size_t query_size_ = 0;
-};
 
 /** Work accounting for one or more shared_candidates calls. */
 struct ScoringStats
@@ -372,26 +203,14 @@ struct ScoringStats
  * Every procedure of @p T sharing at least one strand with @p q, with
  * its exact Sim, in ascending procedure-index order. Uses the posting
  * lists when built (touching only procedures that share a strand, the
- * VulMatch-style signature pruning); otherwise scores every procedure.
+ * VulMatch-style signature pruning); otherwise scores every procedure
+ * with sim_score.
  * @param stats when non-null, accumulates the scoring work performed —
  *        the game's "pairwise scoring operations" metric.
  */
 std::vector<Candidate> shared_candidates(
     const ExecutableIndex &T, const strand::ProcedureStrands &q,
     ScoringStats *stats = nullptr);
-
-/**
- * LSH-prefiltered candidates: every procedure of @p T whose sketch
- * collides with @p q's in at least one band, scored exactly (same Sim
- * as shared_candidates) and returned in ascending procedure-index
- * order with zero-Sim collisions dropped. Always a subset of
- * shared_candidates(T, q) with identical Sim values for the procedures
- * it keeps — the exact path is the oracle. Falls back to
- * shared_candidates() when @p T has no LSH table or @p q has no sketch.
- */
-std::vector<Candidate> lsh_candidates(const ExecutableIndex &T,
-                                      const strand::ProcedureStrands &q,
-                                      ScoringStats *stats = nullptr);
 
 /**
  * Statistical strand weights trained from a sample of procedures — the

@@ -897,26 +897,6 @@ ProcedureStrands::finalize()
     std::sort(hashes.begin(), hashes.end());
     hashes.erase(std::unique(hashes.begin(), hashes.end()),
                  hashes.end());
-    build_summary();
-}
-
-void
-ProcedureStrands::build_summary()
-{
-    bucket_bits = {};
-    // Sorted hashes are contiguous by top byte, so each of the four
-    // 64-bucket words covers one contiguous span of the vector.
-    std::size_t i = 0;
-    for (unsigned w = 0; w < 4; ++w) {
-        word_offsets[w] = static_cast<std::uint32_t>(i);
-        while (i < hashes.size() && (hashes[i] >> 62) == w) {
-            bucket_bits[w] |= std::uint64_t{1}
-                              << ((hashes[i] >> 56) & 63);
-            ++i;
-        }
-    }
-    word_offsets[4] = static_cast<std::uint32_t>(hashes.size());
-    summary_built = true;
 }
 
 bool

@@ -32,13 +32,11 @@
  */
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "ir/uir.h"
-#include "strand/sketch.h"
 #include "strand/slice.h"
 
 namespace firmup::strand {
@@ -112,7 +110,7 @@ struct ProcedureStrands
 {
     /**
      * Sorted, unique strand hashes (flat set; see finalize()). Owning
-     * mode only: a view-mode set (FWIX v5 mmap load) leaves this empty
+     * mode only: a view-mode set (FWIX mmap load) leaves this empty
      * and points `hash_view` into the mapped blob instead. All readers
      * must go through hash_data()/hash_count(), which dispatch to
      * whichever storage is live; mutation (add/finalize) is an
@@ -122,7 +120,7 @@ struct ProcedureStrands
 
     /**
      * Non-owning view of the hash set (sorted, unique), borrowed from
-     * an mmap'ed FWIX v5 arena. Lifetime is pinned by the owning
+     * an mmap'ed FWIX arena. Lifetime is pinned by the owning
      * ExecutableIndex's `backing` handle, never by this struct.
      */
     const std::uint64_t *hash_view = nullptr;
@@ -131,52 +129,11 @@ struct ProcedureStrands
     std::size_t block_count = 0;
     std::size_t stmt_count = 0;
 
-    /**
-     * Block summary for the tiered intersection kernel
-     * (sim::sim_score): the sorted hash vector is implicitly
-     * partitioned into 256 buckets by each hash's top byte.
-     * `bucket_bits` is the 256-bit bucket-occupancy bitmap (bit b of
-     * word b/64 set iff some hash has top byte b) and `word_offsets`
-     * delimits the contiguous run of hashes whose top byte falls in
-     * bucket word w: [word_offsets[w], word_offsets[w+1]). ANDing two
-     * procedures' occupancy words rejects zero-overlap pairs without
-     * touching the hash vectors, and word spans whose common bits are
-     * zero are skipped wholesale. Built by finalize(); hand-assembled
-     * sets that never finalize() have no summary and take the merge
-     * fallback.
-     */
-    std::array<std::uint64_t, 4> bucket_bits{};
-    std::array<std::uint32_t, 5> word_offsets{};
-    bool summary_built = false;
-
-    /**
-     * MinHash sketch of the hash set (strand/sketch.h) for the LSH
-     * retrieval prefilter. Not maintained by finalize(): the sim layer
-     * builds it (sim::ExecutableIndex::finalize() and the parallel
-     * indexing fan-out) so pure canonicalization never pays for it, and
-     * FWIX v4 persists it next to the block summary. A set without
-     * `sketch_built` simply takes the exact posting path.
-     */
-    MinHashSketch sketch{};
-    bool sketch_built = false;
-
     /** Append a hash; the set is unordered until finalize() runs. */
     void add(std::uint64_t h) { hashes.push_back(h); }
 
     /** Sort + deduplicate — restores the flat-set invariant. */
     void finalize();
-
-    /**
-     * (Re)build bucket_bits/word_offsets from the hashes. Requires the
-     * flat-set invariant; finalize() calls it for you.
-     */
-    void build_summary();
-
-    /**
-     * (Re)build the MinHash sketch from the hashes. Order- and
-     * duplicate-insensitive, so it is valid before or after finalize().
-     */
-    void build_sketch();
 
     /** Membership by binary search (requires the flat-set invariant). */
     bool contains(std::uint64_t h) const;

@@ -2,7 +2,7 @@
  * @file
  * Read-only memory-mapped files for the zero-copy index load path.
  *
- * The FWIX v5 container (sim/persist.h) is a flat relocatable blob:
+ * The FWIX container (sim/persist.h) is a flat relocatable blob:
  * every arena is addressed by offset, so an entry can be served
  * straight from the page cache — map it, checksum it, hand out views —
  * instead of being streamed through a parser into freshly allocated

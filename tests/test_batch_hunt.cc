@@ -192,60 +192,11 @@ TEST(BatchHunt, KilledBatchHuntResumesBitIdentically)
     }
 }
 
-TEST(BatchHunt, KilledLshHuntResumesBitIdentically)
+TEST(BatchHunt, ResumeUnderOtherConfirmRatioIsRejected)
 {
-    // The single-scan kill/resume property must hold under the LSH
-    // retrieval knob too: the journal replays recorded (q, t) outcomes
-    // verbatim and the rehunted remainder probes the same deterministic
-    // LSH tables, so the merged grid is bit-identical to an
-    // uninterrupted lsh hunt.
-    firmware::CorpusOptions corpus_options;
-    corpus_options.num_devices = 3;
-    const firmware::Corpus corpus =
-        firmware::build_corpus(corpus_options);
-    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
-    ASSERT_GT(targets.size(), 4u);
-    const std::vector<firmware::CveRecord> cves = hunt_cves();
-
-    SearchOptions lsh;
-    lsh.retrieval = sim::RetrievalMode::Lsh;
-
-    std::vector<std::vector<CorpusOutcome>> fresh;
-    {
-        Driver driver(lsh);
-        fresh = driver.search_corpus_batch(cves, targets, 2);
-    }
-
-    const std::string path = fresh_journal_path("lsh-kill");
-    CancelToken token;
-    SearchOptions interrupted = lsh;
-    interrupted.journal_path = path;
-    interrupted.cancel = &token;
-    interrupted.cancel_after_appends = 2;
-    {
-        Driver driver(interrupted);
-        driver.search_corpus_batch(cves, targets, 2);
-        EXPECT_TRUE(token.requested());
-        EXPECT_TRUE(driver.health().cancelled);
-    }
-
-    SearchOptions resume_options = lsh;
-    resume_options.journal_path = path;
-    resume_options.resume = true;
-    Driver resumed(resume_options);
-    const std::vector<std::vector<CorpusOutcome>> grid =
-        resumed.search_corpus_batch(cves, targets, 2);
-    expect_grids_equal(fresh, grid, "lsh resume");
-    EXPECT_FALSE(resumed.health().resume_rejected);
-    EXPECT_GT(resumed.health().resumed_targets, 0u);
-    EXPECT_TRUE(resumed.health().sane());
-}
-
-TEST(BatchHunt, ResumeAcrossRetrievalModesIsRejected)
-{
-    // The scan fingerprint folds in the retrieval knob (and the LSH
-    // banding shape), so a journal written under one mode cannot be
-    // silently continued under another — half the grid retrieved one
+    // The scan fingerprint folds in every deterministic matching knob,
+    // so a journal written under one confirm threshold cannot be
+    // silently continued under another — half the grid confirmed one
     // way, half the other. The mismatch must surface as a hard
     // rejection with an empty (pre-shaped) grid, not a degrade-and-
     // restart like a corrupt journal does.
@@ -257,23 +208,23 @@ TEST(BatchHunt, ResumeAcrossRetrievalModesIsRejected)
     ASSERT_FALSE(targets.empty());
     const std::vector<firmware::CveRecord> cves = hunt_cves();
 
-    // Write a partial exact-mode journal (cancel mid-hunt so a resume
-    // would actually have records to replay).
-    const std::string path = fresh_journal_path("cross-mode");
+    // Write a partial journal under the defaults (cancel mid-hunt so a
+    // resume would actually have records to replay).
+    const std::string path = fresh_journal_path("cross-ratio");
     CancelToken token;
-    SearchOptions exact_options;
-    exact_options.journal_path = path;
-    exact_options.cancel = &token;
-    exact_options.cancel_after_appends = 1;
+    SearchOptions original;
+    original.journal_path = path;
+    original.cancel = &token;
+    original.cancel_after_appends = 1;
     {
-        Driver driver(exact_options);
+        Driver driver(original);
         driver.search_corpus_batch(cves, targets, 2);
         EXPECT_TRUE(driver.health().cancelled);
     }
 
-    // Resuming it under lsh must be refused outright.
+    // Resuming it under another confirm ratio must be refused outright.
     SearchOptions cross;
-    cross.retrieval = sim::RetrievalMode::Lsh;
+    cross.min_confirm_ratio = 0.4;
     cross.journal_path = path;
     cross.resume = true;
     Driver rejected(cross);
@@ -290,30 +241,6 @@ TEST(BatchHunt, ResumeAcrossRetrievalModesIsRejected)
         }
     }
 
-    // Same banding knob rule within lsh mode: a different band shape is
-    // a different scan configuration.
-    SearchOptions reshaped;
-    reshaped.retrieval = sim::RetrievalMode::Lsh;
-    const std::string lsh_path = fresh_journal_path("cross-shape");
-    reshaped.journal_path = lsh_path;
-    {
-        CancelToken shape_token;
-        reshaped.cancel = &shape_token;
-        reshaped.cancel_after_appends = 1;
-        Driver driver(reshaped);
-        driver.search_corpus_batch(cves, targets, 2);
-        EXPECT_TRUE(driver.health().cancelled);
-    }
-    SearchOptions other_shape;
-    other_shape.retrieval = sim::RetrievalMode::Lsh;
-    other_shape.lsh_bands = 8;
-    other_shape.lsh_rows = 8;
-    other_shape.journal_path = lsh_path;
-    other_shape.resume = true;
-    Driver reshaped_rejected(other_shape);
-    reshaped_rejected.search_corpus_batch(cves, targets, 2);
-    EXPECT_TRUE(reshaped_rejected.health().resume_rejected);
-
     // The original configuration still resumes the journal it wrote.
     SearchOptions good;
     good.journal_path = path;
@@ -321,7 +248,23 @@ TEST(BatchHunt, ResumeAcrossRetrievalModesIsRejected)
     Driver accepted(good);
     accepted.search_corpus_batch(cves, targets, 2);
     EXPECT_FALSE(accepted.health().resume_rejected);
+    EXPECT_GT(accepted.health().resumed_targets, 0u);
     EXPECT_TRUE(accepted.health().sane());
+}
+
+TEST(BatchHunt, DefaultScanFingerprintIsPinned)
+{
+    // Journals and --state manifests written by earlier builds carry
+    // these values; a change to what the default options hash would
+    // refuse every one of them on resume, so they must never move.
+    EXPECT_EQ(scan_fingerprint(SearchOptions{}, "cve:pin", true),
+              0xbfad562b95e33f76ull);
+    EXPECT_EQ(scan_fingerprint(SearchOptions{},
+                               batch_scan_label(hunt_cves()), true),
+              0xc4dfae61af449e0cull);
+    EXPECT_EQ(scan_fingerprint(SearchOptions{},
+                               batch_scan_label(hunt_cves()), false),
+              0x916fdbc7d68d7e94ull);
 }
 
 }  // namespace

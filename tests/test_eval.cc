@@ -1,12 +1,14 @@
 /**
  * @file
  * Evaluation-driver tests: query construction, version resolution, the
- * detection threshold, the step histogram, report rendering, and a small
+ * detection threshold (including a literal oracle of its dominance
+ * fallback), the step histogram, report rendering, and a small
  * end-to-end labeled run.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "codegen/build.h"
 #include "eval/experiments.h"
@@ -292,6 +294,107 @@ TEST(Driver, SearchCorpusSkipsTargetsWithoutQueryArch)
     EXPECT_GT(driver.health().executables_seen, 0u);
     EXPECT_GT(driver.health().index_seconds, 0.0);
     EXPECT_EQ(driver.health().game_seconds, 0.0);
+}
+
+/** A procedure's strand set as the paper states it: a std::set. */
+std::set<std::uint64_t>
+strand_tree(const strand::ProcedureStrands &repr)
+{
+    return {repr.hash_data(), repr.hash_data() + repr.hash_count()};
+}
+
+int
+tree_sim(const std::set<std::uint64_t> &a, const std::set<std::uint64_t> &b)
+{
+    int shared = 0;
+    for (const std::uint64_t h : a) {
+        shared += b.contains(h) ? 1 : 0;
+    }
+    return shared;
+}
+
+TEST(Driver, DominanceFallbackMatchesDesignRuleOracle)
+{
+    // Confirm's accept/reject on every (CVE query, target) pair against
+    // the detection rule of DESIGN.md section 5 item 7, written out
+    // literally: accept a game match sharing at least
+    // max(min_confirm_sim, floor(min_confirm_ratio * |q|)) strands, or
+    // at least max(min_confirm_sim, floor(min_margin_ratio * |q|))
+    // while sharing margin_factor times the runner-up's — the largest
+    // std::set Sim of any other procedure of the target.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 6;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    ASSERT_FALSE(targets.empty());
+    Driver driver;
+    const SearchOptions &opt = driver.options();
+    int pairs = 0, fallback_accepts = 0, fallback_rejects = 0;
+    for (const firmware::CveRecord &cve : firmware::cve_database()) {
+        const std::map<isa::Arch, Query> queries =
+            driver.build_queries(cve, targets, 2);
+        for (const CorpusTarget &corpus_target : targets) {
+            const sim::ExecutableIndex *target =
+                driver.index_target(*corpus_target.exe);
+            if (target == nullptr) {
+                continue;
+            }
+            const auto qit = queries.find(target->arch);
+            if (qit == queries.end()) {
+                continue;
+            }
+            const Query &query = qit->second;
+            const std::string context =
+                cve.cve_id + " vs " + corpus_target.exe->name;
+            ++pairs;
+            const SearchOutcome game = driver.match_outcome(query, *target);
+            const SearchOutcome confirmed =
+                driver.search_outcome(query, *target);
+            if (!game.detected) {
+                EXPECT_FALSE(confirmed.detected) << context;
+                continue;
+            }
+            const std::set<std::uint64_t> q = strand_tree(
+                query.index.procs[static_cast<std::size_t>(query.qv)].repr);
+            int sim = -1;
+            int runner_up = 0;
+            for (const sim::ProcEntry &proc : target->procs) {
+                const int s = tree_sim(q, strand_tree(proc.repr));
+                if (proc.entry == game.matched_entry) {
+                    sim = s;
+                } else {
+                    runner_up = std::max(runner_up, s);
+                }
+            }
+            ASSERT_EQ(sim, game.sim) << context;
+            const double qn = static_cast<double>(q.size());
+            const int ratio_floor =
+                std::max(opt.min_confirm_sim,
+                         static_cast<int>(opt.min_confirm_ratio * qn));
+            const int margin_floor =
+                std::max(opt.min_confirm_sim,
+                         static_cast<int>(opt.min_margin_ratio * qn));
+            bool accept = sim >= ratio_floor;
+            if (!accept && sim >= margin_floor) {
+                accept = static_cast<double>(sim) >=
+                         opt.margin_factor * static_cast<double>(runner_up);
+                ++(accept ? fallback_accepts : fallback_rejects);
+            }
+            EXPECT_EQ(confirmed.detected, accept)
+                << context << ": sim " << sim << "/" << q.size()
+                << ", runner-up " << runner_up;
+            if (accept) {
+                EXPECT_EQ(confirmed.matched_entry, game.matched_entry)
+                    << context;
+                EXPECT_EQ(confirmed.sim, game.sim) << context;
+            }
+        }
+    }
+    EXPECT_GT(pairs, 0);
+    // Not vacuous: the dominance branch decided pairs both ways.
+    EXPECT_GT(fallback_accepts, 0);
+    EXPECT_GT(fallback_rejects, 0);
 }
 
 TEST(Report, TableRendersAligned)

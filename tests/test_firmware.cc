@@ -386,5 +386,51 @@ TEST(Corpus, SomeExecutablesRecycledAcrossReleases)
     EXPECT_GT(recycled, 0);
 }
 
+TEST(CorpusScale, ScaledCatalogPreservesGroundTruthManifest)
+{
+    CorpusOptions base_options;
+    base_options.num_devices = 4;
+    const Corpus base = build_corpus(base_options);
+    CorpusOptions scaled_options = base_options;
+    scaled_options.scale = 3;
+    const Corpus scaled = build_corpus(scaled_options);
+
+    // Scale 3 triples the device count; every image keeps a consistent
+    // ground-truth sidecar (each truth row points at a real image and
+    // a real executable with at least one procedure).
+    EXPECT_EQ(scaled.images.size(), 3 * base.images.size());
+    EXPECT_GT(scaled.executable_count(), base.executable_count());
+    for (const TruthExe &truth : scaled.truth) {
+        ASSERT_GE(truth.image_index, 0);
+        ASSERT_LT(static_cast<std::size_t>(truth.image_index),
+                  scaled.images.size());
+        const FirmwareImage &image =
+            scaled.images[static_cast<std::size_t>(truth.image_index)];
+        bool found = false;
+        for (const loader::Executable &exe : image.executables) {
+            found = found || exe.name == truth.exe_name;
+        }
+        EXPECT_TRUE(found) << truth.exe_name << " missing from image "
+                           << truth.image_index;
+        EXPECT_FALSE(truth.procs.empty());
+    }
+    // The scale-1 prefix is bit-identical: same device RNG forks, so
+    // the first |base| images carry the same names and executables.
+    for (std::size_t i = 0; i < base.images.size(); ++i) {
+        EXPECT_EQ(scaled.images[i].vendor, base.images[i].vendor);
+        EXPECT_EQ(scaled.images[i].device, base.images[i].device);
+        EXPECT_EQ(scaled.images[i].version, base.images[i].version);
+        ASSERT_EQ(scaled.images[i].executables.size(),
+                  base.images[i].executables.size());
+        for (std::size_t e = 0;
+             e < base.images[i].executables.size(); ++e) {
+            EXPECT_EQ(scaled.images[i].executables[e].name,
+                      base.images[i].executables[e].name);
+            EXPECT_EQ(scaled.images[i].executables[e].text,
+                      base.images[i].executables[e].text);
+        }
+    }
+}
+
 }  // namespace
 }  // namespace firmup::firmware

@@ -1,6 +1,6 @@
 /**
  * @file
- * Hostile-input coverage for the FWIX v5 index container.
+ * Hostile-input coverage for the FWIX v6 index container.
  *
  * The persistent index cache (sim::IndexCacheStore) feeds whatever bytes
  * it finds on disk into parse_index — and, on the mmap warm path, into
@@ -10,11 +10,10 @@
  * the support/faultinject mutators across many seeds and asserts exactly
  * that for BOTH consumers: a mutant either equals the original
  * byte-for-byte (and parses to the same index) or fails to load.
- * The v5 flat layout gets its own targeted sweeps: checksum-repaired
- * mutants that reach the directory and proc-record field guards
- * (arena bounds, flag strictness, sketch indices), and the
- * no-wrong-candidates property for garbage sketch words that survive
- * every integrity check.
+ * The flat layout gets its own targeted sweeps: checksum-repaired
+ * mutants that reach the directory and proc-record field guards (arena
+ * bounds and alignment, padding strictness), and an older-version entry
+ * that must invalidate itself into a cache miss and be rewritten.
  */
 #include <gtest/gtest.h>
 
@@ -23,12 +22,12 @@
 #include <string_view>
 
 #include "codegen/build.h"
+#include "eval/driver.h"
 #include "firmware/catalog.h"
 #include "lifter/cfg.h"
 #include "sim/index_cache.h"
 #include "sim/persist.h"
 #include "sim/similarity.h"
-#include "strand/sketch.h"
 #include "support/bytes.h"
 #include "support/faultinject.h"
 #include "support/hash.h"
@@ -37,20 +36,29 @@
 namespace firmup::sim {
 namespace {
 
-/** A real finalized index (the shape the cache store persists). */
-const ExecutableIndex &
-real_index()
+/** A real executable: libexif 0.6.19 built for MIPS. */
+const loader::Executable &
+real_exe()
 {
-    static const ExecutableIndex index = [] {
+    static const loader::Executable exe = [] {
         const auto &pkg = firmware::package_by_name("libexif");
         const auto source =
             firmware::generate_package_source(pkg, "0.6.19");
         codegen::BuildRequest request;
         request.arch = isa::Arch::Mips32;
         request.profile = compiler::gcc_like_toolchain();
-        const auto exe = codegen::build_executable(source, request);
+        return codegen::build_executable(source, request);
+    }();
+    return exe;
+}
+
+/** Its finalized index (the shape the cache store persists). */
+const ExecutableIndex &
+real_index()
+{
+    static const ExecutableIndex index = [] {
         ExecutableIndex built =
-            index_executable(lifter::lift_executable(exe).take());
+            index_executable(lifter::lift_executable(real_exe()).take());
         built.finalize();
         return built;
     }();
@@ -188,9 +196,9 @@ rechecksum(ByteBuffer &bytes)
     }
 }
 
-// ---- v5 flat-layout navigation -----------------------------------------
+// ---- flat-layout navigation -------------------------------------------
 //
-// The v5 directory is a fixed table of absolute offsets at byte 24
+// The directory is a fixed table of absolute offsets at byte 24
 // (sim/persist.cc documents the field order). These helpers read just
 // enough of it for the targeted mutants below to find their field.
 
@@ -204,115 +212,43 @@ blob_u64(const ByteBuffer &bytes, std::size_t at)
     return v;
 }
 
-/** Absolute offset of the packed proc table (directory slot 48). */
+/** Byte offset of proc @p i's u32 padding field (record offset 36). */
 std::size_t
-proc_table_offset(const ByteBuffer &bytes)
+proc_pad_offset(const ByteBuffer &bytes, std::size_t i)
 {
-    return static_cast<std::size_t>(blob_u64(bytes, 24 + 48));
+    constexpr std::size_t kProcRecSize = 40;
+    const auto table = static_cast<std::size_t>(blob_u64(bytes, 24 + 48));
+    return table + i * kProcRecSize + 36;
 }
 
-/** Absolute offset / count of the MinHash sketch arena (slots 72/80). */
-std::size_t
-sketch_arena_offset(const ByteBuffer &bytes)
+TEST(PersistFault, NonZeroProcPaddingIsMalformedEvenWithValidChecksum)
 {
-    return static_cast<std::size_t>(blob_u64(bytes, 24 + 72));
-}
-
-std::size_t
-sketch_arena_count(const ByteBuffer &bytes)
-{
-    return static_cast<std::size_t>(blob_u64(bytes, 24 + 80));
-}
-
-/** Byte offset of proc @p i's u32 flags field (record offset 36). */
-std::size_t
-proc_flags_offset(const ByteBuffer &bytes, std::size_t i)
-{
-    constexpr std::size_t kProcRecSize = 104;
-    return proc_table_offset(bytes) + i * kProcRecSize + 36;
-}
-
-TEST(PersistFault, UnknownProcFlagIsMalformedEvenWithValidChecksum)
-{
-    // An unknown proc-record flag bit with a freshly backpatched
-    // checksum exercises the v5 field guard itself, not the integrity
-    // hash — and must be rejected by both consumers (forward-compat:
-    // a future flag this build does not understand means the record
-    // cannot be trusted).
+    // A non-zero padding word with a freshly backpatched checksum
+    // exercises the proc-record field guard itself, not the integrity
+    // hash — and must be rejected by both consumers (forward-compat: a
+    // field this build does not understand means the record cannot be
+    // trusted).
     ByteBuffer bytes = serialize_index(real_index());
-    const std::size_t flags = proc_flags_offset(bytes, 0);
-    ASSERT_EQ(bytes[flags] & ~0x3u, 0u);
-    bytes[flags] |= 4;  // bit2: unknown to this build
+    const std::size_t pad = proc_pad_offset(bytes, 0);
+    ASSERT_EQ(bytes[pad], 0u);
+    bytes[pad] = 1;
     rechecksum(bytes);
     auto parsed = parse_index(bytes);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.error_code(), ErrorCode::MalformedContainer);
-    EXPECT_NE(parsed.error_message().find("flags"), std::string::npos);
+    EXPECT_NE(parsed.error_message().find("padding"), std::string::npos);
     auto viewed = open_index_view(bytes.data(), bytes.size(), nullptr);
     EXPECT_FALSE(viewed.ok());
-}
-
-TEST(PersistFault, OutOfRangeSketchIndexFailsCleanly)
-{
-    // Point a sketch-built procedure's sketch_idx past the sketch
-    // arena (checksum re-stamped so only the index guard can trip):
-    // a silent acceptance would read out of bounds on the view path.
-    ByteBuffer bytes = serialize_index(real_index());
-    const std::size_t nsketch = sketch_arena_count(bytes);
-    ASSERT_GT(nsketch, 0u);
-    bool mutated = false;
-    for (std::size_t i = 0; i < real_index().procs.size(); ++i) {
-        const std::size_t flags = proc_flags_offset(bytes, i);
-        if ((bytes[flags] & 2) == 0) {
-            continue;  // no sketch: idx must stay 0
-        }
-        const std::size_t idx = flags + 4;  // sketch_idx field
-        bytes[idx] = static_cast<std::uint8_t>(nsketch & 0xff);
-        bytes[idx + 1] = static_cast<std::uint8_t>(nsketch >> 8);
-        mutated = true;
-        break;
-    }
-    ASSERT_TRUE(mutated);
-    rechecksum(bytes);
-    auto parsed = parse_index(bytes);
-    ASSERT_FALSE(parsed.ok());
-    EXPECT_NE(parsed.error_message().find("sketch"), std::string::npos);
-    auto viewed = open_index_view(bytes.data(), bytes.size(), nullptr);
-    EXPECT_FALSE(viewed.ok());
-}
-
-TEST(PersistFault, TruncatedSketchArenaFailsCleanly)
-{
-    // Cut the blob at several points inside the sketch arena (checksum
-    // re-stamped so only the bounds guards can trip the parser): every
-    // cut must come back as a clean error from both consumers.
-    const ByteBuffer bytes = serialize_index(real_index());
-    const std::size_t arena = sketch_arena_offset(bytes);
-    ASSERT_GT(sketch_arena_count(bytes), 0u);
-    const std::size_t cuts[] = {arena + 1, arena + 8, arena + 256,
-                                arena + 8 * strand::kSketchSize};
-    for (const std::size_t cut : cuts) {
-        ASSERT_LT(cut, bytes.size());
-        ByteBuffer mutant(bytes.begin(),
-                          bytes.begin() + static_cast<long>(cut));
-        rechecksum(mutant);
-        auto parsed = parse_index(mutant);
-        EXPECT_FALSE(parsed.ok()) << "cut " << cut;
-        EXPECT_FALSE(parsed.error_message().empty());
-        EXPECT_FALSE(
-            open_index_view(mutant.data(), mutant.size(), nullptr).ok())
-            << "cut " << cut;
-    }
 }
 
 TEST(PersistFault, CorruptDirectoryOffsetsFailCleanly)
 {
     // Re-stamped mutants that aim each directory arena offset out of
-    // bounds (or off alignment) exercise the v5 arena guards directly.
-    // Slots cover: exe name, names, proc table, hashes, sketches and
-    // the three posting arrays.
+    // bounds (or off alignment) exercise the arena guards directly.
+    // Slots cover: exe name, names, proc table, hashes and the three
+    // posting arrays.
     const ByteBuffer bytes = serialize_index(real_index());
-    const std::size_t slots[] = {16, 32, 48, 56, 72, 88, 104, 120};
+    const std::size_t slots[] = {16, 32, 48, 56, 72, 88, 104};
     for (const std::size_t slot : slots) {
         std::vector<std::uint64_t> evils = {
             static_cast<std::uint64_t>(bytes.size()) + 8,
@@ -367,11 +303,7 @@ TEST(PersistFault, ViewOpenMatchesCopyingParse)
         for (std::size_t h = 0; h < a.procs[i].repr.hash_count(); ++h) {
             ASSERT_EQ(ah[h], bh[h]) << "proc " << i << " hash " << h;
         }
-        EXPECT_EQ(a.procs[i].repr.sketch, b.procs[i].repr.sketch);
-        EXPECT_EQ(a.procs[i].repr.bucket_bits,
-                  b.procs[i].repr.bucket_bits);
     }
-    b.build_lsh(16, 4);
     for (const ProcEntry &query : real_index().procs) {
         const auto exact_a = shared_candidates(a, query.repr);
         const auto exact_b = shared_candidates(b, query.repr);
@@ -383,73 +315,56 @@ TEST(PersistFault, ViewOpenMatchesCopyingParse)
     }
 }
 
-TEST(PersistFault, RewrittenSketchWordsNeverYieldWrongCandidates)
+TEST(PersistFault, V5EntryIsStaleRecountedAsMissAndRewritten)
 {
-    // Worst-case mutant: garbage sketch words with a matching checksum
-    // (past every integrity guard). The parse may succeed — but because
-    // lsh_candidates re-scores every collision exactly and the exact
-    // path is the oracle, even a garbage sketch can only lose recall,
-    // never invent a candidate or a wrong Sim.
-    ByteBuffer bytes = serialize_index(real_index());
-    const std::size_t arena = sketch_arena_offset(bytes);
-    const std::size_t arena_bytes =
-        sketch_arena_count(bytes) * 8 * strand::kSketchSize;
-    ASSERT_GT(arena_bytes, 0u);
-    Rng rng(0x5ce7c4);
-    for (std::size_t i = 0; i < arena_bytes; ++i) {
-        bytes[arena + i] = static_cast<std::uint8_t>(rng.index(256));
-    }
-    rechecksum(bytes);
-    auto parsed = parse_index(bytes);
-    ASSERT_TRUE(parsed.ok()) << parsed.error_message();
-    ExecutableIndex &target = parsed.value();
-    target.build_lsh(16, 4);
-    for (const ProcEntry &query : real_index().procs) {
-        const auto exact = shared_candidates(target, query.repr);
-        const auto lsh = lsh_candidates(target, query.repr);
-        std::size_t e = 0;
-        for (const Candidate &c : lsh) {
-            while (e < exact.size() && exact[e].index < c.index) {
-                ++e;
-            }
-            ASSERT_LT(e, exact.size()) << "lsh invented candidate";
-            ASSERT_EQ(exact[e].index, c.index);
-            EXPECT_EQ(exact[e].sim, c.sim);
-            EXPECT_GT(c.sim, 0);
-        }
-    }
-}
-
-TEST(PersistFault, SketchlessV3EntryIsStaleAndRecountedAsMiss)
-{
-    // A v3 blob (pre-sketch layout) must invalidate itself: the version
-    // guard fires before any payload interpretation, so the sketchless
-    // bytes can never be misread as a v4 record with garbage sketches.
-    ByteBuffer v3 = serialize_index(real_index());
-    v3[4] = 3;
-    v3[5] = 0;
-    auto parsed = parse_index(v3);
+    // A v5 blob (the layout with block summaries and sketch arena) must
+    // invalidate itself: the version guard fires before any payload
+    // interpretation, so the old 104-byte records are never misread as
+    // v6 ones.
+    ByteBuffer v5 = serialize_index(real_index());
+    v5[4] = 5;
+    v5[5] = 0;
+    auto parsed = parse_index(v5);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.error_code(), ErrorCode::StaleFormat);
-    EXPECT_NE(parsed.error_message().find("3"), std::string::npos);
+    EXPECT_NE(parsed.error_message().find("5"), std::string::npos);
 
-    // And through the cache store: the stale entry surfaces as a miss
-    // (clean StaleFormat error), exactly like a missing file would.
+    // Through the cache store the stale entry surfaces as a miss (clean
+    // StaleFormat error), exactly like a missing file would.
     namespace fs = std::filesystem;
     const fs::path dir =
-        fs::path(testing::TempDir()) / "firmup-persist-v3";
+        fs::path(testing::TempDir()) / "firmup-persist-v5";
     fs::remove_all(dir);
     IndexCacheStore store(dir.string());
-    ASSERT_TRUE(store.store(42, real_index()).ok());
-    {
-        std::ofstream out(store.path_for(42),
+    const std::uint64_t key = eval::content_key(real_exe());
+    const auto plant_v5 = [&] {
+        std::ofstream out(store.path_for(key),
                           std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char *>(v3.data()),
-                  static_cast<std::streamsize>(v3.size()));
-    }
-    auto stale = store.load(42);
+        out.write(reinterpret_cast<const char *>(v5.data()),
+                  static_cast<std::streamsize>(v5.size()));
+    };
+    ASSERT_TRUE(store.store(key, real_index()).ok());
+    plant_v5();
+    auto stale = store.load(key);
     ASSERT_FALSE(stale.ok());
     EXPECT_EQ(stale.error_code(), ErrorCode::StaleFormat);
+
+    // And through a scanning driver: counted as a cache miss, re-indexed
+    // from the executable, and written back in the current format.
+    plant_v5();
+    eval::SearchOptions options;
+    options.index_cache_dir = dir.string();
+    eval::Driver driver(options);
+    const ExecutableIndex *index = driver.index_target(real_exe());
+    ASSERT_NE(index, nullptr);
+    expect_same_index(*index, real_index());
+    EXPECT_EQ(driver.health().cache_hits, 0u);
+    EXPECT_EQ(driver.health().cache_misses, 1u);
+    EXPECT_GT(driver.health().cache_write_bytes, 0u);
+    auto rewritten = store.load(key);
+    ASSERT_TRUE(rewritten.ok()) << rewritten.error_message();
+    expect_same_index(rewritten.value(), real_index());
+    fs::remove_all(dir);
 }
 
 TEST(PersistFault, GarbageAndEmptyBuffersFailCleanly)

@@ -221,12 +221,6 @@ TEST(ShardFrames, HealthFieldsRoundTrip)
     health.query_cache_misses = 18;
     health.canon_memo_hits = 19;
     health.canon_memo_misses = 20;
-    health.retrieval_probes_exact = 21;
-    health.retrieval_candidates_exact = 22;
-    health.retrieval_probes_lsh = 23;
-    health.retrieval_candidates_lsh = 24;
-    health.retrieval_lsh_exact_work = 25;
-    health.sketch_seconds = 0.75;
     health.resume_rejected = true;
     health.resume_reject_reason = "fingerprint \"mismatch\"\n";
     health.index_seconds = 2.5;
@@ -276,16 +270,6 @@ TEST(ShardFrames, HealthFieldsRoundTrip)
     EXPECT_EQ(back.query_cache_misses, health.query_cache_misses);
     EXPECT_EQ(back.canon_memo_hits, health.canon_memo_hits);
     EXPECT_EQ(back.canon_memo_misses, health.canon_memo_misses);
-    EXPECT_EQ(back.retrieval_probes_exact,
-              health.retrieval_probes_exact);
-    EXPECT_EQ(back.retrieval_candidates_exact,
-              health.retrieval_candidates_exact);
-    EXPECT_EQ(back.retrieval_probes_lsh, health.retrieval_probes_lsh);
-    EXPECT_EQ(back.retrieval_candidates_lsh,
-              health.retrieval_candidates_lsh);
-    EXPECT_EQ(back.retrieval_lsh_exact_work,
-              health.retrieval_lsh_exact_work);
-    EXPECT_EQ(back.sketch_seconds, health.sketch_seconds);
     EXPECT_EQ(back.resume_rejected, health.resume_rejected);
     EXPECT_EQ(back.resume_reject_reason, health.resume_reject_reason);
     EXPECT_EQ(back.index_seconds, health.index_seconds);
@@ -481,6 +465,52 @@ TEST(ShardScanCli, SearchShardSlicesUnionToFullScan)
     std::sort(full.begin(), full.end());
     std::sort(merged.begin(), merged.end());
     EXPECT_EQ(merged, full);
+    fs::remove_all(base);
+}
+
+TEST(ShardScanCli, ResumeUnderOtherCveListExitsFive)
+{
+    // A journal is bound to the scan that wrote it: resuming it with a
+    // different --cve-list must be refused (exit 5) before any lifting,
+    // rather than degrading to a rescan that would later mix two scans'
+    // records in one file.
+    const PackedCorpus &corpus = packed_corpus();
+    const fs::path base =
+        fs::path(testing::TempDir()) / "firmup-resume-reject";
+    fs::remove_all(base);
+    fs::create_directories(base);
+    const std::vector<firmware::CveRecord> &cves = firmware::cve_database();
+    ASSERT_GE(cves.size(), 2u);
+    const std::string journal = (base / "scan.fwsj").string();
+    std::string blobs;
+    for (const std::string &path : corpus.paths) {
+        blobs += " " + path;
+    }
+    const std::string common = "search --journal " + journal +
+                               " --index-cache " + corpus.store_dir;
+    const int first = run_cli(
+        common + " --cve-list " + cves[0].cve_id + blobs,
+        (base / "first.txt").string());
+    EXPECT_TRUE(first == 0 || first == 3) << first;
+    ASSERT_TRUE(fs::exists(journal));
+    const auto before = slurp(journal);
+
+    const int rejected = run_cli(
+        common + " --resume --cve-list " + cves[0].cve_id + "," +
+            cves[1].cve_id + blobs,
+        (base / "second.txt").string());
+    EXPECT_EQ(rejected, 5);
+    EXPECT_TRUE(vulnerable_lines((base / "second.txt").string()).empty());
+    // The refused resume leaves the journal untouched for the scan that
+    // owns it.
+    EXPECT_EQ(slurp(journal), before);
+
+    const int resumed = run_cli(
+        common + " --resume --cve-list " + cves[0].cve_id + blobs,
+        (base / "third.txt").string());
+    EXPECT_EQ(resumed, first);
+    EXPECT_EQ(vulnerable_lines((base / "third.txt").string()),
+              vulnerable_lines((base / "first.txt").string()));
     fs::remove_all(base);
 }
 

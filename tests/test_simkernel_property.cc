@@ -270,119 +270,57 @@ TEST(SimKernelProperty, GameIsIdenticalOnPostingAndDenseIndexes)
     }
 }
 
-/** Instruction-set tiers compiled into this binary (always >= Scalar). */
-std::vector<sim::SimdTier>
-compiled_tiers()
-{
-    std::vector<sim::SimdTier> tiers;
-    for (const sim::SimdTier tier :
-         {sim::SimdTier::Scalar, sim::SimdTier::Sse2,
-          sim::SimdTier::Neon}) {
-        if (sim::simd_tier_available(tier)) {
-            tiers.push_back(tier);
-        }
-    }
-    return tiers;
-}
-
-/** Restore the ambient instruction-set tier on scope exit. */
-struct TierGuard
-{
-    sim::SimdTier saved = sim::simd_tier();
-    ~TierGuard() { sim::set_simd_tier(saved); }
-};
-
-/**
- * Every kernel entry point — tiered sim_score both ways, the reference
- * merge, and the query-amortized probe through both overloads — against
- * the std::set oracle on one pair.
- */
+/** sim_score, both argument orders, against the std::set oracle. */
 void
-expect_all_kernels_match(const std::set<std::uint64_t> &a,
-                         const std::set<std::uint64_t> &b)
+expect_sim_matches(const std::set<std::uint64_t> &a,
+                   const std::set<std::uint64_t> &b)
 {
     const int want = ref_sim(a, b);
     const auto fa = to_strands(a);
     const auto fb = to_strands(b);
     EXPECT_EQ(sim::sim_score(fa, fb), want);
     EXPECT_EQ(sim::sim_score(fb, fa), want);
-    EXPECT_EQ(sim::sim_score_merge(fa, fb), want);
-    const sim::QueryProbe probe(fa);
-    EXPECT_EQ(probe.score(fb), want);
-    EXPECT_EQ(probe.score(fb.hashes.data(), fb.hashes.size()), want);
-}
-
-TEST(SimKernelProperty, EveryInstructionTierMatchesSetReference)
-{
-    TierGuard guard;
-    for (const sim::SimdTier tier : compiled_tiers()) {
-        SCOPED_TRACE(sim::simd_tier_name(tier));
-        sim::set_simd_tier(tier);
-        Rng rng(0x7151);
-        for (int trial = 0; trial < 400; ++trial) {
-            expect_all_kernels_match(random_set(rng, 24),
-                                     random_set(rng, 24));
-        }
-        // Lopsided pairs: the galloping branch under each tier.
-        for (int trial = 0; trial < 40; ++trial) {
-            std::set<std::uint64_t> big;
-            for (int i = 0; i < 600; ++i) {
-                big.insert(rng.next() % 4096);
-            }
-            const auto small = random_set(rng, 8);
-            expect_all_kernels_match(small, big);
-            expect_all_kernels_match(big, small);
-        }
-    }
 }
 
 TEST(SimKernelProperty, AdversarialBucketPatternsMatchReference)
 {
-    // The block summary partitions hashes by top byte into 256 buckets
-    // grouped as 4 x 64-bit occupancy words. Stress its edges: every
-    // hash in one bucket, hashes straddling the word boundaries, and
-    // both-empty / one-empty pairs.
-    TierGuard guard;
+    // Clustered hash patterns: every hash sharing one top byte (dense
+    // low bits => heavy collisions), hashes straddling the top-byte
+    // boundaries 63/64, 127/128 and 191/192, and both-empty / one-empty
+    // pairs.
     const auto with_top = [](std::uint64_t top, std::uint64_t low) {
         return (top << 56) | (low & 0x00ffffffffffffffull);
     };
-    for (const sim::SimdTier tier : compiled_tiers()) {
-        SCOPED_TRACE(sim::simd_tier_name(tier));
-        sim::set_simd_tier(tier);
-        Rng rng(0xadb1);
-        for (int trial = 0; trial < 80; ++trial) {
-            // Single shared bucket, dense low bits => heavy collisions.
-            std::set<std::uint64_t> a, b;
-            const std::uint64_t top = rng.index(256);
-            const std::size_t na = rng.index(32);
-            const std::size_t nb = rng.index(32);
-            for (std::size_t i = 0; i < na; ++i) {
-                a.insert(with_top(top, rng.index(64)));
-            }
-            for (std::size_t i = 0; i < nb; ++i) {
-                b.insert(with_top(top, rng.index(64)));
-            }
-            expect_all_kernels_match(a, b);
+    Rng rng(0xadb1);
+    for (int trial = 0; trial < 80; ++trial) {
+        std::set<std::uint64_t> a, b;
+        const std::uint64_t top = rng.index(256);
+        const std::size_t na = rng.index(32);
+        const std::size_t nb = rng.index(32);
+        for (std::size_t i = 0; i < na; ++i) {
+            a.insert(with_top(top, rng.index(64)));
         }
-        for (int trial = 0; trial < 40; ++trial) {
-            // Boundary top bytes: both sides of every occupancy word.
-            std::set<std::uint64_t> a, b;
-            for (const std::uint64_t top :
-                 {0ull, 63ull, 64ull, 127ull, 128ull, 191ull, 192ull,
-                  255ull}) {
-                if (rng.chance(1, 2)) {
-                    a.insert(with_top(top, rng.index(8)));
-                }
-                if (rng.chance(1, 2)) {
-                    b.insert(with_top(top, rng.index(8)));
-                }
-            }
-            expect_all_kernels_match(a, b);
+        for (std::size_t i = 0; i < nb; ++i) {
+            b.insert(with_top(top, rng.index(64)));
         }
-        expect_all_kernels_match({}, {});
-        expect_all_kernels_match({}, {1, 2, 3});
-        expect_all_kernels_match({42}, {});
+        expect_sim_matches(a, b);
     }
+    for (int trial = 0; trial < 40; ++trial) {
+        std::set<std::uint64_t> a, b;
+        for (const std::uint64_t top :
+             {0ull, 63ull, 64ull, 127ull, 128ull, 191ull, 192ull, 255ull}) {
+            if (rng.chance(1, 2)) {
+                a.insert(with_top(top, rng.index(8)));
+            }
+            if (rng.chance(1, 2)) {
+                b.insert(with_top(top, rng.index(8)));
+            }
+        }
+        expect_sim_matches(a, b);
+    }
+    expect_sim_matches({}, {});
+    expect_sim_matches({}, {1, 2, 3});
+    expect_sim_matches({42}, {});
 }
 
 TEST(SimKernelProperty, DuplicateHeavyInputsDedupAndMatch)
@@ -409,16 +347,15 @@ TEST(SimKernelProperty, DuplicateHeavyInputsDedupAndMatch)
         EXPECT_EQ(fa.size(), a.size());
         EXPECT_EQ(fb.size(), b.size());
         EXPECT_EQ(sim::sim_score(fa, fb), ref_sim(a, b));
-        const sim::QueryProbe probe(fa);
-        EXPECT_EQ(probe.score(fb), ref_sim(a, b));
+        EXPECT_EQ(sim::sim_score(fb, fa), ref_sim(a, b));
     }
 }
 
 TEST(SimKernelProperty, HandBuiltSetsWithoutSummaryMatchReference)
 {
-    // Hand-assembled sets that never finalize() carry no block summary;
-    // sim_score must take the merge fallback and stay exact, including
-    // mixed pairs where only one side has a summary.
+    // Hand-assembled sets that never went through finalize() or
+    // strand_set() must score exactly too, alone and mixed with
+    // finalized ones.
     Rng rng(0x4a5d);
     for (int trial = 0; trial < 300; ++trial) {
         const auto a = random_set(rng, 24);
@@ -430,58 +367,10 @@ TEST(SimKernelProperty, HandBuiltSetsWithoutSummaryMatchReference)
         for (const std::uint64_t h : b) {
             raw_b.add(h);
         }
-        ASSERT_FALSE(raw_a.summary_built);
-        ASSERT_FALSE(raw_b.summary_built);
         const int want = ref_sim(a, b);
         EXPECT_EQ(sim::sim_score(raw_a, raw_b), want);
         EXPECT_EQ(sim::sim_score(raw_a, to_strands(b)), want);
         EXPECT_EQ(sim::sim_score(to_strands(a), raw_b), want);
-        const sim::QueryProbe probe(raw_a);
-        EXPECT_EQ(probe.score(raw_b), want);
-    }
-}
-
-TEST(SimKernelProperty, QueryProbeBucketOverflowFallbackIsExact)
-{
-    // More than 8 query hashes sharing bits 16..30 can never spread
-    // across the probe's bucket table no matter how far it doubles; the
-    // probe must detect the overflow and fall back to the exact merge.
-    Rng rng(0x0f1b);
-    for (int trial = 0; trial < 60; ++trial) {
-        std::set<std::uint64_t> q;
-        const std::uint64_t low31 = rng.next() & 0x7fffffffull;
-        const std::size_t n = 9 + rng.index(8);
-        for (std::size_t i = 0; i < n; ++i) {
-            // Distinct by construction: i occupies bits 31..35, random
-            // noise above, the shared collision pattern below.
-            q.insert((rng.next() << 36) |
-                     (static_cast<std::uint64_t>(i + 1) << 31) | low31);
-        }
-        // Some extra well-spread hashes so overflow coexists with
-        // normal buckets.
-        for (std::size_t i = 0; i < rng.index(16); ++i) {
-            q.insert(rng.next());
-        }
-        const auto fq = to_strands(q);
-        const sim::QueryProbe probe(fq);
-        // Subset, superset, disjoint and random targets.
-        std::set<std::uint64_t> subset;
-        for (const std::uint64_t h : q) {
-            if (rng.chance(1, 2)) {
-                subset.insert(h);
-            }
-        }
-        std::set<std::uint64_t> superset = q;
-        std::set<std::uint64_t> big;
-        for (int i = 0; i < 400; ++i) {
-            const std::uint64_t h = rng.next();
-            superset.insert(h);
-            big.insert(h);  // lopsided: drives the fallback gallop
-        }
-        for (const auto *t : {&subset, &superset, &big}) {
-            EXPECT_EQ(probe.score(to_strands(*t)), ref_sim(q, *t));
-        }
-        EXPECT_EQ(probe.score(to_strands(std::set<std::uint64_t>{})), 0);
     }
 }
 

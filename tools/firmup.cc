@@ -38,7 +38,7 @@
  * snapshot is written to FILE at exit.
  *
  * search, trace and index accept `--index-cache DIR`: finalized indexes
- * are persisted to (and warm-loaded from) a content-addressed FWIX v5
+ * are persisted to (and warm-loaded from) a content-addressed FWIX
  * store in DIR, so a second scan of the same corpus skips
  * lift+canon+finalize entirely. Corrupt or stale entries silently
  * degrade to misses. Store entries are served zero-copy through an
@@ -162,9 +162,9 @@ usage()
         "                         in-process under an N MiB LRU budget\n"
         "                         (0 = ablation: cache wired, holds\n"
         "                         nothing; findings identical)\n"
-        "  --no-mmap              disable the zero-copy FWIX v5 mmap\n"
-        "                         view; store loads use the copying\n"
-        "                         parser (ablation baseline)\n"
+        "  --no-mmap              disable the zero-copy FWIX mmap view;\n"
+        "                         store loads use the copying parser\n"
+        "                         (ablation baseline)\n"
         "  --passes N             run the hunt N times with fresh\n"
         "                         drivers in one process (the resident\n"
         "                         cache persists across passes; with\n"
@@ -177,11 +177,6 @@ usage()
         "                         deterministic shard function\n"
         "                         shard-scan uses, for external\n"
         "                         orchestrators slicing a manifest\n"
-        "  --retrieval exact|lsh  candidate retrieval: exact posting\n"
-        "                         intersection (default) or the MinHash\n"
-        "                         LSH prefilter (sublinear, recall<1)\n"
-        "  --lsh-bands N          LSH bands (default 16; lsh only)\n"
-        "  --lsh-rows N           rows per band (default 4; lsh only)\n"
         "  --journal FILE         durable per-target scan journal\n"
         "  --resume               replay FILE, scan only the remainder\n"
         "  --target-budget SEC    wall-clock watchdog per game\n"
@@ -193,9 +188,8 @@ usage()
         "exit 130 with a partial report; rerun with --resume to finish\n"
         "shard-scan also takes: --worker-threads N (threads per worker),\n"
         "--index-cache DIR, --no-mmap, --resident-cache-mb N,\n"
-        "--retrieval/--lsh-bands/--lsh-rows, --heartbeat SEC (stall\n"
-        "deadline, default 30), --max-respawns N (default 2), --quiet,\n"
-        "--stats-json FILE and --cve-list A,B,C\n");
+        "--heartbeat SEC (stall deadline, default 30), --max-respawns N\n"
+        "(default 2), --quiet, --stats-json FILE and --cve-list A,B,C\n");
     return 2;
 }
 
@@ -573,28 +567,6 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
             if (!parse_int(args[++i], shard_count) || shard_count < 1) {
                 return usage();
             }
-        } else if (args[i] == "--retrieval" && i + 1 < args.size()) {
-            const std::string &mode = args[++i];
-            if (mode == "exact") {
-                options.retrieval = sim::RetrievalMode::Exact;
-            } else if (mode == "lsh") {
-                options.retrieval = sim::RetrievalMode::Lsh;
-            } else {
-                return usage();
-            }
-        } else if (args[i] == "--lsh-bands" && i + 1 < args.size()) {
-            int bands = 0;
-            if (!parse_int(args[++i], bands) || bands < 1 ||
-                bands > 64) {
-                return usage();
-            }
-            options.lsh_bands = static_cast<unsigned>(bands);
-        } else if (args[i] == "--lsh-rows" && i + 1 < args.size()) {
-            int rows = 0;
-            if (!parse_int(args[++i], rows) || rows < 1 || rows > 64) {
-                return usage();
-            }
-            options.lsh_rows = static_cast<unsigned>(rows);
         } else if (args[i] == "--fail-on-quarantine") {
             fail_on_quarantine = true;
         } else if (args[i].rfind(kQuarantinePrefix, 0) == 0) {
@@ -799,7 +771,7 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
     }
     if (health.resume_rejected) {
         // The journal on disk belongs to a different scan configuration
-        // (e.g. it was written under another --retrieval mode): the
+        // (e.g. it was written for another --cve-list): the
         // driver refused to scan rather than silently mix findings.
         std::fprintf(stderr,
                      "firmup: cannot resume %s: %s\n"
@@ -953,25 +925,6 @@ cmd_worker(const std::vector<std::string> &args)
                 return usage();
             }
             wopt.resident_cache_mb = static_cast<std::size_t>(u);
-        } else if (args[i] == "--retrieval" && i + 1 < args.size()) {
-            const std::string &mode = args[++i];
-            if (mode == "exact") {
-                wopt.retrieval = sim::RetrievalMode::Exact;
-            } else if (mode == "lsh") {
-                wopt.retrieval = sim::RetrievalMode::Lsh;
-            } else {
-                return usage();
-            }
-        } else if (args[i] == "--lsh-bands" && i + 1 < args.size()) {
-            if (!parse_int(args[++i], n) || n < 1 || n > 64) {
-                return usage();
-            }
-            wopt.lsh_bands = static_cast<unsigned>(n);
-        } else if (args[i] == "--lsh-rows" && i + 1 < args.size()) {
-            if (!parse_int(args[++i], n) || n < 1 || n > 64) {
-                return usage();
-            }
-            wopt.lsh_rows = static_cast<unsigned>(n);
         } else if (args[i] == "--no-confirm") {
             wopt.confirm = false;
         } else if (args[i] == "--exit-after" && i + 1 < args.size()) {
@@ -1028,25 +981,6 @@ cmd_shard_scan(const std::vector<std::string> &args)
                 return usage();
             }
             sopt.resident_cache_mb = static_cast<std::size_t>(u);
-        } else if (args[i] == "--retrieval" && i + 1 < args.size()) {
-            const std::string &mode = args[++i];
-            if (mode == "exact") {
-                sopt.retrieval = sim::RetrievalMode::Exact;
-            } else if (mode == "lsh") {
-                sopt.retrieval = sim::RetrievalMode::Lsh;
-            } else {
-                return usage();
-            }
-        } else if (args[i] == "--lsh-bands" && i + 1 < args.size()) {
-            if (!parse_int(args[++i], n) || n < 1 || n > 64) {
-                return usage();
-            }
-            sopt.lsh_bands = static_cast<unsigned>(n);
-        } else if (args[i] == "--lsh-rows" && i + 1 < args.size()) {
-            if (!parse_int(args[++i], n) || n < 1 || n > 64) {
-                return usage();
-            }
-            sopt.lsh_rows = static_cast<unsigned>(n);
         } else if (args[i] == "--heartbeat" && i + 1 < args.size()) {
             if (!parse_double(args[++i], sopt.heartbeat_seconds) ||
                 sopt.heartbeat_seconds <= 0.0) {
@@ -1183,121 +1117,8 @@ cmd_shard_scan(const std::vector<std::string> &args)
 }
 
 /**
- * Timed exact-intersection sweep shared by the `intersect_kernel` and
- * `multi_hunt` bench entries: draw @p pairs random procedure pairs (two
- * index() draws per pair, preserving the historical checksum stream),
- * then time two ways of scoring them —
- *
- *  - the query-amortized QueryProbe, with pairs regrouped by query
- *    procedure so the probe is built once per distinct query and the
- *    target hashes stream from one packed arena — the calling shape
- *    and memory layout of the batch hunt's hot loop (one CVE query
- *    played against every procedure of a target executable);
- *  - the reference merge kernel over the same pairs.
- *
- * The checksums are sums over the same pair multiset (regrouping only
- * permutes the order), so they must agree bit-for-bit; the caller folds
- * that into the exit-enforced `identical` flags.
- */
-struct KernelSweep
-{
-    double probe_seconds = 0.0;
-    double merge_seconds = 0.0;
-    std::uint64_t probe_checksum = 0;
-    std::uint64_t merge_checksum = 0;
-};
-
-KernelSweep
-sweep_intersection_kernel(
-    const std::vector<const strand::ProcedureStrands *> &reprs,
-    std::uint64_t seed, int pairs)
-{
-    KernelSweep out;
-    if (reprs.empty()) {
-        return out;
-    }
-    auto now = [] { return std::chrono::steady_clock::now(); };
-    auto secs = [](auto a, auto b) {
-        return std::chrono::duration<double>(b - a).count();
-    };
-    Rng rng(seed);
-    const std::size_t n = static_cast<std::size_t>(pairs);
-    std::vector<std::uint32_t> qside(n), tside(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        qside[i] = static_cast<std::uint32_t>(rng.index(reprs.size()));
-        tside[i] = static_cast<std::uint32_t>(rng.index(reprs.size()));
-    }
-    // Pack every procedure's hashes contiguously: the timed loop streams
-    // one flat buffer instead of chasing per-vector allocations.
-    std::vector<std::pair<std::size_t, std::size_t>> spans;
-    spans.reserve(reprs.size());
-    std::size_t total_hashes = 0;
-    for (const strand::ProcedureStrands *r : reprs) {
-        total_hashes += r->hash_count();
-    }
-    std::vector<std::uint64_t> arena;
-    arena.reserve(total_hashes);
-    for (const strand::ProcedureStrands *r : reprs) {
-        spans.emplace_back(arena.size(), r->hash_count());
-        arena.insert(arena.end(), r->hash_data(),
-                     r->hash_data() + r->hash_count());
-    }
-    // Group pairs by query procedure (stable, so target order within a
-    // group stays the draw order).
-    std::vector<std::uint32_t> order(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        order[i] = static_cast<std::uint32_t>(i);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&qside](std::uint32_t a, std::uint32_t b) {
-                         return qside[a] < qside[b];
-                     });
-    // Best-of-3 timing for both sides: the sweep is deterministic (the
-    // checksum must agree across reps), so the minimum is the run least
-    // disturbed by scheduler noise — the same noise floor both kernels
-    // see, keeping the speedup ratio honest.
-    constexpr int kReps = 3;
-    for (int rep = 0; rep < kReps; ++rep) {
-        sim::QueryProbe probe;
-        std::uint32_t current_q = ~0u;
-        std::uint64_t checksum = 0;
-        const auto p0 = now();
-        for (const std::uint32_t pi : order) {
-            if (qside[pi] != current_q) {
-                current_q = qside[pi];
-                probe.reset(*reprs[current_q]);
-            }
-            const auto &span = spans[tside[pi]];
-            checksum += static_cast<std::uint64_t>(
-                probe.score(arena.data() + span.first, span.second));
-        }
-        const double elapsed = secs(p0, now());
-        if (rep == 0 || elapsed < out.probe_seconds) {
-            out.probe_seconds = elapsed;
-        }
-        out.probe_checksum = checksum;
-    }
-    for (int rep = 0; rep < kReps; ++rep) {
-        std::uint64_t checksum = 0;
-        const auto m0 = now();
-        for (std::size_t i = 0; i < n; ++i) {
-            checksum +=
-                static_cast<std::uint64_t>(sim::sim_score_merge(
-                    *reprs[qside[i]], *reprs[tside[i]]));
-        }
-        const double elapsed = secs(m0, now());
-        if (rep == 0 || elapsed < out.merge_seconds) {
-            out.merge_seconds = elapsed;
-        }
-        out.merge_checksum = checksum;
-    }
-    return out;
-}
-
-/**
- * Machine-readable perf snapshot (BENCH_micro.json): intersection-kernel
- * throughput (query-amortized probe vs the merge baseline), posting-list
- * vs dense GetBestMatch, per-game scoring-op reduction on the Table 2
+ * Machine-readable perf snapshot (BENCH_micro.json): posting-list vs
+ * dense GetBestMatch, per-game scoring-op reduction on the Table 2
  * workload, warm-path serial vs parallel search_corpus, the batched
  * multi-CVE hunt vs N serial single-CVE scans (`multi_hunt`), cold vs
  * warm preindex through the persistent index cache, the cold
@@ -1313,10 +1134,9 @@ int
 cmd_bench_json(const std::vector<std::string> &args)
 {
     static const std::set<std::string> kEntryNames = {
-        "intersect_kernel", "best_match",   "game_workload",
-        "trace_overhead",   "search_corpus", "multi_hunt",
-        "index_cache",      "cold_index",    "lsh_retrieval",
-        "resident_cache",   "shard_scan"};
+        "best_match",    "game_workload",  "trace_overhead",
+        "search_corpus", "multi_hunt",     "index_cache",
+        "cold_index",    "resident_cache", "shard_scan"};
     std::string out_path = "BENCH_micro.json";
     firmware::CorpusOptions copt;
     std::set<std::string> only;
@@ -1362,11 +1182,12 @@ cmd_bench_json(const std::vector<std::string> &args)
         corpus.procedure_count()));
     bool all_identical = true;
 
-    // Shared scaffolding for the kernel/game entries: one indexed view
-    // of the corpus. Skipped entirely when none of them is selected.
-    const bool need_indexes =
-        enabled("intersect_kernel") || enabled("best_match") ||
-        enabled("game_workload") || enabled("trace_overhead");
+    // Shared scaffolding for the matching/game entries: one indexed
+    // view of the corpus. Skipped entirely when none of them is
+    // selected.
+    const bool need_indexes = enabled("best_match") ||
+                              enabled("game_workload") ||
+                              enabled("trace_overhead");
     eval::Driver driver;
     std::vector<const sim::ExecutableIndex *> indexes;
     std::vector<const strand::ProcedureStrands *> reprs;
@@ -1387,33 +1208,6 @@ cmd_bench_json(const std::vector<std::string> &args)
                 reprs.push_back(&proc.repr);
             }
         }
-    }
-
-    if (enabled("intersect_kernel")) {
-        // --- intersection kernel: Sim over sampled procedure pairs ---
-        // Same Rng stream (and therefore the same checksum) as the
-        // historical entry, now scored through the query-amortized
-        // probe in its real calling shape, with the pre-kernel merge
-        // timed over the same pairs as the baseline.
-        constexpr int kPairs = 200000;
-        const KernelSweep sweep =
-            sweep_intersection_kernel(reprs, 0xbe9c, kPairs);
-        const bool kernel_identical =
-            sweep.probe_checksum == sweep.merge_checksum;
-        all_identical = all_identical && kernel_identical;
-        entries.push_back(strprintf(
-            "  \"intersect_kernel\": {\"pairs\": %d, \"seconds\": %.6f, "
-            "\"ns_per_pair\": %.1f, \"merge_seconds\": %.6f, "
-            "\"ns_per_pair_merge\": %.1f, \"speedup\": %.2f, "
-            "\"checksum\": %llu, \"identical\": %s}",
-            kPairs, sweep.probe_seconds,
-            sweep.probe_seconds / kPairs * 1e9, sweep.merge_seconds,
-            sweep.merge_seconds / kPairs * 1e9,
-            sweep.probe_seconds > 0.0
-                ? sweep.merge_seconds / sweep.probe_seconds
-                : 0.0,
-            static_cast<unsigned long long>(sweep.probe_checksum),
-            kernel_identical ? "true" : "false"));
     }
 
     if (enabled("best_match")) {
@@ -1588,11 +1382,6 @@ cmd_bench_json(const std::vector<std::string> &args)
                 .string();
         eval::SearchOptions warm_options;
         warm_options.index_cache_dir = corpus_cache_dir;
-        // Pin the retrieval mode: stage_seconds below is a tracked
-        // trend line, and letting it float with the default would make
-        // a retrieval-knob change read as a stage regression. The mode
-        // is recorded in the entry so the pin is visible in the JSON.
-        warm_options.retrieval = sim::RetrievalMode::Exact;
         {
             eval::Driver store_warmer(warm_options);
             store_warmer.preindex(corpus, hw);  // untimed store fill
@@ -1633,8 +1422,7 @@ cmd_bench_json(const std::vector<std::string> &args)
                                    : 0.0,
             identical ? "true" : "false"));
         entries.push_back(strprintf(
-            "  \"stage_seconds\": {\"retrieval\": \"exact\", "
-            "\"index\": %.6f, \"index_cpu\": %.6f, "
+            "  \"stage_seconds\": {\"index\": %.6f, \"index_cpu\": %.6f, "
             "\"cache_load\": %.6f, \"cache_open\": %.6f, "
             "\"cache_checksum\": %.6f, \"cache_parse\": %.6f, "
             "\"mmap_loads\": %zu, \"games\": %.6f, \"games_cpu\": %.6f, "
@@ -1657,10 +1445,9 @@ cmd_bench_json(const std::vector<std::string> &args)
         // store load, the pre-batch cost model), the batch driver loads
         // every target once and fans the (query, target) grid across
         // the work-stealing scheduler at `hw` threads. The per-(q, t)
-        // outcome grids must agree bit-for-bit (exit-enforced). The
-        // kernel figures time the query-amortized probe against the
-        // merge baseline on this corpus's procedures. Skipped on
-        // 1-worker hosts like search_corpus; FIRMUP_THREADS=2 unskips.
+        // outcome grids must agree bit-for-bit (exit-enforced). Skipped
+        // on 1-worker hosts like search_corpus; FIRMUP_THREADS=2
+        // unskips.
         const std::vector<firmware::CveRecord> &hunt_cves =
             firmware::cve_database();
         const std::string hunt_cache_dir =
@@ -1707,48 +1494,20 @@ cmd_bench_json(const std::vector<std::string> &args)
                     outcomes_identical(serial_rows[q], grid[q]);
             }
         }
-        // Kernel ns/pair over the procedures the hunt just indexed
-        // (deduped by index: duplicate-content targets share one).
-        std::vector<const strand::ProcedureStrands *> hunt_reprs;
-        std::set<const sim::ExecutableIndex *> hunt_seen;
-        for (const eval::CorpusTarget &t : targets) {
-            const sim::ExecutableIndex *index =
-                batch_driver.index_target(*t.exe);
-            if (index == nullptr || !hunt_seen.insert(index).second) {
-                continue;
-            }
-            for (const sim::ProcEntry &proc : index->procs) {
-                hunt_reprs.push_back(&proc.repr);
-            }
-        }
-        constexpr int kHuntPairs = 50000;
-        const KernelSweep sweep =
-            sweep_intersection_kernel(hunt_reprs, 0x6b3d, kHuntPairs);
-        const bool hunt_kernel_identical =
-            sweep.probe_checksum == sweep.merge_checksum;
-        all_identical =
-            all_identical && hunt_identical && hunt_kernel_identical;
+        all_identical = all_identical && hunt_identical;
         std::error_code hunt_cleanup_ec;
         std::filesystem::remove_all(hunt_cache_dir, hunt_cleanup_ec);
         entries.push_back(strprintf(
             "  \"multi_hunt\": {\"queries\": %zu, \"targets\": %zu, "
             "\"serial_seconds\": %.6f, \"batch_seconds\": %.6f, "
             "\"threads\": %u, \"skipped\": %s, \"speedup\": %.2f, "
-            "\"kernel_pairs\": %d, \"kernel_ns_per_pair\": %.1f, "
-            "\"merge_ns_per_pair\": %.1f, \"kernel_speedup\": %.2f, "
             "\"identical\": %s}",
             hunt_cves.size(), targets.size(), serial_seconds,
             batch_seconds, hw, hunt_skipped ? "true" : "false",
             !hunt_skipped && batch_seconds > 0.0
                 ? serial_seconds / batch_seconds
                 : 0.0,
-            kHuntPairs, sweep.probe_seconds / kHuntPairs * 1e9,
-            sweep.merge_seconds / kHuntPairs * 1e9,
-            sweep.probe_seconds > 0.0
-                ? sweep.merge_seconds / sweep.probe_seconds
-                : 0.0,
-            hunt_identical && hunt_kernel_identical ? "true"
-                                                    : "false"));
+            hunt_identical ? "true" : "false"));
     }
 
     if (enabled("index_cache")) {
@@ -1918,138 +1677,6 @@ cmd_bench_json(const std::vector<std::string> &args)
             cold_identical ? "true" : "false"));
     }
 
-    if (enabled("lsh_retrieval")) {
-        // --- MinHash/LSH prefilter vs the exact posting path, end to
-        // end, at corpus scale 1 and scale 10 ---
-        // Both modes run the same first-CVE hunt on fresh drivers (no
-        // shared warm state); wall clock is best-of-kLshReps at scale 1
-        // and a single rep on the 10x corpus (the scan itself is the
-        // dominant cost there). Recall is the fraction of the exact
-        // scan's detections the LSH scan reproduces with the same
-        // matched entry; candidate reduction is the cross-scan ratio of
-        // candidate pairs actually scored. The exit-enforced pass flag
-        // holds the 10x corpus to recall >= 0.95 and reduction > 1.0 —
-        // a prefilter that loses findings or saves no work is a
-        // regression.
-        struct LshScalePoint
-        {
-            std::size_t targets = 0;
-            double exact_seconds = 0.0;
-            double lsh_seconds = 0.0;
-            std::size_t exact_detected = 0;
-            std::size_t lsh_detected = 0;
-            double recall = 1.0;
-            std::uint64_t candidates_exact = 0;
-            std::uint64_t candidates_lsh = 0;
-            double sketch_seconds = 0.0;
-        };
-        const auto run_scale = [&](int scale, int reps) {
-            firmware::CorpusOptions scaled = copt;
-            scaled.scale = scale;
-            const firmware::Corpus sc =
-                scale == 1 ? corpus : firmware::build_corpus(scaled);
-            const std::vector<eval::CorpusTarget> stargets =
-                eval::corpus_targets(sc);
-            LshScalePoint point;
-            point.targets = stargets.size();
-            std::vector<eval::CorpusOutcome> exact_rows, lsh_rows;
-            for (int rep = 0; rep < reps; ++rep) {
-                eval::Driver exact_driver;
-                const auto e0 = now();
-                auto rows = exact_driver.search_corpus(cve0, stargets, hw);
-                const double elapsed = secs(e0, now());
-                if (rep == 0 || elapsed < point.exact_seconds) {
-                    point.exact_seconds = elapsed;
-                }
-                if (rep == 0) {
-                    exact_rows = std::move(rows);
-                    point.candidates_exact =
-                        exact_driver.health()
-                            .retrieval_candidates_exact;
-                }
-            }
-            eval::SearchOptions lsh_options;
-            lsh_options.retrieval = sim::RetrievalMode::Lsh;
-            for (int rep = 0; rep < reps; ++rep) {
-                eval::Driver lsh_driver(lsh_options);
-                const auto l0 = now();
-                auto rows = lsh_driver.search_corpus(cve0, stargets, hw);
-                const double elapsed = secs(l0, now());
-                if (rep == 0 || elapsed < point.lsh_seconds) {
-                    point.lsh_seconds = elapsed;
-                }
-                if (rep == 0) {
-                    lsh_rows = std::move(rows);
-                    point.candidates_lsh =
-                        lsh_driver.health().retrieval_candidates_lsh;
-                    point.sketch_seconds =
-                        lsh_driver.health().sketch_seconds;
-                }
-            }
-            std::size_t reproduced = 0;
-            for (std::size_t t = 0; t < exact_rows.size(); ++t) {
-                if (!exact_rows[t].outcome.detected) {
-                    continue;
-                }
-                ++point.exact_detected;
-                if (lsh_rows[t].outcome.detected &&
-                    lsh_rows[t].outcome.matched_entry ==
-                        exact_rows[t].outcome.matched_entry) {
-                    ++reproduced;
-                }
-            }
-            for (const eval::CorpusOutcome &co : lsh_rows) {
-                point.lsh_detected +=
-                    co.outcome.detected ? std::size_t{1} : std::size_t{0};
-            }
-            point.recall =
-                point.exact_detected == 0
-                    ? 1.0
-                    : static_cast<double>(reproduced) /
-                          static_cast<double>(point.exact_detected);
-            return point;
-        };
-        constexpr int kLshReps = 3;
-        const LshScalePoint s1 = run_scale(1, kLshReps);
-        const LshScalePoint s10 = run_scale(10, 1);
-        const auto reduction = [](const LshScalePoint &p) {
-            return p.candidates_lsh > 0
-                       ? static_cast<double>(p.candidates_exact) /
-                             static_cast<double>(p.candidates_lsh)
-                       : 0.0;
-        };
-        const auto speedup = [](const LshScalePoint &p) {
-            return p.lsh_seconds > 0.0 ? p.exact_seconds / p.lsh_seconds
-                                       : 0.0;
-        };
-        const bool lsh_pass =
-            s10.recall >= 0.95 && reduction(s10) > 1.0;
-        all_identical = all_identical && lsh_pass;
-        const auto scale_json = [&](const char *key,
-                                    const LshScalePoint &p) {
-            return strprintf(
-                "\"%s\": {\"targets\": %zu, \"exact_seconds\": %.6f, "
-                "\"lsh_seconds\": %.6f, \"speedup\": %.2f, "
-                "\"exact_detected\": %zu, \"lsh_detected\": %zu, "
-                "\"recall\": %.4f, \"candidates_exact\": %llu, "
-                "\"candidates_lsh\": %llu, \"reduction\": %.2f, "
-                "\"sketch_seconds\": %.6f}",
-                key, p.targets, p.exact_seconds, p.lsh_seconds,
-                speedup(p), p.exact_detected, p.lsh_detected, p.recall,
-                static_cast<unsigned long long>(p.candidates_exact),
-                static_cast<unsigned long long>(p.candidates_lsh),
-                reduction(p), p.sketch_seconds);
-        };
-        const eval::SearchOptions lsh_defaults;
-        entries.push_back(strprintf(
-            "  \"lsh_retrieval\": {\"bands\": %u, \"rows\": %u, "
-            "\"reps\": %d, %s, %s, \"pass\": %s}",
-            lsh_defaults.lsh_bands, lsh_defaults.lsh_rows, kLshReps,
-            scale_json("scale1", s1).c_str(),
-            scale_json("scale10", s10).c_str(),
-            lsh_pass ? "true" : "false"));
-    }
-
     if (enabled("resident_cache")) {
         // --- resident in-process LRU vs per-scan store loads ---
         // Every timed scan below runs warm off one pre-filled FWIX
@@ -2075,7 +1702,6 @@ cmd_bench_json(const std::vector<std::string> &args)
                 .string();
         eval::SearchOptions ropt;
         ropt.index_cache_dir = resident_cache_dir;
-        ropt.retrieval = sim::RetrievalMode::Exact;
         {
             eval::Driver store_warmer(ropt);
             store_warmer.preindex(corpus, hw);  // untimed store fill
@@ -2154,7 +1780,6 @@ cmd_bench_json(const std::vector<std::string> &args)
                                     resident_cleanup_ec);
         entries.push_back(strprintf(
             "  \"resident_cache\": {\"targets\": %zu, \"reps\": %d, "
-            "\"retrieval\": \"exact\", "
             "\"warm_stage_seconds\": %.6f, \"hot_stage_seconds\": %.6f, "
             "\"speedup\": %.2f, \"warm_cache_hits\": %zu, "
             "\"warm_mmap_loads\": %zu, \"warm_open_seconds\": %.6f, "
