@@ -126,10 +126,10 @@ main()
     const auto ti = sim::index_executable(vendor.lifted);
     const int q = qi.find_by_name("ftp_retrieve_glob");
     const int t = ti.find_by_name("ftp_retrieve_glob");
-    const auto &qr = qi.procs[static_cast<std::size_t>(q)].repr;
-    const auto &tr = ti.procs[static_cast<std::size_t>(t)].repr;
+    const auto qr = qi.procs[static_cast<std::size_t>(q)].strands;
+    const auto tr = ti.procs[static_cast<std::size_t>(t)].strands;
     std::printf("canonical strands: query=%zu target=%zu shared=%d\n",
-                qr.hashes.size(), tr.hashes.size(),
+                qr.size(), tr.size(),
                 sim::sim_score(qr, tr));
     std::printf("\npaper reference: the Fig. 1 snippets share zero "
                 "assembly lines yet are the same procedure;\nshape to "

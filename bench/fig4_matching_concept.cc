@@ -11,6 +11,7 @@
 
 #include "baseline/gitz_like.h"
 #include "game/game.h"
+#include "sim/persist.h"
 
 namespace {
 
@@ -21,19 +22,13 @@ make_index(const char *name,
            std::vector<std::pair<const char *,
                                  std::vector<std::uint64_t>>> procs)
 {
-    sim::ExecutableIndex index;
-    index.name = name;
+    std::vector<sim::ProcInput> inputs;
     std::uint64_t entry = 0x1000;
     for (auto &[proc_name, strands] : procs) {
-        sim::ProcEntry pe;
-        pe.entry = entry;
+        inputs.push_back({entry, proc_name, strand::strand_set(strands)});
         entry += 0x100;
-        pe.name = proc_name;
-        pe.repr = strand::strand_set(strands);
-        index.procs.push_back(std::move(pe));
     }
-    index.finalize();
-    return index;
+    return sim::build_index(name, isa::Arch::Mips32, inputs);
 }
 
 }  // namespace
@@ -52,9 +47,9 @@ main()
     const int naive = baseline::gitz_top1(Q, 0, T, nullptr);
     std::printf("procedure-centric: q1 -> %s (Sim=%d)\n",
                 T.procs[static_cast<std::size_t>(naive)].name.c_str(),
-                sim::sim_score(Q.procs[0].repr,
+                sim::sim_score(Q.procs[0].strands,
                                T.procs[static_cast<std::size_t>(
-                                   naive)].repr));
+                                   naive)].strands));
 
     game::GameOptions options;
     options.record_trace = true;

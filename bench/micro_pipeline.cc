@@ -195,7 +195,7 @@ BM_PairwiseSim(benchmark::State &state)
         for (const auto &qp : q.procs) {
             for (const auto &tp : t.procs) {
                 benchmark::DoNotOptimize(
-                    sim::sim_score(qp.repr, tp.repr));
+                    sim::sim_score(qp.strands, tp.strands));
             }
         }
     }
@@ -218,7 +218,7 @@ BM_PostingBestMatch(benchmark::State &state)
     for (auto _ : state) {
         for (const auto &qp : q.procs) {
             benchmark::DoNotOptimize(
-                sim::shared_candidates(t, qp.repr, &stats));
+                sim::shared_candidates(t, qp.strands, &stats));
         }
     }
     state.SetItemsProcessed(
@@ -234,58 +234,39 @@ BM_PostingBestMatch(benchmark::State &state)
 BENCHMARK(BM_PostingBestMatch);
 
 void
-BM_SerializeIndexV2(benchmark::State &state)
+BM_PackIndex(benchmark::State &state)
 {
-    // Write-back cost of the persistent index cache (FWIX v2 bytes,
-    // postings included). Compare against BM_LiftExecutable +
-    // BM_StrandExtraction: the serialize/parse pair must be far cheaper
-    // than the work it saves for the warm scan to pay off.
-    sim::ExecutableIndex index = wget_index();
-    index.finalize();
+    // The packing step of a cold build: procedure table, strand hashes
+    // and the CSR posting sort, written straight into the FWIX blob the
+    // index then views. A store write publishes these bytes unchanged.
+    std::vector<sim::ProcInput> procs;
+    for (const sim::ProcEntry &proc : wget_index().procs) {
+        strand::ProcedureStrands repr;
+        repr.hashes.assign(proc.strands.begin(), proc.strands.end());
+        repr.block_count = proc.block_count;
+        repr.stmt_count = proc.stmt_count;
+        procs.push_back({proc.entry, proc.name, std::move(repr)});
+    }
     std::int64_t bytes = 0;
     for (auto _ : state) {
-        const ByteBuffer blob = sim::serialize_index(index);
-        bytes = static_cast<std::int64_t>(blob.size());
-        benchmark::DoNotOptimize(blob.data());
+        const sim::ExecutableIndex index =
+            sim::build_index("wget", isa::Arch::Mips32, procs);
+        bytes = static_cast<std::int64_t>(index.blob.size());
+        benchmark::DoNotOptimize(index.blob.data());
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) * bytes);
 }
-BENCHMARK(BM_SerializeIndexV2);
-
-void
-BM_ParseIndexV2(benchmark::State &state)
-{
-    // The warm path: deserializing a finalized index (checksum verify +
-    // CSR reload + map rebuild) replaces lift+canon+finalize entirely.
-    sim::ExecutableIndex index = wget_index();
-    index.finalize();
-    const ByteBuffer blob = sim::serialize_index(index);
-    for (auto _ : state) {
-        auto parsed = sim::parse_index(blob);
-        benchmark::DoNotOptimize(parsed.ok());
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(blob.size()));
-}
-BENCHMARK(BM_ParseIndexV2);
+BENCHMARK(BM_PackIndex);
 
 void
 BM_MmapOpenV5(benchmark::State &state)
 {
-    // The zero-copy warm path: map a persisted FWIX entry, verify
-    // the payload checksum and open the index view over the mapped
-    // arenas — no posting/hash vectors materialized. Compare against
-    // BM_ParseIndexV2: the checksum pass is common to both, so the gap
-    // is what the copying parser spends streaming arenas into vectors.
-    if (!sim::open_view_supported()) {
-        state.SkipWithError("v5 view unsupported on this host");
-        return;
-    }
-    sim::ExecutableIndex index = wget_index();
-    index.finalize();
-    const ByteBuffer blob = sim::serialize_index(index);
+    // The warm path: map a persisted FWIX entry, verify the payload
+    // checksum and open the index over the mapped arenas — no
+    // posting/hash copies. Compare against BM_PackIndex: opening is
+    // what a warm scan pays instead of lift + canon + pack.
+    const std::span<const std::uint8_t> blob = wget_index().blob;
     const std::string path =
         (std::filesystem::temp_directory_path() / "firmup-bench-v5.fwix")
             .string();

@@ -108,9 +108,9 @@ main()
     const auto &wget = firmware::package_by_name("wget");
     const eval::Query wget_query = driver.build_query(
         "wget", "ftp_retrieve_glob", "1.15", isa::Arch::Mips32);
-    const auto &q_repr =
+    const auto q_set =
         wget_query.index.procs[static_cast<std::size_t>(wget_query.qv)]
-            .repr;
+            .strands;
     eval::Table table({"target version", "Sim with 1.15 query",
                        "share of query strands"});
     for (const std::string &version : wget.versions) {
@@ -128,7 +128,7 @@ main()
         table.add_row(
             {version, std::to_string(outcome.sim),
              eval::percent(static_cast<double>(outcome.sim) /
-                           static_cast<double>(q_repr.hashes.size()))});
+                           static_cast<double>(q_set.size()))});
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("paper reference: 14 FPs, all from 1.15-vs-1.12 version "

@@ -118,8 +118,7 @@ main()
     const auto b = index_for(compiler::vendor_toolchains()[1]);
     std::printf("Sim(check@gcc, check@vendor) = %d "
                 "(of %zu / %zu strands)\n",
-                sim::sim_score(a.procs[0].repr, b.procs[0].repr),
-                a.procs[0].repr.hashes.size(),
-                b.procs[0].repr.hashes.size());
+                sim::sim_score(a.procs[0].strands, b.procs[0].strands),
+                a.procs[0].strands.size(), b.procs[0].strands.size());
     return 0;
 }

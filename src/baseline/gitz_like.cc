@@ -9,7 +9,7 @@ gitz_rank(const sim::ExecutableIndex &Q, int qv_index,
           const sim::ExecutableIndex &T,
           const sim::GlobalContext *context)
 {
-    const auto &query = Q.procs[static_cast<std::size_t>(qv_index)].repr;
+    const auto query = Q.procs[static_cast<std::size_t>(qv_index)].strands;
     // Procedures sharing no strand score exactly 0 either way, so only
     // the inverted-index candidates need scoring; everything else stays
     // at 0 in index order (preserved by the stable sort below).
@@ -21,7 +21,7 @@ gitz_rank(const sim::ExecutableIndex &Q, int qv_index,
         const std::size_t i = static_cast<std::size_t>(c.index);
         ranked[i].score =
             context != nullptr
-                ? sim::weighted_sim(query, T.procs[i].repr, *context)
+                ? sim::weighted_sim(query, T.procs[i].strands, *context)
                 : static_cast<double>(c.sim);
     }
     std::stable_sort(ranked.begin(), ranked.end(),

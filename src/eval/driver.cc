@@ -268,8 +268,8 @@ Driver::build_query_impl(const std::string &package,
     query.procedure = procedure;
     query.version = version;
 
-    // Hunt fast lane: a warm store serves the finalized query index
-    // under its recipe key, skipping compile + lift + canonicalize —
+    // Hunt fast lane: a warm store serves the query index under its
+    // recipe key, skipping compile + lift + canonicalize —
     // the FWIX round-trip is bit-faithful (hashes, postings), so
     // outcomes are identical to a fresh build. The
     // baseline graph is intentionally not rebuilt here: the hunt path
@@ -434,9 +434,9 @@ Driver::index_target(const loader::Executable &exe)
         ++health_.resident_misses;
         c_resident_misses.add();
     }
-    // Warm path: a persisted, already-finalized index skips the whole
-    // lift + canonicalize + finalize phase. Any load failure (absent,
-    // corrupt, stale) is a miss; the cold path below re-lifts.
+    // Warm path: a persisted index skips the whole lift + canonicalize
+    // + pack phase. Any load failure (absent, corrupt, stale) is a
+    // miss; the cold path below re-lifts.
     if (sim::IndexCacheStore *store = cache_store()) {
         sim::IndexCacheStore::LoadStats load_stats;
         const auto load_start = std::chrono::steady_clock::now();
@@ -747,8 +747,8 @@ Driver::match_outcome(const Query &query,
         outcome.detected = true;
         outcome.matched_entry = proc.entry;
         outcome.sim = sim::sim_score(
-            query.index.procs[static_cast<std::size_t>(query.qv)].repr,
-            proc.repr);
+            query.index.procs[static_cast<std::size_t>(query.qv)].strands,
+            proc.strands);
     }
     outcome.game_seconds = seconds_since(start);
     outcome.game_cpu_seconds = cpu_seconds_since(cpu_start);
@@ -797,9 +797,9 @@ Driver::search_outcome(const Query &query,
     const auto confirm_start = std::chrono::steady_clock::now();
     const std::uint64_t confirm_cpu_start = trace::thread_cpu_ns();
     const trace::TraceSpan span("confirm");
-    const auto &q_repr =
-        query.index.procs[static_cast<std::size_t>(query.qv)].repr;
-    const auto q_strands = static_cast<double>(q_repr.hash_count());
+    const auto q_set =
+        query.index.procs[static_cast<std::size_t>(query.qv)].strands;
+    const auto q_strands = static_cast<double>(q_set.size());
     const int ratio_threshold = std::max(
         options_.min_confirm_sim,
         static_cast<int>(options_.min_confirm_ratio * q_strands));
@@ -815,7 +815,7 @@ Driver::search_outcome(const Query &query,
         // lists the games already read cover every contender.
         int second = 0;
         for (const sim::Candidate &c :
-             sim::shared_candidates(target, q_repr)) {
+             sim::shared_candidates(target, q_set)) {
             if (target.procs[static_cast<std::size_t>(c.index)].entry !=
                 outcome.matched_entry) {
                 second = std::max(second, c.sim);

@@ -67,18 +67,17 @@ struct SearchOptions
     bool canon_memo = true;
     /**
      * When non-empty, a persistent content-addressed index cache
-     * directory (sim::IndexCacheStore): finalized FWIX indexes are
-     * loaded from it before lifting and written back after indexing, so
-     * the second scan of an immutable corpus skips lift+canon+finalize
-     * entirely. Corrupt or stale entries degrade to misses.
+     * directory (sim::IndexCacheStore): FWIX indexes are loaded from it
+     * before lifting and written back after indexing, so the second
+     * scan of an immutable corpus skips lift+canon+pack entirely.
+     * Corrupt or stale entries degrade to misses.
      */
     std::string index_cache_dir;
     /**
-     * Serve persistent-store entries through the FWIX mmap view path
-     * (zero-copy open: checksum pass + O(procs) materialization) when
-     * the host supports it. False is the --no-mmap ablation baseline:
-     * the copying parser streams every arena into owning vectors.
-     * Findings are bit-identical either way.
+     * Map persistent-store entries (zero-copy open: checksum pass +
+     * O(procs) materialization). False is --no-mmap: each entry is read
+     * into a heap buffer and opened the same way. Findings are
+     * bit-identical either way.
      */
     bool mmap_index = true;
     /**
@@ -423,9 +422,9 @@ class Driver
 
     /**
      * build_query with the hunt-path fast lane: when @p hunt is true
-     * and a persistent store is configured, the finalized query index
-     * is served from (or written back to) the store under its recipe
-     * key, skipping compile + lift + canonicalize on warm runs. A
+     * and a persistent store is configured, the query index is served
+     * from (or written back to) the store under its recipe key,
+     * skipping compile + lift + canonicalize on warm runs. A
      * store-served query has an empty baseline graph — the hunt never
      * reads it. @p hunt false is the full build (public build_query).
      */

@@ -68,8 +68,8 @@ struct ScanHealth
 
     /**
      * Persistent index-cache accounting (zero unless the driver runs
-     * with an --index-cache store): hits are executables whose finalized
-     * index was loaded from disk instead of lifted; misses had to be
+     * with an --index-cache store): hits are executables whose index
+     * was loaded from disk instead of lifted; misses had to be
      * lifted (absent, corrupt or stale entries all count as misses —
      * corruption degrades, it never fails the scan).
      */
@@ -80,11 +80,10 @@ struct ScanHealth
 
     /**
      * cache_load_seconds split by stage (sim::IndexCacheStore::
-     * LoadStats): open (file open + read, or mmap), checksum (the
-     * container guards over the payload) and parse (view open or
-     * copying parse). The split is what makes the mmap win legible —
-     * a v5 view open collapses parse to ~O(procs) while checksum stays.
-     * cache_mmap_loads counts loads served by the zero-copy view.
+     * LoadStats): open (file open + mmap, or read), checksum (the
+     * container guards over the payload) and parse (open_index_view:
+     * O(procs) materialization plus the hash-order checks).
+     * cache_mmap_loads counts loads served from a mapped file.
      */
     double cache_open_seconds = 0.0;
     double cache_checksum_seconds = 0.0;
@@ -106,8 +105,8 @@ struct ScanHealth
 
     /**
      * Query-recipe store accounting, kept apart from the target-index
-     * counters above: a recipe hit serves a compiled query's finalized
-     * index without running codegen, so it has no lifted executable
+     * counters above: a recipe hit serves a compiled query's index
+     * without running codegen, so it has no lifted executable
      * behind it (folding it into cache_hits would break the
      * cache_hits <= lifted_ok invariant sane() checks).
      */

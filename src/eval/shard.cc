@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -17,6 +16,7 @@
 
 #include "firmware/image.h"
 #include "support/cancel.h"
+#include "support/fsio.h"
 #include "support/hash.h"
 #include "support/str.h"
 #include "support/subproc.h"
@@ -162,19 +162,6 @@ field_str(const FrameFields &fields, const char *key)
 {
     const auto it = fields.find(key);
     return it == fields.end() ? std::string() : it->second;
-}
-
-Result<ByteBuffer>
-read_file_bytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        return Result<ByteBuffer>::error(ErrorCode::IoError,
-                                         "cannot open " + path);
-    }
-    ByteBuffer bytes((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    return bytes;
 }
 
 /** Mutex-serialized frame writes — heartbeats race the scan results. */

@@ -57,10 +57,10 @@ class Game
           cand_ready_t_(T.procs.size(), 0)
     {
         for (const sim::ProcEntry &p : Q.procs) {
-            total_hashes_q_ += p.repr.hash_count();
+            total_hashes_q_ += p.strands.size();
         }
         for (const sim::ProcEntry &p : T.procs) {
-            total_hashes_t_ += p.repr.hash_count();
+            total_hashes_t_ += p.strands.size();
         }
     }
 
@@ -228,11 +228,11 @@ class Game
     }
 
   private:
-    const strand::ProcedureStrands &
-    repr(const Ref &r) const
+    std::span<const std::uint64_t>
+    strands(const Ref &r) const
     {
         const auto &procs = r.in_q ? q_.procs : t_.procs;
-        return procs[static_cast<std::size_t>(r.index)].repr;
+        return procs[static_cast<std::size_t>(r.index)].strands;
     }
 
     bool
@@ -262,7 +262,7 @@ class Game
         const std::size_t i = static_cast<std::size_t>(m.index);
         if (!ready[i]) {
             const sim::ExecutableIndex &other = m.in_q ? t_ : q_;
-            memo[i] = sim::shared_candidates(other, repr(m), &stats_);
+            memo[i] = sim::shared_candidates(other, strands(m), &stats_);
             ready[i] = 1;
         }
         return memo[i];
@@ -290,7 +290,7 @@ class Game
         // only for candidates, and only on a memo miss.
         pairs_pruned_ += others.size() - (fresh ? cands.size() : 0);
         dense_elem_ops_ +=
-            others.size() * repr(m).hash_count() +
+            others.size() * strands(m).size() +
             (m.in_q ? total_hashes_t_ : total_hashes_q_);
         best_sim = -1;
         int best = -1;

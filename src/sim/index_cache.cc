@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <iterator>
 #include <system_error>
 #include <thread>
 
@@ -51,86 +50,64 @@ IndexCacheStore::load(std::uint64_t content_key, bool use_mmap,
                       LoadStats *stats) const
 {
     LoadStats local;
+    const auto finish = [&](Result<ExecutableIndex> out) {
+        if (stats != nullptr) {
+            *stats = local;
+        }
+        return out;
+    };
     const std::string path = path_for(content_key);
-    if (use_mmap && open_view_supported()) {
-        auto t0 = std::chrono::steady_clock::now();
-        auto mapped = MappedFile::map(path);
-        local.open_seconds = seconds_since(t0);
-        if (mapped.ok()) {
-            auto file =
-                std::make_shared<MappedFile>(std::move(mapped).take());
-            const std::uint8_t *bytes = file->data();
-            const std::size_t size = file->size();
-            t0 = std::chrono::steady_clock::now();
-            auto guard = check_container(bytes, size);
-            local.checksum_seconds = seconds_since(t0);
-            if (!guard.ok()) {
-                if (stats != nullptr) {
-                    *stats = local;
-                }
-                return Result<ExecutableIndex>::error_from(guard);
-            }
-            t0 = std::chrono::steady_clock::now();
-            auto view = open_index_view(bytes, size, file,
-                                        /*checked=*/true);
-            local.parse_seconds = seconds_since(t0);
-            if (view.ok()) {
-                local.mapped = true;
-                if (stats != nullptr) {
-                    *stats = local;
-                }
-                return view;
-            }
-            // A checksum-valid blob the view cannot serve (e.g. one
-            // serialized from a never-finalized index): fall through to
-            // the copying parser, which either materializes it or
-            // produces the authoritative error.
-        }
-        // Missing file falls through too: the ifstream path issues the
-        // canonical "index cache miss" IoError.
-    }
     auto t0 = std::chrono::steady_clock::now();
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (stats != nullptr) {
-            *stats = local;
+    const std::uint8_t *bytes = nullptr;
+    std::size_t size = 0;
+    std::shared_ptr<const void> backing;
+    bool mapped = false;
+    if (use_mmap) {
+        auto file = MappedFile::map(path);
+        if (file.ok()) {
+            auto shared =
+                std::make_shared<MappedFile>(std::move(file).take());
+            bytes = shared->data();
+            size = shared->size();
+            backing = std::move(shared);
+            mapped = true;
         }
-        return Result<ExecutableIndex>::error(
-            ErrorCode::IoError, "index cache miss: " + path);
     }
-    ByteBuffer bytes((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    if (in.bad()) {
-        if (stats != nullptr) {
-            *stats = local;
+    if (!mapped) {
+        // --no-mmap, or a map that failed: the same bytes, read into a
+        // heap buffer (8-byte aligned, like every operator new block).
+        auto read = read_file_bytes(path);
+        if (!read.ok()) {
+            local.open_seconds = seconds_since(t0);
+            return finish(Result<ExecutableIndex>::error(
+                ErrorCode::IoError, "index cache miss: " +
+                                        read.error_message()));
         }
-        return Result<ExecutableIndex>::error(
-            ErrorCode::IoError, "index cache read failed: " + path);
+        auto buffer = std::make_shared<ByteBuffer>(std::move(read).take());
+        bytes = buffer->data();
+        size = buffer->size();
+        backing = std::move(buffer);
     }
-    local.open_seconds += seconds_since(t0);
+    local.open_seconds = seconds_since(t0);
     t0 = std::chrono::steady_clock::now();
-    auto guard = check_container(bytes.data(), bytes.size());
-    local.checksum_seconds += seconds_since(t0);
+    auto guard = check_container(bytes, size);
+    local.checksum_seconds = seconds_since(t0);
     if (!guard.ok()) {
-        if (stats != nullptr) {
-            *stats = local;
-        }
-        return Result<ExecutableIndex>::error_from(guard);
+        return finish(Result<ExecutableIndex>::error_from(guard));
     }
     t0 = std::chrono::steady_clock::now();
-    auto parsed = parse_index(bytes);
-    local.parse_seconds += seconds_since(t0);
-    if (stats != nullptr) {
-        *stats = local;
-    }
-    return parsed;
+    auto view = open_index_view(bytes, size, std::move(backing),
+                                /*checked=*/true);
+    local.parse_seconds = seconds_since(t0);
+    local.mapped = mapped && view.ok();
+    return finish(std::move(view));
 }
 
 Result<std::size_t>
 IndexCacheStore::store(std::uint64_t content_key,
                        const ExecutableIndex &index) const
 {
-    const ByteBuffer bytes = serialize_index(index);
+    const std::span<const std::uint8_t> bytes = index.blob;
     const std::string path = path_for(content_key);
     // Unique per writer: concurrent stores of the same key each write
     // their own temp file and the last rename wins atomically.

@@ -9,27 +9,26 @@
  * file (sim/persist.h) named by the executable's content key
  * (eval::content_key — name + text bytes, so byte-identical executables
  * re-shipped across firmware versions share one entry, the section 5.2
- * observation). A warm scan loads `search_ready` indexes — procedure
- * strand sets and CSR postings — straight from disk and skips lift +
- * canonicalize + finalize entirely; entries written by older layouts
- * (e.g. FWIX v5) fail the parse guards as StaleFormat and are
+ * observation). An index is its FWIX blob, so a store write publishes
+ * the blob as it is, and a warm scan opens the stored bytes as an index
+ * — procedure strand sets and CSR postings straight from disk — skipping
+ * lift + canonicalize + pack entirely; entries written by older layouts
+ * (e.g. FWIX v5) fail the open guards as StaleFormat and are
  * transparently re-indexed.
  *
  * Two tiers sit above the disk bytes:
  *
- *  - the **mmap view path**: the flat layout lets load() map an
- *    entry and hand back an ExecutableIndex that *views* the mapped
- *    arenas (open_index_view) after a checksum pass — no vector
- *    materialization. The mapping is pinned by the index's `backing`
- *    and unmapped when the last copy drops it. `use_mmap = false` (the
- *    --no-mmap ablation) or any view-open failure falls back to the
- *    copying parser.
- *  - the **ResidentIndexCache**: a byte-budgeted LRU of deserialized
- *    indexes keyed by content key, shared across scans within one
- *    process, so back-to-back hunts skip even the open+checksum.
+ *  - the **mmap path**: load() maps an entry and opens the mapped bytes
+ *    with open_index_view after a checksum pass — no copies. The
+ *    mapping is pinned by the index's `backing` and unmapped when the
+ *    last copy drops it. `use_mmap = false` (--no-mmap), or a map that
+ *    fails, reads the file into a heap buffer and opens that instead.
+ *  - the **ResidentIndexCache**: a byte-budgeted LRU of opened indexes
+ *    keyed by content key, shared across scans within one process, so
+ *    back-to-back hunts skip even the open+checksum.
  *
  * Robustness contract:
- *  - writes are atomic AND durable: serialize to `<entry>.tmp-<tid>`,
+ *  - writes are atomic AND durable: write to `<entry>.tmp-<tid>`,
  *    fsync the temp file, rename over the final path, then fsync the
  *    parent directory — a crash at any point leaves either the old
  *    entry, the complete new entry, or nothing (never a torn file, and
@@ -58,9 +57,9 @@ class IndexCacheStore
   public:
     /**
      * Per-load timing attribution for ScanHealth's cache_load split:
-     * open (file open + read or mmap), checksum (the container guards),
-     * parse (view open or copying parse). `mapped` records which load
-     * path actually served the bytes — the view can fall back.
+     * open (file open + mmap or read), checksum (the container guards),
+     * parse (open_index_view). `mapped` is set when a mapped file
+     * served the returned index — a failed map falls back to a read.
      */
     struct LoadStats
     {
@@ -83,26 +82,19 @@ class IndexCacheStore
     std::string path_for(std::uint64_t content_key) const;
 
     /**
-     * Load the entry for @p content_key. With @p use_mmap (and a host
-     * where open_view_supported()), the entry is mapped and opened as a
-     * zero-copy view whose mapping lives exactly as long as the
-     * returned index (or any copy of it); otherwise the bytes are read
-     * and parsed into an owning index. Errors: IoError when the entry
-     * does not exist or cannot be read; MalformedContainer /
-     * TruncatedMember / StaleFormat when it fails the FWIX guards.
-     * All of them mean "cache miss" to the caller.
+     * Load the entry for @p content_key. With @p use_mmap the entry is
+     * mapped, otherwise (or when the map fails) it is read into a heap
+     * buffer; either way the bytes are opened with open_index_view and
+     * live exactly as long as the returned index (or any copy of it).
+     * Errors: IoError when the entry does not exist or cannot be read;
+     * MalformedContainer / TruncatedMember / StaleFormat when it fails
+     * the FWIX guards. All of them mean "cache miss" to the caller.
      */
     Result<ExecutableIndex> load(std::uint64_t content_key, bool use_mmap,
                                  LoadStats *stats = nullptr) const;
 
-    /** Copying-parser convenience overload (no mmap, no stats). */
-    Result<ExecutableIndex> load(std::uint64_t content_key) const
-    {
-        return load(content_key, false, nullptr);
-    }
-
     /**
-     * Serialize @p index and atomically publish it as the entry for
+     * Atomically publish @p index's blob as the entry for
      * @p content_key (write temp + fsync + rename + fsync parent dir).
      * Safe to call from worker threads. @return bytes written.
      */
@@ -114,14 +106,13 @@ class IndexCacheStore
 };
 
 /**
- * Process-wide LRU of deserialized (or mapped) indexes, keyed by
- * content key, bounded by a byte budget measured with
- * ExecutableIndex::memory_bytes().
+ * Process-wide LRU of opened indexes, keyed by content key, bounded by
+ * a byte budget measured with ExecutableIndex::memory_bytes().
  *
  * Shared-ownership pin contract: get() hands out shared_ptrs, and
- * eviction only drops the cache's own reference — an index (and, in
- * view mode, the file mapping behind it) stays fully valid for as long
- * as any caller still holds it, even if it is evicted mid-scan. There
+ * eviction only drops the cache's own reference — an index (and the
+ * blob or file mapping behind it) stays fully valid for as long as any
+ * caller still holds it, even if it is evicted mid-scan. There
  * is therefore no "in use" bookkeeping and no way for the budget knob
  * to change scan findings: a smaller budget only converts resident hits
  * back into store loads.

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string_view>
 
 #include "support/hash.h"
+#include "support/trace.h"
 
 namespace firmup::sim {
 
@@ -56,6 +58,11 @@ constexpr std::size_t kProcPad = 36;       // u32, zero
 
 constexpr std::uint8_t kDirFlagReady = 1u << 0;
 
+const trace::Counter c_index_builds("index.builds");
+const trace::Counter c_posting_hashes("index.posting_hashes");
+const trace::Counter c_posting_incidences("index.posting_incidences");
+const trace::Counter c_indexed_procs("index.procedures");
+
 std::uint64_t
 payload_checksum(const std::uint8_t *bytes, std::size_t size)
 {
@@ -68,46 +75,65 @@ payload_checksum(const std::uint8_t *bytes, std::size_t size)
         reinterpret_cast<const char *>(bytes), size));
 }
 
-Result<ExecutableIndex>
+template <typename T>
+Result<T>
 malformed(const std::string &what)
 {
-    return Result<ExecutableIndex>::error(ErrorCode::MalformedContainer,
-                                          "fwix: " + what);
+    return Result<T>::error(ErrorCode::MalformedContainer, "fwix: " + what);
 }
 
-Result<ExecutableIndex>
+template <typename T>
+Result<T>
 truncated(const std::string &what)
 {
-    return Result<ExecutableIndex>::error(ErrorCode::TruncatedMember,
-                                          "fwix: truncated " + what);
+    return Result<T>::error(ErrorCode::TruncatedMember,
+                            "fwix: truncated " + what);
 }
 
-/** Backpatch a u64 little-endian at a fixed position. */
 void
-poke_u64(ByteBuffer &out, std::size_t at, std::uint64_t value)
+poke_u64(std::uint8_t *at, std::uint64_t value)
 {
     for (int i = 0; i < 8; ++i) {
-        out[at + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(value >> (8 * i));
+        at[i] = static_cast<std::uint8_t>(value >> (8 * i));
     }
 }
 
 void
-poke_u32(ByteBuffer &out, std::size_t at, std::uint32_t value)
+poke_u32(std::uint8_t *at, std::uint32_t value)
 {
     for (int i = 0; i < 4; ++i) {
-        out[at + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(value >> (8 * i));
+        at[i] = static_cast<std::uint8_t>(value >> (8 * i));
     }
 }
 
-/** Append zero bytes until out.size() is a multiple of @p align. */
+/** Store @p value in host byte order (the in-place arenas). */
+template <typename T>
 void
-pad_to(ByteBuffer &out, std::size_t align)
+poke_host(std::uint8_t *at, T value)
 {
-    while (out.size() % align != 0) {
-        out.push_back(0);
-    }
+    std::memcpy(at, &value, sizeof value);
+}
+
+constexpr std::size_t
+align8(std::size_t n)
+{
+    return (n + 7) & ~std::size_t{7};
+}
+
+/** The arena at @p off, read in place as @p count Ts (validated). */
+template <typename T>
+std::span<const T>
+arena(const std::uint8_t *bytes, std::uint64_t off, std::uint64_t count)
+{
+    return {reinterpret_cast<const T *>(bytes + off),
+            static_cast<std::size_t>(count)};
+}
+
+bool
+strictly_ascending(std::span<const std::uint64_t> hashes)
+{
+    return std::adjacent_find(hashes.begin(), hashes.end(),
+                              std::greater_equal<>()) == hashes.end();
 }
 
 /**
@@ -117,7 +143,6 @@ pad_to(ByteBuffer &out, std::size_t align)
 struct Directory
 {
     isa::Arch arch = isa::Arch::Mips32;
-    bool ready = false;
     std::uint32_t proc_count = 0;
     std::uint64_t name_off = 0, name_len = 0;
     std::uint64_t names_off = 0, names_len = 0;
@@ -131,34 +156,36 @@ struct Directory
 /**
  * Decode + validate the directory. Memory-safety contract: on success,
  * every arena [off, off + count * elem) lies within [kDirEnd, size) with
- * the alignment its element type needs, so arena pointers handed out by
- * the view path can never read out of bounds.
+ * the alignment its element type needs, so the spans the view hands out
+ * can never read out of bounds.
  */
-Result<ExecutableIndex>
-read_directory(const std::uint8_t *bytes, std::size_t size, Directory &dir,
-               bool *ok)
+Result<Directory>
+read_directory(const std::uint8_t *bytes, std::size_t size)
 {
-    *ok = false;
     if (size < kDirEnd) {
-        return truncated("directory");
+        return truncated<Directory>("directory");
     }
     if (read_u64_le(bytes + kDirTotalSize) != size) {
-        return malformed("total size mismatch");
+        return malformed<Directory>("total size mismatch");
     }
     if (read_u16_le(bytes + kHeaderSize) != 0 ||
         read_u16_le(bytes + kDirPad) != 0) {
-        return malformed("bad padding");
+        return malformed<Directory>("bad padding");
     }
+    Directory dir;
     const std::uint8_t arch_byte = bytes[kDirArch];
     if (arch_byte > static_cast<std::uint8_t>(isa::Arch::X86)) {
-        return malformed("bad arch");
+        return malformed<Directory>("bad arch");
     }
     dir.arch = static_cast<isa::Arch>(arch_byte);
     const std::uint8_t flags = bytes[kDirFlags];
     if ((flags & ~kDirFlagReady) != 0) {
-        return malformed("bad header flags");
+        return malformed<Directory>("bad header flags");
     }
-    dir.ready = (flags & kDirFlagReady) != 0;
+    if ((flags & kDirFlagReady) == 0) {
+        // Only indexes hand-built without posting lists wrote these.
+        return malformed<Directory>("blob is not search-ready");
+    }
     dir.proc_count = read_u32_le(bytes + kDirProcCount);
     dir.name_off = read_u64_le(bytes + kDirNameOff);
     dir.name_len = read_u64_le(bytes + kDirNameLen);
@@ -188,29 +215,23 @@ read_directory(const std::uint8_t *bytes, std::size_t size, Directory &dir,
     };
     if (!arena_ok(dir.name_off, dir.name_len, 1, 1) ||
         !arena_ok(dir.names_off, dir.names_len, 1, 1)) {
-        return truncated("name arena");
+        return truncated<Directory>("name arena");
     }
     if (!arena_ok(dir.proc_table_off, dir.proc_count, kProcRecSize, 8)) {
-        return truncated("proc table");
+        return truncated<Directory>("proc table");
     }
     if (!arena_ok(dir.hashes_off, dir.hashes_count, 8, 8)) {
-        return truncated("hash arena");
+        return truncated<Directory>("hash arena");
     }
     if (!arena_ok(dir.ph_off, dir.ph_count, 8, 8) ||
         !arena_ok(dir.po_off, dir.po_count, 4, 4) ||
         !arena_ok(dir.pp_off, dir.pp_count, 4, 4)) {
-        return truncated("posting arena");
+        return truncated<Directory>("posting arena");
     }
-    if (dir.ready) {
-        if (dir.po_count != dir.ph_count + 1) {
-            return malformed("inconsistent posting shape");
-        }
-    } else if (dir.ph_count != 0 || dir.po_count != 0 ||
-               dir.pp_count != 0) {
-        return malformed("posting state without ready flag");
+    if (dir.po_count != dir.ph_count + 1) {
+        return malformed<Directory>("inconsistent posting shape");
     }
-    *ok = true;
-    return malformed("unreachable");  // discarded when *ok
+    return dir;
 }
 
 /** One decoded proc-table record, validated against the directory. */
@@ -225,14 +246,14 @@ struct ProcRec
     std::uint32_t stmt_count = 0;
 };
 
-Result<ExecutableIndex>
+Result<ProcRec>
 read_proc_rec(const std::uint8_t *bytes, const Directory &dir,
-              std::uint32_t i, ProcRec &rec, bool *ok)
+              std::uint32_t i)
 {
-    *ok = false;
     const std::uint8_t *p =
         bytes + dir.proc_table_off +
         static_cast<std::size_t>(i) * kProcRecSize;
+    ProcRec rec;
     rec.entry = read_u64_le(p + kProcEntry);
     rec.hash_off = read_u64_le(p + kProcHashOff);
     rec.hash_count = read_u32_le(p + kProcHashCount);
@@ -241,74 +262,42 @@ read_proc_rec(const std::uint8_t *bytes, const Directory &dir,
     rec.block_count = read_u32_le(p + kProcBlocks);
     rec.stmt_count = read_u32_le(p + kProcStmts);
     if (read_u32_le(p + kProcPad) != 0) {
-        return malformed("bad proc padding");
+        return malformed<ProcRec>("bad proc padding");
     }
     // Hash span: absolute, 8-aligned, wholly inside the hash arena.
     if (rec.hash_off < dir.hashes_off ||
         (rec.hash_off & 7) != 0 ||
         (rec.hash_off - dir.hashes_off) / 8 + rec.hash_count >
             dir.hashes_count) {
-        return truncated("proc hash span");
+        return truncated<ProcRec>("proc hash span");
     }
     // Name span: relative, wholly inside the names arena.
     if (rec.name_off > dir.names_len ||
         rec.name_len > dir.names_len - rec.name_off) {
-        return truncated("proc name span");
+        return truncated<ProcRec>("proc name span");
     }
-    *ok = true;
-    return malformed("unreachable");  // discarded when *ok
+    return rec;
 }
 
 /**
- * CSR posting safety scan, shared by both load paths: offsets start at
- * 0, never decrease, end exactly at pp_count, and every procedure index
- * is in range. These bound every downstream posting walk (e.g. the
- * per-procedure accumulators in shared_candidates), so they are
- * mandatory even on the zero-copy path. Strict ascending order of the
- * posting *hashes* is a semantic property the checksum vouches for; the
- * copying parser re-checks it (it is touching every byte anyway), the
- * view path does not.
+ * CSR posting safety scan: offsets start at 0, never decrease, end
+ * exactly at the incidence count, and every procedure index is in
+ * range. These bound every downstream posting walk (e.g. the
+ * per-procedure accumulators in shared_candidates).
  */
 bool
-postings_safe(const std::uint8_t *bytes, const Directory &dir)
+postings_safe(const ExecutableIndex &index)
 {
-    if (!dir.ready) {
-        return true;
-    }
-    const std::uint8_t *po = bytes + dir.po_off;
-    std::uint32_t prev = 0;
-    for (std::uint64_t i = 0; i < dir.po_count; ++i) {
-        const std::uint32_t o = read_u32_le(po + 4 * i);
-        if (o < prev) {
-            return false;
-        }
-        prev = o;
-    }
-    if (read_u32_le(po) != 0 ||
-        read_u32_le(po + 4 * (dir.po_count - 1)) != dir.pp_count) {
+    const auto &offsets = index.posting_offsets;
+    if (offsets.front() != 0 ||
+        offsets.back() != index.posting_procs.size() ||
+        !std::is_sorted(offsets.begin(), offsets.end())) {
         return false;
     }
-    const std::uint8_t *pp = bytes + dir.pp_off;
-    for (std::uint64_t i = 0; i < dir.pp_count; ++i) {
-        if (read_u32_le(pp + 4 * i) >= dir.proc_count) {
-            return false;
-        }
-    }
-    return true;
-}
-
-/** Rebuild the O(procs) lookup maps (first occurrence wins). */
-void
-rebuild_maps(ExecutableIndex &index)
-{
-    index.entry_map.reserve(index.procs.size());
-    index.name_map.reserve(index.procs.size());
-    for (std::size_t i = 0; i < index.procs.size(); ++i) {
-        index.entry_map.emplace(index.procs[i].entry,
-                                static_cast<int>(i));
-        index.name_map.emplace(index.procs[i].name,
-                               static_cast<int>(i));
-    }
+    return std::all_of(index.posting_procs.begin(),
+                       index.posting_procs.end(), [&](std::uint32_t p) {
+                           return p < index.procs.size();
+                       });
 }
 
 }  // namespace
@@ -334,108 +323,118 @@ fwix_layout_hash()
     return hash;
 }
 
-ByteBuffer
-serialize_index(const ExecutableIndex &index)
+ExecutableIndex
+build_index(const std::string &name, isa::Arch arch,
+            const std::vector<ProcInput> &procs)
 {
-    ByteBuffer out;
-    for (std::uint8_t byte : kMagic) {
-        out.push_back(byte);
+    // CSR inverted index: one (hash, proc) incidence per strand, sorted
+    // by hash then procedure so every posting list is ascending.
+    std::size_t hash_total = 0;
+    std::size_t names_len = 0;
+    for (const ProcInput &proc : procs) {
+        hash_total += proc.repr.hashes.size();
+        names_len += proc.name.size();
     }
-    append_u16_le(out, kFwixVersion);
-    append_u64_le(out, fwix_layout_hash());
-    append_u64_le(out, 0);  // checksum backpatched below
-    append_u16_le(out, 0);  // pad so the directory starts 8-aligned
-
-    // Zeroed directory; every field is backpatched once the arena
-    // offsets are known.
-    out.resize(kDirEnd, 0);
-    out[kDirArch] = static_cast<std::uint8_t>(index.arch);
-    out[kDirFlags] = index.search_ready ? kDirFlagReady : 0;
-    poke_u32(out, kDirProcCount,
-             static_cast<std::uint32_t>(index.procs.size()));
-
-    // Arena 1: executable name.
-    poke_u64(out, kDirNameOff, out.size());
-    poke_u64(out, kDirNameLen, index.name.size());
-    out.insert(out.end(), index.name.begin(), index.name.end());
-
-    // Arena 2: concatenated procedure names (per-proc u32 spans).
-    pad_to(out, 8);
-    const std::size_t names_off = out.size();
-    std::vector<std::uint32_t> proc_name_offs(index.procs.size());
-    for (std::size_t i = 0; i < index.procs.size(); ++i) {
-        proc_name_offs[i] =
-            static_cast<std::uint32_t>(out.size() - names_off);
-        out.insert(out.end(), index.procs[i].name.begin(),
-                   index.procs[i].name.end());
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> incidences;
+    incidences.reserve(hash_total);
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+        for (const std::uint64_t h : procs[i].repr.hashes) {
+            incidences.emplace_back(h, static_cast<std::uint32_t>(i));
+        }
     }
-    poke_u64(out, kDirNamesOff, names_off);
-    poke_u64(out, kDirNamesLen, out.size() - names_off);
+    std::sort(incidences.begin(), incidences.end());
+    std::size_t rows = 0;
+    for (std::size_t k = 0; k < incidences.size(); ++k) {
+        rows += k == 0 || incidences[k].first != incidences[k - 1].first;
+    }
 
-    // Arena 3: the packed proc table (hash offsets backpatched after
-    // the hash arena is laid out).
-    pad_to(out, 8);
-    const std::size_t proc_table_off = out.size();
-    poke_u64(out, kDirProcTableOff, proc_table_off);
-    out.resize(proc_table_off + index.procs.size() * kProcRecSize, 0);
+    // Arenas in directory order, each aligned to its element type; the
+    // buffer starts zeroed, so every pad byte is 0.
+    const std::size_t name_off = kDirEnd;
+    const std::size_t names_off = align8(name_off + name.size());
+    const std::size_t proc_table_off = align8(names_off + names_len);
+    const std::size_t hashes_off =
+        proc_table_off + procs.size() * kProcRecSize;
+    const std::size_t ph_off = hashes_off + hash_total * 8;
+    const std::size_t po_off = ph_off + rows * 8;
+    const std::size_t pp_off = po_off + (rows + 1) * 4;
+    const std::size_t total = pp_off + incidences.size() * 4;
+    auto blob = std::make_shared<ByteBuffer>(total, 0);
+    std::uint8_t *out = blob->data();
 
-    // Arena 4: every procedure's hashes, concatenated.
-    const std::size_t hashes_off = out.size();  // 8-aligned: table end
-    for (std::size_t i = 0; i < index.procs.size(); ++i) {
-        const ProcEntry &proc = index.procs[i];
-        const std::size_t rec = proc_table_off + i * kProcRecSize;
-        poke_u64(out, rec + kProcEntry, proc.entry);
-        poke_u64(out, rec + kProcHashOff, out.size());
-        poke_u32(out, rec + kProcHashCount,
-                 static_cast<std::uint32_t>(proc.repr.hash_count()));
-        poke_u32(out, rec + kProcNameOff, proc_name_offs[i]);
-        poke_u32(out, rec + kProcNameLen,
+    std::memcpy(out, kMagic, sizeof kMagic);
+    out[4] = static_cast<std::uint8_t>(kFwixVersion);
+    out[5] = static_cast<std::uint8_t>(kFwixVersion >> 8);
+    poke_u64(out + 6, fwix_layout_hash());
+    poke_u64(out + kDirTotalSize, total);
+    out[kDirArch] = static_cast<std::uint8_t>(arch);
+    out[kDirFlags] = kDirFlagReady;
+    poke_u32(out + kDirProcCount, static_cast<std::uint32_t>(procs.size()));
+    poke_u64(out + kDirNameOff, name_off);
+    poke_u64(out + kDirNameLen, name.size());
+    poke_u64(out + kDirNamesOff, names_off);
+    poke_u64(out + kDirNamesLen, names_len);
+    poke_u64(out + kDirProcTableOff, proc_table_off);
+    poke_u64(out + kDirHashesOff, hashes_off);
+    poke_u64(out + kDirHashesCount, hash_total);
+    poke_u64(out + kDirPhOff, ph_off);
+    poke_u64(out + kDirPhCount, rows);
+    poke_u64(out + kDirPoOff, po_off);
+    poke_u64(out + kDirPoCount, rows + 1);
+    poke_u64(out + kDirPpOff, pp_off);
+    poke_u64(out + kDirPpCount, incidences.size());
+    std::memcpy(out + name_off, name.data(), name.size());
+
+    std::size_t name_at = 0;  // relative to the names arena
+    std::size_t hash_at = hashes_off;
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+        const ProcInput &proc = procs[i];
+        const std::vector<std::uint64_t> &hashes = proc.repr.hashes;
+        std::uint8_t *rec = out + proc_table_off + i * kProcRecSize;
+        poke_u64(rec + kProcEntry, proc.entry);
+        poke_u64(rec + kProcHashOff, hash_at);
+        poke_u32(rec + kProcHashCount,
+                 static_cast<std::uint32_t>(hashes.size()));
+        poke_u32(rec + kProcNameOff, static_cast<std::uint32_t>(name_at));
+        poke_u32(rec + kProcNameLen,
                  static_cast<std::uint32_t>(proc.name.size()));
-        poke_u32(out, rec + kProcBlocks,
+        poke_u32(rec + kProcBlocks,
                  static_cast<std::uint32_t>(proc.repr.block_count));
-        poke_u32(out, rec + kProcStmts,
+        poke_u32(rec + kProcStmts,
                  static_cast<std::uint32_t>(proc.repr.stmt_count));
-        const std::uint64_t *hashes = proc.repr.hash_data();
-        for (std::size_t h = 0; h < proc.repr.hash_count(); ++h) {
-            append_u64_le(out, hashes[h]);
+        std::memcpy(out + names_off + name_at, proc.name.data(),
+                    proc.name.size());
+        name_at += proc.name.size();
+        if (!hashes.empty()) {  // an empty vector's data() may be null
+            std::memcpy(out + hash_at, hashes.data(), hashes.size() * 8);
         }
+        hash_at += hashes.size() * 8;
     }
-    poke_u64(out, kDirHashesOff, hashes_off);
-    poke_u64(out, kDirHashesCount, (out.size() - hashes_off) / 8);
-
-    // Arenas 5-7: the CSR posting triple. The entry/name maps are not
-    // serialized — they are rebuilt in O(procs) at load, which keeps
-    // the blob byte-deterministic (unordered_map iteration order is
-    // not).
-    poke_u64(out, kDirPhOff, out.size());
-    if (index.search_ready) {
-        poke_u64(out, kDirPhCount, index.posting_hash_count());
-        const std::uint64_t *ph = index.posting_hash_data();
-        for (std::size_t i = 0; i < index.posting_hash_count(); ++i) {
-            append_u64_le(out, ph[i]);
+    std::size_t row = 0;
+    for (std::size_t k = 0; k < incidences.size(); ++k) {
+        const auto [hash, proc] = incidences[k];
+        if (k == 0 || hash != incidences[k - 1].first) {
+            poke_host(out + ph_off + 8 * row, hash);
+            poke_host(out + po_off + 4 * row,
+                      static_cast<std::uint32_t>(k));
+            ++row;
         }
-        poke_u64(out, kDirPoOff, out.size());
-        poke_u64(out, kDirPoCount, index.posting_hash_count() + 1);
-        const std::uint32_t *po = index.posting_offset_data();
-        for (std::size_t i = 0; i <= index.posting_hash_count(); ++i) {
-            append_u32_le(out, po[i]);
-        }
-        poke_u64(out, kDirPpOff, out.size());
-        poke_u64(out, kDirPpCount, index.posting_proc_count());
-        const std::uint32_t *pp = index.posting_proc_data();
-        for (std::size_t i = 0; i < index.posting_proc_count(); ++i) {
-            append_u32_le(out, pp[i]);
-        }
-    } else {
-        poke_u64(out, kDirPoOff, out.size());
-        poke_u64(out, kDirPpOff, out.size());
+        poke_host(out + pp_off + 4 * k, proc);
     }
+    poke_host(out + po_off + 4 * rows,
+              static_cast<std::uint32_t>(incidences.size()));
+    poke_u64(out + 14, payload_checksum(out + kHeaderSize,
+                                        total - kHeaderSize));
 
-    poke_u64(out, kDirTotalSize, out.size());
-    const std::uint64_t checksum = payload_checksum(
-        out.data() + kHeaderSize, out.size() - kHeaderSize);
-    poke_u64(out, 4 + 2 + 8, checksum);
-    return out;
+    auto view = open_index_view(out, total, blob, /*checked=*/true);
+    // A blob packed here fails to open only when a caller handed in
+    // hashes that are not sorted and unique.
+    FIRMUP_ASSERT(view.ok(), "build_index: " + view.error_message());
+    c_index_builds.add();
+    c_posting_hashes.add(rows);
+    c_posting_incidences.add(incidences.size());
+    c_indexed_procs.add(procs.size());
+    return std::move(view).take();
 }
 
 Result<bool>
@@ -469,115 +468,11 @@ check_container(const std::uint8_t *bytes, std::size_t size)
 }
 
 Result<ExecutableIndex>
-parse_index(const std::uint8_t *bytes, std::size_t size)
-{
-    auto checked = check_container(bytes, size);
-    if (!checked.ok()) {
-        return Result<ExecutableIndex>::error_from(checked);
-    }
-    Directory dir;
-    bool dir_ok = false;
-    auto dir_err = read_directory(bytes, size, dir, &dir_ok);
-    if (!dir_ok) {
-        return dir_err;
-    }
-
-    ExecutableIndex index;
-    index.arch = dir.arch;
-    index.name.assign(
-        reinterpret_cast<const char *>(bytes + dir.name_off),
-        dir.name_len);
-    index.procs.reserve(dir.proc_count);
-    for (std::uint32_t i = 0; i < dir.proc_count; ++i) {
-        ProcRec rec;
-        bool rec_ok = false;
-        auto rec_err = read_proc_rec(bytes, dir, i, rec, &rec_ok);
-        if (!rec_ok) {
-            return rec_err;
-        }
-        ProcEntry proc;
-        proc.entry = rec.entry;
-        proc.name.assign(reinterpret_cast<const char *>(
-                             bytes + dir.names_off + rec.name_off),
-                         rec.name_len);
-        proc.repr.block_count = rec.block_count;
-        proc.repr.stmt_count = rec.stmt_count;
-        proc.repr.hashes.reserve(rec.hash_count);
-        bool sorted = true;
-        for (std::uint32_t h = 0; h < rec.hash_count; ++h) {
-            const std::uint64_t value =
-                read_u64_le(bytes + rec.hash_off + 8ull * h);
-            sorted &= proc.repr.hashes.empty() ||
-                      proc.repr.hashes.back() < value;
-            proc.repr.add(value);
-        }
-        if (!sorted) {
-            // Only blobs serialized from hand-built, never-finalized
-            // indexes land here (the checksum vouches these are the
-            // bytes serialize_index wrote); restore the flat-set
-            // invariant for them.
-            proc.repr.finalize();
-        }
-        index.procs.push_back(std::move(proc));
-    }
-
-    if (!dir.ready) {
-        index.finalize();
-        return index;
-    }
-    if (!postings_safe(bytes, dir)) {
-        return malformed("inconsistent posting shape");
-    }
-    index.posting_hashes.reserve(dir.ph_count);
-    for (std::uint64_t i = 0; i < dir.ph_count; ++i) {
-        index.posting_hashes.push_back(
-            read_u64_le(bytes + dir.ph_off + 8 * i));
-    }
-    // Semantic re-check the view path skips: the posting hash union is
-    // strictly ascending. The copying parser touches every byte anyway,
-    // so it keeps the v2-era strictness.
-    for (std::size_t i = 1; i < index.posting_hashes.size(); ++i) {
-        if (index.posting_hashes[i] <= index.posting_hashes[i - 1]) {
-            return malformed("unsorted posting hashes");
-        }
-    }
-    index.posting_offsets.reserve(dir.po_count);
-    for (std::uint64_t i = 0; i < dir.po_count; ++i) {
-        index.posting_offsets.push_back(
-            read_u32_le(bytes + dir.po_off + 4 * i));
-    }
-    index.posting_procs.reserve(dir.pp_count);
-    for (std::uint64_t i = 0; i < dir.pp_count; ++i) {
-        index.posting_procs.push_back(
-            read_u32_le(bytes + dir.pp_off + 4 * i));
-    }
-    rebuild_maps(index);
-    index.search_ready = true;
-    return index;
-}
-
-Result<ExecutableIndex>
-parse_index(const ByteBuffer &bytes)
-{
-    return parse_index(bytes.data(), bytes.size());
-}
-
-bool
-open_view_supported()
-{
-#if defined(__BYTE_ORDER__) && defined(__ORDER_LITTLE_ENDIAN__)
-    return __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__;
-#else
-    return false;
-#endif
-}
-
-Result<ExecutableIndex>
 open_index_view(const std::uint8_t *bytes, std::size_t size,
                 std::shared_ptr<const void> backing, bool checked)
 {
-    if (!open_view_supported()) {
-        return malformed("view unsupported on this host");
+    if (reinterpret_cast<std::uintptr_t>(bytes) % 8 != 0) {
+        return malformed<ExecutableIndex>("blob is not 8-byte aligned");
     }
     if (!checked) {
         auto guard = check_container(bytes, size);
@@ -585,20 +480,11 @@ open_index_view(const std::uint8_t *bytes, std::size_t size,
             return Result<ExecutableIndex>::error_from(guard);
         }
     }
-    Directory dir;
-    bool dir_ok = false;
-    auto dir_err = read_directory(bytes, size, dir, &dir_ok);
-    if (!dir_ok) {
-        return dir_err;
+    auto decoded = read_directory(bytes, size);
+    if (!decoded.ok()) {
+        return Result<ExecutableIndex>::error_from(decoded);
     }
-    if (!dir.ready) {
-        // A non-finalized blob needs finalize(), which builds vectors;
-        // callers fall back to the copying parser.
-        return malformed("view requires a search-ready blob");
-    }
-    if (!postings_safe(bytes, dir)) {
-        return malformed("inconsistent posting shape");
-    }
+    const Directory &dir = decoded.value();
 
     ExecutableIndex index;
     index.arch = dir.arch;
@@ -607,37 +493,47 @@ open_index_view(const std::uint8_t *bytes, std::size_t size,
         dir.name_len);
     index.procs.reserve(dir.proc_count);
     for (std::uint32_t i = 0; i < dir.proc_count; ++i) {
-        ProcRec rec;
-        bool rec_ok = false;
-        auto rec_err = read_proc_rec(bytes, dir, i, rec, &rec_ok);
-        if (!rec_ok) {
-            return rec_err;
+        auto decoded_rec = read_proc_rec(bytes, dir, i);
+        if (!decoded_rec.ok()) {
+            return Result<ExecutableIndex>::error_from(decoded_rec);
         }
+        const ProcRec &rec = decoded_rec.value();
         ProcEntry proc;
         proc.entry = rec.entry;
         proc.name.assign(reinterpret_cast<const char *>(
                              bytes + dir.names_off + rec.name_off),
                          rec.name_len);
-        proc.repr.hash_view = reinterpret_cast<const std::uint64_t *>(
-            bytes + rec.hash_off);
-        proc.repr.hash_view_count = rec.hash_count;
-        proc.repr.block_count = rec.block_count;
-        proc.repr.stmt_count = rec.stmt_count;
+        proc.strands =
+            arena<std::uint64_t>(bytes, rec.hash_off, rec.hash_count);
+        if (!strictly_ascending(proc.strands)) {
+            return malformed<ExecutableIndex>("unsorted procedure hashes");
+        }
+        proc.block_count = rec.block_count;
+        proc.stmt_count = rec.stmt_count;
         index.procs.push_back(std::move(proc));
     }
-    index.posting_hashes_view =
-        reinterpret_cast<const std::uint64_t *>(bytes + dir.ph_off);
-    index.posting_offsets_view =
-        reinterpret_cast<const std::uint32_t *>(bytes + dir.po_off);
-    index.posting_procs_view =
-        reinterpret_cast<const std::uint32_t *>(bytes + dir.pp_off);
-    index.posting_count_view = static_cast<std::uint32_t>(dir.ph_count);
-    index.posting_procs_count_view =
-        static_cast<std::uint32_t>(dir.pp_count);
-    rebuild_maps(index);
-    index.search_ready = true;
+    index.posting_hashes =
+        arena<std::uint64_t>(bytes, dir.ph_off, dir.ph_count);
+    index.posting_offsets =
+        arena<std::uint32_t>(bytes, dir.po_off, dir.po_count);
+    index.posting_procs =
+        arena<std::uint32_t>(bytes, dir.pp_off, dir.pp_count);
+    if (!postings_safe(index)) {
+        return malformed<ExecutableIndex>("inconsistent posting shape");
+    }
+    if (!strictly_ascending(index.posting_hashes)) {
+        return malformed<ExecutableIndex>("unsorted posting hashes");
+    }
+    // The lookup maps are rebuilt here rather than stored, which keeps
+    // the blob byte-deterministic (unordered_map order is not).
+    index.entry_map.reserve(index.procs.size());
+    index.name_map.reserve(index.procs.size());
+    for (std::size_t i = 0; i < index.procs.size(); ++i) {
+        index.entry_map.emplace(index.procs[i].entry, static_cast<int>(i));
+        index.name_map.emplace(index.procs[i].name, static_cast<int>(i));
+    }
+    index.blob = {bytes, size};
     index.backing = std::move(backing);
-    index.mapped_bytes = size;
     return index;
 }
 

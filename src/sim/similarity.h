@@ -11,17 +11,17 @@
  *
  * An ExecutableIndex is the unit both the game and the baselines operate
  * on: every procedure of one executable, represented as strand hash
- * sets, plus — once finalize() has run — the search acceleration
- * structures that make corpus-scale matching cheap: a CSR inverted index
- * (strand hash → posting list of procedure indices) and hashed
- * entry/name lookup maps. Most (q, t) procedure pairs in a corpus share
- * zero strands; the posting lists let GetBestMatch touch only the pairs
- * that share at least one.
+ * sets, plus the search acceleration structures that make corpus-scale
+ * matching cheap: a CSR inverted index (strand hash → posting list of
+ * procedure indices) and hashed entry/name lookup maps. Most (q, t)
+ * procedure pairs in a corpus share zero strands; the posting lists let
+ * GetBestMatch touch only the pairs that share at least one.
  */
 #pragma once
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -36,7 +36,10 @@ struct ProcEntry
 {
     std::uint64_t entry = 0;
     std::string name;  ///< empty when stripped
-    strand::ProcedureStrands repr;
+    /** Sorted, unique strand hashes: a span into the index's blob. */
+    std::span<const std::uint64_t> strands;
+    std::uint32_t block_count = 0;
+    std::uint32_t stmt_count = 0;
 };
 
 /** One candidate from the inverted index: a procedure and its exact Sim. */
@@ -46,7 +49,13 @@ struct Candidate
     int sim = 0;     ///< |shared strands| — exact, not an estimate
 };
 
-/** All procedures of one executable, represented for similarity search. */
+/**
+ * All procedures of one executable, represented for similarity search:
+ * a read-only view over one FWIX v6 blob (sim/persist.h). A fresh build
+ * packs the blob (build_index); a store load maps or reads it; both
+ * open it with open_index_view. Strand sets and postings are spans into
+ * the blob; only entries, names and the lookup maps are materialized.
+ */
 struct ExecutableIndex
 {
     std::string name;
@@ -54,107 +63,40 @@ struct ExecutableIndex
     std::vector<ProcEntry> procs;
 
     /**
-     * CSR inverted index, built by finalize(): posting_hashes is the
-     * sorted union of all strand hashes; the procedures containing
-     * posting_hashes[i] are posting_procs[posting_offsets[i] ..
-     * posting_offsets[i+1]), in ascending procedure order. Hand-built
-     * indexes that never call finalize() still work — every consumer
-     * falls back to a dense scan — but corpus-scale search wants this.
-     *
-     * Owning mode only: a view-mode index (FWIX mmap load) leaves
-     * these empty and points the *_view members into the mapped blob.
-     * Consumers go through the posting_*_data()/count() accessors.
+     * CSR inverted index: posting_hashes is the sorted union of all
+     * strand hashes; the procedures containing posting_hashes[i] are
+     * posting_procs[posting_offsets[i] .. posting_offsets[i+1]), in
+     * ascending procedure order. posting_offsets has
+     * posting_hashes.size() + 1 entries.
      */
-    std::vector<std::uint64_t> posting_hashes;
-    std::vector<std::uint32_t> posting_offsets;
-    std::vector<std::uint32_t> posting_procs;
-    bool search_ready = false;  ///< postings + lookup maps are built
+    std::span<const std::uint64_t> posting_hashes;
+    std::span<const std::uint32_t> posting_offsets;
+    std::span<const std::uint32_t> posting_procs;
+
+    /** The FWIX bytes every span above points into. */
+    std::span<const std::uint8_t> blob;
 
     /**
-     * Non-owning CSR views over an mmap'ed FWIX blob, pinned alive
-     * by `backing`. posting_offsets_view has posting_count_view + 1
-     * entries when set.
-     */
-    const std::uint64_t *posting_hashes_view = nullptr;
-    const std::uint32_t *posting_offsets_view = nullptr;
-    const std::uint32_t *posting_procs_view = nullptr;
-    std::uint32_t posting_count_view = 0;       ///< distinct hashes
-    std::uint32_t posting_procs_count_view = 0; ///< total incidences
-
-    /**
-     * Keepalive for view mode: holds the MappedFile (or byte buffer)
-     * every *_view pointer and every procs[i].repr.hash_view points
-     * into. Copying the index shares the mapping; the pages outlive
-     * every copy, so resident-cache eviction can never invalidate an
-     * in-use view. Null for owning-mode indexes.
+     * Keeps `blob` alive: the heap buffer of a fresh build, or the
+     * MappedFile or read buffer of a store load. Copying the index
+     * shares it, so resident-cache eviction can never invalidate an
+     * in-use index.
      */
     std::shared_ptr<const void> backing;
-    std::size_t mapped_bytes = 0;  ///< blob size behind `backing`
 
-    /** Hashed lookup maps (satellite of the posting build). */
+    /** Hashed lookup maps; the first occurrence of a key wins. */
     std::unordered_map<std::uint64_t, int> entry_map;
     std::unordered_map<std::string, int> name_map;
-
-    /**
-     * Build the posting lists and lookup maps. Called by
-     * index_executable() and parse_index(); call it yourself after
-     * assembling an index by hand to get the fast paths.
-     */
-    void finalize();
 
     /** Index of the procedure whose entry is @p addr, or -1. */
     int find_by_entry(std::uint64_t addr) const;
     /** Index of the first procedure named @p name, or -1. */
     int find_by_name(const std::string &name) const;
 
-    /** True when this index borrows its arenas from a mapped blob. */
-    bool view_mode() const { return posting_hashes_view != nullptr; }
-
-    /** Sorted union of strand hashes (owning or view storage). */
-    const std::uint64_t *
-    posting_hash_data() const
-    {
-        return posting_hashes_view != nullptr ? posting_hashes_view
-                                              : posting_hashes.data();
-    }
-
-    std::size_t
-    posting_hash_count() const
-    {
-        return posting_hashes_view != nullptr
-                   ? std::size_t{posting_count_view}
-                   : posting_hashes.size();
-    }
-
-    /** CSR row offsets; posting_hash_count() + 1 entries when built. */
-    const std::uint32_t *
-    posting_offset_data() const
-    {
-        return posting_offsets_view != nullptr ? posting_offsets_view
-                                               : posting_offsets.data();
-    }
-
-    /** CSR column (procedure) indices. */
-    const std::uint32_t *
-    posting_proc_data() const
-    {
-        return posting_procs_view != nullptr ? posting_procs_view
-                                             : posting_procs.data();
-    }
-
-    std::size_t
-    posting_proc_count() const
-    {
-        return posting_procs_view != nullptr
-                   ? std::size_t{posting_procs_count_view}
-                   : posting_procs.size();
-    }
-
     /**
      * Approximate bytes this index keeps resident — the accounting
-     * unit of the ResidentIndexCache byte budget. View mode charges
-     * the mapped blob plus the materialized per-procedure entries;
-     * owning mode sums the vectors.
+     * unit of the ResidentIndexCache byte budget: the blob, the
+     * per-procedure entries and the lookup maps.
      */
     std::size_t memory_bytes() const;
 };
@@ -175,15 +117,15 @@ ExecutableIndex index_executable(const lifter::LiftedExecutable &lifted,
                                  unsigned threads = 1);
 
 /**
- * Sim(q, t): the number of shared canonical strands. A two-pointer
- * merge over the sorted flat hash vectors, galloping from the smaller
+ * Sim(q, t): the number of shared canonical strands of two sorted,
+ * unique hash sets. A two-pointer merge, galloping from the smaller
  * side when the sizes are lopsided (>= 16x). The posting-list path
  * (shared_candidates) computes the same count for every procedure of an
- * executable at once; this pairwise form serves the baselines, the
- * procedure-centric ablation and indexes that never ran finalize().
+ * executable at once; this pairwise form serves the baselines and the
+ * procedure-centric ablation.
  */
-int sim_score(const strand::ProcedureStrands &q,
-              const strand::ProcedureStrands &t);
+int sim_score(std::span<const std::uint64_t> q,
+              std::span<const std::uint64_t> t);
 
 /** Work accounting for one or more shared_candidates calls. */
 struct ScoringStats
@@ -192,25 +134,23 @@ struct ScoringStats
     std::uint64_t pairs_scored = 0;
     /**
      * Element-level scoring operations: posting-list accumulations plus
-     * query-hash probes on the fast path; merge-length (|q|+|t|) per
-     * pair on the dense fallback. This is the unit in which the old
-     * dense GetBestMatch paid |q|+|t| per pair per call.
+     * query-hash probes. The old dense GetBestMatch paid |q|+|t| per
+     * pair per call in the same unit.
      */
     std::uint64_t elem_ops = 0;
 };
 
 /**
- * Every procedure of @p T sharing at least one strand with @p q, with
- * its exact Sim, in ascending procedure-index order. Uses the posting
- * lists when built (touching only procedures that share a strand, the
- * VulMatch-style signature pruning); otherwise scores every procedure
- * with sim_score.
+ * Every procedure of @p T sharing at least one strand with @p q (sorted,
+ * unique), with its exact Sim, in ascending procedure-index order. Reads
+ * the posting lists, so it touches only procedures that share a strand
+ * (the VulMatch-style signature pruning).
  * @param stats when non-null, accumulates the scoring work performed —
  *        the game's "pairwise scoring operations" metric.
  */
-std::vector<Candidate> shared_candidates(
-    const ExecutableIndex &T, const strand::ProcedureStrands &q,
-    ScoringStats *stats = nullptr);
+std::vector<Candidate> shared_candidates(const ExecutableIndex &T,
+                                         std::span<const std::uint64_t> q,
+                                         ScoringStats *stats = nullptr);
 
 /**
  * Statistical strand weights trained from a sample of procedures — the
@@ -230,8 +170,8 @@ GlobalContext train_global_context(
     const std::vector<const ExecutableIndex *> &sample);
 
 /** Weighted similarity: sum of weights of shared strands. */
-double weighted_sim(const strand::ProcedureStrands &q,
-                    const strand::ProcedureStrands &t,
+double weighted_sim(std::span<const std::uint64_t> q,
+                    std::span<const std::uint64_t> t,
                     const GlobalContext &context);
 
 }  // namespace firmup::sim

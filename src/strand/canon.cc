@@ -902,8 +902,7 @@ ProcedureStrands::finalize()
 bool
 ProcedureStrands::contains(std::uint64_t h) const
 {
-    const std::uint64_t *data = hash_data();
-    return std::binary_search(data, data + hash_count(), h);
+    return std::binary_search(hashes.begin(), hashes.end(), h);
 }
 
 ProcedureStrands

@@ -103,29 +103,13 @@ std::uint64_t strand_hash(const Strand &strand,
  * The set is stored flat — a sorted, deduplicated vector — so that
  * Sim(q, t) is a cache-friendly merge intersection instead of per-hash
  * tree lookups. Mutate via add() and restore the invariant with
- * finalize(); represent_procedure() and the index loaders do this for
- * you.
+ * finalize(); represent_procedure() and strand_set() do this for you.
+ * An ExecutableIndex packs these sets into its FWIX blob
+ * (sim::build_index) and hands them out as spans.
  */
 struct ProcedureStrands
 {
-    /**
-     * Sorted, unique strand hashes (flat set; see finalize()). Owning
-     * mode only: a view-mode set (FWIX mmap load) leaves this empty
-     * and points `hash_view` into the mapped blob instead. All readers
-     * must go through hash_data()/hash_count(), which dispatch to
-     * whichever storage is live; mutation (add/finalize) is an
-     * owning-mode operation.
-     */
-    std::vector<std::uint64_t> hashes;
-
-    /**
-     * Non-owning view of the hash set (sorted, unique), borrowed from
-     * an mmap'ed FWIX arena. Lifetime is pinned by the owning
-     * ExecutableIndex's `backing` handle, never by this struct.
-     */
-    const std::uint64_t *hash_view = nullptr;
-    std::uint32_t hash_view_count = 0;
-
+    std::vector<std::uint64_t> hashes;  ///< sorted, unique (finalize())
     std::size_t block_count = 0;
     std::size_t stmt_count = 0;
 
@@ -138,24 +122,7 @@ struct ProcedureStrands
     /** Membership by binary search (requires the flat-set invariant). */
     bool contains(std::uint64_t h) const;
 
-    /** First element of the live hash storage (owning or view). */
-    const std::uint64_t *
-    hash_data() const
-    {
-        return hash_view != nullptr ? hash_view : hashes.data();
-    }
-
-    /** Element count of the live hash storage (owning or view). */
-    std::size_t
-    hash_count() const
-    {
-        return hash_view != nullptr ? std::size_t{hash_view_count}
-                                    : hashes.size();
-    }
-
-    bool hash_empty() const { return hash_count() == 0; }
-
-    std::size_t size() const { return hash_count(); }
+    std::size_t size() const { return hashes.size(); }
 };
 
 /** Flat strand set from arbitrary, possibly duplicated hashes. */

@@ -1,9 +1,55 @@
 #include "support/fsio.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstring>
+
 namespace firmup {
+
+Result<ByteBuffer>
+read_file_bytes(const std::string &path)
+{
+    const auto fail = [&path](const char *what, int err) {
+        return Result<ByteBuffer>::error(
+            ErrorCode::IoError, std::string("cannot ") + what + " " +
+                                    path + ": " + std::strerror(err));
+    };
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+        return fail("open", errno);
+    }
+    struct stat st{};
+    if (::fstat(fd, &st) != 0) {
+        const int err = errno;
+        ::close(fd);
+        return fail("stat", err);
+    }
+    if (!S_ISREG(st.st_mode)) {
+        ::close(fd);
+        return fail("read", S_ISDIR(st.st_mode) ? EISDIR : EINVAL);
+    }
+    ByteBuffer bytes(static_cast<std::size_t>(st.st_size));
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+        const ssize_t n =
+            ::read(fd, bytes.data() + done, bytes.size() - done);
+        if (n < 0 && errno == EINTR) {
+            continue;
+        }
+        if (n <= 0) {
+            // A read error, or the file shrank under us.
+            const int err = n < 0 ? errno : EIO;
+            ::close(fd);
+            return fail("read", err);
+        }
+        done += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    return bytes;
+}
 
 bool
 fsync_path(const std::string &path)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Durability helpers for crash-safe persistence.
+ * File reads, and durability helpers for crash-safe persistence.
  *
  * The atomic write-via-rename idiom (IndexCacheStore, ScanJournal) is
  * only crash-safe when the temp file's *contents* reach stable storage
@@ -14,7 +14,18 @@
 #include <cstdio>
 #include <string>
 
+#include "support/bytes.h"
+#include "support/error.h"
+
 namespace firmup {
+
+/**
+ * Read the whole regular file @p path into a buffer sized by fstat.
+ * Any failure — the path cannot be opened, is a directory or another
+ * non-regular file, or the read errors or comes up short — is an
+ * IoError, never an exception.
+ */
+Result<ByteBuffer> read_file_bytes(const std::string &path);
 
 /**
  * Flush @p path's written contents to stable storage (POSIX fsync).

@@ -11,6 +11,7 @@
 #include "codegen/build.h"
 #include "firmware/catalog.h"
 #include "lifter/cfg.h"
+#include "sim/persist.h"
 
 namespace firmup::baseline {
 namespace {
@@ -18,17 +19,13 @@ namespace {
 sim::ExecutableIndex
 make_index(std::vector<std::vector<std::uint64_t>> strand_sets)
 {
-    sim::ExecutableIndex index;
+    std::vector<sim::ProcInput> inputs;
     std::uint64_t entry = 0x1000;
     for (auto &strands : strand_sets) {
-        sim::ProcEntry pe;
-        pe.entry = entry;
+        inputs.push_back({entry, "", strand::strand_set(strands)});
         entry += 0x100;
-        pe.repr = strand::strand_set(strands);
-        index.procs.push_back(std::move(pe));
     }
-    index.finalize();
-    return index;
+    return sim::build_index("", isa::Arch::Mips32, inputs);
 }
 
 TEST(Gitz, RanksBySharedStrands)

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -152,8 +153,8 @@ TEST(CanonStream, MemoOnAndOffIndexesAreBitIdentical)
             for (std::size_t i = 0; i < on.procs.size(); ++i) {
                 ASSERT_EQ(on.procs[i].entry, off.procs[i].entry);
                 ASSERT_EQ(on.procs[i].name, off.procs[i].name);
-                ASSERT_EQ(on.procs[i].repr.hashes,
-                          off.procs[i].repr.hashes)
+                ASSERT_TRUE(std::ranges::equal(on.procs[i].strands,
+                                               off.procs[i].strands))
                     << exe.name << " proc " << i;
             }
             ++executables;

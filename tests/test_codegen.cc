@@ -342,10 +342,10 @@ TEST(PicCalls, JalrCallsMatchDirectCallsAfterCanonicalization)
     for (const auto &proc : ia.procs) {
         const int j = ib.find_by_name(proc.name);
         ASSERT_GE(j, 0);
-        const auto &other = ib.procs[static_cast<std::size_t>(j)].repr;
-        const int shared = sim::sim_score(proc.repr, other);
+        const auto other = ib.procs[static_cast<std::size_t>(j)].strands;
+        const int shared = sim::sim_score(proc.strands, other);
         EXPECT_GE(shared,
-                  static_cast<int>(proc.repr.hashes.size() * 7 / 10))
+                  static_cast<int>(proc.strands.size() * 7 / 10))
             << proc.name;
     }
 }

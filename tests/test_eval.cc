@@ -59,7 +59,7 @@ TEST(Driver, SelfSearchDetectsWithPerfectSim)
                   .entry);
     EXPECT_EQ(static_cast<std::size_t>(outcome.sim),
               query.index.procs[static_cast<std::size_t>(query.qv)]
-                  .repr.hashes.size());
+                  .strands.size());
 }
 
 TEST(Driver, ThresholdGatesDetection)
@@ -155,8 +155,8 @@ TEST(Driver, PreindexMatchesSequentialIndexing)
             ASSERT_EQ(a->procs.size(), b->procs.size()) << exe.name;
             for (std::size_t i = 0; i < a->procs.size(); ++i) {
                 EXPECT_EQ(a->procs[i].entry, b->procs[i].entry);
-                EXPECT_EQ(a->procs[i].repr.hashes,
-                          b->procs[i].repr.hashes);
+                EXPECT_TRUE(std::ranges::equal(a->procs[i].strands,
+                                               b->procs[i].strands));
             }
         }
     }
@@ -298,9 +298,9 @@ TEST(Driver, SearchCorpusSkipsTargetsWithoutQueryArch)
 
 /** A procedure's strand set as the paper states it: a std::set. */
 std::set<std::uint64_t>
-strand_tree(const strand::ProcedureStrands &repr)
+strand_tree(std::span<const std::uint64_t> strands)
 {
-    return {repr.hash_data(), repr.hash_data() + repr.hash_count()};
+    return {strands.begin(), strands.end()};
 }
 
 int
@@ -356,11 +356,12 @@ TEST(Driver, DominanceFallbackMatchesDesignRuleOracle)
                 continue;
             }
             const std::set<std::uint64_t> q = strand_tree(
-                query.index.procs[static_cast<std::size_t>(query.qv)].repr);
+                query.index.procs[static_cast<std::size_t>(query.qv)]
+                    .strands);
             int sim = -1;
             int runner_up = 0;
             for (const sim::ProcEntry &proc : target->procs) {
-                const int s = tree_sim(q, strand_tree(proc.repr));
+                const int s = tree_sim(q, strand_tree(proc.strands));
                 if (proc.entry == game.matched_entry) {
                     sim = s;
                 } else {

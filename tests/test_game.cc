@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "game/game.h"
+#include "sim/persist.h"
 
 namespace firmup::game {
 namespace {
@@ -16,19 +17,13 @@ make_index(const char *name,
            std::vector<std::pair<std::string,
                                  std::vector<std::uint64_t>>> procs)
 {
-    sim::ExecutableIndex index;
-    index.name = name;
+    std::vector<sim::ProcInput> inputs;
     std::uint64_t entry = 0x1000;
     for (auto &[proc_name, strands] : procs) {
-        sim::ProcEntry pe;
-        pe.entry = entry;
+        inputs.push_back({entry, proc_name, strand::strand_set(strands)});
         entry += 0x100;
-        pe.name = proc_name;
-        pe.repr = strand::strand_set(strands);
-        index.procs.push_back(std::move(pe));
     }
-    index.finalize();
-    return index;
+    return sim::build_index(name, isa::Arch::Mips32, inputs);
 }
 
 TEST(Game, Fig4ConceptualExample)
@@ -80,15 +75,15 @@ TEST(Game, MatchingIsConsistentEq1)
     }
     for (const auto &[qi, ti] : result.q_to_t) {
         const int s = sim::sim_score(
-            Q.procs[static_cast<std::size_t>(qi)].repr,
-            T.procs[static_cast<std::size_t>(ti)].repr);
+            Q.procs[static_cast<std::size_t>(qi)].strands,
+            T.procs[static_cast<std::size_t>(ti)].strands);
         for (std::size_t j = 0; j < Q.procs.size(); ++j) {
             if (matched_q.contains(static_cast<int>(j))) {
                 continue;
             }
-            EXPECT_LE(sim::sim_score(Q.procs[j].repr,
+            EXPECT_LE(sim::sim_score(Q.procs[j].strands,
                                      T.procs[static_cast<std::size_t>(
-                                         ti)].repr),
+                                         ti)].strands),
                       s)
                 << "unmatched q" << j << " beats the pair (" << qi
                 << "," << ti << ")";

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -53,34 +54,41 @@ TEST(IndexCacheStore, MissThenRoundTrip)
     options.num_devices = 1;
     const firmware::Corpus corpus = firmware::build_corpus(options);
     const sim::ExecutableIndex index = tiny_corpus_index(corpus);
-    ASSERT_TRUE(index.search_ready);
 
     sim::IndexCacheStore store(fresh_cache_dir("roundtrip"));
     const std::uint64_t key = 0x1234abcd;
-    auto miss = store.load(key);
+    auto miss = store.load(key, true);
     ASSERT_FALSE(miss.ok());
     EXPECT_EQ(miss.error_code(), ErrorCode::IoError);
 
     auto written = store.store(key, index);
     ASSERT_TRUE(written.ok()) << written.error_message();
-    EXPECT_GT(written.value(), 0u);
+    EXPECT_EQ(written.value(), index.blob.size());
 
-    auto loaded = store.load(key);
-    ASSERT_TRUE(loaded.ok()) << loaded.error_message();
-    const sim::ExecutableIndex &out = loaded.value();
-    // The loaded index is search-ready without re-running finalize():
-    // postings and lookup maps came off disk (or were rebuilt at parse).
-    EXPECT_TRUE(out.search_ready);
-    EXPECT_EQ(out.posting_hashes, index.posting_hashes);
-    EXPECT_EQ(out.posting_offsets, index.posting_offsets);
-    EXPECT_EQ(out.posting_procs, index.posting_procs);
-    ASSERT_EQ(out.procs.size(), index.procs.size());
-    for (std::size_t i = 0; i < index.procs.size(); ++i) {
-        EXPECT_EQ(out.procs[i].entry, index.procs[i].entry);
-        EXPECT_EQ(out.procs[i].repr.hashes, index.procs[i].repr.hashes);
-        if (!index.procs[i].name.empty()) {
-            EXPECT_EQ(out.find_by_name(index.procs[i].name),
-                      static_cast<int>(i));
+    // Mapped or read, the loaded index views the very bytes the store
+    // wrote: the blob, and with it every posting array and strand set.
+    for (const bool use_mmap : {false, true}) {
+        sim::IndexCacheStore::LoadStats stats;
+        auto loaded = store.load(key, use_mmap, &stats);
+        ASSERT_TRUE(loaded.ok()) << loaded.error_message();
+        EXPECT_EQ(stats.mapped, use_mmap);
+        const sim::ExecutableIndex &out = loaded.value();
+        EXPECT_TRUE(std::ranges::equal(out.blob, index.blob));
+        EXPECT_TRUE(
+            std::ranges::equal(out.posting_hashes, index.posting_hashes));
+        EXPECT_TRUE(std::ranges::equal(out.posting_offsets,
+                                       index.posting_offsets));
+        EXPECT_TRUE(
+            std::ranges::equal(out.posting_procs, index.posting_procs));
+        ASSERT_EQ(out.procs.size(), index.procs.size());
+        for (std::size_t i = 0; i < index.procs.size(); ++i) {
+            EXPECT_EQ(out.procs[i].entry, index.procs[i].entry);
+            EXPECT_TRUE(std::ranges::equal(out.procs[i].strands,
+                                           index.procs[i].strands));
+            if (!index.procs[i].name.empty()) {
+                EXPECT_EQ(out.find_by_name(index.procs[i].name),
+                          static_cast<int>(i));
+            }
         }
     }
 }
@@ -100,7 +108,7 @@ TEST(IndexCacheStore, CorruptAndStaleEntriesAreMisses)
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << "FWIX";
     }
-    EXPECT_FALSE(store.load(1).ok());
+    EXPECT_FALSE(store.load(1, true).ok());
 
     // A stale (v1) entry is reported as such.
     {
@@ -108,7 +116,7 @@ TEST(IndexCacheStore, CorruptAndStaleEntriesAreMisses)
         const char v1[] = {'F', 'W', 'I', 'X', 1, 0, 0, 0, 0, 0};
         out.write(v1, sizeof v1);
     }
-    auto stale = store.load(1);
+    auto stale = store.load(1, false);
     ASSERT_FALSE(stale.ok());
     EXPECT_EQ(stale.error_code(), ErrorCode::StaleFormat);
 }

@@ -3,23 +3,29 @@
  * Hostile-input coverage for the FWIX v6 index container.
  *
  * The persistent index cache (sim::IndexCacheStore) feeds whatever bytes
- * it finds on disk into parse_index — and, on the mmap warm path, into
- * open_index_view — so a corrupt, truncated or stale cache entry must
- * always come back as a clean Result error — never a crash, and never a
- * silently wrong index. The harness runs a real serialized index through
- * the support/faultinject mutators across many seeds and asserts exactly
- * that for BOTH consumers: a mutant either equals the original
- * byte-for-byte (and parses to the same index) or fails to load.
- * The flat layout gets its own targeted sweeps: checksum-repaired
- * mutants that reach the directory and proc-record field guards (arena
- * bounds and alignment, padding strictness), and an older-version entry
- * that must invalidate itself into a cache miss and be rewritten.
+ * it finds on disk into open_index_view — mapped, or read into a heap
+ * buffer under --no-mmap — so a corrupt, truncated or stale cache entry
+ * must always come back as a clean Result error — never a crash, and
+ * never a silently wrong index. The harness runs a real index's blob
+ * through the support/faultinject mutators across many seeds and
+ * asserts exactly that over BOTH kinds of backing bytes: a mutant either
+ * equals the original byte-for-byte (and opens to the same index) or
+ * fails to open. The flat layout gets its own targeted sweeps:
+ * checksum-repaired mutants that reach the directory and proc-record
+ * field guards (arena bounds and alignment, padding strictness) and the
+ * order guards (posting hashes and each procedure's hashes strictly
+ * ascending), and an older-version entry that must invalidate itself
+ * into a cache miss and be rewritten.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string_view>
+
+#include <unistd.h>
 
 #include "codegen/build.h"
 #include "eval/driver.h"
@@ -31,6 +37,7 @@
 #include "support/bytes.h"
 #include "support/faultinject.h"
 #include "support/hash.h"
+#include "support/mmapfile.h"
 #include "support/rng.h"
 
 namespace firmup::sim {
@@ -52,17 +59,28 @@ real_exe()
     return exe;
 }
 
-/** Its finalized index (the shape the cache store persists). */
+/** Its lifted form (the source the index's strand sets came from). */
+const lifter::LiftedExecutable &
+real_lifted()
+{
+    static const lifter::LiftedExecutable lifted =
+        lifter::lift_executable(real_exe()).take();
+    return lifted;
+}
+
+/** Its index (the shape the cache store persists). */
 const ExecutableIndex &
 real_index()
 {
-    static const ExecutableIndex index = [] {
-        ExecutableIndex built =
-            index_executable(lifter::lift_executable(real_exe()).take());
-        built.finalize();
-        return built;
-    }();
+    static const ExecutableIndex index = index_executable(real_lifted());
     return index;
+}
+
+/** A copy of the real index's blob, for mutation. */
+ByteBuffer
+real_blob()
+{
+    return {real_index().blob.begin(), real_index().blob.end()};
 }
 
 /** Search-relevant equality of two indexes. */
@@ -75,13 +93,43 @@ expect_same_index(const ExecutableIndex &a, const ExecutableIndex &b)
     for (std::size_t i = 0; i < a.procs.size(); ++i) {
         EXPECT_EQ(a.procs[i].entry, b.procs[i].entry);
         EXPECT_EQ(a.procs[i].name, b.procs[i].name);
-        EXPECT_EQ(a.procs[i].repr.hashes, b.procs[i].repr.hashes);
+        EXPECT_TRUE(
+            std::ranges::equal(a.procs[i].strands, b.procs[i].strands));
     }
+}
+
+/** open_index_view over @p bytes in a heap buffer (the --no-mmap route). */
+Result<ExecutableIndex>
+open_heap(const ByteBuffer &bytes)
+{
+    auto buffer = std::make_shared<ByteBuffer>(bytes);
+    return open_index_view(buffer->data(), buffer->size(), buffer);
+}
+
+/** open_index_view over @p bytes written to a file and mapped. */
+Result<ExecutableIndex>
+open_mapped(const ByteBuffer &bytes)
+{
+    const std::filesystem::path path =
+        std::filesystem::path(testing::TempDir()) /
+        ("firmup-persist-mapped-" + std::to_string(::getpid()) + ".fwix");
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    auto mapped = MappedFile::map(path.string());
+    std::filesystem::remove(path);
+    if (!mapped.ok()) {
+        return Result<ExecutableIndex>::error_from(mapped);
+    }
+    auto file = std::make_shared<MappedFile>(std::move(mapped).take());
+    return open_index_view(file->data(), file->size(), file);
 }
 
 TEST(PersistFault, EveryMutantFailsCleanlyOrIsTheOriginal)
 {
-    const ByteBuffer bytes = serialize_index(real_index());
+    const ByteBuffer bytes = real_blob();
     fault::InjectOptions options;
     options.magic = {'F', 'W', 'I', 'X'};
     const fault::Mutation kinds[] = {
@@ -96,32 +144,30 @@ TEST(PersistFault, EveryMutantFailsCleanlyOrIsTheOriginal)
             Rng rng(0xfa017 ^ (seed * 0x9e3779b97f4a7c15ull));
             const ByteBuffer mutant =
                 fault::apply_mutation(bytes, kind, rng, options);
-            auto parsed = parse_index(mutant);
-            auto viewed = open_index_view(mutant.data(), mutant.size(),
-                                          nullptr);
+            auto heap = open_heap(mutant);
+            auto mapped = open_mapped(mutant);
             if (mutant == bytes) {
                 // Mutation was a no-op (e.g. truncate at full length,
                 // a bit flipped twice): the blob is intact and must
-                // still round-trip — through both consumers.
-                ASSERT_TRUE(parsed.ok()) << parsed.error_message();
-                expect_same_index(parsed.value(), real_index());
-                if (open_view_supported()) {
-                    ASSERT_TRUE(viewed.ok()) << viewed.error_message();
-                }
+                // still open — over both kinds of backing bytes.
+                ASSERT_TRUE(heap.ok()) << heap.error_message();
+                expect_same_index(heap.value(), real_index());
+                ASSERT_TRUE(mapped.ok()) << mapped.error_message();
+                expect_same_index(mapped.value(), real_index());
                 continue;
             }
             // Any byte-level damage must be detected: the payload
             // checksum leaves no window for a silently wrong index.
-            EXPECT_FALSE(parsed.ok())
+            EXPECT_FALSE(heap.ok())
                 << fault::mutation_name(kind) << " seed " << seed
-                << " parsed despite " << mutant.size() << " bytes vs "
+                << " opened despite " << mutant.size() << " bytes vs "
                 << bytes.size();
-            EXPECT_FALSE(viewed.ok())
+            EXPECT_FALSE(mapped.ok())
                 << fault::mutation_name(kind) << " seed " << seed
-                << " opened as a view despite byte damage";
-            if (!parsed.ok()) {
+                << " opened mapped despite byte damage";
+            if (!heap.ok()) {
                 ++rejected;
-                EXPECT_FALSE(parsed.error_message().empty());
+                EXPECT_FALSE(heap.error_message().empty());
             }
         }
     }
@@ -131,15 +177,16 @@ TEST(PersistFault, EveryMutantFailsCleanlyOrIsTheOriginal)
 
 TEST(PersistFault, MultiRoundMutantsNeverCrash)
 {
-    const ByteBuffer bytes = serialize_index(real_index());
+    const ByteBuffer bytes = real_blob();
     fault::InjectOptions options;
     options.magic = {'F', 'W', 'I', 'X'};
     for (std::uint64_t seed = 0; seed < 256; ++seed) {
         Rng rng(0xcafe + seed);
         const ByteBuffer mutant = fault::mutate(bytes, rng, options);
-        auto parsed = parse_index(mutant);
-        if (parsed.ok()) {
-            expect_same_index(parsed.value(), real_index());
+        for (auto opened : {open_heap(mutant), open_mapped(mutant)}) {
+            if (opened.ok()) {
+                expect_same_index(opened.value(), real_index());
+            }
         }
     }
 }
@@ -154,25 +201,25 @@ TEST(PersistFault, StaleVersionGetsDistinctError)
     for (int i = 0; i < 64; ++i) {
         v1.push_back(0);
     }
-    auto parsed = parse_index(v1);
+    auto parsed = open_heap(v1);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.error_code(), ErrorCode::StaleFormat);
 
     ByteBuffer future = {'F', 'W', 'I', 'X'};
     append_u16_le(future, 7);
-    auto future_parsed = parse_index(future);
+    auto future_parsed = open_heap(future);
     ASSERT_FALSE(future_parsed.ok());
     EXPECT_EQ(future_parsed.error_code(), ErrorCode::StaleFormat);
 }
 
 TEST(PersistFault, LayoutHashMismatchIsStale)
 {
-    ByteBuffer bytes = serialize_index(real_index());
+    ByteBuffer bytes = real_blob();
     // Corrupt only the layout-hash field (bytes [6, 14)): same version,
     // different serialized layout — the "struct changed without a
     // version bump" guard.
     bytes[6] ^= 0xff;
-    auto parsed = parse_index(bytes);
+    auto parsed = open_heap(bytes);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.error_code(), ErrorCode::StaleFormat);
 }
@@ -225,20 +272,78 @@ TEST(PersistFault, NonZeroProcPaddingIsMalformedEvenWithValidChecksum)
 {
     // A non-zero padding word with a freshly backpatched checksum
     // exercises the proc-record field guard itself, not the integrity
-    // hash — and must be rejected by both consumers (forward-compat: a
-    // field this build does not understand means the record cannot be
-    // trusted).
-    ByteBuffer bytes = serialize_index(real_index());
+    // hash (forward-compat: a field this build does not understand
+    // means the record cannot be trusted).
+    ByteBuffer bytes = real_blob();
     const std::size_t pad = proc_pad_offset(bytes, 0);
     ASSERT_EQ(bytes[pad], 0u);
     bytes[pad] = 1;
     rechecksum(bytes);
-    auto parsed = parse_index(bytes);
+    auto parsed = open_heap(bytes);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.error_code(), ErrorCode::MalformedContainer);
     EXPECT_NE(parsed.error_message().find("padding"), std::string::npos);
-    auto viewed = open_index_view(bytes.data(), bytes.size(), nullptr);
-    EXPECT_FALSE(viewed.ok());
+}
+
+/** Swap two u64 words of @p bytes at byte offsets @p a and @p b. */
+void
+swap_words(ByteBuffer &bytes, std::size_t a, std::size_t b)
+{
+    std::swap_ranges(bytes.begin() + static_cast<std::ptrdiff_t>(a),
+                     bytes.begin() + static_cast<std::ptrdiff_t>(a + 8),
+                     bytes.begin() + static_cast<std::ptrdiff_t>(b));
+}
+
+TEST(PersistFault, UnsortedPostingHashesAreRejected)
+{
+    // Re-checksummed: only the order guard stands between this blob and
+    // a galloping search over an unsorted posting union.
+    ByteBuffer bytes = real_blob();
+    const auto ph = static_cast<std::size_t>(blob_u64(bytes, 24 + 72));
+    ASSERT_GE(blob_u64(bytes, 24 + 80), 2u);
+    swap_words(bytes, ph, ph + 8);
+    rechecksum(bytes);
+    auto opened = open_heap(bytes);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.error_code(), ErrorCode::MalformedContainer);
+    EXPECT_NE(opened.error_message().find("unsorted posting"),
+              std::string::npos);
+}
+
+TEST(PersistFault, UnsortedProcedureHashesAreRejected)
+{
+    // The same for one procedure's strand set: a sorted-merge Sim over
+    // it would silently undercount, so the open must refuse it.
+    ByteBuffer bytes = real_blob();
+    constexpr std::size_t kProcRecSize = 40;
+    const auto table = static_cast<std::size_t>(blob_u64(bytes, 24 + 48));
+    std::size_t proc = 0;
+    while (read_u32_le(bytes.data() + table + proc * kProcRecSize + 16) <
+           2) {
+        ++proc;
+    }
+    const auto hashes = static_cast<std::size_t>(
+        blob_u64(bytes, table + proc * kProcRecSize + 8));
+    swap_words(bytes, hashes, hashes + 8);
+    rechecksum(bytes);
+    auto opened = open_heap(bytes);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.error_code(), ErrorCode::MalformedContainer);
+    EXPECT_NE(opened.error_message().find("unsorted procedure"),
+              std::string::npos);
+}
+
+TEST(PersistFault, NotSearchReadyBlobIsRejected)
+{
+    // A cleared ready flag is what hand-built indexes without posting
+    // lists used to write; no index can come from such a blob now.
+    ByteBuffer bytes = real_blob();
+    ASSERT_EQ(bytes[24 + 9], 1u);
+    bytes[24 + 9] = 0;
+    rechecksum(bytes);
+    auto opened = open_heap(bytes);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.error_code(), ErrorCode::MalformedContainer);
 }
 
 TEST(PersistFault, CorruptDirectoryOffsetsFailCleanly)
@@ -247,7 +352,7 @@ TEST(PersistFault, CorruptDirectoryOffsetsFailCleanly)
     // bounds (or off alignment) exercise the arena guards directly.
     // Slots cover: exe name, names, proc table, hashes and the three
     // posting arrays.
-    const ByteBuffer bytes = serialize_index(real_index());
+    const ByteBuffer bytes = real_blob();
     const std::size_t slots[] = {16, 32, 48, 56, 72, 88, 104};
     for (const std::size_t slot : slots) {
         std::vector<std::uint64_t> evils = {
@@ -269,49 +374,59 @@ TEST(PersistFault, CorruptDirectoryOffsetsFailCleanly)
             if (mutant == bytes) {
                 continue;
             }
-            auto parsed = parse_index(mutant);
-            EXPECT_FALSE(parsed.ok()) << "slot " << slot << " " << evil;
-            auto viewed =
-                open_index_view(mutant.data(), mutant.size(), nullptr);
-            EXPECT_FALSE(viewed.ok()) << "slot " << slot << " " << evil;
+            EXPECT_FALSE(open_heap(mutant).ok())
+                << "slot " << slot << " " << evil;
+            EXPECT_FALSE(open_mapped(mutant).ok())
+                << "slot " << slot << " " << evil;
         }
     }
 }
 
-TEST(PersistFault, ViewOpenMatchesCopyingParse)
+TEST(PersistFault, ViewMatchesSource)
 {
-    // The zero-copy consumer must agree with the copying parser on a
-    // pristine blob: same procedures, same hashes, same candidates.
-    if (!open_view_supported()) {
-        GTEST_SKIP() << "big-endian host: view path disabled";
+    // The index views exactly what it was built from: each procedure's
+    // span is the strand set represent_procedure computes, and the
+    // posting lists give every procedure's std::set Sim.
+    const ExecutableIndex &index = real_index();
+    strand::CanonOptions options;
+    options.sections.text_lo = real_lifted().text_addr;
+    options.sections.text_hi = real_lifted().text_end;
+    options.sections.data_lo = real_lifted().data_addr;
+    options.sections.data_hi = real_lifted().data_end;
+    ASSERT_EQ(index.procs.size(), real_lifted().procs.size());
+    std::size_t i = 0;
+    for (const auto &[entry, proc] : real_lifted().procs) {
+        EXPECT_EQ(index.procs[i].entry, entry);
+        const strand::ProcedureStrands want =
+            strand::represent_procedure(proc, options);
+        EXPECT_TRUE(std::ranges::equal(index.procs[i].strands, want.hashes))
+            << proc.name;
+        EXPECT_EQ(index.procs[i].block_count, want.block_count);
+        EXPECT_EQ(index.procs[i].stmt_count, want.stmt_count);
+        ++i;
     }
-    const ByteBuffer bytes = serialize_index(real_index());
-    auto parsed = parse_index(bytes);
-    ASSERT_TRUE(parsed.ok()) << parsed.error_message();
-    auto viewed = open_index_view(bytes.data(), bytes.size(), nullptr);
-    ASSERT_TRUE(viewed.ok()) << viewed.error_message();
-    const ExecutableIndex &a = parsed.value();
-    ExecutableIndex &b = viewed.value();
-    EXPECT_TRUE(b.view_mode() || b.procs.empty());
-    EXPECT_TRUE(b.search_ready);
-    ASSERT_EQ(a.procs.size(), b.procs.size());
-    for (std::size_t i = 0; i < a.procs.size(); ++i) {
-        ASSERT_EQ(a.procs[i].repr.hash_count(),
-                  b.procs[i].repr.hash_count());
-        const std::uint64_t *ah = a.procs[i].repr.hash_data();
-        const std::uint64_t *bh = b.procs[i].repr.hash_data();
-        for (std::size_t h = 0; h < a.procs[i].repr.hash_count(); ++h) {
-            ASSERT_EQ(ah[h], bh[h]) << "proc " << i << " hash " << h;
-        }
+    std::vector<std::set<std::uint64_t>> sets;
+    for (const ProcEntry &proc : index.procs) {
+        sets.emplace_back(proc.strands.begin(), proc.strands.end());
     }
-    for (const ProcEntry &query : real_index().procs) {
-        const auto exact_a = shared_candidates(a, query.repr);
-        const auto exact_b = shared_candidates(b, query.repr);
-        ASSERT_EQ(exact_a.size(), exact_b.size());
-        for (std::size_t c = 0; c < exact_a.size(); ++c) {
-            EXPECT_EQ(exact_a[c].index, exact_b[c].index);
-            EXPECT_EQ(exact_a[c].sim, exact_b[c].sim);
+    for (const std::set<std::uint64_t> &query : sets) {
+        const std::vector<std::uint64_t> q(query.begin(), query.end());
+        const auto got = shared_candidates(index, q);
+        std::size_t c = 0;
+        for (std::size_t t = 0; t < sets.size(); ++t) {
+            int want = 0;
+            for (const std::uint64_t h : query) {
+                want += sets[t].contains(h) ? 1 : 0;
+            }
+            if (want == 0) {
+                continue;
+            }
+            ASSERT_LT(c, got.size());
+            EXPECT_EQ(got[c].index, static_cast<int>(t));
+            EXPECT_EQ(got[c].sim, want);
+            ++c;
         }
+        EXPECT_EQ(c, got.size());
     }
 }
 
@@ -321,10 +436,10 @@ TEST(PersistFault, V5EntryIsStaleRecountedAsMissAndRewritten)
     // invalidate itself: the version guard fires before any payload
     // interpretation, so the old 104-byte records are never misread as
     // v6 ones.
-    ByteBuffer v5 = serialize_index(real_index());
+    ByteBuffer v5 = real_blob();
     v5[4] = 5;
     v5[5] = 0;
-    auto parsed = parse_index(v5);
+    auto parsed = open_heap(v5);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.error_code(), ErrorCode::StaleFormat);
     EXPECT_NE(parsed.error_message().find("5"), std::string::npos);
@@ -345,7 +460,7 @@ TEST(PersistFault, V5EntryIsStaleRecountedAsMissAndRewritten)
     };
     ASSERT_TRUE(store.store(key, real_index()).ok());
     plant_v5();
-    auto stale = store.load(key);
+    auto stale = store.load(key, true);
     ASSERT_FALSE(stale.ok());
     EXPECT_EQ(stale.error_code(), ErrorCode::StaleFormat);
 
@@ -361,7 +476,7 @@ TEST(PersistFault, V5EntryIsStaleRecountedAsMissAndRewritten)
     EXPECT_EQ(driver.health().cache_hits, 0u);
     EXPECT_EQ(driver.health().cache_misses, 1u);
     EXPECT_GT(driver.health().cache_write_bytes, 0u);
-    auto rewritten = store.load(key);
+    auto rewritten = store.load(key, false);
     ASSERT_TRUE(rewritten.ok()) << rewritten.error_message();
     expect_same_index(rewritten.value(), real_index());
     fs::remove_all(dir);
@@ -369,19 +484,25 @@ TEST(PersistFault, V5EntryIsStaleRecountedAsMissAndRewritten)
 
 TEST(PersistFault, GarbageAndEmptyBuffersFailCleanly)
 {
-    EXPECT_FALSE(parse_index(ByteBuffer{}).ok());
+    EXPECT_FALSE(open_heap(ByteBuffer{}).ok());
+    EXPECT_FALSE(open_mapped(ByteBuffer{}).ok());
     ByteBuffer garbage;
     Rng rng(0x6a5ba6e);
     for (int i = 0; i < 4096; ++i) {
         garbage.push_back(static_cast<std::uint8_t>(rng.index(256)));
     }
-    EXPECT_FALSE(parse_index(garbage).ok());
+    EXPECT_FALSE(open_heap(garbage).ok());
     // Every prefix of a valid blob fails too (no over-read).
-    const ByteBuffer bytes = serialize_index(real_index());
+    const ByteBuffer bytes = real_blob();
     for (std::size_t len = 0; len < bytes.size(); ++len) {
-        EXPECT_FALSE(parse_index(bytes.data(), len).ok())
+        EXPECT_FALSE(open_index_view(bytes.data(), len, nullptr).ok())
             << "prefix " << len;
     }
+    // And so does a blob that does not start 8-byte aligned.
+    ByteBuffer shifted(bytes.size() + 1);
+    std::copy(bytes.begin(), bytes.end(), shifted.begin() + 1);
+    EXPECT_FALSE(
+        open_index_view(shifted.data() + 1, bytes.size(), nullptr).ok());
 }
 
 }  // namespace

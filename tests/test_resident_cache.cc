@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -106,13 +107,10 @@ TEST(ResidentIndexCache, ShrinkingBudgetEvictsToFit)
 TEST(ResidentIndexCache, EvictedMappedIndexStaysValidWhilePinned)
 {
     // The pin contract behind eviction-mid-batch: a scan holds a
-    // shared_ptr to a view-mode index whose hash and posting arrays
-    // point into an mmap'd store entry; evicting it from the resident
-    // cache (and even destroying the cache) must drop only the cache's
-    // reference — the mapped file lives until the last pin goes.
-    if (!sim::open_view_supported()) {
-        GTEST_SKIP() << "v5 view path unsupported on this host";
-    }
+    // shared_ptr to an index whose hash and posting arrays point into an
+    // mmap'd store entry; evicting it from the resident cache (and even
+    // destroying the cache) must drop only the cache's reference — the
+    // mapped file lives until the last pin goes.
     const auto reference = corpus_index();
     sim::IndexCacheStore store(fresh_dir("pin"));
     ASSERT_TRUE(store.store(7, *reference).ok());
@@ -122,7 +120,6 @@ TEST(ResidentIndexCache, EvictedMappedIndexStaysValidWhilePinned)
     ASSERT_TRUE(stats.mapped);
     auto mapped = std::make_shared<const sim::ExecutableIndex>(
         std::move(loaded).take());
-    ASSERT_TRUE(mapped->view_mode());
 
     auto cache =
         std::make_unique<sim::ResidentIndexCache>(std::size_t{1} << 30);
@@ -135,19 +132,15 @@ TEST(ResidentIndexCache, EvictedMappedIndexStaysValidWhilePinned)
     EXPECT_EQ(cache->stats().entries, 0u);
     cache.reset();
 
-    // The pinned views still read the mapped arenas correctly.
+    // The pinned spans still read the mapped arenas correctly.
     ASSERT_EQ(pinned->procs.size(), reference->procs.size());
     for (std::size_t p = 0; p < reference->procs.size(); ++p) {
-        const auto &want = reference->procs[p].repr;
-        const auto &got = pinned->procs[p].repr;
-        ASSERT_EQ(got.hash_count(), want.hash_count());
-        for (std::size_t h = 0; h < want.hash_count(); ++h) {
-            ASSERT_EQ(got.hash_data()[h], want.hash_data()[h]);
-        }
+        ASSERT_TRUE(std::ranges::equal(pinned->procs[p].strands,
+                                       reference->procs[p].strands));
     }
-    ASSERT_GT(pinned->posting_hash_count(), 0u);
-    EXPECT_EQ(pinned->posting_hash_count(),
-              reference->posting_hashes.size());
+    ASSERT_GT(pinned->posting_hashes.size(), 0u);
+    EXPECT_TRUE(std::ranges::equal(pinned->posting_hashes,
+                                   reference->posting_hashes));
 }
 
 /** Outcome fingerprint of one warm scan under the given knobs. */
@@ -252,9 +245,6 @@ TEST(ResidentCacheIdentity, FindingsIdenticalAcrossTiersAndThreads)
 
 TEST(ResidentCacheIdentity, WarmMmapScanUsesTheViewPath)
 {
-    if (!sim::open_view_supported()) {
-        GTEST_SKIP() << "v5 view path unsupported on this host";
-    }
     firmware::CorpusOptions corpus_options;
     corpus_options.num_devices = 1;
     const firmware::Corpus corpus =
@@ -267,7 +257,7 @@ TEST(ResidentCacheIdentity, WarmMmapScanUsesTheViewPath)
     ScanHealth mmap_health;
     scan_once(cve, targets, cache_dir, true, nullptr, 2, &mmap_health);
     EXPECT_GT(mmap_health.cache_hits, 0u);
-    // Every target hit is a view, plus the query-recipe load maps too.
+    // Every target hit is mapped, plus the query-recipe loads too.
     EXPECT_GE(mmap_health.cache_mmap_loads, mmap_health.cache_hits);
 
     ScanHealth copy_health;

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -511,6 +512,67 @@ TEST(ShardScanCli, ResumeUnderOtherCveListExitsFive)
     EXPECT_EQ(resumed, first);
     EXPECT_EQ(vulnerable_lines((base / "third.txt").string()),
               vulnerable_lines((base / "first.txt").string()));
+    fs::remove_all(base);
+}
+
+/** The "unpacked/seen" image counts on a CLI run's health line. */
+std::pair<int, int>
+images_unpacked(const std::string &out_path)
+{
+    std::ifstream in(out_path);
+    std::string line;
+    while (std::getline(in, line)) {
+        int unpacked = -1, seen = -1;
+        if (std::sscanf(line.c_str(), "scan health: %d/%d image(s)",
+                        &unpacked, &seen) == 2) {
+            return {unpacked, seen};
+        }
+    }
+    return {-1, -1};
+}
+
+TEST(ShardScanCli, DirectoryInBlobListIsOneUnpackFailure)
+{
+    // A directory among the blobs used to abort the whole scan with an
+    // uncaught stream exception (and every shard-scan respawn with it).
+    // It must count as one unreadable image while every real blob is
+    // scanned exactly as without it.
+    const PackedCorpus &corpus = packed_corpus();
+    const fs::path base =
+        fs::path(testing::TempDir()) /
+        ("firmup-dir-blob-" + std::to_string(::getpid()));
+    fs::remove_all(base);
+    fs::create_directories(base / "not-a-blob");
+    std::string blobs;
+    for (const std::string &path : corpus.paths) {
+        blobs += " " + path;
+    }
+    const int images = static_cast<int>(corpus.paths.size());
+    // search prints its health line only when collecting metrics.
+    const std::string stats = (base / "stats.json").string();
+    for (const std::string &command :
+         {"search --stats-json " + stats,
+          std::string("shard-scan --workers 2")}) {
+        const std::string common = command + " " + corpus.cve_id +
+                                   " --index-cache " + corpus.store_dir;
+        const std::string clean_out = (base / "clean.txt").string();
+        const std::string dir_out = (base / "dir.txt").string();
+        const int clean = run_cli(common + blobs, clean_out);
+        const int with_dir = run_cli(
+            common + blobs + " " + (base / "not-a-blob").string(),
+            dir_out);
+        EXPECT_TRUE(clean == 0 || clean == 3) << command << ": " << clean;
+        EXPECT_EQ(with_dir, clean) << command;
+        EXPECT_FALSE(vulnerable_lines(clean_out).empty()) << command;
+        EXPECT_EQ(vulnerable_lines(dir_out), vulnerable_lines(clean_out))
+            << command;
+        EXPECT_EQ(images_unpacked(clean_out),
+                  std::make_pair(images, images))
+            << command;
+        EXPECT_EQ(images_unpacked(dir_out),
+                  std::make_pair(images, images + 1))
+            << command;
+    }
     fs::remove_all(base);
 }
 

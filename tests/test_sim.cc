@@ -1,23 +1,40 @@
 /**
  * @file
  * Similarity-module tests: Sim() set semantics (symmetry, bounds, counts
- * ignored), executable indexing, and global-context training.
+ * ignored), executable indexing, global-context training, and the FWIX
+ * blob every index is a view of.
  */
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string_view>
 
 #include "codegen/build.h"
 #include "firmware/catalog.h"
 #include "lifter/cfg.h"
 #include "sim/persist.h"
 #include "sim/similarity.h"
+#include "support/hash.h"
 
 namespace firmup::sim {
 namespace {
 
-strand::ProcedureStrands
+std::vector<std::uint64_t>
 strands(std::initializer_list<std::uint64_t> hashes)
 {
-    return strand::strand_set(std::vector<std::uint64_t>(hashes));
+    return strand::strand_set(std::vector<std::uint64_t>(hashes)).hashes;
+}
+
+/** An index over @p sets, one procedure each, entries 0x1000 apart. */
+ExecutableIndex
+pool_index(const std::vector<std::vector<std::uint64_t>> &sets)
+{
+    std::vector<ProcInput> procs;
+    for (const std::vector<std::uint64_t> &set : sets) {
+        procs.push_back({0x1000 + 0x100 * procs.size(), "",
+                         strand::strand_set(set)});
+    }
+    return build_index("pool", isa::Arch::Mips32, procs);
 }
 
 TEST(Sim, CountsSharedUniqueStrands)
@@ -39,24 +56,13 @@ TEST(Sim, BoundedByTheSmallerSet)
     const auto a = strands({1, 2});
     const auto b = strands({1, 2, 3, 4, 5, 6, 7});
     EXPECT_LE(sim_score(a, b), 2);
-    EXPECT_EQ(sim_score(a, a),
-              static_cast<int>(a.hashes.size()));
+    EXPECT_EQ(sim_score(a, a), static_cast<int>(a.size()));
 }
 
 TEST(GlobalContext, RareStrandsWeighMore)
 {
-    ExecutableIndex pool;
-    pool.name = "pool";
-    auto add = [&pool](std::initializer_list<std::uint64_t> hashes) {
-        ProcEntry pe;
-        pe.entry = 0x1000 + 0x100 * pool.procs.size();
-        pe.repr = strand::strand_set(std::vector<std::uint64_t>(hashes));
-        pool.procs.push_back(std::move(pe));
-    };
-    add({1, 2});
-    add({1, 3});
-    add({1, 4});
-    add({1, 5});
+    const ExecutableIndex pool =
+        pool_index({{1, 2}, {1, 3}, {1, 4}, {1, 5}});
     const GlobalContext context = train_global_context({&pool});
     // Strand 1 appears in every procedure => near-zero weight; strand 5
     // appears once => high weight; unseen strands weigh most.
@@ -67,13 +73,11 @@ TEST(GlobalContext, RareStrandsWeighMore)
 
 TEST(GlobalContext, WeightedSimOrdersByEvidence)
 {
-    ExecutableIndex pool;
-    for (int i = 0; i < 10; ++i) {
-        ProcEntry pe;
-        pe.entry = static_cast<std::uint64_t>(0x1000 + i);
-        pe.repr.hashes = {7, static_cast<std::uint64_t>(100 + i)};
-        pool.procs.push_back(std::move(pe));
+    std::vector<std::vector<std::uint64_t>> sets;
+    for (std::uint64_t i = 0; i < 10; ++i) {
+        sets.push_back({7, 100 + i});
     }
+    const ExecutableIndex pool = pool_index(sets);
     const GlobalContext context = train_global_context({&pool});
     const auto q = strands({7, 100, 101});
     // Sharing two rare strands beats sharing one rare + the common one.
@@ -102,8 +106,8 @@ TEST(Index, CoversAllLiftedProcedures)
     EXPECT_EQ(index.procs.size(), lifted.procs.size());
     EXPECT_EQ(index.arch, isa::Arch::Ppc32);
     for (const ProcEntry &proc : index.procs) {
-        EXPECT_FALSE(proc.repr.hashes.empty()) << proc.name;
-        EXPECT_GT(proc.repr.stmt_count, 0u) << proc.name;
+        EXPECT_FALSE(proc.strands.empty()) << proc.name;
+        EXPECT_GT(proc.stmt_count, 0u) << proc.name;
         EXPECT_EQ(index.find_by_entry(proc.entry),
                   index.find_by_entry(proc.entry));
     }
@@ -131,15 +135,15 @@ TEST(Index, DifferentProceduresShareFewStrands)
     // Self-similarity must dominate cross-similarity for most pairs.
     int dominated = 0, total = 0;
     for (std::size_t i = 0; i < index.procs.size(); ++i) {
-        const int self = sim_score(index.procs[i].repr,
-                                   index.procs[i].repr);
+        const int self = sim_score(index.procs[i].strands,
+                                   index.procs[i].strands);
         for (std::size_t j = 0; j < index.procs.size(); ++j) {
             if (i == j) {
                 continue;
             }
             ++total;
-            dominated += sim_score(index.procs[i].repr,
-                                   index.procs[j].repr) < self
+            dominated += sim_score(index.procs[i].strands,
+                                   index.procs[j].strands) < self
                              ? 1
                              : 0;
         }
@@ -164,48 +168,68 @@ TEST(Persist, RoundTrip)
     const ExecutableIndex index =
         index_executable(lifter::lift_executable(exe).take());
 
-    const ByteBuffer bytes = serialize_index(index);
-    auto parsed = parse_index(bytes);
-    ASSERT_TRUE(parsed.ok()) << parsed.error_message();
-    const ExecutableIndex &out = parsed.value();
+    // A copy of the blob opens to the same index.
+    auto copy =
+        std::make_shared<ByteBuffer>(index.blob.begin(), index.blob.end());
+    auto opened = open_index_view(copy->data(), copy->size(), copy);
+    ASSERT_TRUE(opened.ok()) << opened.error_message();
+    const ExecutableIndex &out = opened.value();
     EXPECT_EQ(out.name, index.name);
     EXPECT_EQ(out.arch, index.arch);
     ASSERT_EQ(out.procs.size(), index.procs.size());
     for (std::size_t i = 0; i < index.procs.size(); ++i) {
         EXPECT_EQ(out.procs[i].entry, index.procs[i].entry);
         EXPECT_EQ(out.procs[i].name, index.procs[i].name);
-        EXPECT_EQ(out.procs[i].repr.hashes, index.procs[i].repr.hashes);
-        EXPECT_EQ(out.procs[i].repr.block_count,
-                  index.procs[i].repr.block_count);
-        EXPECT_EQ(out.procs[i].repr.stmt_count,
-                  index.procs[i].repr.stmt_count);
+        EXPECT_TRUE(std::ranges::equal(out.procs[i].strands,
+                                       index.procs[i].strands));
+        EXPECT_EQ(out.procs[i].block_count, index.procs[i].block_count);
+        EXPECT_EQ(out.procs[i].stmt_count, index.procs[i].stmt_count);
     }
-    // Similarity computed from a reloaded index is identical.
+    // Similarity computed from a reopened index is identical.
     for (std::size_t i = 0; i < index.procs.size(); ++i) {
-        EXPECT_EQ(sim_score(out.procs[i].repr, index.procs[i].repr),
-                  static_cast<int>(index.procs[i].repr.hashes.size()));
+        EXPECT_EQ(sim_score(out.procs[i].strands, index.procs[i].strands),
+                  static_cast<int>(index.procs[i].strands.size()));
     }
 }
 
 TEST(Persist, RejectsCorruptInput)
 {
-    ExecutableIndex index;
-    index.name = "x";
-    ProcEntry pe;
-    pe.entry = 0x400000;
-    pe.repr.hashes = {1, 2, 3};
-    index.procs.push_back(pe);
-    ByteBuffer bytes = serialize_index(index);
+    const ExecutableIndex index = pool_index({{1, 2, 3}});
+    const ByteBuffer bytes(index.blob.begin(), index.blob.end());
 
     // Bad magic.
     ByteBuffer bad = bytes;
     bad[0] = 'Z';
-    EXPECT_FALSE(parse_index(bad).ok());
+    EXPECT_FALSE(open_index_view(bad.data(), bad.size(), nullptr).ok());
     // Every truncation point must fail cleanly.
     for (std::size_t len = 0; len < bytes.size(); ++len) {
-        EXPECT_FALSE(parse_index(bytes.data(), len).ok())
+        EXPECT_FALSE(open_index_view(bytes.data(), len, nullptr).ok())
             << "prefix " << len;
     }
+}
+
+TEST(Persist, PackedBytesArePinned)
+{
+    // The exact bytes of a small index with an empty strand set, an
+    // unnamed procedure, a repeated name and the largest hash value,
+    // recorded from the serializer this packer replaced. Any change to
+    // the layout, padding, byte order or posting construction moves
+    // them, and stores written by earlier builds would stop loading.
+    const ExecutableIndex index = build_index(
+        "fwix-pin", isa::Arch::Arm32,
+        {{0x1000, "alpha", {strand::strand_set({3, 1, 2}).hashes, 2, 7}},
+         {0x1040, "", {{2, 5}, 1, 3}},
+         {0x1080, "gamma", {{}, 0, 0}},
+         {0x10c0, "alpha", {{5, ~std::uint64_t{0}}, 1, 1}}});
+    EXPECT_EQ(index.blob.size(), 476u);
+    EXPECT_EQ(fnv1a64(std::string_view(
+                  reinterpret_cast<const char *>(index.blob.data()),
+                  index.blob.size())),
+              0xc3f3ca989379954full);
+    EXPECT_EQ(index.find_by_name("alpha"), 0);
+    EXPECT_EQ(index.find_by_name(""), 1);
+    EXPECT_EQ(index.find_by_entry(0x10c0), 3);
+    EXPECT_EQ(index.posting_hashes.size(), 5u);
 }
 
 }  // namespace

@@ -3,20 +3,26 @@
  * Property tests for the flat-vector similarity kernel and the
  * posting-list GetBestMatch path.
  *
- * The reference implementations below keep the original `std::set`
- * semantics: per-hash tree lookups for Sim, ascending-set iteration for
- * weighted Sim, and a dense argmax (lowest-index tie-break) for
- * GetBestMatch. On randomized strand sets, the vector/posting-list
- * kernel must return bit-identical results — including the floating-
- * point sum of weighted_sim, which both sides accumulate in ascending
- * hash order, and the zero-Sim fallback of the dense argmax.
+ * The reference implementations below keep the paper's literal
+ * semantics: per-hash `std::set` lookups for Sim, ascending-set
+ * iteration for weighted Sim, a dense argmax (lowest-index tie-break)
+ * for GetBestMatch, a dense Sim over every procedure for candidate
+ * lists, Alg. 2 played on those dense Sims, and linear first-occurrence
+ * scans for the lookup maps. On randomized strand sets, the
+ * vector/posting-list kernels must return bit-identical results —
+ * including the floating-point sum of weighted_sim, which both sides
+ * accumulate in ascending hash order, and the zero-Sim fallback of the
+ * dense argmax.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <vector>
 
 #include "game/game.h"
+#include "sim/persist.h"
 #include "sim/similarity.h"
 #include "strand/canon.h"
 #include "support/rng.h"
@@ -37,10 +43,11 @@ random_set(Rng &rng, std::size_t max_size)
     return out;
 }
 
-strand::ProcedureStrands
+/** The flat (sorted, unique) form of @p s. */
+std::vector<std::uint64_t>
 to_strands(const std::set<std::uint64_t> &s)
 {
-    return strand::strand_set({s.begin(), s.end()});
+    return {s.begin(), s.end()};
 }
 
 /** Reference Sim: per-hash set lookups, as the original kernel did. */
@@ -94,10 +101,25 @@ ref_best(const std::vector<std::set<std::uint64_t>> &others,
     return best;
 }
 
+/** Reference candidate list: a dense std::set Sim over every proc. */
+std::vector<sim::Candidate>
+ref_candidates(const std::vector<std::set<std::uint64_t>> &others,
+               const std::set<std::uint64_t> &q)
+{
+    std::vector<sim::Candidate> out;
+    for (std::size_t i = 0; i < others.size(); ++i) {
+        const int s = ref_sim(q, others[i]);
+        if (s > 0) {
+            out.push_back({static_cast<int>(i), s});
+        }
+    }
+    return out;
+}
+
 /** The game's candidate-based argmax, incl. the zero-Sim fallback. */
 int
 fast_best(const sim::ExecutableIndex &T,
-          const strand::ProcedureStrands &q,
+          std::span<const std::uint64_t> q,
           const std::vector<bool> &excluded, int &best_sim)
 {
     best_sim = -1;
@@ -128,8 +150,8 @@ fast_best(const sim::ExecutableIndex &T,
 struct RandomExe
 {
     std::vector<std::set<std::uint64_t>> sets;
-    sim::ExecutableIndex finalized;
-    sim::ExecutableIndex dense;  ///< same procs, finalize() never run
+    std::vector<sim::ProcInput> procs;  ///< what `index` was built from
+    sim::ExecutableIndex index;
 };
 
 RandomExe
@@ -139,14 +161,136 @@ random_exe(Rng &rng, std::size_t max_procs, std::size_t max_strands)
     const std::size_t n = 1 + rng.index(max_procs);
     for (std::size_t i = 0; i < n; ++i) {
         exe.sets.push_back(random_set(rng, max_strands));
-        sim::ProcEntry pe;
-        pe.entry = 0x1000 + 0x40 * i;
-        pe.repr = to_strands(exe.sets.back());
-        exe.dense.procs.push_back(pe);
-        exe.finalized.procs.push_back(std::move(pe));
+        exe.procs.push_back({0x1000 + 0x40 * i, "",
+                             strand::strand_set(to_strands(
+                                 exe.sets.back()))});
     }
-    exe.finalized.finalize();
+    exe.index = sim::build_index("random", isa::Arch::Mips32, exe.procs);
     return exe;
+}
+
+/** Outcome of one literal Alg. 2 game (the fields match_query sets). */
+struct RefGame
+{
+    bool matched = false;
+    game::GameEnding ending = game::GameEnding::NoMatch;
+    int target_index = -1;
+    int sim = 0;
+    int steps = 0;
+    std::map<int, int> q_to_t;
+};
+
+/**
+ * Alg. 2 as written, over dense std::set Sims: GetBestMatch rescans
+ * every unmatched, not-unmatchable procedure on the other side (highest
+ * Sim, lowest index on ties, Sim 0 when nothing is shared).
+ */
+RefGame
+ref_game(const std::vector<std::set<std::uint64_t>> &Q, int qv,
+         const std::vector<std::set<std::uint64_t>> &T,
+         const game::GameOptions &options = {})
+{
+    struct Side
+    {
+        const std::vector<std::set<std::uint64_t>> &sets;
+        std::vector<int> match;
+        std::vector<bool> unmatchable;
+    };
+    Side q{Q, std::vector<int>(Q.size(), -1),
+           std::vector<bool>(Q.size(), false)};
+    Side t{T, std::vector<int>(T.size(), -1),
+           std::vector<bool>(T.size(), false)};
+    using Ref = std::pair<bool, int>;  // (in Q, index)
+    const auto side = [&](bool in_q) -> Side & { return in_q ? q : t; };
+    const auto matched = [&](const Ref &r) {
+        return side(r.first).match[static_cast<std::size_t>(r.second)] >=
+               0;
+    };
+    const auto best_match = [&](const Ref &m, int &best_sim) {
+        const std::set<std::uint64_t> &mine =
+            side(m.first).sets[static_cast<std::size_t>(m.second)];
+        Side &other = side(!m.first);
+        best_sim = -1;
+        int best = -1;
+        for (std::size_t i = 0; i < other.sets.size(); ++i) {
+            if (other.match[i] >= 0 || other.unmatchable[i]) {
+                continue;
+            }
+            const int s = ref_sim(mine, other.sets[i]);
+            if (s > best_sim) {
+                best_sim = s;
+                best = static_cast<int>(i);
+            }
+        }
+        return best;
+    };
+    RefGame result;
+    const Ref root{true, qv};
+    std::vector<Ref> stack{root};
+    std::size_t matched_count = 0;
+    while (!stack.empty()) {
+        if (result.steps >= options.max_steps) {
+            result.ending = game::GameEnding::Unresolved;
+            break;
+        }
+        const Ref m = stack.back();
+        if (matched(m)) {
+            stack.pop_back();
+            continue;
+        }
+        ++result.steps;
+        int forward_sim = 0;
+        const int forward = best_match(m, forward_sim);
+        if (forward < 0 || forward_sim < options.min_sim) {
+            if (m == root) {
+                break;
+            }
+            side(m.first).unmatchable[static_cast<std::size_t>(m.second)] =
+                true;
+            stack.pop_back();
+            continue;
+        }
+        const Ref fwd{!m.first, forward};
+        int back_sim = 0;
+        const int back = best_match(fwd, back_sim);
+        if (back == m.second) {
+            const int qi = m.first ? m.second : forward;
+            const int ti = m.first ? forward : m.second;
+            q.match[static_cast<std::size_t>(qi)] = ti;
+            t.match[static_cast<std::size_t>(ti)] = qi;
+            ++matched_count;
+            if (m == root || fwd == root) {
+                result.matched = true;
+                result.ending = game::GameEnding::Matched;
+                result.target_index = ti;
+                result.sim = forward_sim;
+                break;
+            }
+            stack.pop_back();
+            if (matched_count >= options.max_matches) {
+                result.ending = game::GameEnding::Unresolved;
+                break;
+            }
+            continue;
+        }
+        bool pushed = false;
+        for (const Ref &r : {fwd, Ref{m.first, back}}) {
+            if (!matched(r) &&
+                std::find(stack.begin(), stack.end(), r) == stack.end()) {
+                stack.push_back(r);
+                pushed = true;
+            }
+        }
+        if (!pushed) {
+            break;
+        }
+    }
+    for (std::size_t qi = 0; qi < q.match.size(); ++qi) {
+        if (q.match[qi] >= 0) {
+            result.q_to_t.emplace(static_cast<int>(qi), q.match[qi]);
+        }
+    }
+    return result;
 }
 
 TEST(SimKernelProperty, SimScoreMatchesSetReference)
@@ -208,19 +352,13 @@ TEST(SimKernelProperty, SharedCandidatesAreExactAndOrdered)
         const auto q = random_set(rng, 16);
         const auto fq = to_strands(q);
 
-        const auto fast = sim::shared_candidates(T.finalized, fq);
-        const auto dense = sim::shared_candidates(T.dense, fq);
-        ASSERT_EQ(fast.size(), dense.size());
-        int prev = -1;
+        const auto fast = sim::shared_candidates(T.index, fq);
+        const auto want = ref_candidates(T.sets, q);
+        ASSERT_EQ(fast.size(), want.size());
         for (std::size_t i = 0; i < fast.size(); ++i) {
-            EXPECT_EQ(fast[i].index, dense[i].index);
-            EXPECT_EQ(fast[i].sim, dense[i].sim);
-            EXPECT_GT(fast[i].index, prev);  // ascending proc order
-            prev = fast[i].index;
-            EXPECT_EQ(fast[i].sim,
-                      ref_sim(q, T.sets[static_cast<std::size_t>(
-                                     fast[i].index)]));
-            EXPECT_GT(fast[i].sim, 0);
+            // The oracle lists procs in ascending order, Sim > 0 only.
+            EXPECT_EQ(fast[i].index, want[i].index);
+            EXPECT_EQ(fast[i].sim, want[i].sim);
         }
     }
 }
@@ -239,13 +377,13 @@ TEST(SimKernelProperty, BestMatchWinnerAndTieBreakMatchReference)
         const int want =
             ref_best(T.sets, q, excluded, want_sim);
         const int got =
-            fast_best(T.finalized, to_strands(q), excluded, got_sim);
+            fast_best(T.index, to_strands(q), excluded, got_sim);
         EXPECT_EQ(got, want);
         EXPECT_EQ(got_sim, want_sim);
     }
 }
 
-TEST(SimKernelProperty, GameIsIdenticalOnPostingAndDenseIndexes)
+TEST(SimKernelProperty, GameMatchesDenseAlgorithm2Oracle)
 {
     Rng rng(0x6a3e);
     for (int trial = 0; trial < 120; ++trial) {
@@ -253,19 +391,21 @@ TEST(SimKernelProperty, GameIsIdenticalOnPostingAndDenseIndexes)
         const RandomExe T = random_exe(rng, 8, 12);
         for (std::size_t qv = 0; qv < Q.sets.size(); ++qv) {
             const game::GameResult fast = game::match_query(
-                Q.finalized, static_cast<int>(qv), T.finalized);
-            const game::GameResult dense = game::match_query(
-                Q.dense, static_cast<int>(qv), T.dense);
-            EXPECT_EQ(fast.matched, dense.matched);
-            EXPECT_EQ(fast.ending, dense.ending);
-            EXPECT_EQ(fast.target_index, dense.target_index);
-            EXPECT_EQ(fast.target_entry, dense.target_entry);
-            EXPECT_EQ(fast.sim, dense.sim);
-            EXPECT_EQ(fast.steps, dense.steps);
-            EXPECT_EQ(fast.q_to_t, dense.q_to_t);
-            // Note: pairs_scored units differ between the paths (dense
-            // counts one op per procedure, posting counts per-incidence
-            // accumulations), so only the outcomes are compared.
+                Q.index, static_cast<int>(qv), T.index);
+            const RefGame want =
+                ref_game(Q.sets, static_cast<int>(qv), T.sets);
+            EXPECT_EQ(fast.matched, want.matched);
+            EXPECT_EQ(fast.ending, want.ending);
+            EXPECT_EQ(fast.target_index, want.target_index);
+            if (want.matched) {
+                EXPECT_EQ(fast.target_entry,
+                          T.procs[static_cast<std::size_t>(
+                                      want.target_index)]
+                              .entry);
+            }
+            EXPECT_EQ(fast.sim, want.sim);
+            EXPECT_EQ(fast.steps, want.steps);
+            EXPECT_EQ(fast.q_to_t, want.q_to_t);
         }
     }
 }
@@ -346,8 +486,8 @@ TEST(SimKernelProperty, DuplicateHeavyInputsDedupAndMatch)
         const auto fb = strand::strand_set(std::move(raw_b));
         EXPECT_EQ(fa.size(), a.size());
         EXPECT_EQ(fb.size(), b.size());
-        EXPECT_EQ(sim::sim_score(fa, fb), ref_sim(a, b));
-        EXPECT_EQ(sim::sim_score(fb, fa), ref_sim(a, b));
+        EXPECT_EQ(sim::sim_score(fa.hashes, fb.hashes), ref_sim(a, b));
+        EXPECT_EQ(sim::sim_score(fb.hashes, fa.hashes), ref_sim(a, b));
     }
 }
 
@@ -368,10 +508,23 @@ TEST(SimKernelProperty, HandBuiltSetsWithoutSummaryMatchReference)
             raw_b.add(h);
         }
         const int want = ref_sim(a, b);
-        EXPECT_EQ(sim::sim_score(raw_a, raw_b), want);
-        EXPECT_EQ(sim::sim_score(raw_a, to_strands(b)), want);
-        EXPECT_EQ(sim::sim_score(to_strands(a), raw_b), want);
+        EXPECT_EQ(sim::sim_score(raw_a.hashes, raw_b.hashes), want);
+        EXPECT_EQ(sim::sim_score(raw_a.hashes, to_strands(b)), want);
+        EXPECT_EQ(sim::sim_score(to_strands(a), raw_b.hashes), want);
     }
+}
+
+/** Reference lookup: the first procedure satisfying @p match, or -1. */
+template <typename Match>
+int
+first_where(const std::vector<sim::ProcInput> &procs, Match match)
+{
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+        if (match(procs[i])) {
+            return static_cast<int>(i);
+        }
+    }
+    return -1;
 }
 
 TEST(SimKernelProperty, FindByEntryAndNameMatchLinearScan)
@@ -379,22 +532,26 @@ TEST(SimKernelProperty, FindByEntryAndNameMatchLinearScan)
     Rng rng(0xf1dd);
     for (int trial = 0; trial < 100; ++trial) {
         RandomExe T = random_exe(rng, 12, 8);
-        for (std::size_t i = 0; i < T.dense.procs.size(); ++i) {
-            // Duplicate names now and then: first occurrence must win.
-            T.dense.procs[i].name =
-                "p" + std::to_string(rng.index(6));
-            T.finalized.procs[i].name = T.dense.procs[i].name;
+        for (sim::ProcInput &proc : T.procs) {
+            // Duplicate names and entries now and then: the first
+            // occurrence must win.
+            proc.name = "p" + std::to_string(rng.index(6));
+            proc.entry = 0x1000 + 0x40 * rng.index(T.procs.size());
         }
-        T.finalized.finalize();  // rebuild maps after renaming
-        for (std::size_t i = 0; i < T.dense.procs.size(); ++i) {
-            EXPECT_EQ(
-                T.finalized.find_by_entry(T.dense.procs[i].entry),
-                T.dense.find_by_entry(T.dense.procs[i].entry));
-            EXPECT_EQ(T.finalized.find_by_name(T.dense.procs[i].name),
-                      T.dense.find_by_name(T.dense.procs[i].name));
+        const sim::ExecutableIndex index =
+            sim::build_index("named", isa::Arch::Mips32, T.procs);
+        for (const sim::ProcInput &proc : T.procs) {
+            EXPECT_EQ(index.find_by_entry(proc.entry),
+                      first_where(T.procs, [&](const sim::ProcInput &p) {
+                          return p.entry == proc.entry;
+                      }));
+            EXPECT_EQ(index.find_by_name(proc.name),
+                      first_where(T.procs, [&](const sim::ProcInput &p) {
+                          return p.name == proc.name;
+                      }));
         }
-        EXPECT_EQ(T.finalized.find_by_entry(0xdead), -1);
-        EXPECT_EQ(T.finalized.find_by_name("nope"), -1);
+        EXPECT_EQ(index.find_by_entry(0xdead), -1);
+        EXPECT_EQ(index.find_by_name("nope"), -1);
     }
 }
 

@@ -328,8 +328,8 @@ TEST(CrossCompilation, SameToolchainIsSelfSimilar)
     // Identical builds: every procedure's best match is itself, with
     // full strand overlap.
     for (const auto &proc : a.procs) {
-        const int self = sim::sim_score(proc.repr, proc.repr);
-        EXPECT_EQ(self, static_cast<int>(proc.repr.hashes.size()));
+        const int self = sim::sim_score(proc.strands, proc.strands);
+        EXPECT_EQ(self, static_cast<int>(proc.strands.size()));
     }
 }
 
@@ -341,15 +341,15 @@ rank_of_true_match(const sim::ExecutableIndex &query, int q_index,
 {
     const int s_true =
         sim::sim_score(query.procs[static_cast<std::size_t>(
-                           q_index)].repr,
+                           q_index)].strands,
                        target.procs[static_cast<std::size_t>(
-                           target.find_by_entry(true_entry))].repr);
+                           target.find_by_entry(true_entry))].strands);
     int rank = 1;
     for (const auto &t : target.procs) {
         if (t.entry != true_entry &&
             sim::sim_score(query.procs[static_cast<std::size_t>(
-                               q_index)].repr,
-                           t.repr) > s_true) {
+                               q_index)].strands,
+                           t.strands) > s_true) {
             ++rank;
         }
     }
@@ -397,9 +397,9 @@ TEST(CrossCompilation, CrossArchSharesStrands)
             const int t_index = target.find_by_name(query.procs[i].name);
             ASSERT_GE(t_index, 0);
             nonzero +=
-                sim::sim_score(query.procs[i].repr,
+                sim::sim_score(query.procs[i].strands,
                                target.procs[static_cast<std::size_t>(
-                                   t_index)].repr) > 0
+                                   t_index)].strands) > 0
                     ? 1
                     : 0;
         }

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <stdexcept>
 
 #include "support/cancel.h"
 #include "support/error.h"
+#include "support/fsio.h"
 #include "support/hash.h"
 #include "support/retry.h"
 #include "support/rng.h"
@@ -192,6 +195,38 @@ TEST(Result, ValueAndError)
 
 namespace firmup {
 namespace {
+
+TEST(FileRead, DirectoryIsIoErrorAndFileGivesItsBytes)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(testing::TempDir()) / "firmup-read-file";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    // A directory opens fine but cannot be read: an IoError, not the
+    // exception a stream reader throws.
+    auto from_dir = read_file_bytes(dir.string());
+    ASSERT_FALSE(from_dir.ok());
+    EXPECT_EQ(from_dir.error_code(), ErrorCode::IoError);
+    auto missing = read_file_bytes((dir / "missing").string());
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.error_code(), ErrorCode::IoError);
+
+    const ByteBuffer want = {0, 'F', 'W', 0xff, '\n', 7};
+    const fs::path file = dir / "blob";
+    {
+        std::ofstream out(file, std::ios::binary);
+        out.write(reinterpret_cast<const char *>(want.data()),
+                  static_cast<std::streamsize>(want.size()));
+    }
+    auto bytes = read_file_bytes(file.string());
+    ASSERT_TRUE(bytes.ok()) << bytes.error_message();
+    EXPECT_EQ(bytes.value(), want);
+    std::ofstream(file, std::ios::trunc).close();
+    auto empty = read_file_bytes(file.string());
+    ASSERT_TRUE(empty.ok()) << empty.error_message();
+    EXPECT_TRUE(empty.value().empty());
+    fs::remove_all(dir);
+}
 
 TEST(ThreadPool, RunsAllTasks)
 {

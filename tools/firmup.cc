@@ -37,13 +37,12 @@
  * metrics collection is switched on and the flat counter/histogram
  * snapshot is written to FILE at exit.
  *
- * search, trace and index accept `--index-cache DIR`: finalized indexes
- * are persisted to (and warm-loaded from) a content-addressed FWIX
- * store in DIR, so a second scan of the same corpus skips
- * lift+canon+finalize entirely. Corrupt or stale entries silently
- * degrade to misses. Store entries are served zero-copy through an
- * mmap-backed index view unless `--no-mmap` asks for the copying
- * parser; `--resident-cache-mb N` additionally keeps deserialized
+ * search, trace and index accept `--index-cache DIR`: indexes are
+ * persisted to (and warm-loaded from) a content-addressed FWIX store
+ * in DIR, so a second scan of the same corpus skips lift+canon+pack
+ * entirely. Corrupt or stale entries silently degrade to misses. Store
+ * entries are mapped and opened in place; `--no-mmap` reads them into
+ * memory instead. `--resident-cache-mb N` additionally keeps opened
  * indexes resident in-process under an LRU byte budget, and
  * `--passes N` reruns the hunt with fresh drivers in one process so
  * later passes hit that resident tier (no store I/O, no re-parse).
@@ -83,6 +82,7 @@
 #include "lifter/interp.h"
 #include "support/cancel.h"
 #include "support/faultinject.h"
+#include "support/fsio.h"
 #include "support/str.h"
 #include "support/trace.h"
 
@@ -158,13 +158,13 @@ usage()
         "content-addressed index store, so repeat scans of the same\n"
         "executables skip lifting entirely (warm start)\n"
         "search/trace also take:\n"
-        "  --resident-cache-mb N  keep deserialized indexes resident\n"
+        "  --resident-cache-mb N  keep opened indexes resident\n"
         "                         in-process under an N MiB LRU budget\n"
         "                         (0 = ablation: cache wired, holds\n"
         "                         nothing; findings identical)\n"
-        "  --no-mmap              disable the zero-copy FWIX mmap view;\n"
-        "                         store loads use the copying parser\n"
-        "                         (ablation baseline)\n"
+        "  --no-mmap              read store entries into memory\n"
+        "                         instead of mapping them (findings\n"
+        "                         identical)\n"
         "  --passes N             run the hunt N times with fresh\n"
         "                         drivers in one process (the resident\n"
         "                         cache persists across passes; with\n"
@@ -242,19 +242,6 @@ parse_double(const std::string &text, double &out)
     } catch (const std::exception &) {
         return false;
     }
-}
-
-Result<ByteBuffer>
-read_file(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        return Result<ByteBuffer>::error(ErrorCode::IoError,
-                                         "cannot open " + path);
-    }
-    ByteBuffer bytes((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    return bytes;
 }
 
 bool
@@ -370,7 +357,7 @@ cmd_corpus(const std::vector<std::string> &args)
 Result<firmware::UnpackResult>
 load_blob(const std::string &path)
 {
-    auto bytes = read_file(path);
+    auto bytes = read_file_bytes(path);
     if (!bytes.ok()) {
         return Result<firmware::UnpackResult>::error_from(bytes);
     }
@@ -450,8 +437,8 @@ cmd_index(const std::vector<std::string> &args)
         }
         std::size_t blocks = 0, strands = 0;
         for (const sim::ProcEntry &proc : index->procs) {
-            blocks += proc.repr.block_count;
-            strands += proc.repr.hash_count();
+            blocks += proc.block_count;
+            strands += proc.strands.size();
         }
         table.add_row({exe.name, isa::arch_name(index->arch),
                        std::to_string(index->procs.size()),
@@ -1190,7 +1177,7 @@ cmd_bench_json(const std::vector<std::string> &args)
                               enabled("trace_overhead");
     eval::Driver driver;
     std::vector<const sim::ExecutableIndex *> indexes;
-    std::vector<const strand::ProcedureStrands *> reprs;
+    std::vector<std::span<const std::uint64_t>> reprs;
     if (need_indexes) {
         driver.preindex(corpus, hw);
         for (const eval::CorpusTarget &t : targets) {
@@ -1205,7 +1192,7 @@ cmd_bench_json(const std::vector<std::string> &args)
         }
         for (const sim::ExecutableIndex *index : indexes) {
             for (const sim::ProcEntry &proc : index->procs) {
-                reprs.push_back(&proc.repr);
+                reprs.push_back(proc.strands);
             }
         }
     }
@@ -1222,7 +1209,7 @@ cmd_bench_json(const std::vector<std::string> &args)
         const auto p0 = now();
         for (const auto &repr : reprs) {
             for (const sim::Candidate &c :
-                 sim::shared_candidates(*big, *repr)) {
+                 sim::shared_candidates(*big, repr)) {
                 best_checksum += static_cast<std::uint64_t>(c.sim);
                 break;  // existence is enough; count the first
             }
@@ -1232,7 +1219,7 @@ cmd_bench_json(const std::vector<std::string> &args)
         for (const auto &repr : reprs) {
             for (const sim::ProcEntry &proc : big->procs) {
                 best_checksum += static_cast<std::uint64_t>(
-                    sim::sim_score(*repr, proc.repr));
+                    sim::sim_score(repr, proc.strands));
             }
         }
         const double dense_seconds = secs(d0, now());
@@ -1654,7 +1641,8 @@ cmd_bench_json(const std::vector<std::string> &args)
                 cold_identical =
                     a.procs[p].entry == b.procs[p].entry &&
                     a.procs[p].name == b.procs[p].name &&
-                    a.procs[p].repr.hashes == b.procs[p].repr.hashes;
+                    std::ranges::equal(a.procs[p].strands,
+                                       b.procs[p].strands);
             }
         }
         all_identical = all_identical && cold_identical;
@@ -1747,7 +1735,7 @@ cmd_bench_json(const std::vector<std::string> &args)
                 hot_rows = std::move(rows);
             }
         }
-        // Ablations, one rep each: the copying parser and a budget-0
+        // Ablations, one rep each: --no-mmap reads and a budget-0
         // resident cache must change nothing but the timings.
         eval::SearchOptions nomap_opt = ropt;
         nomap_opt.mmap_index = false;
@@ -1973,7 +1961,7 @@ cmd_fuzz_unpack(const std::vector<std::string> &args)
     if (!stats_out.empty()) {
         trace::set_level(trace::Level::Metrics);
     }
-    auto bytes = read_file(path);
+    auto bytes = read_file_bytes(path);
     if (!bytes.ok()) {
         std::fprintf(stderr, "firmup: %s\n",
                      bytes.error_message().c_str());
