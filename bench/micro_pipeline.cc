@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <thread>
@@ -21,6 +20,7 @@
 #include "lifter/cfg.h"
 #include "sim/persist.h"
 #include "strand/canon.h"
+#include "support/fsio.h"
 #include "support/mmapfile.h"
 
 namespace {
@@ -267,9 +267,8 @@ BM_MmapOpenV5(benchmark::State &state)
     // posting/hash copies. Compare against BM_PackIndex: opening is
     // what a warm scan pays instead of lift + canon + pack.
     const std::span<const std::uint8_t> blob = wget_index().blob;
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "firmup-bench-v5.fwix")
-            .string();
+    const ScopedTempDir dir("firmup-bench-v5");
+    const std::string path = dir.path() + "/index.fwix";
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out.write(reinterpret_cast<const char *>(blob.data()),
@@ -290,8 +289,6 @@ BM_MmapOpenV5(benchmark::State &state)
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(blob.size()));
-    std::error_code cleanup_ec;
-    std::filesystem::remove(path, cleanup_ec);
 }
 BENCHMARK(BM_MmapOpenV5);
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <map>
 
+#include "eval/flags.h"
 #include "support/error.h"
 
 namespace firmup::eval {
@@ -47,17 +48,6 @@ collect_trials(const firmware::Corpus &corpus,
         }
     }
     return trials;
-}
-
-const firmware::CveRecord &
-cve_by_id(const std::string &cve_id)
-{
-    for (const firmware::CveRecord &cve : firmware::cve_database()) {
-        if (cve.cve_id == cve_id) {
-            return cve;
-        }
-    }
-    FIRMUP_ASSERT(false, "unknown CVE id: " + cve_id);
 }
 
 }  // namespace
@@ -189,8 +179,9 @@ run_labeled(Driver &driver, const firmware::Corpus &corpus,
     // global context ... for each architecture separately").
     std::map<isa::Arch, sim::GlobalContext> contexts;
 
-    for (const std::string &cve_id : cve_ids) {
-        const firmware::CveRecord &cve = cve_by_id(cve_id);
+    const auto cves = resolve_cves(cve_ids);
+    FIRMUP_ASSERT(cves.ok(), cves.error_message());
+    for (const firmware::CveRecord &cve : cves.value()) {
         QueryTally tally;
         tally.query = cve.procedure;
 

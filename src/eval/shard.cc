@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -129,39 +130,21 @@ skip_spaces(std::string_view buf, std::size_t &pos)
     }
 }
 
-std::uint64_t
-field_u64(const FrameFields &fields, const char *key)
-{
-    const auto it = fields.find(key);
-    if (it == fields.end()) {
-        return 0;
-    }
-    try {
-        return std::stoull(it->second);
-    } catch (const std::exception &) {
-        return 0;
-    }
-}
-
-double
-field_double(const FrameFields &fields, const char *key)
-{
-    const auto it = fields.find(key);
-    if (it == fields.end()) {
-        return 0.0;
-    }
-    try {
-        return std::stod(it->second);
-    } catch (const std::exception &) {
-        return 0.0;
-    }
-}
-
 std::string
 field_str(const FrameFields &fields, const char *key)
 {
     const auto it = fields.find(key);
     return it == fields.end() ? std::string() : it->second;
+}
+
+/** A numeric field; 0 when absent or malformed. */
+template <typename T = std::uint64_t>
+T
+field_num(const FrameFields &fields, const char *key)
+{
+    T value = 0;
+    parse_number(field_str(fields, key), value);
+    return value;
 }
 
 /** Mutex-serialized frame writes — heartbeats race the scan results. */
@@ -183,27 +166,6 @@ class FrameWriter
     std::mutex mutex_;
 };
 
-Result<std::vector<firmware::CveRecord>>
-resolve_cves(const std::vector<std::string> &ids)
-{
-    std::vector<firmware::CveRecord> cves;
-    for (const std::string &id : ids) {
-        const firmware::CveRecord *found = nullptr;
-        for (const firmware::CveRecord &record :
-             firmware::cve_database()) {
-            if (record.cve_id == id) {
-                found = &record;
-            }
-        }
-        if (found == nullptr) {
-            return Result<std::vector<firmware::CveRecord>>::error(
-                ErrorCode::MissingProcedure, "unknown CVE " + id);
-        }
-        cves.push_back(*found);
-    }
-    return cves;
-}
-
 }  // namespace
 
 std::size_t
@@ -217,6 +179,65 @@ shard_of_path(std::string_view path, std::size_t shard_count)
     const std::uint64_t h =
         fnv1a64_update(fnv1a64("fwshard:"), path);
     return static_cast<std::size_t>(h % shard_count);
+}
+
+Manifest
+load_manifest(const std::vector<std::string> &paths,
+              std::size_t shard_index, std::size_t shard_count)
+{
+    Manifest manifest;
+    std::vector<std::size_t> blob_index;  // global manifest index
+    for (std::size_t g = 0; g < paths.size(); ++g) {
+        if (shard_of_path(paths[g], shard_count) != shard_index) {
+            continue;
+        }
+        ++manifest.slice_size;
+        auto bytes = read_file_bytes(paths[g]);
+        auto unpacked = bytes.ok()
+                            ? firmware::unpack_firmware(bytes.value())
+                            : Result<firmware::UnpackResult>::error_from(
+                                  bytes);
+        if (!unpacked.ok()) {
+            std::fprintf(stderr, "firmup: %s: %s\n", paths[g].c_str(),
+                         unpacked.error_message().c_str());
+            manifest.health.note_unpack_failure(unpacked.error_code());
+            continue;
+        }
+        manifest.health.note_unpack(unpacked.value());
+        manifest.blobs.push_back(std::move(unpacked).take());
+        blob_index.push_back(g);
+    }
+    // Built only once every blob is in place: targets point into them.
+    for (std::size_t b = 0; b < manifest.blobs.size(); ++b) {
+        const auto &exes = manifest.blobs[b].image.executables;
+        for (std::size_t ord = 0; ord < exes.size(); ++ord) {
+            manifest.targets.push_back(
+                {&exes[ord], static_cast<int>(blob_index[b])});
+            manifest.ordinals.push_back(ord);
+        }
+    }
+    return manifest;
+}
+
+std::vector<FleetFinding>
+manifest_findings(const std::vector<std::vector<CorpusOutcome>> &grid,
+                  const Manifest &manifest)
+{
+    std::vector<FleetFinding> findings;
+    for (std::size_t q = 0; q < grid.size(); ++q) {
+        for (std::size_t t = 0; t < grid[q].size(); ++t) {
+            const CorpusOutcome &co = grid[q][t];
+            if (!co.indexed || !co.outcome.detected) {
+                continue;  // quarantined targets show in the health report
+            }
+            findings.push_back(
+                {q, static_cast<std::size_t>(co.target.image_index),
+                 manifest.ordinals[t], co.target.exe->name,
+                 co.outcome.matched_entry, co.outcome.sim,
+                 co.outcome.steps});
+        }
+    }
+    return findings;
 }
 
 std::string
@@ -346,15 +367,11 @@ health_to_fields(const ScanHealth &health, FrameFields &fields)
     FIRMUP_SHARD_HEALTH_BOOL_FIELDS(FIRMUP_PUT_BOOL)
 #undef FIRMUP_PUT_BOOL
     fields["resume_reject_reason"] = health.resume_reject_reason;
-    std::string errors;
-    for (std::size_t c = 0; c < kErrorCodeCount; ++c) {
-        if (c > 0) {
-            errors += ',';
-        }
-        errors += strprintf(
-            "%llu", static_cast<unsigned long long>(health.errors[c]));
+    std::vector<std::string> errors;
+    for (const std::size_t count : health.errors) {
+        errors.push_back(std::to_string(count));
     }
-    fields["errors"] = errors;
+    fields["errors"] = join(errors, ",");
 }
 
 void
@@ -362,34 +379,25 @@ health_from_fields(const FrameFields &fields, ScanHealth &health)
 {
 #define FIRMUP_GET_COUNT(name)                                           \
     health.name = static_cast<decltype(health.name)>(                    \
-        field_u64(fields, #name));
+        field_num(fields, #name));
     FIRMUP_SHARD_HEALTH_COUNT_FIELDS(FIRMUP_GET_COUNT)
 #undef FIRMUP_GET_COUNT
 #define FIRMUP_GET_DOUBLE(name)                                          \
-    health.name = field_double(fields, #name);
+    health.name = field_num<double>(fields, #name);
     FIRMUP_SHARD_HEALTH_DOUBLE_FIELDS(FIRMUP_GET_DOUBLE)
 #undef FIRMUP_GET_DOUBLE
 #define FIRMUP_GET_BOOL(name)                                            \
-    health.name = field_u64(fields, #name) != 0;
+    health.name = field_num(fields, #name) != 0;
     FIRMUP_SHARD_HEALTH_BOOL_FIELDS(FIRMUP_GET_BOOL)
 #undef FIRMUP_GET_BOOL
     health.resume_reject_reason = field_str(fields, "resume_reject_reason");
-    const std::string errors = field_str(fields, "errors");
-    std::size_t start = 0;
+    const std::vector<std::string> errors =
+        split(field_str(fields, "errors"), ',');
     for (std::size_t c = 0; c < kErrorCodeCount; ++c) {
-        if (start > errors.size()) {
-            break;
+        health.errors[c] = 0;
+        if (c < errors.size()) {
+            parse_number(errors[c], health.errors[c]);
         }
-        const std::size_t comma = errors.find(',', start);
-        const std::size_t stop =
-            comma == std::string::npos ? errors.size() : comma;
-        try {
-            health.errors[c] =
-                std::stoull(errors.substr(start, stop - start));
-        } catch (const std::exception &) {
-            health.errors[c] = 0;
-        }
-        start = stop + 1;
     }
 }
 
@@ -398,7 +406,9 @@ run_shard_worker(const ShardWorkerOptions &options)
 {
     FrameWriter writer(STDOUT_FILENO);
 
-    auto cves = resolve_cves(options.cve_ids);
+    SearchOptions sopt;
+    sim::ResidentIndexCache resident;
+    auto cves = prepare_hunt(options, sopt, resident);
     if (!cves.ok()) {
         std::fprintf(stderr, "firmup worker: %s\n",
                      cves.error_message().c_str());
@@ -442,58 +452,14 @@ run_shard_worker(const ShardWorkerOptions &options)
         heartbeat.join();
     };
 
-    // Unpack this shard's slice of the manifest. Global blob indices are
-    // preserved (image_index and the finding frames both carry them) so
-    // the coordinator's merge order is manifest order, not shard order.
-    ScanHealth unpack_health;
-    std::vector<firmware::UnpackResult> blobs;
-    std::vector<std::size_t> blob_index;  // global manifest index
-    for (std::size_t g = 0; g < options.blob_paths.size(); ++g) {
-        if (shard_of_path(options.blob_paths[g], options.shard_count) !=
-            options.shard_index) {
-            continue;
-        }
-        auto bytes = read_file_bytes(options.blob_paths[g]);
-        if (!bytes.ok()) {
-            std::fprintf(stderr, "firmup worker: %s: %s\n",
-                         options.blob_paths[g].c_str(),
-                         bytes.error_message().c_str());
-            unpack_health.note_unpack_failure(bytes.error_code());
-            continue;
-        }
-        auto unpacked = firmware::unpack_firmware(bytes.value());
-        if (!unpacked.ok()) {
-            std::fprintf(stderr, "firmup worker: %s: %s\n",
-                         options.blob_paths[g].c_str(),
-                         unpacked.error_message().c_str());
-            unpack_health.note_unpack_failure(unpacked.error_code());
-            continue;
-        }
-        unpack_health.note_unpack(unpacked.value());
-        blobs.push_back(std::move(unpacked).take());
-        blob_index.push_back(g);
-    }
-    std::vector<CorpusTarget> targets;
-    std::vector<std::pair<std::size_t, std::size_t>> target_pos;
-    for (std::size_t b = 0; b < blobs.size(); ++b) {
-        const auto &exes = blobs[b].image.executables;
-        for (std::size_t ord = 0; ord < exes.size(); ++ord) {
-            targets.push_back({&exes[ord],
-                               static_cast<int>(blob_index[b])});
-            target_pos.emplace_back(blob_index[b], ord);
-        }
-    }
+    // Global blob indices are preserved (image_index and the finding
+    // frames both carry them) so the coordinator's merge order is
+    // manifest order, not shard order.
+    const Manifest manifest = load_manifest(
+        options.blob_paths, options.shard_index, options.shard_count);
 
-    SearchOptions sopt;
-    sopt.index_cache_dir = options.index_cache_dir;
-    sopt.mmap_index = options.mmap_index;
     sopt.journal_path = options.journal_path;
     sopt.resume = !options.journal_path.empty();
-    sim::ResidentIndexCache resident(options.resident_cache_mb * 1024 *
-                                     1024);
-    if (options.resident_cache_mb > 0) {
-        sopt.resident_cache = &resident;
-    }
     CancelToken seam_token;
     if (options.exit_after_appends > 0) {
         sopt.cancel = &seam_token;
@@ -501,10 +467,10 @@ run_shard_worker(const ShardWorkerOptions &options)
     }
 
     Driver driver(sopt);
-    driver.health().merge(unpack_health);
+    driver.health().merge(manifest.health);
     const std::vector<std::vector<CorpusOutcome>> grid =
-        driver.search_corpus_batch(cves.value(), targets,
-                                   options.threads, options.confirm);
+        driver.search_corpus_batch(cves.value(), manifest.targets,
+                                   options.threads);
 
     if (options.exit_after_appends > 0 && seam_token.requested()) {
         // Crash/stall test seams: the scan drained cooperatively after N
@@ -522,24 +488,17 @@ run_shard_worker(const ShardWorkerOptions &options)
     }
 
     const ScanHealth &health = driver.health();
-    for (std::size_t q = 0; q < grid.size(); ++q) {
-        for (std::size_t t = 0; t < grid[q].size(); ++t) {
-            const CorpusOutcome &co = grid[q][t];
-            if (!co.indexed || !co.outcome.detected) {
-                continue;
-            }
-            writer.send(
-                {{"type", "finding"},
-                 {"cve", std::to_string(q)},
-                 {"blob", std::to_string(target_pos[t].first)},
-                 {"ord", std::to_string(target_pos[t].second)},
-                 {"exe", co.target.exe->name},
-                 {"entry", strprintf("%llu",
-                                     static_cast<unsigned long long>(
-                                         co.outcome.matched_entry))},
-                 {"sim", std::to_string(co.outcome.sim)},
-                 {"steps", std::to_string(co.outcome.steps)}});
-        }
+    for (const FleetFinding &f : manifest_findings(grid, manifest)) {
+        writer.send({{"type", "finding"},
+                     {"cve", std::to_string(f.cve)},
+                     {"blob", std::to_string(f.blob)},
+                     {"ord", std::to_string(f.ord)},
+                     {"exe", f.exe_name},
+                     {"entry", strprintf("%llu",
+                                         static_cast<unsigned long long>(
+                                             f.matched_entry))},
+                     {"sim", std::to_string(f.sim)},
+                     {"steps", std::to_string(f.steps)}});
     }
     for (const QuarantineEntry &entry : health.quarantine_log) {
         writer.send({{"type", "quar"},
@@ -557,6 +516,47 @@ run_shard_worker(const ShardWorkerOptions &options)
                  {"ok", health.resume_rejected ? "0" : "1"}});
     join_heartbeat();
     return health.resume_rejected ? 1 : 0;
+}
+
+std::vector<std::string>
+worker_args(const ShardScanOptions &options, std::size_t shard,
+            const std::string &journal_path, bool with_seams)
+{
+    std::vector<std::string> args = {
+        "--worker",
+        "--shard-index", std::to_string(shard),
+        "--shard-count", std::to_string(options.workers),
+        "--threads", std::to_string(options.worker_threads),
+        "--heartbeat", strprintf("%.17g", options.heartbeat_seconds),
+        "--journal", journal_path};
+    if (with_seams && options.kill_first_worker_after > 0) {
+        args.push_back("--exit-after");
+        args.push_back(std::to_string(options.kill_first_worker_after));
+        if (options.stall_first_worker) {
+            args.push_back("--stall");
+        }
+    }
+    const std::vector<std::string> scan = scan_flag_args(options);
+    args.insert(args.end(), scan.begin(), scan.end());
+    args.insert(args.end(), options.blob_paths.begin(),
+                options.blob_paths.end());
+    return args;
+}
+
+bool
+parse_worker_args(const std::vector<std::string> &args,
+                  ShardWorkerOptions &options)
+{
+    return parse_scan_args(
+        args,
+        {number_flag("--shard-index", options.shard_index, 0),
+         number_flag("--shard-count", options.shard_count, 1),
+         number_flag("--threads", options.threads, 0),
+         seconds_flag("--heartbeat", options.heartbeat_seconds),
+         string_flag("--journal", options.journal_path),
+         number_flag("--exit-after", options.exit_after_appends, 1),
+         switch_flag("--stall", options.stall_after_appends)},
+        options, options.blob_paths);
 }
 
 namespace {
@@ -584,45 +584,6 @@ struct ShardRun
     std::size_t appended = 0;
     ShardSlice slice;
 };
-
-std::vector<std::string>
-worker_args(const ShardScanOptions &options, std::size_t shard,
-            const std::string &journal_path, bool with_seams)
-{
-    std::vector<std::string> args = {
-        "--worker",
-        "--shard-index", std::to_string(shard),
-        "--shard-count", std::to_string(options.workers),
-        "--threads", std::to_string(options.worker_threads),
-        "--heartbeat", strprintf("%.3f", options.heartbeat_seconds),
-        "--journal", journal_path,
-        "--cve-list", join(options.cve_ids, ",")};
-    if (!options.index_cache_dir.empty()) {
-        args.push_back("--index-cache");
-        args.push_back(options.index_cache_dir);
-    }
-    if (!options.mmap_index) {
-        args.push_back("--no-mmap");
-    }
-    if (options.resident_cache_mb > 0) {
-        args.push_back("--resident-cache-mb");
-        args.push_back(std::to_string(options.resident_cache_mb));
-    }
-    if (!options.confirm) {
-        args.push_back("--no-confirm");
-    }
-    if (with_seams && options.kill_first_worker_after > 0) {
-        args.push_back("--exit-after");
-        args.push_back(std::to_string(options.kill_first_worker_after));
-        if (options.stall_first_worker) {
-            args.push_back("--stall");
-        }
-    }
-    for (const std::string &path : options.blob_paths) {
-        args.push_back(path);
-    }
-    return args;
-}
 
 }  // namespace
 
@@ -653,15 +614,13 @@ run_shard_scan(const std::string &worker_binary,
     // exposed on the shard-scan CLI, so the defaults here are the
     // workers' defaults.
     const std::uint64_t fp = scan_fingerprint(
-        SearchOptions{}, batch_scan_label(cves.value()), options.confirm);
+        SearchOptions{}, batch_scan_label(cves.value()), /*confirm=*/true);
 
     std::string state_dir = options.state_dir;
-    const bool ephemeral = state_dir.empty();
-    if (ephemeral) {
-        state_dir =
-            (std::filesystem::temp_directory_path() /
-             strprintf("firmup-shard-%d", static_cast<int>(::getpid())))
-                .string();
+    std::optional<ScopedTempDir> ephemeral;
+    if (state_dir.empty()) {
+        ephemeral.emplace("firmup-shard");
+        state_dir = ephemeral->path();
     }
     std::error_code ec;
     std::filesystem::create_directories(state_dir, ec);
@@ -670,12 +629,6 @@ run_shard_scan(const std::string &worker_binary,
                        ec.message();
         return report;
     }
-    const auto cleanup_ephemeral = [&] {
-        if (ephemeral) {
-            std::error_code ignore;
-            std::filesystem::remove_all(state_dir, ignore);
-        }
-    };
 
     // Prior state: a FWSJ journal under the scan fingerprint. A
     // mismatching or corrupt state file degrades to a fresh full scan —
@@ -731,7 +684,6 @@ run_shard_scan(const std::string &worker_binary,
         if (!journal.ok()) {
             report.error = "cannot create " + journal_path + ": " +
                            journal.error_message();
-            cleanup_ephemeral();
             return report;
         }
         ScanJournal seeded = std::move(journal).take();
@@ -794,30 +746,30 @@ run_shard_scan(const std::string &worker_binary,
         if (type == "finding") {
             FleetFinding finding;
             finding.cve = static_cast<std::size_t>(
-                field_u64(fields, "cve"));
+                field_num(fields, "cve"));
             finding.blob = static_cast<std::size_t>(
-                field_u64(fields, "blob"));
+                field_num(fields, "blob"));
             finding.ord = static_cast<std::size_t>(
-                field_u64(fields, "ord"));
+                field_num(fields, "ord"));
             finding.exe_name = field_str(fields, "exe");
-            finding.matched_entry = field_u64(fields, "entry");
-            finding.sim = static_cast<int>(field_u64(fields, "sim"));
-            finding.steps = static_cast<int>(field_u64(fields, "steps"));
+            finding.matched_entry = field_num(fields, "entry");
+            finding.sim = static_cast<int>(field_num(fields, "sim"));
+            finding.steps = static_cast<int>(field_num(fields, "steps"));
             run.findings.push_back(std::move(finding));
         } else if (type == "quar") {
             QuarantineEntry entry;
             entry.exe_name = field_str(fields, "exe");
             entry.code = static_cast<ErrorCode>(
-                field_u64(fields, "code") % kErrorCodeCount);
+                field_num(fields, "code") % kErrorCodeCount);
             entry.message = field_str(fields, "msg");
             run.quars.push_back(std::move(entry));
         } else if (type == "health") {
             health_from_fields(fields, run.health);
             run.appended = static_cast<std::size_t>(
-                field_u64(fields, "appended"));
+                field_num(fields, "appended"));
             run.health_frame = true;
         } else if (type == "done") {
-            run.done_frame = field_u64(fields, "ok") != 0;
+            run.done_frame = field_num(fields, "ok") != 0;
         }
         // hello/heartbeat only refresh last_frame.
         return true;
@@ -949,7 +901,6 @@ run_shard_scan(const std::string &worker_binary,
                 run.fd = -1;
             }
         }
-        cleanup_ephemeral();
         return report;
     }
 
@@ -1014,7 +965,6 @@ run_shard_scan(const std::string &worker_binary,
         }
     }
 
-    cleanup_ephemeral();
     report.wall_seconds =
         seconds_between(fleet_start, std::chrono::steady_clock::now());
     report.ok = true;

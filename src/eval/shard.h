@@ -45,7 +45,9 @@
 #include <vector>
 
 #include "eval/driver.h"
+#include "eval/flags.h"
 #include "eval/health.h"
+#include "firmware/image.h"
 
 namespace firmup::eval {
 
@@ -60,6 +62,26 @@ namespace firmup::eval {
  * @p shard_count 0 is treated as 1.
  */
 std::size_t shard_of_path(std::string_view path, std::size_t shard_count);
+
+/**
+ * One shard's slice of a blob manifest, read and unpacked — the loader
+ * `search` and a shard worker share. Unreadable blobs are reported on
+ * stderr and counted in `health`; targets keep their GLOBAL manifest
+ * index as image_index.
+ */
+struct Manifest
+{
+    std::vector<firmware::UnpackResult> blobs;
+    std::vector<CorpusTarget> targets;  ///< in manifest order
+    std::vector<std::size_t> ordinals;  ///< targets[t]'s index in its blob
+    std::size_t slice_size = 0;         ///< manifest entries in the slice
+    ScanHealth health;                  ///< unpack accounting
+};
+
+/** Load the entries of @p paths in shard @p shard_index of @p shard_count. */
+Manifest load_manifest(const std::vector<std::string> &paths,
+                       std::size_t shard_index = 0,
+                       std::size_t shard_count = 1);
 
 /** Parsed shard-protocol frame payload: flat JSON, string values. */
 using FrameFields = std::map<std::string, std::string>;
@@ -93,6 +115,8 @@ struct FleetFinding
     std::uint64_t matched_entry = 0;
     int sim = 0;
     int steps = 0;
+
+    bool operator==(const FleetFinding &) const = default;
 };
 
 // ShardSlice — the per-shard health slice — lives in eval/health.h with
@@ -121,16 +145,19 @@ struct FleetReport
     double wall_seconds = 0.0;
 };
 
-/** Coordinator configuration for one fleet scan. */
-struct ShardScanOptions
+/** A search_corpus_batch grid's detections, in (cve, blob, ord) order. */
+std::vector<FleetFinding>
+manifest_findings(const std::vector<std::vector<CorpusOutcome>> &grid,
+                  const Manifest &manifest);
+
+/** Coordinator configuration; the ScanFlags reach every worker as is. */
+struct ShardScanOptions : ScanFlags
 {
-    std::vector<std::string> cve_ids;
     /** The corpus manifest; order defines the report order. */
     std::vector<std::string> blob_paths;
     std::size_t workers = 1;
     /** Threads per worker process (0 = auto via FIRMUP_THREADS). */
     unsigned worker_threads = 1;
-    bool confirm = true;
     /**
      * Persistent state directory: `state.fwsj` (the incremental scan
      * state) plus the per-shard journals live here. Empty = ephemeral —
@@ -138,9 +165,6 @@ struct ShardScanOptions
      * the run but persists nothing across runs.
      */
     std::string state_dir;
-    std::string index_cache_dir;  ///< shared FWIX store ("" = none)
-    bool mmap_index = true;
-    std::size_t resident_cache_mb = 0;  ///< per-worker resident budget
     /** Stall deadline: no frame from a worker for this long => respawn. */
     double heartbeat_seconds = 30.0;
     /** Respawns allowed per shard beyond the first spawn. */
@@ -167,25 +191,34 @@ FleetReport run_shard_scan(const std::string &worker_binary,
                            const ShardScanOptions &options);
 
 /** Worker-side configuration (parsed from the hidden CLI verb). */
-struct ShardWorkerOptions
+struct ShardWorkerOptions : ScanFlags
 {
     std::size_t shard_index = 0;
     std::size_t shard_count = 1;
     unsigned threads = 1;
-    bool confirm = true;
-    std::vector<std::string> cve_ids;
     /** The FULL manifest — the worker filters by shard_of_path, keeping
      *  global indices intact for the coordinator's merge order. */
     std::vector<std::string> blob_paths;
     std::string journal_path;
-    std::string index_cache_dir;
-    bool mmap_index = true;
-    std::size_t resident_cache_mb = 0;
     double heartbeat_seconds = 30.0;
     /** Test seams (see ShardScanOptions). */
     std::size_t exit_after_appends = 0;
     bool stall_after_appends = false;
 };
+
+/**
+ * The argv @p shard's worker is spawned with: `--worker`, the
+ * worker-only flags (the test seams only when @p with_seams), the
+ * ScanFlags through scan_flag_args, then the full manifest.
+ */
+std::vector<std::string> worker_args(const ShardScanOptions &options,
+                                     std::size_t shard,
+                                     const std::string &journal_path,
+                                     bool with_seams);
+
+/** Decode a worker's argv after `--worker`: worker_args' inverse. */
+bool parse_worker_args(const std::vector<std::string> &args,
+                       ShardWorkerOptions &options);
 
 /**
  * Worker entry point: scan this shard's slice of the manifest with a

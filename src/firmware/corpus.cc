@@ -1,6 +1,7 @@
 #include "firmware/corpus.h"
 
 #include <algorithm>
+#include <fstream>
 
 #include "codegen/build.h"
 #include "support/error.h"
@@ -260,6 +261,28 @@ build_corpus(const CorpusOptions &options)
         }
     }
     return corpus;
+}
+
+Result<std::vector<std::string>>
+write_corpus_blobs(const Corpus &corpus, std::uint64_t seed,
+                   const std::string &dir)
+{
+    Rng rng(seed ^ 0xb10b);
+    std::vector<std::string> paths;
+    for (const FirmwareImage &image : corpus.images) {
+        const std::string path = dir + "/" + image.vendor + "-" +
+                                 image.device + "-" + image.version + ".fw";
+        const ByteBuffer bytes = pack_firmware(image, rng);
+        std::ofstream out(path, std::ios::binary);
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+        if (!out) {
+            return Result<std::vector<std::string>>::error(
+                ErrorCode::IoError, "cannot write " + path);
+        }
+        paths.push_back(path);
+    }
+    return paths;
 }
 
 }  // namespace firmup::firmware

@@ -89,4 +89,15 @@ struct CorpusOptions
 /** Build the corpus deterministically from @p options. */
 Corpus build_corpus(const CorpusOptions &options = {});
 
+/**
+ * Pack every image of @p corpus, in order, into
+ * `DIR/<vendor>-<device>-<version>.fw`, drawing the padding from one
+ * Rng seeded `seed ^ 0xb10b` — so the same CorpusOptions always write
+ * byte-identical blobs. Returns the written paths, or an IoError naming
+ * the first file that could not be written.
+ */
+Result<std::vector<std::string>> write_corpus_blobs(const Corpus &corpus,
+                                                    std::uint64_t seed,
+                                                    const std::string &dir);
+
 }  // namespace firmup::firmware

@@ -4,8 +4,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
+
+#include "support/str.h"
 
 namespace firmup {
 
@@ -86,6 +90,24 @@ fsync_stream(std::FILE *stream)
         return false;
     }
     return ::fsync(fileno(stream)) == 0;
+}
+
+ScopedTempDir::ScopedTempDir(const std::string &prefix)
+{
+    static std::atomic<unsigned> next{0};
+    path_ = (std::filesystem::temp_directory_path() /
+             strprintf("%s-%d-%u", prefix.c_str(),
+                       static_cast<int>(::getpid()), next++))
+                .string();
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+    std::filesystem::create_directories(path_, ec);
+}
+
+ScopedTempDir::~ScopedTempDir()
+{
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
 }
 
 }  // namespace firmup

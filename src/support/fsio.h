@@ -45,4 +45,23 @@ bool fsync_dir(const std::string &dir);
 /** fsync an already-open stdio stream (fflush + fsync of its fd). */
 bool fsync_stream(std::FILE *stream);
 
+/**
+ * A fresh directory under the system temp dir, named
+ * `<prefix>-<pid>-<n>` so that no two live ones collide across threads
+ * or processes, and removed with everything in it on destruction.
+ */
+class ScopedTempDir
+{
+  public:
+    explicit ScopedTempDir(const std::string &prefix);
+    ~ScopedTempDir();
+    ScopedTempDir(const ScopedTempDir &) = delete;
+    ScopedTempDir &operator=(const ScopedTempDir &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
+
 }  // namespace firmup

@@ -32,7 +32,6 @@
 #include "firmware/catalog.h"
 #include "firmware/corpus.h"
 #include "firmware/image.h"
-#include "support/rng.h"
 
 namespace firmup::eval {
 namespace {
@@ -66,19 +65,11 @@ packed_corpus()
         out->store_dir = (base / "store").string();
         firmware::CorpusOptions copt;
         copt.num_devices = 6;
-        const firmware::Corpus c = firmware::build_corpus(copt);
-        Rng rng(copt.seed ^ 0xb10b);
-        for (const firmware::FirmwareImage &image : c.images) {
-            const fs::path path =
-                fs::path(out->blob_dir) /
-                (image.vendor + "-" + image.device + "-" +
-                 image.version + ".fw");
-            const ByteBuffer bytes = firmware::pack_firmware(image, rng);
-            std::ofstream file(path, std::ios::binary);
-            file.write(reinterpret_cast<const char *>(bytes.data()),
-                       static_cast<std::streamsize>(bytes.size()));
-            EXPECT_TRUE(file.good()) << path;
-            out->paths.push_back(path.string());
+        auto written = firmware::write_corpus_blobs(
+            firmware::build_corpus(copt), copt.seed, out->blob_dir);
+        EXPECT_TRUE(written.ok()) << written.error_message();
+        if (written.ok()) {
+            out->paths = std::move(written).take();
         }
         out->cve_id = firmware::cve_database().front().cve_id;
         return out;
@@ -371,6 +362,104 @@ TEST(ShardScan, UnchangedCorpusRescansIncrementally)
     EXPECT_EQ(other.targets_searched, 0u);
     expect_findings_equal(first, other, "rescan at other worker count");
     fs::remove_all(state_dir);
+}
+
+TEST(ShardWorkerArgs, DecodeInvertsEveryWorkerVisibleField)
+{
+    ShardScanOptions options;
+    options.cve_ids = {"CVE-2011-0762", "CVE-2014-4877"};
+    options.blob_paths = {"/corpus/with space.fw", "plain.fw",
+                          "dir with spaces/v1.0 (old).fw"};
+    options.workers = 3;
+    options.worker_threads = 5;
+    options.heartbeat_seconds = 0.1;  // must survive the trip through text
+    options.index_cache_dir = "/store dir/fwix";
+    options.mmap_index = false;
+    options.resident_cache_mb = 64;
+    options.kill_first_worker_after = 7;
+    options.stall_first_worker = true;
+    const std::string journal = "/state dir/shard-2.fwsj";
+
+    const std::vector<std::string> args =
+        worker_args(options, 2, journal, /*with_seams=*/true);
+    ASSERT_FALSE(args.empty());
+    EXPECT_EQ(args.front(), "--worker");
+    // The inverse emits each shared flag once.
+    for (const char *flag : {"--cve-list", "--index-cache", "--no-mmap",
+                             "--resident-cache-mb"}) {
+        EXPECT_EQ(std::count(args.begin(), args.end(), flag), 1) << flag;
+    }
+    ShardWorkerOptions decoded;
+    ASSERT_TRUE(parse_worker_args({args.begin() + 1, args.end()}, decoded));
+    EXPECT_EQ(decoded.shard_index, 2u);
+    EXPECT_EQ(decoded.shard_count, options.workers);
+    EXPECT_EQ(decoded.threads, options.worker_threads);
+    EXPECT_EQ(decoded.heartbeat_seconds, options.heartbeat_seconds);
+    EXPECT_EQ(decoded.journal_path, journal);
+    EXPECT_EQ(decoded.cve_ids, options.cve_ids);
+    EXPECT_EQ(decoded.blob_paths, options.blob_paths);
+    EXPECT_EQ(decoded.index_cache_dir, options.index_cache_dir);
+    EXPECT_EQ(decoded.mmap_index, options.mmap_index);
+    EXPECT_EQ(decoded.resident_cache_mb, options.resident_cache_mb);
+    EXPECT_EQ(decoded.exit_after_appends, options.kill_first_worker_after);
+    EXPECT_EQ(decoded.stall_after_appends, options.stall_first_worker);
+
+    // Defaults survive too, and the seams stay off a non-seamed spawn.
+    ShardScanOptions plain;
+    plain.cve_ids = {"CVE-2011-0762"};
+    plain.blob_paths = {"a.fw"};
+    plain.kill_first_worker_after = 3;
+    ShardWorkerOptions back;
+    const std::vector<std::string> plain_args =
+        worker_args(plain, 0, "j.fwsj", /*with_seams=*/false);
+    ASSERT_TRUE(
+        parse_worker_args({plain_args.begin() + 1, plain_args.end()}, back));
+    EXPECT_EQ(back.cve_ids, plain.cve_ids);
+    EXPECT_EQ(back.blob_paths, plain.blob_paths);
+    EXPECT_EQ(back.index_cache_dir, "");
+    EXPECT_TRUE(back.mmap_index);
+    EXPECT_FALSE(back.resident_cache_mb.has_value());
+    EXPECT_EQ(back.heartbeat_seconds, plain.heartbeat_seconds);
+    EXPECT_EQ(back.exit_after_appends, 0u);
+    EXPECT_FALSE(back.stall_after_appends);
+}
+
+TEST(ShardScan, ScanFlagsReachEveryWorker)
+{
+    // The shared store flags must change what the workers do, not just
+    // what the coordinator parsed: on a warm store the merged health
+    // shows mapped loads by default, none under --no-mmap, and resident
+    // traffic only when a resident budget is asked for.
+    const PackedCorpus &corpus = packed_corpus();
+    ShardScanOptions options;
+    options.cve_ids = {corpus.cve_id};
+    options.blob_paths = corpus.paths;
+    options.workers = 2;
+    options.index_cache_dir = corpus.store_dir;
+    options.quiet = true;
+    const FleetReport warmup = run_shard_scan(FIRMUP_TOOL_PATH, options);
+    ASSERT_TRUE(warmup.ok) << warmup.error;
+
+    const FleetReport mapped = run_shard_scan(FIRMUP_TOOL_PATH, options);
+    ASSERT_TRUE(mapped.ok) << mapped.error;
+    EXPECT_GT(mapped.health.cache_mmap_loads, 0u);
+    EXPECT_EQ(mapped.health.resident_misses, 0u);
+
+    ShardScanOptions read = options;
+    read.mmap_index = false;
+    const FleetReport unmapped = run_shard_scan(FIRMUP_TOOL_PATH, read);
+    ASSERT_TRUE(unmapped.ok) << unmapped.error;
+    EXPECT_EQ(unmapped.health.cache_mmap_loads, 0u);
+    EXPECT_GT(unmapped.health.cache_hits, 0u);
+    expect_findings_equal(mapped, unmapped, "--no-mmap");
+
+    ShardScanOptions resident = options;
+    resident.resident_cache_mb = 64;
+    const FleetReport with_resident =
+        run_shard_scan(FIRMUP_TOOL_PATH, resident);
+    ASSERT_TRUE(with_resident.ok) << with_resident.error;
+    EXPECT_GT(with_resident.health.resident_misses, 0u);
+    expect_findings_equal(mapped, with_resident, "--resident-cache-mb");
 }
 
 /** Run the real CLI via the shell, stdout to @p out_path. */

@@ -3,82 +3,52 @@
  * `firmup` — command-line front end for the whole stack.
  *
  *   firmup cves                          list the CVE database
- *   firmup corpus --out DIR [--devices N] [--seed S]
+ *   firmup corpus --out DIR [--devices N] [--seed S] [--scale N]
  *                                        build the corpus, write blobs
  *   firmup unpack BLOB                   carve a firmware blob
  *   firmup index BLOB                    lift + index every executable
  *   firmup disasm BLOB EXE [N]           disassemble an executable
  *   firmup search CVE-ID BLOB...         hunt a CVE across blobs
- *   firmup trace CVE-ID BLOB... [--trace-out FILE]
- *                                        the same hunt with full tracing
- *                                        on; writes a Chrome trace_event
- *                                        JSON (chrome://tracing) with
- *                                        spans for unpack, lift, index,
- *                                        game and confirm
+ *   firmup trace CVE-ID BLOB...          the same hunt with full tracing
+ *                                        (Chrome trace JSON: --trace-out)
+ *   firmup shard-scan CVE-ID BLOB...     the same hunt sharded across
+ *                                        worker processes (eval/shard.h)
  *   firmup exec BLOB EXE PROC [ARGS..]   run a procedure in the µIR
  *                                        interpreter (PROC is a symbol
  *                                        name or @hex entry address)
- *   firmup fuzz-unpack BLOB [--iters N] [--seed S]
- *                                        drive unpack→lift→index→match
- *                                        over N deterministic mutants of
- *                                        BLOB; prints the ScanHealth
- *   firmup bench-json [--out FILE] [--devices N] [--only ENTRY]...
- *                                        run the matching micro-
- *                                        benchmarks, write BENCH_micro.json;
- *                                        --only (repeatable) restricts the
- *                                        run to the named entries
+ *   firmup fuzz-unpack BLOB [--iters N]  drive unpack→lift→index→match
+ *                                        over deterministic mutants
  *
- * search and trace accept `--cve-list A,B,C` in place of the positional
- * CVE id: the whole list is hunted in one batched pass — every target
- * unpacked and indexed exactly once, the (query, target) grid fanned
- * across workers — with findings tagged per CVE.
- *
- * search, trace, index and fuzz-unpack accept `--stats-json FILE`:
- * metrics collection is switched on and the flat counter/histogram
- * snapshot is written to FILE at exit.
- *
- * search, trace and index accept `--index-cache DIR`: indexes are
- * persisted to (and warm-loaded from) a content-addressed FWIX store
- * in DIR, so a second scan of the same corpus skips lift+canon+pack
- * entirely. Corrupt or stale entries silently degrade to misses. Store
- * entries are mapped and opened in place; `--no-mmap` reads them into
- * memory instead. `--resident-cache-mb N` additionally keeps opened
- * indexes resident in-process under an LRU byte budget, and
- * `--passes N` reruns the hunt with fresh drivers in one process so
- * later passes hit that resident tier (no store I/O, no re-parse).
- *
- * search and trace are interruptible and resumable: `--journal FILE`
- * durably records each target's outcome as it completes, SIGINT/SIGTERM
- * drains in-flight work, flushes the journal and exits 130 with a
- * partial report, and a rerun with `--journal FILE --resume` replays the
- * finished targets and scans only the remainder — the merged findings
- * and health are bit-identical to an uninterrupted scan. `--target-budget
- * SEC` puts a wall-clock watchdog on each game; `--fail-on-quarantine[=N]`
- * exits 4 when more than N executables were quarantined (bare flag: any).
+ * usage() lists every flag. Each verb parses them through the options
+ * layer in eval/flags.h — one table per verb, one name, arity and
+ * validation rule per flag — so an unknown flag, a flag the verb does
+ * not take, a missing value and a value out of range exit 2 instead of
+ * becoming blob paths. search, trace and shard-scan share one group
+ * (ScanFlags: --cve-list, --index-cache, --no-mmap, --resident-cache-mb)
+ * and one hunt path: the same CVE resolution and store wiring
+ * (eval::prepare_hunt), manifest loader (eval::load_manifest) and
+ * finding printer; shard-scan hands the group to its workers unchanged.
+ * The matching micro-benchmarks are their own binary, bench/bench_json.
  *
  * Blobs are the FWIMG containers produced by `firmup corpus` (or any
  * firmware::pack_firmware caller).
  */
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
-#include <set>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
 
 #include "eval/driver.h"
+#include "eval/flags.h"
 #include "eval/report.h"
 #include "eval/shard.h"
 #include "firmware/corpus.h"
 #include "firmware/image.h"
-#include "game/game.h"
 #include "lifter/interp.h"
 #include "support/cancel.h"
 #include "support/faultinject.h"
@@ -146,25 +116,22 @@ usage()
         "  exec BLOB EXE PROC [ARGS...]        interpret a procedure\n"
         "  fuzz-unpack BLOB [--iters N] [--seed S]\n"
         "                                      fault-inject the pipeline\n"
-        "  bench-json [--out FILE] [--devices N] [--only ENTRY]...\n"
-        "                                      write BENCH_micro.json;\n"
-        "                                      --only restricts the run to\n"
-        "                                      the named entries (stdout\n"
-        "                                      only; the BENCH file is\n"
-        "                                      written by full runs)\n"
-        "search/trace/index/fuzz-unpack also take --stats-json FILE to\n"
-        "collect and dump the metrics snapshot\n"
-        "search/trace/index also take --index-cache DIR: a persistent\n"
-        "content-addressed index store, so repeat scans of the same\n"
-        "executables skip lifting entirely (warm start)\n"
-        "search/trace also take:\n"
+        "search/trace/shard-scan share --cve-list A,B,C and:\n"
+        "  --index-cache DIR      persistent content-addressed index\n"
+        "                         store, so repeat scans of the same\n"
+        "                         executables skip lifting entirely\n"
+        "                         (warm start; index takes it too)\n"
         "  --resident-cache-mb N  keep opened indexes resident\n"
-        "                         in-process under an N MiB LRU budget\n"
-        "                         (0 = ablation: cache wired, holds\n"
-        "                         nothing; findings identical)\n"
+        "                         in-process (per worker for shard-scan)\n"
+        "                         under an N MiB LRU budget (0 =\n"
+        "                         ablation: cache wired, holds nothing;\n"
+        "                         findings identical)\n"
         "  --no-mmap              read store entries into memory\n"
         "                         instead of mapping them (findings\n"
         "                         identical)\n"
+        "search/trace/shard-scan/index/fuzz-unpack also take\n"
+        "--stats-json FILE to collect and dump the metrics snapshot\n"
+        "search/trace also take:\n"
         "  --passes N             run the hunt N times with fresh\n"
         "                         drivers in one process (the resident\n"
         "                         cache persists across passes; with\n"
@@ -187,78 +154,11 @@ usage()
         "SIGINT/SIGTERM drain in-flight targets, flush the journal and\n"
         "exit 130 with a partial report; rerun with --resume to finish\n"
         "shard-scan also takes: --worker-threads N (threads per worker),\n"
-        "--index-cache DIR, --no-mmap, --resident-cache-mb N,\n"
         "--heartbeat SEC (stall deadline, default 30), --max-respawns N\n"
-        "(default 2), --quiet, --stats-json FILE and --cve-list A,B,C\n");
+        "(default 2) and --quiet\n"
+        "an unknown flag, a missing value or an out-of-range number is a\n"
+        "usage error (exit 2)\n");
     return 2;
-}
-
-// Tolerant numeric flag parsing: a non-numeric or out-of-range value
-// leaves `out` untouched and returns false so the caller can fall back
-// to usage() instead of aborting on an uncaught std::stoi exception.
-bool
-parse_int(const std::string &text, int &out)
-{
-    try {
-        std::size_t used = 0;
-        const int value = std::stoi(text, &used);
-        if (used != text.size()) {
-            return false;
-        }
-        out = value;
-        return true;
-    } catch (const std::exception &) {
-        return false;
-    }
-}
-
-bool
-parse_u64(const std::string &text, std::uint64_t &out)
-{
-    try {
-        std::size_t used = 0;
-        const std::uint64_t value = std::stoull(text, &used);
-        if (used != text.size()) {
-            return false;
-        }
-        out = value;
-        return true;
-    } catch (const std::exception &) {
-        return false;
-    }
-}
-
-bool
-parse_double(const std::string &text, double &out)
-{
-    try {
-        std::size_t used = 0;
-        const double value = std::stod(text, &used);
-        if (used != text.size()) {
-            return false;
-        }
-        out = value;
-        return true;
-    } catch (const std::exception &) {
-        return false;
-    }
-}
-
-bool
-write_file(const std::string &path, const ByteBuffer &bytes)
-{
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    return static_cast<bool>(out);
-}
-
-bool
-write_text_file(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary);
-    out << text;
-    return static_cast<bool>(out);
 }
 
 /**
@@ -271,22 +171,19 @@ dump_trace_artifacts(const std::string &trace_out,
                      const std::string &stats_out)
 {
     bool ok = true;
-    if (!trace_out.empty()) {
-        if (write_text_file(trace_out, trace::chrome_trace_json())) {
-            std::printf("wrote %s (load in chrome://tracing)\n",
-                        trace_out.c_str());
-        } else {
-            std::fprintf(stderr, "firmup: cannot write %s\n",
-                         trace_out.c_str());
-            ok = false;
+    for (const auto &[path, chrome] :
+         {std::pair{&trace_out, true}, std::pair{&stats_out, false}}) {
+        if (path->empty()) {
+            continue;
         }
-    }
-    if (!stats_out.empty()) {
-        if (write_text_file(stats_out, trace::stats_json())) {
-            std::printf("wrote %s\n", stats_out.c_str());
+        std::ofstream out(*path, std::ios::binary);
+        out << (chrome ? trace::chrome_trace_json() : trace::stats_json());
+        if (out) {
+            std::printf("wrote %s%s\n", path->c_str(),
+                        chrome ? " (load in chrome://tracing)" : "");
         } else {
             std::fprintf(stderr, "firmup: cannot write %s\n",
-                         stats_out.c_str());
+                         path->c_str());
             ok = false;
         }
     }
@@ -310,70 +207,40 @@ cmd_corpus(const std::vector<std::string> &args)
 {
     firmware::CorpusOptions options;
     std::string out_dir;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--out" && i + 1 < args.size()) {
-            out_dir = args[++i];
-        } else if (args[i] == "--devices" && i + 1 < args.size()) {
-            if (!parse_int(args[++i], options.num_devices)) {
-                return usage();
-            }
-        } else if (args[i] == "--seed" && i + 1 < args.size()) {
-            if (!parse_u64(args[++i], options.seed)) {
-                return usage();
-            }
-        } else if (args[i] == "--scale" && i + 1 < args.size()) {
-            if (!parse_int(args[++i], options.scale) ||
-                options.scale < 1) {
-                return usage();
-            }
-        } else {
-            return usage();
-        }
-    }
-    if (out_dir.empty()) {
+    std::vector<std::string> positionals;
+    if (!eval::parse_flags(
+            args,
+            {eval::string_flag("--out", out_dir),
+             eval::number_flag("--devices", options.num_devices, 1),
+             eval::number_flag("--seed", options.seed, 0),
+             eval::number_flag("--scale", options.scale, 1)},
+            positionals) ||
+        !positionals.empty() || out_dir.empty()) {
         return usage();
     }
     const firmware::Corpus corpus = firmware::build_corpus(options);
-    Rng rng(options.seed ^ 0xb10b);
-    int written = 0;
-    for (const firmware::FirmwareImage &image : corpus.images) {
-        const std::string path = out_dir + "/" + image.vendor + "-" +
-                                 image.device + "-" + image.version +
-                                 ".fw";
-        if (!write_file(path, firmware::pack_firmware(image, rng))) {
-            std::fprintf(stderr, "firmup: cannot write %s\n",
-                         path.c_str());
-            return 1;
-        }
-        ++written;
+    const auto written =
+        firmware::write_corpus_blobs(corpus, options.seed, out_dir);
+    if (!written.ok()) {
+        std::fprintf(stderr, "firmup: %s\n",
+                     written.error_message().c_str());
+        return 1;
     }
-    std::printf("wrote %d firmware blobs (%zu executables, %zu "
+    std::printf("wrote %zu firmware blobs (%zu executables, %zu "
                 "procedures) to %s\n",
-                written, corpus.executable_count(),
+                written.value().size(), corpus.executable_count(),
                 corpus.procedure_count(), out_dir.c_str());
     return 0;
-}
-
-Result<firmware::UnpackResult>
-load_blob(const std::string &path)
-{
-    auto bytes = read_file_bytes(path);
-    if (!bytes.ok()) {
-        return Result<firmware::UnpackResult>::error_from(bytes);
-    }
-    return firmware::unpack_firmware(bytes.value());
 }
 
 int
 cmd_unpack(const std::string &path)
 {
-    auto unpacked = load_blob(path);
-    if (!unpacked.ok()) {
-        std::fprintf(stderr, "firmup: %s\n",
-                     unpacked.error_message().c_str());
-        return 1;
+    const eval::Manifest manifest = eval::load_manifest({path});
+    if (manifest.blobs.empty()) {
+        return 1;  // load_manifest said why
     }
-    const firmware::FirmwareImage &image = unpacked.value().image;
+    const firmware::FirmwareImage &image = manifest.blobs.front().image;
     std::printf("vendor=%s device=%s version=%s latest=%s\n",
                 image.vendor.c_str(), image.device.c_str(),
                 image.version.c_str(), image.is_latest ? "yes" : "no");
@@ -390,9 +257,9 @@ cmd_unpack(const std::string &path)
     for (const std::string &content : image.content_files) {
         std::printf("content: %s\n", content.c_str());
     }
-    if (unpacked.value().damaged_members > 0) {
+    if (manifest.blobs.front().damaged_members > 0) {
         std::printf("%d damaged member(s) skipped\n",
-                    unpacked.value().damaged_members);
+                    manifest.blobs.front().damaged_members);
     }
     return 0;
 }
@@ -400,37 +267,29 @@ cmd_unpack(const std::string &path)
 int
 cmd_index(const std::vector<std::string> &args)
 {
-    std::string path, stats_out;
+    std::string stats_out;
     eval::SearchOptions options;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--stats-json" && i + 1 < args.size()) {
-            stats_out = args[++i];
-        } else if (args[i] == "--index-cache" && i + 1 < args.size()) {
-            options.index_cache_dir = args[++i];
-        } else if (path.empty()) {
-            path = args[i];
-        } else {
-            return usage();
-        }
-    }
-    if (path.empty()) {
+    std::vector<std::string> positionals;
+    if (!eval::parse_flags(args,
+                           {eval::string_flag("--stats-json", stats_out),
+                            eval::index_cache_flag(options.index_cache_dir)},
+                           positionals) ||
+        positionals.size() != 1) {
         return usage();
     }
     if (!stats_out.empty()) {
         trace::set_level(trace::Level::Metrics);
     }
-    auto unpacked = load_blob(path);
-    if (!unpacked.ok()) {
-        std::fprintf(stderr, "firmup: %s\n",
-                     unpacked.error_message().c_str());
-        return 1;
+    const eval::Manifest manifest = eval::load_manifest(positionals);
+    if (manifest.blobs.empty()) {
+        return 1;  // load_manifest said why
     }
     eval::Driver driver(options);
-    driver.health().note_unpack(unpacked.value());
+    driver.health().merge(manifest.health);
     eval::Table table({"member", "arch", "procedures", "blocks",
                        "strands"});
-    for (const loader::Executable &exe :
-         unpacked.value().image.executables) {
+    for (const eval::CorpusTarget &target : manifest.targets) {
+        const loader::Executable &exe = *target.exe;
         const sim::ExecutableIndex *index = driver.index_target(exe);
         if (index == nullptr) {
             continue;  // quarantined; shown in the health report
@@ -457,14 +316,12 @@ cmd_index(const std::vector<std::string> &args)
 int
 cmd_disasm(const std::string &path, const std::string &member, int count)
 {
-    auto unpacked = load_blob(path);
-    if (!unpacked.ok()) {
-        std::fprintf(stderr, "firmup: %s\n",
-                     unpacked.error_message().c_str());
-        return 1;
+    const eval::Manifest manifest = eval::load_manifest({path});
+    if (manifest.blobs.empty()) {
+        return 1;  // load_manifest said why
     }
-    for (const loader::Executable &exe :
-         unpacked.value().image.executables) {
+    for (const eval::CorpusTarget &t : manifest.targets) {
+        const loader::Executable &exe = *t.exe;
         if (exe.name != member) {
             continue;
         }
@@ -500,139 +357,109 @@ cmd_disasm(const std::string &path, const std::string &member, int count)
     return 1;
 }
 
+/** The "hunting ..." header of search and shard-scan. */
+void
+print_hunt_header(const std::vector<firmware::CveRecord> &cves)
+{
+    for (const firmware::CveRecord &cve : cves) {
+        std::printf("hunting %s: %s in %s (vulnerable <= %s)\n",
+                    cve.cve_id.c_str(), cve.procedure.c_str(),
+                    cve.package.c_str(),
+                    eval::latest_vulnerable_version(cve).c_str());
+    }
+}
+
+/**
+ * One VULNERABLE line per finding, in the given order; a line names
+ * its CVE only when more than one is hunted.
+ */
+void
+print_findings(const std::vector<eval::FleetFinding> &findings,
+               const std::vector<firmware::CveRecord> &cves,
+               const std::vector<std::string> &blobs)
+{
+    for (const eval::FleetFinding &finding : findings) {
+        const firmware::CveRecord &cve = cves[finding.cve];
+        const std::string tag = cves.size() == 1 ? "" : " to " + cve.cve_id;
+        std::printf("%s: %s: VULNERABLE%s — %s at 0x%llx "
+                    "(Sim=%d, %d game steps)\n",
+                    blobs[finding.blob].c_str(), finding.exe_name.c_str(),
+                    tag.c_str(), cve.procedure.c_str(),
+                    static_cast<unsigned long long>(finding.matched_entry),
+                    finding.sim, finding.steps);
+    }
+}
+
+/** The health report, plus the work counters when metrics are on. */
+void
+print_health(const eval::ScanHealth &health)
+{
+    std::printf("%s", trace::level() == trace::Level::Off
+                          ? eval::render_health(health).c_str()
+                          : eval::render_health(
+                                health,
+                                trace::MetricsRegistry::global().snapshot())
+                                .c_str());
+}
+
+/** Report a CVE id the database lacks, as every hunt verb does. */
+int
+unknown_cve(const std::string &message)
+{
+    std::fprintf(stderr, "firmup: %s (try `firmup cves`)\n",
+                 message.c_str());
+    return 1;
+}
+
 /**
  * The CVE hunt behind both `search` (tracing off unless --stats-json
  * asks for metrics) and `trace` (@p full_trace: Level::Full, Chrome
- * trace JSON written to --trace-out, default trace.json). The first
- * positional is the CVE id; `--cve-list A,B,C` replaces it with a whole
- * hunt list driven through one search_corpus_batch pass, so every
+ * trace JSON written to --trace-out, default trace.json). The whole
+ * hunt list is driven through one search_corpus_batch pass, so every
  * target is unpacked and indexed exactly once no matter how many CVEs
  * are hunted.
  */
 int
 cmd_search(const std::vector<std::string> &args, bool full_trace)
 {
-    std::vector<std::string> positionals;
-    std::string trace_out, stats_out, cve_list;
+    eval::ScanFlags scan;
     eval::SearchOptions options;
-    bool fail_on_quarantine = false;
-    int quarantine_limit = 0;
-    int resident_mb = -1;  ///< -1 = no resident cache requested
+    std::vector<std::string> paths;
+    std::string trace_out, stats_out;
+    std::optional<int> quarantine_limit;  ///< set by --fail-on-quarantine
     int passes = 1;
     int shard_index = -1;  ///< -1 = no sharding requested
     int shard_count = -1;
-    static const std::string kQuarantinePrefix = "--fail-on-quarantine=";
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--trace-out" && i + 1 < args.size()) {
-            trace_out = args[++i];
-        } else if (args[i] == "--stats-json" && i + 1 < args.size()) {
-            stats_out = args[++i];
-        } else if (args[i] == "--cve-list" && i + 1 < args.size()) {
-            cve_list = args[++i];
-        } else if (args[i] == "--index-cache" && i + 1 < args.size()) {
-            options.index_cache_dir = args[++i];
-        } else if (args[i] == "--resident-cache-mb" &&
-                   i + 1 < args.size()) {
-            if (!parse_int(args[++i], resident_mb) || resident_mb < 0) {
-                return usage();
-            }
-        } else if (args[i] == "--no-mmap") {
-            options.mmap_index = false;
-        } else if (args[i] == "--passes" && i + 1 < args.size()) {
-            if (!parse_int(args[++i], passes) || passes < 1) {
-                return usage();
-            }
-        } else if (args[i] == "--journal" && i + 1 < args.size()) {
-            options.journal_path = args[++i];
-        } else if (args[i] == "--resume") {
-            options.resume = true;
-        } else if (args[i] == "--shard-index" && i + 1 < args.size()) {
-            if (!parse_int(args[++i], shard_index) || shard_index < 0) {
-                return usage();
-            }
-        } else if (args[i] == "--shard-count" && i + 1 < args.size()) {
-            if (!parse_int(args[++i], shard_count) || shard_count < 1) {
-                return usage();
-            }
-        } else if (args[i] == "--fail-on-quarantine") {
-            fail_on_quarantine = true;
-        } else if (args[i].rfind(kQuarantinePrefix, 0) == 0) {
-            fail_on_quarantine = true;
-            if (!parse_int(args[i].substr(kQuarantinePrefix.size()),
-                           quarantine_limit) ||
-                quarantine_limit < 0) {
-                return usage();
-            }
-        } else if (args[i] == "--target-budget" && i + 1 < args.size()) {
-            if (!parse_double(args[++i],
-                              options.target_budget_seconds) ||
-                options.target_budget_seconds <= 0.0) {
-                return usage();
-            }
-        } else if (args[i] == "--cancel-after" && i + 1 < args.size()) {
-            std::uint64_t appends = 0;
-            if (!parse_u64(args[++i], appends) || appends == 0) {
-                return usage();
-            }
-            options.cancel_after_appends =
-                static_cast<std::size_t>(appends);
-        } else {
-            positionals.push_back(args[i]);
-        }
+    std::vector<eval::Flag> flags = {
+        eval::string_flag("--stats-json", stats_out),
+        eval::number_flag("--passes", passes, 1),
+        eval::string_flag("--journal", options.journal_path),
+        eval::switch_flag("--resume", options.resume),
+        eval::number_flag("--shard-index", shard_index, 0),
+        eval::number_flag("--shard-count", shard_count, 1),
+        eval::seconds_flag("--target-budget", options.target_budget_seconds),
+        eval::number_flag("--cancel-after", options.cancel_after_appends, 1),
+        {"--fail-on-quarantine", eval::Flag::Arity::Optional,
+         [&quarantine_limit](const std::string &limit) {
+             quarantine_limit = 0;
+             return limit.empty() ||
+                    parse_number(limit, *quarantine_limit, 0);
+         }}};
+    if (full_trace) {
+        flags.push_back(eval::string_flag("--trace-out", trace_out));
     }
-    // The hunt list: either the classic single positional CVE id before
-    // the blob paths, or the comma-separated --cve-list.
-    std::vector<std::string> ids;
-    if (!cve_list.empty()) {
-        std::size_t start = 0;
-        while (start <= cve_list.size()) {
-            const std::size_t comma = cve_list.find(',', start);
-            const std::size_t stop =
-                comma == std::string::npos ? cve_list.size() : comma;
-            if (stop > start) {
-                ids.push_back(cve_list.substr(start, stop - start));
-            }
-            if (comma == std::string::npos) {
-                break;
-            }
-            start = comma + 1;
-        }
-        if (ids.empty()) {
-            return usage();
-        }
-    } else {
-        if (positionals.empty()) {
-            return usage();
-        }
-        ids.push_back(positionals.front());
-        positionals.erase(positionals.begin());
-    }
-    std::vector<std::string> paths = positionals;
-    if (paths.empty()) {
+    if (!eval::parse_scan_args(args, std::move(flags), scan, paths)) {
         return usage();
     }
     // --shard-index/--shard-count: keep only this shard's slice of the
     // manifest, by the same pure path hash the shard-scan coordinator
     // uses — the escape hatch for external orchestrators.
-    if (shard_index >= 0 || shard_count >= 1) {
-        if (shard_index < 0 || shard_count < 1 ||
-            shard_index >= shard_count) {
-            std::fprintf(stderr,
-                         "firmup: --shard-index I and --shard-count N "
-                         "go together, with 0 <= I < N\n");
-            return usage();
-        }
-        std::vector<std::string> mine;
-        for (const std::string &path : paths) {
-            if (eval::shard_of_path(
-                    path, static_cast<std::size_t>(shard_count)) ==
-                static_cast<std::size_t>(shard_index)) {
-                mine.push_back(path);
-            }
-        }
-        std::printf("shard %d/%d: %zu of %zu blob(s)\n", shard_index,
-                    shard_count, mine.size(), paths.size());
-        paths = std::move(mine);
+    const bool sharded = shard_index >= 0 || shard_count >= 1;
+    if (sharded && (shard_index < 0 || shard_index >= shard_count)) {
+        std::fprintf(stderr,
+                     "firmup: --shard-index I and --shard-count N "
+                     "go together, with 0 <= I < N\n");
+        return usage();
     }
     if (options.resume && options.journal_path.empty()) {
         std::fprintf(stderr,
@@ -644,35 +471,32 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
             trace_out = "trace.json";
         }
         trace::set_level(trace::Level::Full);
-    } else if (!trace_out.empty()) {
-        return usage();  // --trace-out belongs to `firmup trace`
     } else if (!stats_out.empty()) {
         trace::set_level(trace::Level::Metrics);
     }
 
-    std::vector<firmware::CveRecord> cves;
-    for (const std::string &id : ids) {
-        const firmware::CveRecord *cve = nullptr;
-        for (const firmware::CveRecord &record :
-             firmware::cve_database()) {
-            if (record.cve_id == id) {
-                cve = &record;
-            }
-        }
-        if (cve == nullptr) {
-            std::fprintf(stderr, "firmup: unknown CVE %s (try `firmup "
-                                 "cves`)\n",
-                         id.c_str());
-            return 1;
-        }
-        cves.push_back(*cve);
+    // One process-level resident index cache shared by every pass's
+    // driver — the in-process warm tier --passes exists to exercise:
+    // pass 2 serves every target index from memory (resident hits, zero
+    // store loads, zero re-parses). Budget 0 is a valid ablation: every
+    // put is a no-op and findings must not change.
+    sim::ResidentIndexCache resident_cache;
+    const auto cves = eval::prepare_hunt(scan, options, resident_cache);
+    if (!cves.ok()) {
+        return unknown_cve(cves.error_message());
     }
-    for (const firmware::CveRecord &cve : cves) {
-        std::printf("hunting %s: %s in %s (vulnerable <= %s)\n",
-                    cve.cve_id.c_str(), cve.procedure.c_str(),
-                    cve.package.c_str(),
-                    eval::latest_vulnerable_version(cve).c_str());
+    // Unpack everything first; the blobs must stay alive across the
+    // parallel fan-out. Unpack health is recorded once and folded into
+    // each pass's driver, so a single-pass run reports exactly what it
+    // always did.
+    const eval::Manifest manifest = eval::load_manifest(
+        paths, sharded ? static_cast<std::size_t>(shard_index) : 0,
+        sharded ? static_cast<std::size_t>(shard_count) : 1);
+    if (sharded) {
+        std::printf("shard %d/%d: %zu of %zu blob(s)\n", shard_index,
+                    shard_count, manifest.slice_size, paths.size());
     }
+    print_hunt_header(cves.value());
     std::printf("\n");
 
     // Cooperative shutdown: the first SIGINT/SIGTERM requests the
@@ -684,53 +508,11 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
     install_cancel_signal_handlers();
     options.cancel = &cancel;
 
-    // One process-level resident index cache shared by every pass's
-    // driver — the in-process warm tier --passes exists to exercise:
-    // pass 2 serves every target index from memory (resident hits, zero
-    // store loads, zero re-parses). Budget 0 is a valid ablation: every
-    // put is a no-op and findings must not change.
-    sim::ResidentIndexCache resident_cache(0);
-    if (resident_mb >= 0) {
-        resident_cache.set_budget_bytes(
-            static_cast<std::size_t>(resident_mb) * 1024 * 1024);
-        options.resident_cache = &resident_cache;
-    }
-
-    // Unpack everything first; the blobs must stay alive across the
-    // parallel fan-out, so they live in one stable vector. image_index
-    // addresses this vector (and therefore blob_paths). Unpack health
-    // is recorded once and folded into each pass's driver, so a
-    // single-pass run reports exactly what it always did.
-    eval::ScanHealth unpack_health;
-    std::vector<firmware::UnpackResult> blobs;
-    std::vector<std::string> blob_paths;
-    std::vector<eval::CorpusTarget> targets;
-    for (const std::string &path : paths) {
-        auto unpacked = load_blob(path);
-        if (!unpacked.ok()) {
-            std::fprintf(stderr, "firmup: %s: %s\n", path.c_str(),
-                         unpacked.error_message().c_str());
-            unpack_health.note_unpack_failure(unpacked.error_code());
-            continue;
-        }
-        unpack_health.note_unpack(unpacked.value());
-        blobs.push_back(std::move(unpacked).take());
-        blob_paths.push_back(path);
-    }
-    for (std::size_t b = 0; b < blobs.size(); ++b) {
-        for (const loader::Executable &exe : blobs[b].image.executables) {
-            targets.push_back({&exe, static_cast<int>(b)});
-        }
-    }
-
     // The whole hunt — parallel index, per-ISA queries, work-stealing
     // (query, target) fan-out — in one batched pass; findings print per
-    // CVE in target order afterwards. A single-CVE hunt keeps the
-    // classic one-line format; a --cve-list hunt tags each line with
-    // the CVE it belongs to. --passes N repeats the hunt with a fresh
-    // driver each time (same process, shared resident cache); findings
-    // and the report come from the final pass.
-    int findings = 0;
+    // CVE in target order afterwards. --passes N repeats the hunt with a
+    // fresh driver each time (same process, shared resident cache);
+    // findings and the report come from the final pass.
     std::vector<std::vector<eval::CorpusOutcome>> grid;
     eval::ScanHealth health;
     for (int pass = 1; pass <= passes; ++pass) {
@@ -745,8 +527,8 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
             pass_options.resume = false;
         }
         eval::Driver driver(pass_options);
-        driver.health().merge(unpack_health);
-        grid = driver.search_corpus_batch(cves, targets);
+        driver.health().merge(manifest.health);
+        grid = driver.search_corpus_batch(cves.value(), manifest.targets);
         health = driver.health();
         if (passes > 1) {
             std::printf("pass %d/%d: %s\n", pass, passes,
@@ -768,46 +550,18 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
                      health.resume_reject_reason.c_str());
         return 5;
     }
-    for (std::size_t q = 0; q < cves.size(); ++q) {
-        const firmware::CveRecord &cve = cves[q];
-        for (const eval::CorpusOutcome &co : grid[q]) {
-            if (!co.indexed || !co.outcome.detected) {
-                continue;  // quarantined targets show in the health report
-            }
-            ++findings;
-            const std::string &blob = blob_paths[static_cast<std::size_t>(
-                co.target.image_index)];
-            if (cves.size() == 1) {
-                std::printf("%s: %s: VULNERABLE — %s at 0x%llx "
-                            "(Sim=%d, %d game steps)\n",
-                            blob.c_str(), co.target.exe->name.c_str(),
-                            cve.procedure.c_str(),
-                            static_cast<unsigned long long>(
-                                co.outcome.matched_entry),
-                            co.outcome.sim, co.outcome.steps);
-            } else {
-                std::printf("%s: %s: VULNERABLE to %s — %s at 0x%llx "
-                            "(Sim=%d, %d game steps)\n",
-                            blob.c_str(), co.target.exe->name.c_str(),
-                            cve.cve_id.c_str(), cve.procedure.c_str(),
-                            static_cast<unsigned long long>(
-                                co.outcome.matched_entry),
-                            co.outcome.sim, co.outcome.steps);
-            }
-        }
-    }
+    const std::vector<eval::FleetFinding> findings =
+        eval::manifest_findings(grid, manifest);
+    print_findings(findings, cves.value(), paths);
     const bool cancelled = health.cancelled;
-    std::printf("\n%d finding(s)%s\n", findings,
+    std::printf("\n%zu finding(s)%s\n", findings.size(),
                 cancelled ? " (scan cancelled — partial result)" : "");
     if (cancelled) {
         if (!options.journal_path.empty()) {
-            std::string spec = cves.front().cve_id;
-            if (cves.size() > 1) {
-                spec = "--cve-list " + ids.front();
-                for (std::size_t i = 1; i < ids.size(); ++i) {
-                    spec += "," + ids[i];
-                }
-            }
+            const std::string spec =
+                scan.cve_ids.size() == 1
+                    ? scan.cve_ids.front()
+                    : "--cve-list " + join(scan.cve_ids, ",");
             std::printf("resume with: firmup search %s --journal %s "
                         "--resume <blobs...>\n",
                         spec.c_str(), options.journal_path.c_str());
@@ -816,16 +570,10 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
                         "resumable\n");
         }
     }
-    if (trace::level() != trace::Level::Off) {
-        // With metrics on, always print the full health + work report.
-        std::printf("%s",
-                    eval::render_health(
-                        health,
-                        trace::MetricsRegistry::global().snapshot())
-                        .c_str());
-    } else if (health.quarantined > 0 ||
-               health.games_unresolved > 0 || cancelled) {
-        std::printf("%s", eval::render_health(health).c_str());
+    // With metrics on, always print the full health + work report.
+    if (trace::level() != trace::Level::Off || health.quarantined > 0 ||
+        health.games_unresolved > 0 || cancelled) {
+        print_health(health);
     }
     if (!dump_trace_artifacts(trace_out, stats_out)) {
         return 1;
@@ -833,102 +581,15 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
     if (cancelled) {
         return 130;  // the conventional 128+SIGINT status
     }
-    if (fail_on_quarantine &&
-        health.quarantined >
-            static_cast<std::size_t>(quarantine_limit)) {
+    if (quarantine_limit &&
+        health.quarantined > static_cast<std::size_t>(*quarantine_limit)) {
         std::fprintf(stderr,
                      "firmup: %zu executable(s) quarantined "
                      "(limit %d) — failing as requested\n",
-                     health.quarantined, quarantine_limit);
+                     health.quarantined, *quarantine_limit);
         return 4;
     }
-    return findings > 0 ? 0 : 3;
-}
-
-/** Comma-split a --cve-list value (empty segments dropped). */
-std::vector<std::string>
-split_cve_list(const std::string &cve_list)
-{
-    std::vector<std::string> ids;
-    std::size_t start = 0;
-    while (start <= cve_list.size()) {
-        const std::size_t comma = cve_list.find(',', start);
-        const std::size_t stop =
-            comma == std::string::npos ? cve_list.size() : comma;
-        if (stop > start) {
-            ids.push_back(cve_list.substr(start, stop - start));
-        }
-        if (comma == std::string::npos) {
-            break;
-        }
-        start = comma + 1;
-    }
-    return ids;
-}
-
-/**
- * Hidden `firmup --worker ...` verb: one shard worker of a fleet scan.
- * Spawned by the shard-scan coordinator, never typed by hand — stdout
- * is the binary frame protocol, not text.
- */
-int
-cmd_worker(const std::vector<std::string> &args)
-{
-    eval::ShardWorkerOptions wopt;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::uint64_t u = 0;
-        int n = 0;
-        if (args[i] == "--shard-index" && i + 1 < args.size()) {
-            if (!parse_u64(args[++i], u)) {
-                return usage();
-            }
-            wopt.shard_index = static_cast<std::size_t>(u);
-        } else if (args[i] == "--shard-count" && i + 1 < args.size()) {
-            if (!parse_u64(args[++i], u) || u == 0) {
-                return usage();
-            }
-            wopt.shard_count = static_cast<std::size_t>(u);
-        } else if (args[i] == "--threads" && i + 1 < args.size()) {
-            if (!parse_int(args[++i], n) || n < 0) {
-                return usage();
-            }
-            wopt.threads = static_cast<unsigned>(n);
-        } else if (args[i] == "--heartbeat" && i + 1 < args.size()) {
-            if (!parse_double(args[++i], wopt.heartbeat_seconds) ||
-                wopt.heartbeat_seconds <= 0.0) {
-                return usage();
-            }
-        } else if (args[i] == "--journal" && i + 1 < args.size()) {
-            wopt.journal_path = args[++i];
-        } else if (args[i] == "--cve-list" && i + 1 < args.size()) {
-            wopt.cve_ids = split_cve_list(args[++i]);
-        } else if (args[i] == "--index-cache" && i + 1 < args.size()) {
-            wopt.index_cache_dir = args[++i];
-        } else if (args[i] == "--no-mmap") {
-            wopt.mmap_index = false;
-        } else if (args[i] == "--resident-cache-mb" &&
-                   i + 1 < args.size()) {
-            if (!parse_u64(args[++i], u)) {
-                return usage();
-            }
-            wopt.resident_cache_mb = static_cast<std::size_t>(u);
-        } else if (args[i] == "--no-confirm") {
-            wopt.confirm = false;
-        } else if (args[i] == "--exit-after" && i + 1 < args.size()) {
-            if (!parse_u64(args[++i], u)) {
-                return usage();
-            }
-            wopt.exit_after_appends = static_cast<std::size_t>(u);
-        } else if (args[i] == "--stall") {
-            wopt.stall_after_appends = true;
-        } else {
-            wopt.blob_paths.push_back(args[i]);
-        }
-    }
-    if (wopt.cve_ids.empty() || wopt.blob_paths.empty()) {
-        return usage();
-    }
-    return eval::run_shard_worker(wopt);
+    return findings.empty() ? 3 : 0;
 }
 
 /**
@@ -940,114 +601,38 @@ int
 cmd_shard_scan(const std::vector<std::string> &args)
 {
     eval::ShardScanOptions sopt;
-    std::string stats_out, cve_list;
-    std::vector<std::string> positionals;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::uint64_t u = 0;
-        int n = 0;
-        if (args[i] == "--workers" && i + 1 < args.size()) {
-            if (!parse_u64(args[++i], u) || u == 0 || u > 256) {
-                return usage();
-            }
-            sopt.workers = static_cast<std::size_t>(u);
-        } else if (args[i] == "--worker-threads" &&
-                   i + 1 < args.size()) {
-            if (!parse_int(args[++i], n) || n < 0) {
-                return usage();
-            }
-            sopt.worker_threads = static_cast<unsigned>(n);
-        } else if (args[i] == "--state" && i + 1 < args.size()) {
-            sopt.state_dir = args[++i];
-        } else if (args[i] == "--index-cache" && i + 1 < args.size()) {
-            sopt.index_cache_dir = args[++i];
-        } else if (args[i] == "--no-mmap") {
-            sopt.mmap_index = false;
-        } else if (args[i] == "--resident-cache-mb" &&
-                   i + 1 < args.size()) {
-            if (!parse_u64(args[++i], u)) {
-                return usage();
-            }
-            sopt.resident_cache_mb = static_cast<std::size_t>(u);
-        } else if (args[i] == "--heartbeat" && i + 1 < args.size()) {
-            if (!parse_double(args[++i], sopt.heartbeat_seconds) ||
-                sopt.heartbeat_seconds <= 0.0) {
-                return usage();
-            }
-        } else if (args[i] == "--max-respawns" && i + 1 < args.size()) {
-            if (!parse_int(args[++i], sopt.max_respawns) ||
-                sopt.max_respawns < 0) {
-                return usage();
-            }
-        } else if (args[i] == "--quiet") {
-            sopt.quiet = true;
-        } else if (args[i] == "--stats-json" && i + 1 < args.size()) {
-            stats_out = args[++i];
-        } else if (args[i] == "--cve-list" && i + 1 < args.size()) {
-            cve_list = args[++i];
-        } else if (args[i] == "--kill-first-after" &&
-                   i + 1 < args.size()) {
-            // Test seam: shard 0's first worker dies (or stalls, with
-            // --stall-first) after N journal appends; the respawn must
-            // finish the shard with a bit-identical merged report.
-            if (!parse_u64(args[++i], u) || u == 0) {
-                return usage();
-            }
-            sopt.kill_first_worker_after = static_cast<std::size_t>(u);
-        } else if (args[i] == "--stall-first") {
-            sopt.stall_first_worker = true;
-        } else {
-            positionals.push_back(args[i]);
-        }
-    }
-    std::vector<std::string> ids;
-    if (!cve_list.empty()) {
-        ids = split_cve_list(cve_list);
-        if (ids.empty()) {
-            return usage();
-        }
-    } else {
-        if (positionals.empty()) {
-            return usage();
-        }
-        ids.push_back(positionals.front());
-        positionals.erase(positionals.begin());
-    }
-    if (positionals.empty()) {
+    std::string stats_out;
+    if (!eval::parse_scan_args(
+            args,
+            {eval::number_flag("--workers", sopt.workers, 1, 256),
+             eval::number_flag("--worker-threads", sopt.worker_threads, 0),
+             eval::string_flag("--state", sopt.state_dir),
+             eval::seconds_flag("--heartbeat", sopt.heartbeat_seconds),
+             eval::number_flag("--max-respawns", sopt.max_respawns, 0),
+             eval::switch_flag("--quiet", sopt.quiet),
+             eval::string_flag("--stats-json", stats_out),
+             // Test seams: shard 0's first worker dies (or stalls, with
+             // --stall-first) after N journal appends; the respawn must
+             // finish the shard with a bit-identical merged report.
+             eval::number_flag("--kill-first-after",
+                               sopt.kill_first_worker_after, 1),
+             eval::switch_flag("--stall-first", sopt.stall_first_worker)},
+            sopt, sopt.blob_paths)) {
         return usage();
     }
     if (!stats_out.empty()) {
         trace::set_level(trace::Level::Metrics);
     }
-    std::vector<firmware::CveRecord> cves;
-    for (const std::string &id : ids) {
-        const firmware::CveRecord *cve = nullptr;
-        for (const firmware::CveRecord &record :
-             firmware::cve_database()) {
-            if (record.cve_id == id) {
-                cve = &record;
-            }
-        }
-        if (cve == nullptr) {
-            std::fprintf(stderr, "firmup: unknown CVE %s (try `firmup "
-                                 "cves`)\n",
-                         id.c_str());
-            return 1;
-        }
-        cves.push_back(*cve);
+    const auto cves = eval::resolve_cves(sopt.cve_ids);
+    if (!cves.ok()) {
+        return unknown_cve(cves.error_message());
     }
     if (!sopt.quiet) {
-        for (const firmware::CveRecord &cve : cves) {
-            std::printf("hunting %s: %s in %s (vulnerable <= %s)\n",
-                        cve.cve_id.c_str(), cve.procedure.c_str(),
-                        cve.package.c_str(),
-                        eval::latest_vulnerable_version(cve).c_str());
-        }
+        print_hunt_header(cves.value());
         std::printf("fleet: %zu worker(s) x %u thread(s), %zu blob(s)\n\n",
                     sopt.workers, sopt.worker_threads,
-                    positionals.size());
+                    sopt.blob_paths.size());
     }
-    sopt.cve_ids = ids;
-    sopt.blob_paths = positionals;
 
     const eval::FleetReport report =
         eval::run_shard_scan(self_binary_path(), sopt);
@@ -1056,27 +641,7 @@ cmd_shard_scan(const std::vector<std::string> &args)
                      report.error.c_str());
         return 1;
     }
-    for (const eval::FleetFinding &finding : report.findings) {
-        const firmware::CveRecord &cve = cves[finding.cve];
-        const std::string &blob = sopt.blob_paths[finding.blob];
-        if (cves.size() == 1) {
-            std::printf("%s: %s: VULNERABLE — %s at 0x%llx "
-                        "(Sim=%d, %d game steps)\n",
-                        blob.c_str(), finding.exe_name.c_str(),
-                        cve.procedure.c_str(),
-                        static_cast<unsigned long long>(
-                            finding.matched_entry),
-                        finding.sim, finding.steps);
-        } else {
-            std::printf("%s: %s: VULNERABLE to %s — %s at 0x%llx "
-                        "(Sim=%d, %d game steps)\n",
-                        blob.c_str(), finding.exe_name.c_str(),
-                        cve.cve_id.c_str(), cve.procedure.c_str(),
-                        static_cast<unsigned long long>(
-                            finding.matched_entry),
-                        finding.sim, finding.steps);
-        }
-    }
+    print_findings(report.findings, cves.value(), sopt.blob_paths);
     std::printf("\n%zu finding(s)\n", report.findings.size());
     std::printf(
         "fleet: %zu worker(s) spawned, %zu reassignment(s), %zu "
@@ -1086,845 +651,13 @@ cmd_shard_scan(const std::vector<std::string> &args)
         report.incremental_skips,
         report.state_reused ? " (incremental state reused)" : "",
         report.wall_seconds);
-    if (trace::level() != trace::Level::Off) {
-        std::printf("%s",
-                    eval::render_health(
-                        report.health,
-                        trace::MetricsRegistry::global().snapshot())
-                        .c_str());
-    } else {
-        std::printf("%s", eval::render_health(report.health).c_str());
-    }
+    print_health(report.health);
     std::printf("%s",
                 eval::render_shard_breakdown(report.shards).c_str());
     if (!dump_trace_artifacts("", stats_out)) {
         return 1;
     }
     return report.findings.empty() ? 3 : 0;
-}
-
-/**
- * Machine-readable perf snapshot (BENCH_micro.json): posting-list vs
- * dense GetBestMatch, per-game scoring-op reduction on the Table 2
- * workload, warm-path serial vs parallel search_corpus, the batched
- * multi-CVE hunt vs N serial single-CVE scans (`multi_hunt`), cold vs
- * warm preindex through the persistent index cache, the cold
- * indexing path (canonical-string hashing vs streaming + canon memo),
- * and the resident in-process index LRU vs per-scan store loads
- * (`resident_cache`) — so the perf trajectory is tracked from run to
- * run.
- *
- * `--only ENTRY` (repeatable) restricts the run to the named entries;
- * emission order in the JSON is fixed regardless of flag order.
- */
-int
-cmd_bench_json(const std::vector<std::string> &args)
-{
-    static const std::set<std::string> kEntryNames = {
-        "best_match",    "game_workload",  "trace_overhead",
-        "search_corpus", "multi_hunt",     "index_cache",
-        "cold_index",    "resident_cache", "shard_scan"};
-    std::string out_path = "BENCH_micro.json";
-    firmware::CorpusOptions copt;
-    std::set<std::string> only;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--out" && i + 1 < args.size()) {
-            out_path = args[++i];
-        } else if (args[i] == "--devices" && i + 1 < args.size()) {
-            if (!parse_int(args[++i], copt.num_devices)) {
-                return usage();
-            }
-        } else if (args[i] == "--only" && i + 1 < args.size()) {
-            const std::string &entry = args[++i];
-            if (!kEntryNames.contains(entry)) {
-                std::fprintf(stderr,
-                             "firmup: bench-json: unknown entry '%s'\n",
-                             entry.c_str());
-                return usage();
-            }
-            only.insert(entry);
-        } else {
-            return usage();
-        }
-    }
-    const auto enabled = [&only](const char *entry) {
-        return only.empty() || only.contains(entry);
-    };
-    const firmware::Corpus corpus = firmware::build_corpus(copt);
-    const std::vector<eval::CorpusTarget> targets =
-        eval::corpus_targets(corpus);
-    // FIRMUP_THREADS overrides hardware concurrency, so a CI host with
-    // one core can still exercise (and stop skipping) the parallel runs.
-    const unsigned hw = eval::resolve_worker_threads(0);
-    auto now = [] { return std::chrono::steady_clock::now(); };
-    auto secs = [](auto a, auto b) {
-        return std::chrono::duration<double>(b - a).count();
-    };
-
-    std::vector<std::string> entries;
-    entries.push_back(strprintf(
-        "  \"corpus\": {\"devices\": %d, \"executables\": %zu, "
-        "\"procedures\": %zu}",
-        copt.num_devices, corpus.executable_count(),
-        corpus.procedure_count()));
-    bool all_identical = true;
-
-    // Shared scaffolding for the matching/game entries: one indexed
-    // view of the corpus. Skipped entirely when none of them is
-    // selected.
-    const bool need_indexes = enabled("best_match") ||
-                              enabled("game_workload") ||
-                              enabled("trace_overhead");
-    eval::Driver driver;
-    std::vector<const sim::ExecutableIndex *> indexes;
-    std::vector<std::span<const std::uint64_t>> reprs;
-    if (need_indexes) {
-        driver.preindex(corpus, hw);
-        for (const eval::CorpusTarget &t : targets) {
-            if (const sim::ExecutableIndex *index =
-                    driver.index_target(*t.exe)) {
-                indexes.push_back(index);
-            }
-        }
-        if (indexes.empty()) {
-            std::fprintf(stderr, "firmup: bench-json: empty corpus\n");
-            return 1;
-        }
-        for (const sim::ExecutableIndex *index : indexes) {
-            for (const sim::ProcEntry &proc : index->procs) {
-                reprs.push_back(proc.strands);
-            }
-        }
-    }
-
-    if (enabled("best_match")) {
-        // --- posting-list vs dense GetBestMatch, biggest target ---
-        const sim::ExecutableIndex *big = indexes.front();
-        for (const sim::ExecutableIndex *index : indexes) {
-            if (index->procs.size() > big->procs.size()) {
-                big = index;
-            }
-        }
-        std::uint64_t best_checksum = 0;
-        const auto p0 = now();
-        for (const auto &repr : reprs) {
-            for (const sim::Candidate &c :
-                 sim::shared_candidates(*big, repr)) {
-                best_checksum += static_cast<std::uint64_t>(c.sim);
-                break;  // existence is enough; count the first
-            }
-        }
-        const double posting_seconds = secs(p0, now());
-        const auto d0 = now();
-        for (const auto &repr : reprs) {
-            for (const sim::ProcEntry &proc : big->procs) {
-                best_checksum += static_cast<std::uint64_t>(
-                    sim::sim_score(repr, proc.strands));
-            }
-        }
-        const double dense_seconds = secs(d0, now());
-        entries.push_back(strprintf(
-            "  \"best_match\": {\"queries\": %zu, \"target_procs\": %zu, "
-            "\"posting_seconds\": %.6f, \"dense_seconds\": %.6f, "
-            "\"speedup\": %.2f, \"checksum\": %llu}",
-            reprs.size(), big->procs.size(), posting_seconds,
-            dense_seconds,
-            posting_seconds > 0.0 ? dense_seconds / posting_seconds : 0.0,
-            static_cast<unsigned long long>(best_checksum)));
-    }
-
-    if (enabled("game_workload") || enabled("trace_overhead")) {
-        // --- per-game scoring ops on the Table 2 workload ---
-        // Queries are prebuilt so the timed workload is games only.
-        std::vector<std::map<isa::Arch, eval::Query>> cve_queries;
-        for (const firmware::CveRecord &cve : firmware::cve_database()) {
-            cve_queries.push_back(driver.build_queries(cve, targets, hw));
-        }
-        std::uint64_t pairs_scored = 0, pairs_pruned = 0;
-        std::uint64_t elem_ops = 0, dense_elem_ops = 0;
-        std::size_t games = 0;
-        auto run_games = [&] {
-            pairs_scored = pairs_pruned = elem_ops = dense_elem_ops = 0;
-            games = 0;
-            for (const auto &queries : cve_queries) {
-                for (const sim::ExecutableIndex *index : indexes) {
-                    const auto qit = queries.find(index->arch);
-                    if (qit == queries.end()) {
-                        continue;
-                    }
-                    const game::GameResult result = game::match_query(
-                        qit->second.index, qit->second.qv, *index,
-                        driver.options().game);
-                    pairs_scored += result.pairs_scored;
-                    pairs_pruned += result.pairs_pruned;
-                    elem_ops += result.scoring_elem_ops;
-                    dense_elem_ops += result.dense_elem_ops;
-                    ++games;
-                }
-            }
-        };
-        run_games();
-        if (enabled("game_workload")) {
-            const std::uint64_t dense_pairs = pairs_scored + pairs_pruned;
-            const double pair_reduction =
-                pairs_scored == 0 ? 0.0
-                                  : static_cast<double>(dense_pairs) /
-                                        static_cast<double>(pairs_scored);
-            // Element-level operations are the honest cost unit: dense
-            // rescoring paid a (|q|+|t|)-element merge per pair per
-            // call, the posting path pays one op per probe/incidence on
-            // a memo miss.
-            const double reduction =
-                elem_ops == 0
-                    ? 0.0
-                    : static_cast<double>(dense_elem_ops) /
-                          static_cast<double>(elem_ops);
-            entries.push_back(strprintf(
-                "  \"game_workload\": {\"games\": %zu, "
-                "\"pairs_scored\": %llu, \"pairs_pruned\": %llu, "
-                "\"dense_pairs\": %llu, \"pair_reduction\": %.2f, "
-                "\"scoring_elem_ops\": %llu, \"dense_elem_ops\": %llu, "
-                "\"scoring_reduction\": %.2f}",
-                games, static_cast<unsigned long long>(pairs_scored),
-                static_cast<unsigned long long>(pairs_pruned),
-                static_cast<unsigned long long>(dense_pairs),
-                pair_reduction, static_cast<unsigned long long>(elem_ops),
-                static_cast<unsigned long long>(dense_elem_ops),
-                reduction));
-        }
-        if (enabled("trace_overhead")) {
-            // --- tracing overhead on the same game workload ---
-            // Best-of-3 at Level::Off vs Level::Full: the min damps
-            // scheduler noise, and the claim under test is that
-            // compiled-in tracing costs <2% even fully enabled (one
-            // relaxed atomic load per hook when off; batched counter
-            // flushes + ring events when on).
-            constexpr int kOverheadReps = 3;
-            auto timed_games = [&] {
-                const auto t0 = now();
-                run_games();
-                return secs(t0, now());
-            };
-            double disabled_seconds = timed_games();
-            for (int rep = 1; rep < kOverheadReps; ++rep) {
-                disabled_seconds =
-                    std::min(disabled_seconds, timed_games());
-            }
-            trace::set_level(trace::Level::Full);
-            double enabled_seconds = timed_games();
-            for (int rep = 1; rep < kOverheadReps; ++rep) {
-                enabled_seconds =
-                    std::min(enabled_seconds, timed_games());
-            }
-            trace::set_level(trace::Level::Off);
-            const double overhead_pct =
-                disabled_seconds > 0.0
-                    ? (enabled_seconds - disabled_seconds) /
-                          disabled_seconds * 100.0
-                    : 0.0;
-            entries.push_back(strprintf(
-                "  \"trace_overhead\": {\"reps\": %d, "
-                "\"disabled_seconds\": %.6f, \"enabled_seconds\": %.6f, "
-                "\"overhead_pct\": %.2f}",
-                kOverheadReps, disabled_seconds, enabled_seconds,
-                overhead_pct));
-        }
-    }
-
-    // Outcome equality for warm-vs-cold / serial-vs-parallel checks.
-    auto outcomes_identical =
-        [](const std::vector<eval::CorpusOutcome> &a,
-           const std::vector<eval::CorpusOutcome> &b) {
-            bool same = a.size() == b.size();
-            for (std::size_t i = 0; same && i < a.size(); ++i) {
-                same = a[i].indexed == b[i].indexed &&
-                       a[i].outcome.detected == b[i].outcome.detected &&
-                       a[i].outcome.matched_entry ==
-                           b[i].outcome.matched_entry &&
-                       a[i].outcome.sim == b[i].outcome.sim &&
-                       a[i].outcome.steps == b[i].outcome.steps &&
-                       a[i].outcome.unresolved ==
-                           b[i].outcome.unresolved;
-            }
-            return same;
-        };
-    const firmware::CveRecord &cve0 = firmware::cve_database().front();
-
-    if (enabled("search_corpus")) {
-        // --- warm-path serial vs parallel search_corpus, first CVE ---
-        // Both drivers share one pre-warmed FWIX store, so the timed
-        // scans measure the match pipeline (store load + queries +
-        // games + confirm) instead of being drowned by first-touch
-        // lifting — the cold cost has its own entries (index_cache,
-        // cold_index). A 1-worker host has no parallelism to measure:
-        // the run is marked skipped instead of reporting a misleading
-        // ~1.0x "speedup" (FIRMUP_THREADS=2 unskips it in CI).
-        const std::string corpus_cache_dir =
-            (std::filesystem::temp_directory_path() /
-             strprintf("firmup-bench-corpus-%llu",
-                       static_cast<unsigned long long>(
-                           std::chrono::steady_clock::now()
-                               .time_since_epoch()
-                               .count())))
-                .string();
-        eval::SearchOptions warm_options;
-        warm_options.index_cache_dir = corpus_cache_dir;
-        {
-            eval::Driver store_warmer(warm_options);
-            store_warmer.preindex(corpus, hw);  // untimed store fill
-        }
-        const bool corpus_skipped = hw <= 1;
-        eval::Driver parallel_driver(warm_options);
-        double serial_seconds = 0.0, parallel_seconds = 0.0;
-        bool identical = true;
-        if (corpus_skipped) {
-            const auto s1 = now();
-            parallel_driver.search_corpus(cve0, targets, hw);
-            parallel_seconds = secs(s1, now());
-        } else {
-            eval::Driver serial_driver(warm_options);
-            const auto s0 = now();
-            const auto serial =
-                serial_driver.search_corpus(cve0, targets, 1);
-            serial_seconds = secs(s0, now());
-            const auto s1 = now();
-            const auto parallel =
-                parallel_driver.search_corpus(cve0, targets, hw);
-            parallel_seconds = secs(s1, now());
-            identical = outcomes_identical(serial, parallel);
-        }
-        all_identical = all_identical && identical;
-        const eval::ScanHealth &stages = parallel_driver.health();
-        std::error_code corpus_cleanup_ec;
-        std::filesystem::remove_all(corpus_cache_dir,
-                                    corpus_cleanup_ec);
-        entries.push_back(strprintf(
-            "  \"search_corpus\": {\"targets\": %zu, \"warm\": true, "
-            "\"serial_seconds\": %.6f, \"parallel_seconds\": %.6f, "
-            "\"threads\": %u, \"hardware_concurrency\": %u, "
-            "\"skipped\": %s, \"speedup\": %.2f, \"identical\": %s}",
-            targets.size(), serial_seconds, parallel_seconds, hw, hw,
-            corpus_skipped ? "true" : "false",
-            parallel_seconds > 0.0 ? serial_seconds / parallel_seconds
-                                   : 0.0,
-            identical ? "true" : "false"));
-        entries.push_back(strprintf(
-            "  \"stage_seconds\": {\"index\": %.6f, \"index_cpu\": %.6f, "
-            "\"cache_load\": %.6f, \"cache_open\": %.6f, "
-            "\"cache_checksum\": %.6f, \"cache_parse\": %.6f, "
-            "\"mmap_loads\": %zu, \"games\": %.6f, \"games_cpu\": %.6f, "
-            "\"confirm\": %.6f, \"confirm_cpu\": %.6f, "
-            "\"match_wall\": %.6f}",
-            stages.index_seconds, stages.index_cpu_seconds,
-            stages.cache_load_seconds, stages.cache_open_seconds,
-            stages.cache_checksum_seconds, stages.cache_parse_seconds,
-            stages.cache_mmap_loads, stages.game_seconds,
-            stages.game_cpu_seconds, stages.confirm_seconds,
-            stages.confirm_cpu_seconds, stages.match_wall_seconds));
-    }
-
-    if (enabled("multi_hunt")) {
-        // --- batched multi-CVE hunt vs N serial single-CVE scans ---
-        // The production shape of ROADMAP item 2: hunt the whole CVE
-        // database across the corpus. Both sides run the warm path off
-        // one pre-warmed FWIX store; the serial baseline is N
-        // independent single-CVE drivers at 1 thread (each pays a full
-        // store load, the pre-batch cost model), the batch driver loads
-        // every target once and fans the (query, target) grid across
-        // the work-stealing scheduler at `hw` threads. The per-(q, t)
-        // outcome grids must agree bit-for-bit (exit-enforced). Skipped
-        // on 1-worker hosts like search_corpus; FIRMUP_THREADS=2
-        // unskips.
-        const std::vector<firmware::CveRecord> &hunt_cves =
-            firmware::cve_database();
-        const std::string hunt_cache_dir =
-            (std::filesystem::temp_directory_path() /
-             strprintf("firmup-bench-hunt-%llu",
-                       static_cast<unsigned long long>(
-                           std::chrono::steady_clock::now()
-                               .time_since_epoch()
-                               .count())))
-                .string();
-        eval::SearchOptions hunt_options;
-        hunt_options.index_cache_dir = hunt_cache_dir;
-        {
-            // Untimed store fill: target indexes plus every query's
-            // recipe entry, so the timed serial and batch passes below
-            // both run fully warm — neither side pays codegen.
-            eval::Driver store_warmer(hunt_options);
-            store_warmer.preindex(corpus, hw);
-            store_warmer.search_corpus_batch(hunt_cves, targets, hw);
-        }
-        const bool hunt_skipped = hw <= 1;
-        double serial_seconds = 0.0;
-        std::vector<std::vector<eval::CorpusOutcome>> serial_rows;
-        if (!hunt_skipped) {
-            const auto s0 = now();
-            for (const firmware::CveRecord &cve : hunt_cves) {
-                eval::Driver single(hunt_options);
-                serial_rows.push_back(
-                    single.search_corpus(cve, targets, 1));
-            }
-            serial_seconds = secs(s0, now());
-        }
-        eval::Driver batch_driver(hunt_options);
-        const auto b0 = now();
-        const std::vector<std::vector<eval::CorpusOutcome>> grid =
-            batch_driver.search_corpus_batch(hunt_cves, targets, hw);
-        const double batch_seconds = secs(b0, now());
-        bool hunt_identical = true;
-        if (!hunt_skipped) {
-            hunt_identical = grid.size() == serial_rows.size();
-            for (std::size_t q = 0; hunt_identical && q < grid.size();
-                 ++q) {
-                hunt_identical =
-                    outcomes_identical(serial_rows[q], grid[q]);
-            }
-        }
-        all_identical = all_identical && hunt_identical;
-        std::error_code hunt_cleanup_ec;
-        std::filesystem::remove_all(hunt_cache_dir, hunt_cleanup_ec);
-        entries.push_back(strprintf(
-            "  \"multi_hunt\": {\"queries\": %zu, \"targets\": %zu, "
-            "\"serial_seconds\": %.6f, \"batch_seconds\": %.6f, "
-            "\"threads\": %u, \"skipped\": %s, \"speedup\": %.2f, "
-            "\"identical\": %s}",
-            hunt_cves.size(), targets.size(), serial_seconds,
-            batch_seconds, hw, hunt_skipped ? "true" : "false",
-            !hunt_skipped && batch_seconds > 0.0
-                ? serial_seconds / batch_seconds
-                : 0.0,
-            hunt_identical ? "true" : "false"));
-    }
-
-    if (enabled("index_cache")) {
-        // --- cold vs warm preindex through the persistent cache ---
-        // Two fresh drivers share one content-addressed store: the
-        // first run lifts and writes back, the second must serve every
-        // index from disk (cache_misses == 0) and reproduce the cold
-        // scan bit-identically.
-        const std::string cache_dir =
-            (std::filesystem::temp_directory_path() /
-             strprintf("firmup-bench-cache-%llu",
-                       static_cast<unsigned long long>(
-                           std::chrono::steady_clock::now()
-                               .time_since_epoch()
-                               .count())))
-                .string();
-        eval::SearchOptions cache_options;
-        cache_options.index_cache_dir = cache_dir;
-        eval::Driver cold_driver(cache_options);
-        const auto c0 = now();
-        cold_driver.preindex(corpus, hw);
-        const double cold_seconds = secs(c0, now());
-        const auto cold_outcomes =
-            cold_driver.search_corpus(cve0, targets, hw);
-        eval::Driver warm_driver(cache_options);
-        const auto w0 = now();
-        warm_driver.preindex(corpus, hw);
-        const double warm_seconds = secs(w0, now());
-        const auto warm_outcomes =
-            warm_driver.search_corpus(cve0, targets, hw);
-        const bool cache_identical =
-            outcomes_identical(cold_outcomes, warm_outcomes) &&
-            warm_driver.health().cache_misses == 0;
-        all_identical = all_identical && cache_identical;
-        const eval::ScanHealth &cold_health = cold_driver.health();
-        const eval::ScanHealth &warm_health = warm_driver.health();
-        std::error_code cleanup_ec;
-        std::filesystem::remove_all(cache_dir, cleanup_ec);
-        entries.push_back(strprintf(
-            "  \"index_cache\": {\"executables\": %zu, "
-            "\"cold_seconds\": %.6f, \"warm_seconds\": %.6f, "
-            "\"speedup\": %.2f, \"cache_hits\": %zu, "
-            "\"cache_misses\": %zu, \"write_bytes\": %llu, "
-            "\"canon_memo_hits\": %llu, \"canon_memo_misses\": %llu, "
-            "\"identical\": %s}",
-            warm_health.cache_hits, cold_seconds, warm_seconds,
-            warm_seconds > 0.0 ? cold_seconds / warm_seconds : 0.0,
-            warm_health.cache_hits, warm_health.cache_misses,
-            static_cast<unsigned long long>(
-                cold_health.cache_write_bytes),
-            static_cast<unsigned long long>(
-                cold_health.canon_memo_hits),
-            static_cast<unsigned long long>(
-                cold_health.canon_memo_misses),
-            cache_identical ? "true" : "false"));
-    }
-
-    if (enabled("cold_index")) {
-        // --- cold indexing: canonical-string hashing vs streaming +
-        // canon memo, over pre-lifted executables ---
-        // Lifting is hoisted out (untimed) so the entry isolates the
-        // canonicalize+hash+finalize stage the tentpole optimized.
-        // Best-of-3 per path; the memo is rebuilt fresh each rep so
-        // every rep pays the same cold misses.
-        std::vector<lifter::LiftedExecutable> lifted_exes;
-        {
-            std::set<std::uint64_t> seen;
-            for (const eval::CorpusTarget &t : targets) {
-                if (!seen.insert(eval::content_key(*t.exe)).second) {
-                    continue;
-                }
-                auto lifted = lifter::lift_executable(*t.exe);
-                if (lifted.ok() && !lifted.value().procs.empty()) {
-                    lifted_exes.push_back(std::move(lifted).take());
-                }
-            }
-        }
-        std::size_t cold_blocks = 0;
-        for (const lifter::LiftedExecutable &lifted : lifted_exes) {
-            for (const auto &[entry, proc] : lifted.procs) {
-                cold_blocks += proc.blocks.size();
-            }
-        }
-        constexpr int kColdReps = 3;
-        // Baseline: materialize the canonical string per strand and
-        // hash it, no memo — the pre-streaming cold path. Single
-        // threaded on both sides: this entry measures the algorithmic
-        // win, not core count.
-        strand::CanonOptions string_path;
-        string_path.stream_hash = false;
-        std::vector<sim::ExecutableIndex> base_indexes;
-        double string_seconds = 0.0;
-        for (int rep = 0; rep < kColdReps; ++rep) {
-            std::vector<sim::ExecutableIndex> built;
-            built.reserve(lifted_exes.size());
-            const auto t0 = now();
-            for (const lifter::LiftedExecutable &lifted : lifted_exes) {
-                built.push_back(
-                    sim::index_executable(lifted, string_path, 1));
-            }
-            const double elapsed = secs(t0, now());
-            if (rep == 0 || elapsed < string_seconds) {
-                string_seconds = elapsed;
-            }
-            if (rep == 0) {
-                base_indexes = std::move(built);
-            }
-        }
-        // Optimized path: streamed hashing + a fresh cross-executable
-        // canon memo.
-        std::vector<sim::ExecutableIndex> fast_indexes;
-        double stream_seconds = 0.0;
-        strand::CanonMemo::Stats memo_stats{};
-        for (int rep = 0; rep < kColdReps; ++rep) {
-            strand::CanonMemo memo;
-            strand::CanonOptions stream_path;
-            stream_path.memo = &memo;
-            std::vector<sim::ExecutableIndex> built;
-            built.reserve(lifted_exes.size());
-            const auto t0 = now();
-            for (const lifter::LiftedExecutable &lifted : lifted_exes) {
-                built.push_back(
-                    sim::index_executable(lifted, stream_path, 1));
-            }
-            const double elapsed = secs(t0, now());
-            if (rep == 0 || elapsed < stream_seconds) {
-                stream_seconds = elapsed;
-            }
-            memo_stats = memo.stats();
-            if (rep == 0) {
-                fast_indexes = std::move(built);
-            }
-        }
-        // Hard invariant: both paths produce bit-identical indexes.
-        bool cold_identical = base_indexes.size() == fast_indexes.size();
-        for (std::size_t i = 0;
-             cold_identical && i < base_indexes.size(); ++i) {
-            const sim::ExecutableIndex &a = base_indexes[i];
-            const sim::ExecutableIndex &b = fast_indexes[i];
-            cold_identical = a.name == b.name && a.arch == b.arch &&
-                             a.procs.size() == b.procs.size();
-            for (std::size_t p = 0;
-                 cold_identical && p < a.procs.size(); ++p) {
-                cold_identical =
-                    a.procs[p].entry == b.procs[p].entry &&
-                    a.procs[p].name == b.procs[p].name &&
-                    std::ranges::equal(a.procs[p].strands,
-                                       b.procs[p].strands);
-            }
-        }
-        all_identical = all_identical && cold_identical;
-        const std::uint64_t memo_total =
-            memo_stats.hits + memo_stats.misses;
-        entries.push_back(strprintf(
-            "  \"cold_index\": {\"executables\": %zu, \"blocks\": %zu, "
-            "\"reps\": %d, \"string_seconds\": %.6f, "
-            "\"stream_memo_seconds\": %.6f, \"speedup\": %.2f, "
-            "\"memo_hits\": %llu, \"memo_misses\": %llu, "
-            "\"memo_hit_rate\": %.3f, \"identical\": %s}",
-            lifted_exes.size(), cold_blocks, kColdReps, string_seconds,
-            stream_seconds,
-            stream_seconds > 0.0 ? string_seconds / stream_seconds : 0.0,
-            static_cast<unsigned long long>(memo_stats.hits),
-            static_cast<unsigned long long>(memo_stats.misses),
-            memo_total > 0 ? static_cast<double>(memo_stats.hits) /
-                                 static_cast<double>(memo_total)
-                           : 0.0,
-            cold_identical ? "true" : "false"));
-    }
-
-    if (enabled("resident_cache")) {
-        // --- resident in-process LRU vs per-scan store loads ---
-        // Every timed scan below runs warm off one pre-filled FWIX
-        // store; what varies is the in-process tier. The baseline is a
-        // fresh driver per rep (every target index loaded from the
-        // store: mmap open + checksum + view materialization); the hot
-        // side shares one budget-unbounded ResidentIndexCache populated
-        // by an untimed pass, so its drivers serve every index from
-        // memory — zero store I/O, zero re-parses (asserted below).
-        // Speedup compares the lift+index stage wall clock, which is
-        // exactly the phase the resident tier short-circuits. Findings
-        // must be bit-identical across baseline, hot, --no-mmap and a
-        // budget-0 resident cache (the exit-enforced flag); the pass
-        // flag additionally requires the >=3x stage win the CI gate
-        // asserts.
-        const std::string resident_cache_dir =
-            (std::filesystem::temp_directory_path() /
-             strprintf("firmup-bench-resident-%llu",
-                       static_cast<unsigned long long>(
-                           std::chrono::steady_clock::now()
-                               .time_since_epoch()
-                               .count())))
-                .string();
-        eval::SearchOptions ropt;
-        ropt.index_cache_dir = resident_cache_dir;
-        {
-            eval::Driver store_warmer(ropt);
-            store_warmer.preindex(corpus, hw);  // untimed store fill
-        }
-        constexpr int kResidentReps = 3;
-        // Warm-store baseline: best-of-3 fresh drivers.
-        double warm_stage = 0.0;
-        eval::ScanHealth warm_health;
-        std::vector<eval::CorpusOutcome> warm_rows;
-        for (int rep = 0; rep < kResidentReps; ++rep) {
-            eval::Driver warm_driver(ropt);
-            auto rows = warm_driver.search_corpus(cve0, targets, hw);
-            if (rep == 0 ||
-                warm_driver.health().index_seconds < warm_stage) {
-                warm_stage = warm_driver.health().index_seconds;
-                warm_health = warm_driver.health();
-            }
-            if (rep == 0) {
-                warm_rows = std::move(rows);
-            }
-        }
-        // Resident tier: one shared cache, untimed fill pass, then
-        // best-of-3 fresh drivers that must run entirely hot.
-        sim::ResidentIndexCache resident(std::size_t{1} << 30);
-        eval::SearchOptions hot_opt = ropt;
-        hot_opt.resident_cache = &resident;
-        {
-            eval::Driver fill_driver(hot_opt);
-            fill_driver.search_corpus(cve0, targets, hw);
-        }
-        double hot_stage = 0.0;
-        eval::ScanHealth hot_health;
-        std::vector<eval::CorpusOutcome> hot_rows;
-        for (int rep = 0; rep < kResidentReps; ++rep) {
-            eval::Driver hot_driver(hot_opt);
-            auto rows = hot_driver.search_corpus(cve0, targets, hw);
-            if (rep == 0 ||
-                hot_driver.health().index_seconds < hot_stage) {
-                hot_stage = hot_driver.health().index_seconds;
-                hot_health = hot_driver.health();
-            }
-            if (rep == 0) {
-                hot_rows = std::move(rows);
-            }
-        }
-        // Ablations, one rep each: --no-mmap reads and a budget-0
-        // resident cache must change nothing but the timings.
-        eval::SearchOptions nomap_opt = ropt;
-        nomap_opt.mmap_index = false;
-        eval::Driver nomap_driver(nomap_opt);
-        const auto nomap_rows =
-            nomap_driver.search_corpus(cve0, targets, hw);
-        sim::ResidentIndexCache empty_resident(0);
-        eval::SearchOptions zero_opt = ropt;
-        zero_opt.resident_cache = &empty_resident;
-        eval::Driver zero_driver(zero_opt);
-        const auto zero_rows =
-            zero_driver.search_corpus(cve0, targets, hw);
-        const bool resident_identical =
-            outcomes_identical(warm_rows, hot_rows) &&
-            outcomes_identical(warm_rows, nomap_rows) &&
-            outcomes_identical(warm_rows, zero_rows);
-        // Hot scans must never fall back to the store: a single store
-        // load (or re-parse) on the resident path is a correctness bug
-        // in the tier order, not a timing wobble.
-        const bool no_store_io = hot_health.cache_hits == 0 &&
-                                 hot_health.cache_misses == 0 &&
-                                 hot_health.resident_misses == 0;
-        const double resident_speedup =
-            hot_stage > 0.0 ? warm_stage / hot_stage : 0.0;
-        const bool resident_pass =
-            resident_identical && no_store_io && resident_speedup >= 3.0;
-        all_identical = all_identical && resident_identical;
-        std::error_code resident_cleanup_ec;
-        std::filesystem::remove_all(resident_cache_dir,
-                                    resident_cleanup_ec);
-        entries.push_back(strprintf(
-            "  \"resident_cache\": {\"targets\": %zu, \"reps\": %d, "
-            "\"warm_stage_seconds\": %.6f, \"hot_stage_seconds\": %.6f, "
-            "\"speedup\": %.2f, \"warm_cache_hits\": %zu, "
-            "\"warm_mmap_loads\": %zu, \"warm_open_seconds\": %.6f, "
-            "\"warm_checksum_seconds\": %.6f, "
-            "\"warm_parse_seconds\": %.6f, \"resident_hits\": %zu, "
-            "\"resident_misses\": %zu, \"resident_evictions\": %zu, "
-            "\"no_store_io\": %s, \"identical\": %s, \"pass\": %s}",
-            targets.size(), kResidentReps, warm_stage, hot_stage,
-            resident_speedup, warm_health.cache_hits,
-            warm_health.cache_mmap_loads, warm_health.cache_open_seconds,
-            warm_health.cache_checksum_seconds,
-            warm_health.cache_parse_seconds, hot_health.resident_hits,
-            hot_health.resident_misses, hot_health.resident_evictions,
-            no_store_io ? "true" : "false",
-            resident_identical ? "true" : "false",
-            resident_pass ? "true" : "false"));
-    }
-
-    if (enabled("shard_scan")) {
-        // --- coordinator/worker fleet scan vs 1 worker, scale-10 ---
-        // The corpus is packed to real blobs (workers are separate
-        // processes and must unpack from disk) and a shared FWIX store
-        // is pre-warmed untimed, so the timed fleets measure the scan
-        // pipeline, not first-touch lifting. Findings must be
-        // bit-identical across worker counts (exit-enforced), and an
-        // immediate rescan against the persisted state manifest must
-        // re-search 0 targets with zero lift/canon work and zero store
-        // I/O (also exit-enforced). The >=1.6x wall-clock gate needs
-        // real parallel hardware: it is enforced only when the host has
-        // >= 3 cores, with the measured speedup reported regardless.
-        firmware::CorpusOptions scaled = copt;
-        scaled.scale = 10;
-        const firmware::Corpus sc = firmware::build_corpus(scaled);
-        const std::string base_dir =
-            (std::filesystem::temp_directory_path() /
-             strprintf("firmup-bench-shard-%llu",
-                       static_cast<unsigned long long>(
-                           std::chrono::steady_clock::now()
-                               .time_since_epoch()
-                               .count())))
-                .string();
-        const std::string blob_dir = base_dir + "/blobs";
-        const std::string store_dir = base_dir + "/store";
-        const std::string state_dir = base_dir + "/state";
-        std::error_code shard_ec;
-        std::filesystem::create_directories(blob_dir, shard_ec);
-        std::vector<std::string> blob_paths;
-        Rng pack_rng(scaled.seed ^ 0xb10b);
-        bool shard_setup_ok = !shard_ec;
-        for (const firmware::FirmwareImage &image : sc.images) {
-            const std::string path = blob_dir + "/" + image.vendor +
-                                     "-" + image.device + "-" +
-                                     image.version + ".fw";
-            if (!write_file(path,
-                            firmware::pack_firmware(image, pack_rng))) {
-                shard_setup_ok = false;
-                break;
-            }
-            blob_paths.push_back(path);
-        }
-        {
-            eval::SearchOptions warm;
-            warm.index_cache_dir = store_dir;
-            eval::Driver store_warmer(warm);
-            store_warmer.preindex(sc, hw);  // untimed store fill
-        }
-        const std::string self = self_binary_path();
-        const auto fleet = [&](std::size_t workers,
-                               const std::string &state) {
-            eval::ShardScanOptions so;
-            so.cve_ids = {cve0.cve_id};
-            so.blob_paths = blob_paths;
-            so.workers = workers;
-            so.worker_threads = 1;
-            so.index_cache_dir = store_dir;
-            so.state_dir = state;
-            so.quiet = true;
-            return eval::run_shard_scan(self, so);
-        };
-        const eval::FleetReport one = fleet(1, "");
-        const eval::FleetReport three = fleet(3, state_dir);
-        const eval::FleetReport rescan = fleet(3, state_dir);
-        const auto findings_equal = [](const eval::FleetReport &a,
-                                       const eval::FleetReport &b) {
-            bool same = a.ok && b.ok &&
-                        a.findings.size() == b.findings.size();
-            for (std::size_t i = 0; same && i < a.findings.size();
-                 ++i) {
-                const eval::FleetFinding &fa = a.findings[i];
-                const eval::FleetFinding &fb = b.findings[i];
-                same = fa.cve == fb.cve && fa.blob == fb.blob &&
-                       fa.ord == fb.ord &&
-                       fa.exe_name == fb.exe_name &&
-                       fa.matched_entry == fb.matched_entry &&
-                       fa.sim == fb.sim && fa.steps == fb.steps;
-            }
-            return same;
-        };
-        const bool shard_identical = shard_setup_ok &&
-                                     findings_equal(one, three) &&
-                                     findings_equal(one, rescan);
-        // The incremental rescan must be pure replay: nothing searched,
-        // nothing lifted or canonicalized, no store traffic.
-        const bool incremental_ok =
-            rescan.ok && rescan.state_reused &&
-            rescan.targets_searched == 0 &&
-            rescan.incremental_skips > 0 &&
-            rescan.health.canon_memo_misses == 0 &&
-            rescan.health.cache_hits == 0 &&
-            rescan.health.cache_misses == 0;
-        const unsigned cores = std::thread::hardware_concurrency();
-        const double shard_speedup =
-            three.wall_seconds > 0.0
-                ? one.wall_seconds / three.wall_seconds
-                : 0.0;
-        const bool speedup_enforced = cores >= 3;
-        const bool speedup_ok =
-            !speedup_enforced || shard_speedup >= 1.6;
-        all_identical = all_identical && shard_identical &&
-                        incremental_ok && speedup_ok;
-        std::filesystem::remove_all(base_dir, shard_ec);
-        entries.push_back(strprintf(
-            "  \"shard_scan\": {\"blobs\": %zu, \"findings\": %zu, "
-            "\"one_worker_seconds\": %.6f, "
-            "\"three_worker_seconds\": %.6f, \"speedup\": %.2f, "
-            "\"cores\": %u, \"speedup_enforced\": %s, "
-            "\"speedup_ok\": %s, \"reassignments\": %zu, "
-            "\"incremental_searched\": %zu, "
-            "\"incremental_replayed\": %zu, \"incremental_ok\": %s, "
-            "\"identical\": %s, \"pass\": %s}",
-            blob_paths.size(), one.findings.size(), one.wall_seconds,
-            three.wall_seconds, shard_speedup, cores,
-            speedup_enforced ? "true" : "false",
-            speedup_ok ? "true" : "false", three.reassignments,
-            rescan.targets_searched, rescan.incremental_skips,
-            incremental_ok ? "true" : "false",
-            shard_identical ? "true" : "false",
-            shard_identical && incremental_ok && speedup_ok
-                ? "true"
-                : "false"));
-    }
-
-    const std::string json = "{\n" + join(entries, ",\n") + "\n}\n";
-    std::printf("%s", json.c_str());
-    if (only.empty()) {
-        // A partial run must not clobber the full snapshot: only a run
-        // of every entry writes the tracked BENCH file.
-        std::ofstream out(out_path, std::ios::binary);
-        out << json;
-        if (!out) {
-            std::fprintf(stderr, "firmup: cannot write %s\n",
-                         out_path.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "wrote %s\n", out_path.c_str());
-    }
-    return all_identical ? 0 : 1;
 }
 
 /**
@@ -1935,29 +668,19 @@ cmd_bench_json(const std::vector<std::string> &args)
 int
 cmd_fuzz_unpack(const std::vector<std::string> &args)
 {
-    std::string path, stats_out;
+    std::string stats_out;
     int iters = 1000;
     std::uint64_t seed = 0x5eed;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--iters" && i + 1 < args.size()) {
-            if (!parse_int(args[++i], iters)) {
-                return usage();
-            }
-        } else if (args[i] == "--seed" && i + 1 < args.size()) {
-            if (!parse_u64(args[++i], seed)) {
-                return usage();
-            }
-        } else if (args[i] == "--stats-json" && i + 1 < args.size()) {
-            stats_out = args[++i];
-        } else if (path.empty()) {
-            path = args[i];
-        } else {
-            return usage();
-        }
-    }
-    if (path.empty() || iters <= 0) {
+    std::vector<std::string> positionals;
+    if (!eval::parse_flags(args,
+                           {eval::number_flag("--iters", iters, 1),
+                            eval::number_flag("--seed", seed, 0),
+                            eval::string_flag("--stats-json", stats_out)},
+                           positionals) ||
+        positionals.size() != 1) {
         return usage();
     }
+    const std::string &path = positionals.front();
     if (!stats_out.empty()) {
         trace::set_level(trace::Level::Metrics);
     }
@@ -2018,14 +741,30 @@ cmd_fuzz_unpack(const std::vector<std::string> &args)
 int
 cmd_exec(const std::vector<std::string> &args)
 {
-    auto unpacked = load_blob(args[0]);
-    if (!unpacked.ok()) {
-        std::fprintf(stderr, "firmup: %s\n",
-                     unpacked.error_message().c_str());
-        return 1;
+    // PROC is a symbol name or @hex entry address; call arguments are
+    // 32-bit values, signed or not, with C prefixes (0x.., 0..).
+    std::uint64_t entry = 0;
+    if (starts_with(args[2], "@") &&
+        !parse_number(args[2].substr(1), entry, 0,
+                      std::numeric_limits<std::uint64_t>::max(), 16)) {
+        return usage();
     }
-    for (const loader::Executable &exe :
-         unpacked.value().image.executables) {
+    std::vector<std::uint32_t> call_args;
+    for (std::size_t i = 3; i < args.size(); ++i) {
+        long long value = 0;
+        if (!parse_number(args[i], value,
+                          std::numeric_limits<std::int32_t>::min(),
+                          std::numeric_limits<std::uint32_t>::max(), 0)) {
+            return usage();
+        }
+        call_args.push_back(static_cast<std::uint32_t>(value));
+    }
+    const eval::Manifest manifest = eval::load_manifest({args[0]});
+    if (manifest.blobs.empty()) {
+        return 1;  // load_manifest said why
+    }
+    for (const eval::CorpusTarget &target : manifest.targets) {
+        const loader::Executable &exe = *target.exe;
         if (exe.name != args[1]) {
             continue;
         }
@@ -2035,10 +774,7 @@ cmd_exec(const std::vector<std::string> &args)
                          lifted.error_message().c_str());
             return 1;
         }
-        std::uint64_t entry = 0;
-        if (args[2][0] == '@') {
-            entry = std::stoull(args[2].substr(1), nullptr, 16);
-        } else {
+        if (!starts_with(args[2], "@")) {
             for (const loader::Symbol &sym : exe.symbols) {
                 if (sym.name == args[2]) {
                     entry = sym.addr;
@@ -2051,11 +787,6 @@ cmd_exec(const std::vector<std::string> &args)
                              args[2].c_str());
                 return 1;
             }
-        }
-        std::vector<std::uint32_t> call_args;
-        for (std::size_t i = 3; i < args.size(); ++i) {
-            call_args.push_back(static_cast<std::uint32_t>(
-                std::stoll(args[i], nullptr, 0)));
         }
         const lifter::ExecResult result = lifter::execute_procedure(
             lifted.value(), entry, call_args);
@@ -2087,48 +818,45 @@ main(int argc, char **argv)
         return usage();
     }
     const std::string &command = args[0];
+    const std::vector<std::string> rest(args.begin() + 1, args.end());
     if (command == "--worker") {
         // Hidden verb: a shard worker spawned by `firmup shard-scan`.
-        return cmd_worker({args.begin() + 1, args.end()});
+        eval::ShardWorkerOptions worker;
+        if (!eval::parse_worker_args(rest, worker)) {
+            return usage();
+        }
+        return eval::run_shard_worker(worker);
     }
-    if (command == "shard-scan" && args.size() >= 3) {
-        return cmd_shard_scan({args.begin() + 1, args.end()});
+    if (command == "shard-scan") {
+        return cmd_shard_scan(rest);
     }
     if (command == "cves") {
         return cmd_cves();
     }
     if (command == "corpus") {
-        return cmd_corpus({args.begin() + 1, args.end()});
+        return cmd_corpus(rest);
     }
     if (command == "unpack" && args.size() == 2) {
         return cmd_unpack(args[1]);
     }
-    if (command == "index" && args.size() >= 2) {
-        return cmd_index({args.begin() + 1, args.end()});
+    if (command == "index") {
+        return cmd_index(rest);
     }
     if (command == "disasm" && args.size() >= 3) {
         int count = 16;
-        if (args.size() > 3 && !parse_int(args[3], count)) {
+        if (args.size() > 3 && !parse_number(args[3], count, 0)) {
             return usage();
         }
         return cmd_disasm(args[1], args[2], count);
     }
-    if (command == "search" && args.size() >= 3) {
-        return cmd_search({args.begin() + 1, args.end()},
-                          /*full_trace=*/false);
-    }
-    if (command == "trace" && args.size() >= 3) {
-        return cmd_search({args.begin() + 1, args.end()},
-                          /*full_trace=*/true);
+    if (command == "search" || command == "trace") {
+        return cmd_search(rest, /*full_trace=*/command == "trace");
     }
     if (command == "exec" && args.size() >= 4) {
-        return cmd_exec({args.begin() + 1, args.end()});
+        return cmd_exec(rest);
     }
-    if (command == "fuzz-unpack" && args.size() >= 2) {
-        return cmd_fuzz_unpack({args.begin() + 1, args.end()});
-    }
-    if (command == "bench-json") {
-        return cmd_bench_json({args.begin() + 1, args.end()});
+    if (command == "fuzz-unpack") {
+        return cmd_fuzz_unpack(rest);
     }
     return usage();
 }
