@@ -100,20 +100,6 @@ query_recipe_key(const lang::PackageSource &source,
 
 }  // namespace
 
-std::uint64_t
-content_key(const loader::Executable &exe)
-{
-    // content_hash64 over the text bytes, not fnv1a64: the key is
-    // recomputed for every target on every scan, so on a fully-resident
-    // pass this hash IS the index stage — see BM_* and the
-    // resident_cache bench entry.
-    return hash_combine(
-        fnv1a64(exe.name),
-        content_hash64(std::string_view(
-            reinterpret_cast<const char *>(exe.text.data()),
-            exe.text.size())));
-}
-
 namespace {
 
 // Persistent index-cache accounting; mirrored into ScanHealth so scans
@@ -131,7 +117,7 @@ const trace::Counter c_resident_hits("resident.hits");
 const trace::Counter c_resident_misses("resident.misses");
 const trace::Counter c_resident_evictions("resident.evictions");
 
-// Query-recipe lane (build_query_impl hunt path): kept apart from the
+// Query-recipe lane (build_query with a store): kept apart from the
 // target-index counters so cache.hits still equals executables served
 // from disk.
 const trace::Counter c_query_cache_hits("cache.query_hits");
@@ -145,6 +131,9 @@ const trace::Counter c_resumed_targets("journal.resumed_targets");
 const trace::Counter c_cancelled_targets("scan.cancelled_targets");
 const trace::Counter c_retries("scan.retries");
 const trace::Counter c_watchdog_expired("scan.watchdog_expired");
+
+// Every content_key call: a scan call keys each target once.
+const trace::Counter c_content_keys("scan.content_keys");
 
 std::uint64_t
 knob_bits(double v)
@@ -188,11 +177,13 @@ cpu_seconds_since(std::uint64_t start_ns)
     return static_cast<double>(trace::thread_cpu_ns() - start_ns) * 1e-9;
 }
 
-/** Fold one store load's stage split into the scan health record. */
+/** Fold one store load (wall @p seconds, stage split) into health. */
 void
-fold_load_split(ScanHealth &health,
-                const sim::IndexCacheStore::LoadStats &stats)
+fold_load(ScanHealth &health, double seconds,
+          const sim::IndexCacheStore::LoadStats &stats)
 {
+    health.cache_load_seconds += seconds;
+    c_cache_load_micros.add(static_cast<std::uint64_t>(seconds * 1e6));
     health.cache_open_seconds += stats.open_seconds;
     health.cache_checksum_seconds += stats.checksum_seconds;
     health.cache_parse_seconds += stats.parse_seconds;
@@ -225,12 +216,58 @@ resident_publish(sim::ResidentIndexCache *resident, std::uint64_t key,
 
 }  // namespace
 
+std::uint64_t
+content_key(const loader::Executable &exe)
+{
+    c_content_keys.add();
+    // content_hash64 over the text bytes, not fnv1a64: the key is
+    // recomputed for every target on every scan, so on a fully-resident
+    // pass this hash IS the index stage — see BM_* and the
+    // resident_cache bench entry.
+    return hash_combine(
+        fnv1a64(exe.name),
+        content_hash64(std::string_view(
+            reinterpret_cast<const char *>(exe.text.data()),
+            exe.text.size())));
+}
+
+namespace {
+
+/** content_key of every target, in target order. */
+std::vector<std::uint64_t>
+target_keys(const std::vector<CorpusTarget> &targets)
+{
+    std::vector<std::uint64_t> keys;
+    keys.reserve(targets.size());
+    for (const CorpusTarget &target : targets) {
+        keys.push_back(content_key(*target.exe));
+    }
+    return keys;
+}
+
+}  // namespace
+
+QueryRecipe
+query_recipe(const std::string &package, const std::string &version,
+             isa::Arch arch)
+{
+    QueryRecipe recipe;
+    recipe.source = firmware::generate_package_source(
+        firmware::package_by_name(package), version);
+    // Section 5.1: queries are compiled from source with the reference
+    // toolchain at its default optimization level, all features on
+    // (the researcher's build is a default build).
+    recipe.request.arch = arch;
+    recipe.request.profile = compiler::gcc_like_toolchain();
+    recipe.request.exe_name = package + "-query";
+    return recipe;
+}
+
 Query
 Driver::build_query(const firmware::CveRecord &cve, isa::Arch arch)
 {
-    Query query = build_query_impl(cve.package, cve.procedure,
-                                   latest_vulnerable_version(cve), arch,
-                                   /*hunt=*/false);
+    Query query = build_query(cve.package, cve.procedure,
+                              latest_vulnerable_version(cve), arch);
     query.label = cve.cve_id;
     return query;
 }
@@ -240,55 +277,28 @@ Driver::build_query(const std::string &package,
                     const std::string &procedure,
                     const std::string &version, isa::Arch arch)
 {
-    return build_query_impl(package, procedure, version, arch,
-                            /*hunt=*/false);
-}
-
-Query
-Driver::build_query_impl(const std::string &package,
-                         const std::string &procedure,
-                         const std::string &version, isa::Arch arch,
-                         bool hunt)
-{
-    const firmware::PackageSpec &pkg = firmware::package_by_name(package);
-    const lang::PackageSource source =
-        firmware::generate_package_source(pkg, version);
-
-    // Section 5.1: queries are compiled from source with the reference
-    // toolchain at its default optimization level, all features on
-    // (the researcher's build is a default build).
-    codegen::BuildRequest request;
-    request.arch = arch;
-    request.profile = compiler::gcc_like_toolchain();
-    request.exe_name = package + "-query";
-
+    const QueryRecipe recipe = query_recipe(package, version, arch);
     Query query;
     query.label = package + "/" + procedure;
     query.package = package;
     query.procedure = procedure;
     query.version = version;
 
-    // Hunt fast lane: a warm store serves the query index under its
-    // recipe key, skipping compile + lift + canonicalize —
-    // the FWIX round-trip is bit-faithful (hashes, postings), so
-    // outcomes are identical to a fresh build. The
-    // baseline graph is intentionally not rebuilt here: the hunt path
-    // never reads it, and building it would need the lifted executable
-    // this lane exists to avoid.
-    sim::IndexCacheStore *const store = hunt ? cache_store() : nullptr;
-    const std::uint64_t recipe =
+    // A warm store serves the query index under its recipe key,
+    // skipping compile + lift + canonicalize — the FWIX round-trip is
+    // bit-faithful (hashes, postings), so outcomes are identical to a
+    // fresh build.
+    sim::IndexCacheStore *const store = cache_store();
+    const std::uint64_t key =
         store != nullptr
-            ? query_recipe_key(source, request, options_.canon)
+            ? query_recipe_key(recipe.source, recipe.request,
+                               options_.canon)
             : 0;
     if (store != nullptr) {
         sim::IndexCacheStore::LoadStats load_stats;
         const auto load_start = std::chrono::steady_clock::now();
-        auto loaded = store->load(recipe, options_.mmap_index, &load_stats);
-        const double load_seconds = seconds_since(load_start);
-        health_.cache_load_seconds += load_seconds;
-        fold_load_split(health_, load_stats);
-        c_cache_load_micros.add(
-            static_cast<std::uint64_t>(load_seconds * 1e6));
+        auto loaded = store->load(key, options_.mmap_index, &load_stats);
+        fold_load(health_, seconds_since(load_start), load_stats);
         if (loaded.ok()) {
             ++health_.query_cache_hits;
             c_query_cache_hits.add();
@@ -303,7 +313,7 @@ Driver::build_query_impl(const std::string &package,
     }
 
     const loader::Executable exe =
-        codegen::build_executable(source, request);
+        codegen::build_executable(recipe.source, recipe.request);
 
     auto lifted = lifter::lift_executable(exe);
     FIRMUP_ASSERT(lifted.ok(), "query lift failed: " +
@@ -314,9 +324,8 @@ Driver::build_query_impl(const std::string &package,
     query.qv = query.index.find_by_name(procedure);
     FIRMUP_ASSERT(query.qv >= 0,
                   "query procedure missing: " + procedure);
-    query.graph = baseline::graph_index(lifted.value());
     if (store != nullptr) {
-        if (auto written = store->store(recipe, query.index);
+        if (auto written = store->store(key, query.index);
             written.ok()) {
             health_.cache_write_bytes += written.value();
             c_cache_write_bytes.add(written.value());
@@ -382,36 +391,149 @@ Driver::note_healthy(std::uint64_t key)
     }
 }
 
-const lifter::LiftedExecutable *
-Driver::lift_cached(const loader::Executable &exe)
+void
+Driver::quarantine(const loader::Executable &exe, std::uint64_t key,
+                   ErrorCode code, const std::string &message)
 {
-    const std::uint64_t key = content_key(exe);
-    auto it = lift_cache_.find(key);
-    if (it != lift_cache_.end()) {
-        return &it->second;
+    if (health_counted_.insert(key).second) {
+        ++health_.executables_seen;
     }
-    if (quarantined_.contains(key)) {
-        return nullptr;
-    }
-    auto lifted = lift_untrusted(exe);
-    if (!lifted.ok()) {
-        if (health_counted_.insert(key).second) {
-            ++health_.executables_seen;
+    quarantined_.insert(key);
+    health_.note_quarantine(exe.name, code, message);
+    // Journal the quarantine so a resume re-skips this executable —
+    // reproducing the same ErrorCode histogram entry — without
+    // re-lifting the poisoned bytes.
+    JournalEntry entry;
+    entry.content_key = key;
+    entry.quarantined = true;
+    entry.code = code;
+    entry.exe_name = exe.name;
+    entry.message = message;
+    journal_append(entry);
+}
+
+struct Driver::IndexSlot
+{
+    bool attempted = false;      ///< false = skipped by cancellation
+    bool from_resident = false;  ///< index still hot in-process
+    bool resident_miss = false;  ///< resident cache consulted, missed
+    bool from_cache = false;     ///< index loaded, lift skipped
+    bool cache_miss = false;     ///< store consulted and missed
+    ErrorCode code = ErrorCode::Unknown;
+    std::string message;
+    /** The index; nullptr when the lift failed (code, message). */
+    std::shared_ptr<const sim::ExecutableIndex> index;
+    sim::IndexCacheStore::LoadStats load_stats;
+    std::uint64_t write_bytes = 0;
+    double load_seconds = 0.0;
+    int retries = 0;             ///< transient lift retries consumed
+};
+
+Driver::IndexSlot
+Driver::load_or_lift(const loader::Executable &exe, std::uint64_t key,
+                     sim::IndexCacheStore *store, unsigned threads)
+{
+    IndexSlot slot;
+    slot.attempted = true;
+    // Resident tier first: a hot index costs one hash lookup — no store
+    // I/O, no checksum, no parse. The cache is mutex-guarded, so
+    // workers probe it concurrently.
+    if (sim::ResidentIndexCache *resident = options_.resident_cache) {
+        if (auto hot = resident->get(key)) {
+            slot.from_resident = true;
+            slot.index = std::move(hot);
+            return slot;
         }
-        quarantined_.insert(key);
-        health_.note_quarantine(exe.name, lifted.error_code(),
-                                lifted.error_message());
+        slot.resident_miss = true;
+    }
+    // Warm path: a persisted index skips the whole lift + canonicalize
+    // + pack phase. Any load failure (absent, corrupt, stale) is a
+    // miss; the cold path below re-lifts.
+    if (store != nullptr) {
+        const auto load_start = std::chrono::steady_clock::now();
+        auto loaded =
+            store->load(key, options_.mmap_index, &slot.load_stats);
+        slot.load_seconds = seconds_since(load_start);
+        if (loaded.ok()) {
+            slot.from_cache = true;
+            slot.index = std::make_shared<sim::ExecutableIndex>(
+                std::move(loaded).take());
+            return slot;
+        }
+        slot.cache_miss = true;
+    }
+    auto lifted = retry_transient(
+        RetryPolicy{options_.max_target_retries,
+                    options_.retry_backoff_seconds},
+        options_.cancel, [&] { return lift_untrusted(exe); },
+        &slot.retries);
+    if (!lifted.ok()) {
+        slot.code = lifted.error_code();
+        slot.message = lifted.error_message();
+        return slot;
+    }
+    auto index = std::make_shared<sim::ExecutableIndex>(
+        sim::index_executable(lifted.value(), canon_options(), threads));
+    if (store != nullptr) {
+        if (auto written = store->store(key, *index); written.ok()) {
+            slot.write_bytes = written.value();
+        }
+    }
+    slot.index = std::move(index);
+    return slot;
+}
+
+const sim::ExecutableIndex *
+Driver::merge_slot(const loader::Executable &exe, std::uint64_t key,
+                   IndexSlot &slot)
+{
+    if (slot.retries > 0) {
+        health_.retries += static_cast<std::size_t>(slot.retries);
+        c_retries.add(static_cast<std::uint64_t>(slot.retries));
+    }
+    if (slot.from_cache || slot.cache_miss) {
+        fold_load(health_, slot.load_seconds, slot.load_stats);
+    }
+    if (slot.resident_miss) {
+        ++health_.resident_misses;
+        c_resident_misses.add();
+    }
+    if (slot.from_resident) {
+        ++health_.resident_hits;
+        c_resident_hits.add();
+    } else if (slot.from_cache) {
+        ++health_.cache_hits;
+        c_cache_hits.add();
+    } else if (slot.cache_miss) {
+        ++health_.cache_misses;
+        c_cache_misses.add();
+    }
+    if (slot.write_bytes != 0) {
+        health_.cache_write_bytes += slot.write_bytes;
+        c_cache_write_bytes.add(slot.write_bytes);
+    }
+    if (slot.index == nullptr) {
+        quarantine(exe, key, slot.code, slot.message);
         return nullptr;
     }
     note_healthy(key);
-    return &lift_cache_.emplace(key, std::move(lifted).take())
-                .first->second;
+    if (!slot.from_resident) {
+        health_.resident_evictions +=
+            resident_publish(options_.resident_cache, key, slot.index);
+    }
+    return index_cache_.emplace(key, std::move(slot.index))
+        .first->second.get();
 }
 
 const sim::ExecutableIndex *
 Driver::index_target(const loader::Executable &exe)
 {
-    const std::uint64_t key = content_key(exe);
+    return index_keyed(exe, content_key(exe));
+}
+
+const sim::ExecutableIndex *
+Driver::index_keyed(const loader::Executable &exe, std::uint64_t key)
+{
     auto it = index_cache_.find(key);
     if (it != index_cache_.end()) {
         return it->second.get();
@@ -419,81 +541,32 @@ Driver::index_target(const loader::Executable &exe)
     if (quarantined_.contains(key)) {
         return nullptr;
     }
-    // Hot path: the index is still resident in this process from an
-    // earlier scan — no store I/O, no checksum, no parse. Counted as a
-    // resident hit, deliberately not a cache hit (the store was never
-    // touched).
-    if (sim::ResidentIndexCache *resident = options_.resident_cache) {
-        if (auto hot = resident->get(key)) {
-            ++health_.resident_hits;
-            c_resident_hits.add();
-            note_healthy(key);
-            return index_cache_.emplace(key, std::move(hot))
-                .first->second.get();
-        }
-        ++health_.resident_misses;
-        c_resident_misses.add();
-    }
-    // Warm path: a persisted index skips the whole lift + canonicalize
-    // + pack phase. Any load failure (absent, corrupt, stale) is a
-    // miss; the cold path below re-lifts.
-    if (sim::IndexCacheStore *store = cache_store()) {
-        sim::IndexCacheStore::LoadStats load_stats;
-        const auto load_start = std::chrono::steady_clock::now();
-        auto loaded = store->load(key, options_.mmap_index, &load_stats);
-        const double load_seconds = seconds_since(load_start);
-        health_.cache_load_seconds += load_seconds;
-        fold_load_split(health_, load_stats);
-        c_cache_load_micros.add(
-            static_cast<std::uint64_t>(load_seconds * 1e6));
-        if (loaded.ok()) {
-            ++health_.cache_hits;
-            c_cache_hits.add();
-            note_healthy(key);
-            auto warm = std::make_shared<sim::ExecutableIndex>(
-                std::move(loaded).take());
-            health_.resident_evictions +=
-                resident_publish(options_.resident_cache, key, warm);
-            return index_cache_.emplace(key, std::move(warm))
-                .first->second.get();
-        }
-        ++health_.cache_misses;
-        c_cache_misses.add();
-    }
-    const lifter::LiftedExecutable *lifted = lift_cached(exe);
-    if (lifted == nullptr) {
-        return nullptr;
-    }
-    auto index = std::make_shared<sim::ExecutableIndex>(
-        sim::index_executable(*lifted, canon_options(),
-                              resolve_worker_threads(0)));
+    IndexSlot slot = load_or_lift(exe, key, cache_store(),
+                                  resolve_worker_threads(0));
+    const sim::ExecutableIndex *index = merge_slot(exe, key, slot);
     sync_memo_health();
-    if (sim::IndexCacheStore *store = cache_store()) {
-        if (auto written = store->store(key, *index); written.ok()) {
-            health_.cache_write_bytes += written.value();
-            c_cache_write_bytes.add(written.value());
-        }
-    }
-    health_.resident_evictions +=
-        resident_publish(options_.resident_cache, key, index);
-    return index_cache_.emplace(key, std::move(index))
-        .first->second.get();
+    return index;
 }
 
 const baseline::GraphIndex *
 Driver::graph_target(const loader::Executable &exe)
 {
-    const lifter::LiftedExecutable *lifted = lift_cached(exe);
-    if (lifted == nullptr) {
-        return nullptr;
-    }
     const std::uint64_t key = content_key(exe);
     auto it = graph_cache_.find(key);
-    if (it == graph_cache_.end()) {
-        it = graph_cache_.emplace(key, baseline::graph_index(*lifted))
-                 .first;
+    if (it != graph_cache_.end()) {
+        return &it->second;
     }
-    return &it->second;
+    if (quarantined_.contains(key)) {
+        return nullptr;
+    }
+    auto lifted = lift_untrusted(exe);
+    if (!lifted.ok()) {
+        quarantine(exe, key, lifted.error_code(), lifted.error_message());
+        return nullptr;
+    }
+    note_healthy(key);
+    return &graph_cache_.emplace(key, baseline::graph_index(lifted.value()))
+                .first->second;
 }
 
 std::vector<CorpusTarget>
@@ -509,72 +582,39 @@ corpus_targets(const firmware::Corpus &corpus)
     return targets;
 }
 
-std::vector<const loader::Executable *>
-Driver::unseen_executables(const std::vector<CorpusTarget> &targets) const
-{
-    std::vector<const loader::Executable *> work;
-    std::set<std::uint64_t> seen;
-    for (const CorpusTarget &target : targets) {
-        const std::uint64_t key = content_key(*target.exe);
-        if (seen.insert(key).second && !index_cache_.contains(key) &&
-            !quarantined_.contains(key)) {
-            work.push_back(target.exe);
-        }
-    }
-    return work;
-}
-
 std::size_t
 Driver::preindex(const firmware::Corpus &corpus, unsigned threads)
 {
-    return index_many(unseen_executables(corpus_targets(corpus)),
-                      threads);
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    return index_many(targets, target_keys(targets), threads);
 }
 
 std::size_t
-Driver::index_many(const std::vector<const loader::Executable *> &work,
+Driver::index_many(const std::vector<CorpusTarget> &targets,
+                   const std::vector<std::uint64_t> &keys,
                    unsigned threads)
 {
     const auto start = std::chrono::steady_clock::now();
     const std::uint64_t cpu_start = trace::process_cpu_ns();
-    // Warm-load / lift + index in parallel with no shared state, merge
-    // at the end. Failures stay in their slot; only the merge loop
+    // Distinct executables neither cached nor quarantined, in target
+    // order.
+    std::vector<std::size_t> work;
+    std::set<std::uint64_t> seen;
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+        if (seen.insert(keys[t]).second && !index_cache_.contains(keys[t]) &&
+            !quarantined_.contains(keys[t])) {
+            work.push_back(t);
+        }
+    }
+    // load_or_lift in parallel, merge at the end: only the merge loop
     // (single-threaded) touches caches, quarantine and health. Workers
     // may touch the persistent store: loads read distinct files, write-
     // backs publish distinct content-keyed entries via atomic rename.
-    struct Slot
-    {
-        bool attempted = false;   ///< false = skipped by cancellation
-        bool ok = false;
-        bool from_resident = false;  ///< index still hot in-process
-        bool resident_miss = false;  ///< resident cache consulted, missed
-        bool from_cache = false;  ///< index loaded, lift skipped
-        bool cache_miss = false;  ///< store consulted and missed
-        ErrorCode code = ErrorCode::Unknown;
-        std::string message;
-        lifter::LiftedExecutable lifted;
-        sim::ExecutableIndex index;
-        std::shared_ptr<const sim::ExecutableIndex> resident;
-        sim::IndexCacheStore::LoadStats load_stats;
-        std::uint64_t write_bytes = 0;
-        double load_seconds = 0.0;
-        int retries = 0;          ///< transient lift retries consumed
-    };
-    std::vector<Slot> slots(work.size());
-    // keys[i] is written only by worker i (content hashing is O(text
-    // bytes), so it belongs in the fan-out, not a serial prologue) and
-    // read by the merge loop after the join — never concurrently.
-    std::vector<std::uint64_t> keys(work.size());
-    // Workers share the driver's thread-safe canon memo through the
-    // options copy; each indexes its own executable serially (the
-    // parallelism is across executables here).
-    const strand::CanonOptions canon = canon_options();
+    // Each worker indexes its own executable serially (the parallelism
+    // is across executables here), sharing the thread-safe canon memo.
     sim::IndexCacheStore *const store = cache_store();
-    sim::ResidentIndexCache *const resident = options_.resident_cache;
-    const bool use_mmap = options_.mmap_index;
     const CancelToken *const cancel = options_.cancel;
-    const RetryPolicy retry_policy{options_.max_target_retries,
-                                   options_.retry_backoff_seconds};
+    std::vector<IndexSlot> slots(work.size());
     ThreadPool::parallel_for(
         resolve_worker_threads(threads), work.size(), [&](std::size_t i) {
             // Cancellation point: an unattempted slot leaves no trace —
@@ -583,124 +623,16 @@ Driver::index_many(const std::vector<const loader::Executable *> &work,
             if (cancel != nullptr && cancel->requested()) {
                 return;
             }
-            slots[i].attempted = true;
-            keys[i] = content_key(*work[i]);
-            // Resident tier first: a hot index costs one hash lookup —
-            // no store I/O, no checksum, no parse. The cache is
-            // mutex-guarded, so workers probe it concurrently.
-            if (resident != nullptr) {
-                if (auto hot = resident->get(keys[i])) {
-                    slots[i].ok = true;
-                    slots[i].from_resident = true;
-                    slots[i].resident = std::move(hot);
-                    return;
-                }
-                slots[i].resident_miss = true;
-            }
-            if (store != nullptr) {
-                const auto load_start =
-                    std::chrono::steady_clock::now();
-                auto loaded = store->load(keys[i], use_mmap,
-                                          &slots[i].load_stats);
-                slots[i].load_seconds = seconds_since(load_start);
-                if (loaded.ok()) {
-                    slots[i].ok = true;
-                    slots[i].from_cache = true;
-                    slots[i].index = std::move(loaded).take();
-                    return;
-                }
-                slots[i].cache_miss = true;
-            }
-            auto result = retry_transient(
-                retry_policy, cancel,
-                [&] { return lift_untrusted(*work[i]); },
-                &slots[i].retries);
-            if (!result.ok()) {
-                slots[i].code = result.error_code();
-                slots[i].message = result.error_message();
-                return;
-            }
-            slots[i].ok = true;
-            slots[i].lifted = std::move(result).take();
-            slots[i].index =
-                sim::index_executable(slots[i].lifted, canon);
-            if (store != nullptr) {
-                if (auto written = store->store(keys[i], slots[i].index);
-                    written.ok()) {
-                    slots[i].write_bytes = written.value();
-                }
-            }
+            slots[i] = load_or_lift(*targets[work[i]].exe, keys[work[i]],
+                                    store, 1);
         });
     std::size_t indexed = 0;
     for (std::size_t i = 0; i < work.size(); ++i) {
-        const loader::Executable &exe = *work[i];
-        const std::uint64_t key = keys[i];
-        if (!slots[i].attempted) {
-            continue;  // cancelled before the worker reached it
+        if (slots[i].attempted &&
+            merge_slot(*targets[work[i]].exe, keys[work[i]], slots[i]) !=
+                nullptr) {
+            ++indexed;
         }
-        if (slots[i].retries > 0) {
-            health_.retries += static_cast<std::size_t>(slots[i].retries);
-            c_retries.add(static_cast<std::uint64_t>(slots[i].retries));
-        }
-        health_.cache_load_seconds += slots[i].load_seconds;
-        fold_load_split(health_, slots[i].load_stats);
-        if (store != nullptr && !slots[i].from_resident) {
-            c_cache_load_micros.add(static_cast<std::uint64_t>(
-                slots[i].load_seconds * 1e6));
-        }
-        if (slots[i].resident_miss) {
-            ++health_.resident_misses;
-            c_resident_misses.add();
-        }
-        if (slots[i].from_resident) {
-            ++health_.resident_hits;
-            c_resident_hits.add();
-        } else if (slots[i].from_cache) {
-            ++health_.cache_hits;
-            c_cache_hits.add();
-        } else if (slots[i].cache_miss) {
-            ++health_.cache_misses;
-            c_cache_misses.add();
-        }
-        if (slots[i].write_bytes != 0) {
-            health_.cache_write_bytes += slots[i].write_bytes;
-            c_cache_write_bytes.add(slots[i].write_bytes);
-        }
-        if (!slots[i].ok) {
-            if (health_counted_.insert(key).second) {
-                ++health_.executables_seen;
-            }
-            const bool fresh = quarantined_.insert(key).second;
-            health_.note_quarantine(exe.name, slots[i].code,
-                                    slots[i].message);
-            if (fresh) {
-                // Journal the quarantine so a resume re-skips this
-                // executable — reproducing the same ErrorCode histogram
-                // entry — without re-lifting the poisoned bytes.
-                JournalEntry entry;
-                entry.content_key = key;
-                entry.quarantined = true;
-                entry.code = slots[i].code;
-                entry.exe_name = exe.name;
-                entry.message = slots[i].message;
-                journal_append(entry);
-            }
-            continue;
-        }
-        note_healthy(key);
-        ++indexed;
-        if (slots[i].from_resident) {
-            index_cache_.emplace(key, std::move(slots[i].resident));
-            continue;
-        }
-        if (!slots[i].from_cache) {
-            lift_cache_.emplace(key, std::move(slots[i].lifted));
-        }
-        auto index = std::make_shared<sim::ExecutableIndex>(
-            std::move(slots[i].index));
-        health_.resident_evictions +=
-            resident_publish(resident, key, index);
-        index_cache_.emplace(key, std::move(index));
     }
     sync_memo_health();
     health_.index_seconds += seconds_since(start);
@@ -847,44 +779,31 @@ Driver::build_queries(const firmware::CveRecord &cve,
                       const std::vector<CorpusTarget> &targets,
                       unsigned threads)
 {
-    index_many(unseen_executables(targets), threads);
-    // After indexing, index_target is a pure cache/quarantine lookup, so
+    return build_queries(cve, targets, target_keys(targets), threads);
+}
+
+std::map<isa::Arch, Query>
+Driver::build_queries(const firmware::CveRecord &cve,
+                      const std::vector<CorpusTarget> &targets,
+                      const std::vector<std::uint64_t> &keys,
+                      unsigned threads)
+{
+    index_many(targets, keys, threads);
+    // After indexing, index_keyed is a pure cache/quarantine lookup, so
     // this lazily builds exactly the query set of the serial scan loop.
     std::map<isa::Arch, Query> queries;
-    for (const CorpusTarget &target : targets) {
+    for (std::size_t t = 0; t < targets.size(); ++t) {
         // Cancellation point: on a cache miss (e.g. targets index_many
-        // skipped after cancellation) index_target cold-lifts serially,
+        // skipped after cancellation) index_keyed cold-lifts serially,
         // so a shutting-down scan must not walk the rest of the corpus
         // here.
         if (options_.cancel != nullptr && options_.cancel->requested()) {
             break;
         }
-        const sim::ExecutableIndex *index = index_target(*target.exe);
+        const sim::ExecutableIndex *index =
+            index_keyed(*targets[t].exe, keys[t]);
         if (index != nullptr && !queries.contains(index->arch)) {
             queries.emplace(index->arch, build_query(cve, index->arch));
-        }
-    }
-    return queries;
-}
-
-std::map<isa::Arch, Query>
-Driver::build_hunt_queries(const firmware::CveRecord &cve,
-                           const std::vector<CorpusTarget> &targets,
-                           unsigned threads)
-{
-    index_many(unseen_executables(targets), threads);
-    std::map<isa::Arch, Query> queries;
-    for (const CorpusTarget &target : targets) {
-        if (options_.cancel != nullptr && options_.cancel->requested()) {
-            break;
-        }
-        const sim::ExecutableIndex *index = index_target(*target.exe);
-        if (index != nullptr && !queries.contains(index->arch)) {
-            Query query = build_query_impl(
-                cve.package, cve.procedure, latest_vulnerable_version(cve),
-                index->arch, /*hunt=*/true);
-            query.label = cve.cve_id;
-            queries.emplace(index->arch, std::move(query));
         }
     }
     return queries;
@@ -1048,7 +967,7 @@ Driver::search_corpus(const std::map<isa::Arch, Query> &queries,
     open_journal(label, confirm);
     std::vector<std::vector<CorpusOutcome>> rows =
         run_batch({&queries}, {query_fingerprint(label)}, targets,
-                  threads, confirm);
+                  target_keys(targets), threads, confirm);
     return std::move(rows.front());
 }
 
@@ -1065,20 +984,6 @@ Driver::search_corpus_batch(const std::vector<firmware::CveRecord> &cves,
         labels.push_back(cve_scan_label(cve));
     }
     open_journal(batch_scan_label(cves), confirm);
-    if (health_.resume_rejected) {
-        // Refused resume (journal fingerprint mismatch): skip even the
-        // query builds — run_batch would return the empty grid anyway,
-        // and building queries first would waste lifts on a scan that
-        // is not going to run.
-        std::vector<std::vector<CorpusOutcome>> rows(cves.size());
-        for (std::vector<CorpusOutcome> &row : rows) {
-            row.resize(targets.size());
-            for (std::size_t t = 0; t < targets.size(); ++t) {
-                row[t].target = targets[t];
-            }
-        }
-        return rows;
-    }
 
     std::vector<std::uint64_t> query_fps;
     query_fps.reserve(labels.size());
@@ -1086,52 +991,52 @@ Driver::search_corpus_batch(const std::vector<firmware::CveRecord> &cves,
         query_fps.push_back(query_fingerprint(label));
     }
 
-    // Content keys once per batch (hashing every target's text bytes
-    // once per CVE would already be a per-query cost).
-    std::vector<std::uint64_t> keys(targets.size());
-    for (std::size_t t = 0; t < targets.size(); ++t) {
-        keys[t] = content_key(*targets[t].exe);
-    }
+    // Content keys once per scan call; every stage below looks targets
+    // up by these.
+    const std::vector<std::uint64_t> keys = target_keys(targets);
 
     // Per-CVE queries over that CVE's pending targets — the same
     // carve-out a single-CVE scan performs, so replayed pairs and
     // quarantined keys are never lifted again. The first CVE's
     // build_queries indexes the union of pending targets; the rest are
-    // pure cache lookups.
+    // pure cache lookups. A refused resume (journal fingerprint
+    // mismatch) builds no query: run_batch returns the empty grid, and
+    // lifting for a scan that is not going to run would be wasted.
     std::vector<std::map<isa::Arch, Query>> query_sets(cves.size());
     std::vector<const std::map<isa::Arch, Query> *> set_ptrs;
     set_ptrs.reserve(cves.size());
     for (std::size_t q = 0; q < cves.size(); ++q) {
+        set_ptrs.push_back(&query_sets[q]);
+        if (health_.resume_rejected) {
+            continue;
+        }
         std::vector<CorpusTarget> pending;
-        pending.reserve(targets.size());
+        std::vector<std::uint64_t> pending_keys;
         for (std::size_t t = 0; t < targets.size(); ++t) {
             if (journal_replay_.contains({keys[t], 0}) ||
                 journal_replay_.contains({keys[t], query_fps[q]})) {
                 continue;
             }
             pending.push_back(targets[t]);
+            pending_keys.push_back(keys[t]);
         }
-        query_sets[q] = build_hunt_queries(cves[q], pending, threads);
-        set_ptrs.push_back(&query_sets[q]);
+        query_sets[q] = build_queries(cves[q], pending, pending_keys,
+                                      threads);
     }
-    return run_batch(set_ptrs, query_fps, targets, threads, confirm);
+    return run_batch(set_ptrs, query_fps, targets, keys, threads, confirm);
 }
 
 std::vector<std::vector<CorpusOutcome>>
 Driver::run_batch(
     const std::vector<const std::map<isa::Arch, Query> *> &query_sets,
     const std::vector<std::uint64_t> &query_fps,
-    const std::vector<CorpusTarget> &targets, unsigned threads,
+    const std::vector<CorpusTarget> &targets,
+    const std::vector<std::uint64_t> &keys, unsigned threads,
     bool confirm)
 {
     const std::size_t nq = query_sets.size();
     const std::size_t nt = targets.size();
     const CancelToken *const cancel = options_.cancel;
-
-    std::vector<std::uint64_t> keys(nt);
-    for (std::size_t t = 0; t < nt; ++t) {
-        keys[t] = content_key(*targets[t].exe);
-    }
 
     std::vector<std::vector<CorpusOutcome>> out(nq);
     std::vector<std::vector<char>> replayed(nq);
@@ -1151,7 +1056,7 @@ Driver::run_batch(
     }
 
     // Replay pass: serve journaled (query, target) pairs before any
-    // stage runs, in (query, target) order, with exactly the health
+    // stage runs, in (query, target) order, with the discrete health
     // accounting a fresh scan of them would have produced — the
     // determinism bar is that a resumed hunt's findings and discrete
     // health match the uninterrupted one. Quarantines (qfp 0) serve
@@ -1187,6 +1092,7 @@ Driver::run_batch(
     // fully-served targets must not be lifted (or even store-loaded).
     std::vector<char> needed(nt, 0);
     std::vector<CorpusTarget> pending;
+    std::vector<std::uint64_t> pending_keys;
     for (std::size_t t = 0; t < nt; ++t) {
         for (std::size_t q = 0; q < nq; ++q) {
             if (!replayed[q][t]) {
@@ -1196,12 +1102,13 @@ Driver::run_batch(
         }
         if (needed[t]) {
             pending.push_back(targets[t]);
+            pending_keys.push_back(keys[t]);
         }
     }
-    // unseen_executables dedupes by content key and drops cached and
+    // index_many dedupes by content key and drops cached and
     // quarantined keys (replayed quarantines entered quarantined_
     // above), so each distinct pending executable indexes exactly once.
-    index_many(unseen_executables(pending), threads);
+    index_many(pending, pending_keys, threads);
 
     // Resolve targets against the now-complete caches (serial: this
     // still mutates health for executables first seen here).
@@ -1211,7 +1118,7 @@ Driver::run_batch(
         if (!needed[t]) {
             continue;
         }
-        // Cancellation point: index_target cold-lifts on a cache miss
+        // Cancellation point: index_keyed cold-lifts on a cache miss
         // (targets index_many skipped after cancellation), so mark the
         // remainder cancelled instead of lifting through a shutdown.
         if (cancel != nullptr && cancel->requested()) {
@@ -1223,7 +1130,7 @@ Driver::run_batch(
             }
             continue;
         }
-        resolved[t] = index_target(*targets[t].exe);
+        resolved[t] = index_keyed(*targets[t].exe, keys[t]);
         for (std::size_t q = 0; q < nq; ++q) {
             if (!replayed[q][t]) {
                 out[q][t].indexed = resolved[t] != nullptr;
@@ -1333,7 +1240,13 @@ Driver::run_batch(
                 ++health_.resumed_targets;
                 c_resumed_targets.add();
                 if (co.indexed) {
-                    note_outcome(co.outcome);
+                    // A replayed pair counts as the game it records, but
+                    // its journaled timings are the earlier scan's work.
+                    SearchOutcome replay = co.outcome;
+                    replay.game_seconds = replay.game_cpu_seconds = 0.0;
+                    replay.confirm_seconds = 0.0;
+                    replay.confirm_cpu_seconds = 0.0;
+                    note_outcome(replay);
                 }
                 continue;
             }

@@ -21,6 +21,7 @@
 
 #include "baseline/bindiff_like.h"
 #include "baseline/gitz_like.h"
+#include "codegen/build.h"
 #include "eval/health.h"
 #include "eval/journal.h"
 #include "firmware/catalog.h"
@@ -142,14 +143,26 @@ struct Query
     std::string version;
     sim::ExecutableIndex index;
     int qv = -1;                ///< index of the query procedure
-    /**
-     * Structural index for the BinDiff baseline. Empty when the query
-     * was served from the persistent index store on the hunt path
-     * (search_corpus/search_corpus_batch never read it); build_query
-     * always fills it, which is what the baseline experiments use.
-     */
-    baseline::GraphIndex graph;
 };
+
+/**
+ * How a query executable is built (section 5.1): the package source at
+ * the query version, compiled with the reference toolchain at its
+ * default optimization level, all features on, for one ISA.
+ */
+struct QueryRecipe
+{
+    lang::PackageSource source;
+    codegen::BuildRequest request;
+};
+
+/**
+ * The recipe of @p package at @p version for @p arch. build_query
+ * compiles it on a recipe-store miss; the BinDiff experiment compiles
+ * and lifts it for the query's structural graph.
+ */
+QueryRecipe query_recipe(const std::string &package,
+                         const std::string &version, isa::Arch arch);
 
 // SearchOutcome lives in eval/journal.h: it is the journal's record
 // payload, and the journal must not depend on the driver.
@@ -177,7 +190,8 @@ std::vector<CorpusTarget> corpus_targets(const firmware::Corpus &corpus);
  * Content identity of an executable: name + text bytes. Byte-identical
  * executables re-shipped across firmware versions collapse to one key
  * (paper section 5.2 observation) — this is the cache and quarantine key
- * used throughout the driver.
+ * used throughout the driver. A scan call keys each target once; the
+ * `scan.content_keys` counter records every call.
  */
 std::uint64_t content_key(const loader::Executable &exe);
 
@@ -234,7 +248,13 @@ class Driver
      */
     Query build_query(const firmware::CveRecord &cve, isa::Arch arch);
 
-    /** Build a query for an arbitrary (package, procedure, version). */
+    /**
+     * Build a query for an arbitrary (package, procedure, version).
+     * With a persistent store configured, the query index is served
+     * from (or written back to) the store under its recipe key, so a
+     * warm build skips compile + lift + canonicalize; the FWIX
+     * round-trip is bit-faithful, so either way yields the same query.
+     */
     Query build_query(const std::string &package,
                       const std::string &procedure,
                       const std::string &version, isa::Arch arch);
@@ -253,8 +273,9 @@ class Driver
         const loader::Executable &exe);
 
     /**
-     * Structural (BinDiff) index of a target, cached likewise; nullptr
-     * when the executable is quarantined.
+     * Structural (BinDiff) index of a target, lifted on demand and
+     * cached by content key (only the graph is kept, never the lifted
+     * IR); nullptr when the executable is quarantined.
      */
     const baseline::GraphIndex *graph_target(
         const loader::Executable &exe);
@@ -369,13 +390,13 @@ class Driver
     std::map<std::uint64_t, std::shared_ptr<const sim::ExecutableIndex>>
         index_cache_;
     std::map<std::uint64_t, baseline::GraphIndex> graph_cache_;
-    std::map<std::uint64_t, lifter::LiftedExecutable> lift_cache_;
     /** Content keys of executables that failed to lift. */
     std::set<std::uint64_t> quarantined_;
     /**
      * Content keys already counted in executables_seen/lifted_ok, so an
-     * executable served warm from the persistent store and later lifted
-     * on demand (e.g. for graph_target) is not double-counted.
+     * executable met again — lifted a second time by graph_target after
+     * its index was built or loaded, or replayed from the journal — is
+     * counted once.
      */
     std::set<std::uint64_t> health_counted_;
     /** Lazily-opened persistent store (options_.index_cache_dir). */
@@ -414,33 +435,25 @@ class Driver
     void note_healthy(std::uint64_t key);
 
     /**
+     * Quarantine @p exe (content key @p key, not yet quarantined) after
+     * a failed lift: count it as seen once, log it in health, and
+     * journal it so a resume re-skips it without re-lifting it.
+     */
+    void quarantine(const loader::Executable &exe, std::uint64_t key,
+                    ErrorCode code, const std::string &message);
+
+    /**
      * Per-query record fingerprint: hashes one query's identity label
      * (never 0 — that value is reserved for quarantine records). The
      * journal keys outcome records by (content key, this).
      */
     static std::uint64_t query_fingerprint(const std::string &label);
 
-    /**
-     * build_query with the hunt-path fast lane: when @p hunt is true
-     * and a persistent store is configured, the query index is served
-     * from (or written back to) the store under its recipe key,
-     * skipping compile + lift + canonicalize on warm runs. A
-     * store-served query has an empty baseline graph — the hunt never
-     * reads it. @p hunt false is the full build (public build_query).
-     */
-    Query build_query_impl(const std::string &package,
-                           const std::string &procedure,
-                           const std::string &version, isa::Arch arch,
-                           bool hunt);
-
-    /**
-     * build_queries through build_query_impl's hunt lane — what
-     * search_corpus_batch uses, so warm batched hunts pay zero query
-     * compilation.
-     */
-    std::map<isa::Arch, Query> build_hunt_queries(
+    /** build_queries over targets whose content keys are @p keys. */
+    std::map<isa::Arch, Query> build_queries(
         const firmware::CveRecord &cve,
-        const std::vector<CorpusTarget> &targets, unsigned threads);
+        const std::vector<CorpusTarget> &targets,
+        const std::vector<std::uint64_t> &keys, unsigned threads);
 
     /**
      * The batched fan-out core every search_corpus overload lands on:
@@ -454,7 +467,8 @@ class Driver
     std::vector<std::vector<CorpusOutcome>> run_batch(
         const std::vector<const std::map<isa::Arch, Query> *> &query_sets,
         const std::vector<std::uint64_t> &query_fps,
-        const std::vector<CorpusTarget> &targets, unsigned threads,
+        const std::vector<CorpusTarget> &targets,
+        const std::vector<std::uint64_t> &keys, unsigned threads,
         bool confirm);
 
     /**
@@ -476,22 +490,48 @@ class Driver
      */
     void journal_append(const JournalEntry &entry);
 
-    const lifter::LiftedExecutable *lift_cached(
-        const loader::Executable &exe);
+    /** What one executable's load_or_lift produced (driver.cc). */
+    struct IndexSlot;
 
     /**
-     * Parallel lift+index of distinct, not-yet-cached executables; the
-     * cache/health merge runs single-threaded in @p work order. Records
-     * the phase wall-clock in health().index_seconds.
+     * One executable's load-or-lift ladder: the resident cache, then
+     * the persistent @p store, then lift (transient failures retried)
+     * + index + store write-back. The lifted IR is dropped as soon as
+     * the index exists. Reads only thread-safe driver state, so
+     * index_many runs it on worker threads; @p threads fans
+     * index_executable's procedures out.
+     */
+    IndexSlot load_or_lift(const loader::Executable &exe,
+                           std::uint64_t key, sim::IndexCacheStore *store,
+                           unsigned threads);
+
+    /**
+     * Fold one load_or_lift result into the caches and health: cache
+     * and resident counters, quarantine on failure, resident publish
+     * and index_cache_ entry on success. Single-threaded.
+     * @return the cached index, or nullptr when quarantined.
+     */
+    const sim::ExecutableIndex *merge_slot(const loader::Executable &exe,
+                                           std::uint64_t key,
+                                           IndexSlot &slot);
+
+    /**
+     * index_target for an executable whose content key is @p key: a
+     * cache or quarantine lookup, else load_or_lift + merge_slot inline.
+     */
+    const sim::ExecutableIndex *index_keyed(const loader::Executable &exe,
+                                            std::uint64_t key);
+
+    /**
+     * Parallel load_or_lift of the distinct @p targets (content keys
+     * @p keys) that are neither cached nor quarantined; merge_slot runs
+     * single-threaded in target order. Records the phase wall-clock in
+     * health().index_seconds.
      * @return number successfully indexed.
      */
-    std::size_t index_many(
-        const std::vector<const loader::Executable *> &work,
-        unsigned threads);
-
-    /** Dedupe @p targets down to executables the caches have not seen. */
-    std::vector<const loader::Executable *> unseen_executables(
-        const std::vector<CorpusTarget> &targets) const;
+    std::size_t index_many(const std::vector<CorpusTarget> &targets,
+                           const std::vector<std::uint64_t> &keys,
+                           unsigned threads);
 };
 
 /** The newest version of @p package that @p cve still affects. */

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <map>
 
+#include "codegen/build.h"
 #include "eval/flags.h"
 #include "support/error.h"
 
@@ -162,6 +163,19 @@ LabeledResult::gitz_total() const
     return t;
 }
 
+baseline::GraphIndex
+query_graph(const Query &query)
+{
+    const QueryRecipe recipe =
+        query_recipe(query.package, query.version, query.index.arch);
+    const loader::Executable exe =
+        codegen::build_executable(recipe.source, recipe.request);
+    auto lifted = lifter::lift_executable(exe);
+    FIRMUP_ASSERT(lifted.ok(),
+                  "query lift failed: " + lifted.error_message());
+    return baseline::graph_index(lifted.value());
+}
+
 LabeledResult
 run_labeled(Driver &driver, const firmware::Corpus &corpus,
             const LabeledOptions &options)
@@ -211,6 +225,12 @@ run_labeled(Driver &driver, const firmware::Corpus &corpus,
             driver.build_queries(cve, targets, options.threads);
         const std::vector<CorpusOutcome> outcomes = driver.search_corpus(
             queries, targets, options.threads, /*confirm=*/false);
+        std::map<isa::Arch, baseline::GraphIndex> query_graphs;
+        if (options.run_bindiff) {
+            for (const auto &[arch, query] : queries) {
+                query_graphs.emplace(arch, query_graph(query));
+            }
+        }
 
         for (std::size_t t = 0; t < trials.size(); ++t) {
             const Trial &trial = trials[t];
@@ -234,20 +254,20 @@ run_labeled(Driver &driver, const firmware::Corpus &corpus,
 
             // ---- BinDiff ----
             if (options.run_bindiff) {
-                // The lift already succeeded (target != nullptr), so the
-                // graph index cannot be quarantined here.
+                // The target indexed (target != nullptr), so its bytes
+                // lift and the graph index cannot be quarantined here.
                 const baseline::GraphIndex &tgraph =
                     *driver.graph_target(stripped[t]);
-                const auto matches =
-                    baseline::bindiff_match(query.graph, tgraph);
+                const baseline::GraphIndex &qgraph =
+                    query_graphs.at(target->arch);
+                const auto matches = baseline::bindiff_match(qgraph, tgraph);
                 const std::uint64_t q_entry =
                     query.index
                         .procs[static_cast<std::size_t>(query.qv)]
                         .entry;
-                const auto q_graph_it =
-                    query.graph.by_entry.find(q_entry);
+                const auto q_graph_it = qgraph.by_entry.find(q_entry);
                 bool matched = false;
-                if (q_graph_it != query.graph.by_entry.end()) {
+                if (q_graph_it != qgraph.by_entry.end()) {
                     const auto m = matches.find(q_graph_it->second);
                     if (m != matches.end()) {
                         matched = true;

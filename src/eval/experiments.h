@@ -100,6 +100,13 @@ struct LabeledResult
 LabeledResult run_labeled(Driver &driver, const firmware::Corpus &corpus,
                           const LabeledOptions &options);
 
+/**
+ * Structural (BinDiff) index of @p query's executable, which run_labeled
+ * matches against target graphs. A Query keeps only its strand index,
+ * so this compiles and lifts the query's recipe again.
+ */
+baseline::GraphIndex query_graph(const Query &query);
+
 /** Fig. 9 buckets: 1, 2, 3-4, 5-8, 9-16, 17-32 steps. */
 std::vector<std::pair<std::string, int>> step_histogram(
     const std::vector<int> &steps);

@@ -119,10 +119,12 @@ ThreadPool::parallel_for(unsigned num_threads, std::size_t count,
     if (count == 0) {
         return;
     }
-    ThreadPool pool(num_threads);
+    // A worker beyond the count would only idle.
+    const auto workers = static_cast<unsigned>(
+        std::min<std::size_t>(count, std::max(1u, num_threads)));
+    ThreadPool pool(workers);
     std::atomic<std::size_t> next{0};
-    for (std::size_t t = 0; t < std::max<std::size_t>(1, num_threads);
-         ++t) {
+    for (unsigned t = 0; t < workers; ++t) {
         pool.submit([&pool, &next, count, &fn] {
             // After a sibling throws, abandon the remaining indices so
             // the caller sees the failure promptly instead of paying for

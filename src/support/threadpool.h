@@ -52,7 +52,8 @@ class ThreadPool
     bool cancelled() const { return cancelled_.load(); }
 
     /**
-     * Run @p fn(i) for i in [0, count) across the pool and wait.
+     * Run @p fn(i) for i in [0, count) across min(@p num_threads,
+     * @p count) workers (minimum 1) and wait.
      * @p fn must be safe to call concurrently for distinct i. If any
      * invocation throws, remaining indices are abandoned and the first
      * exception is rethrown on the calling thread.

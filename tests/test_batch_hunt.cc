@@ -21,6 +21,7 @@
 #include "firmware/catalog.h"
 #include "firmware/corpus.h"
 #include "support/cancel.h"
+#include "support/trace.h"
 
 namespace firmup::eval {
 namespace {
@@ -190,6 +191,81 @@ TEST(BatchHunt, KilledBatchHuntResumesBitIdentically)
             << "threads=" << threads;
         EXPECT_TRUE(resumed.health().sane());
     }
+}
+
+TEST(BatchHunt, ReplayedPairsCountAsGamesButAddNoTimings)
+{
+    // A resumed pair is the game the journaling scan played: it counts
+    // in games_played, but its recorded wall/CPU seconds are that
+    // scan's work, not this one's.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 2;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    const std::vector<firmware::CveRecord> cves = hunt_cves();
+    SearchOptions options;
+    options.journal_path = fresh_journal_path("replay-timings");
+    std::size_t games = 0;
+    {
+        Driver fresh(options);
+        fresh.search_corpus_batch(cves, targets, 2);
+        games = fresh.health().games_played;
+        ASSERT_GT(games, 0u);
+        ASSERT_GT(fresh.health().game_seconds, 0.0);
+    }
+    options.resume = true;
+    Driver resumed(options);
+    resumed.search_corpus_batch(cves, targets, 2);
+    const ScanHealth &health = resumed.health();
+    EXPECT_EQ(health.resumed_targets, cves.size() * targets.size());
+    EXPECT_EQ(health.games_played, games);
+    EXPECT_EQ(health.game_seconds, 0.0);
+    EXPECT_EQ(health.game_cpu_seconds, 0.0);
+    EXPECT_EQ(health.confirm_seconds, 0.0);
+    EXPECT_EQ(health.confirm_cpu_seconds, 0.0);
+    EXPECT_TRUE(health.sane());
+}
+
+TEST(BatchHunt, ScanKeysEachTargetOnce)
+{
+    // content_key hashes a target's whole text, so a scan call keys
+    // each target once and passes the keys down to every stage — at
+    // any thread count, and when the journal serves every pair.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 2;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    ASSERT_FALSE(targets.empty());
+    const std::vector<firmware::CveRecord> &cves =
+        firmware::cve_database();
+    const auto keys_counted = [&](const SearchOptions &options,
+                                  unsigned threads) {
+        trace::MetricsRegistry::global().reset();
+        trace::set_level(trace::Level::Metrics);
+        Driver(options).search_corpus_batch(cves, targets, threads);
+        const std::uint64_t keys =
+            trace::MetricsRegistry::global().snapshot().counter(
+                "scan.content_keys");
+        trace::set_level(trace::Level::Off);
+        trace::MetricsRegistry::global().reset();
+        return keys;
+    };
+    // One store, so only the first scan compiles the queries.
+    SearchOptions options;
+    options.index_cache_dir =
+        (fs::path(testing::TempDir()) / "firmup-batch-keys-store")
+            .string();
+    fs::remove_all(options.index_cache_dir);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        EXPECT_EQ(keys_counted(options, threads), targets.size())
+            << "threads=" << threads;
+    }
+    options.journal_path = fresh_journal_path("keys");
+    EXPECT_EQ(keys_counted(options, 2), targets.size());
+    options.resume = true;
+    EXPECT_EQ(keys_counted(options, 2), targets.size()) << "resumed";
 }
 
 TEST(BatchHunt, ResumeUnderOtherConfirmRatioIsRejected)

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <set>
+#include <tuple>
 
 #include "codegen/build.h"
 #include "eval/experiments.h"
@@ -16,6 +18,16 @@
 
 namespace firmup::eval {
 namespace {
+
+/** A fresh per-test index store directory under the gtest temp root. */
+std::string
+fresh_store_dir(const std::string &tag)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) / ("firmup-eval-" + tag);
+    std::filesystem::remove_all(dir);
+    return dir.string();
+}
 
 TEST(Driver, LatestVulnerableVersion)
 {
@@ -43,7 +55,12 @@ TEST(Driver, BuildQueryFindsProcedure)
     EXPECT_FALSE(query.index.procs.empty());
     EXPECT_EQ(query.index.procs[static_cast<std::size_t>(query.qv)].name,
               "vsf_filename_passes_filter");
-    EXPECT_FALSE(query.graph.procs.empty());
+    // The BinDiff path's graph of the same query executable holds the
+    // query procedure at the entry its strand index gives it.
+    const baseline::GraphIndex graph = query_graph(query);
+    EXPECT_FALSE(graph.procs.empty());
+    EXPECT_TRUE(graph.by_entry.contains(
+        query.index.procs[static_cast<std::size_t>(query.qv)].entry));
 }
 
 TEST(Driver, SelfSearchDetectsWithPerfectSim)
@@ -136,20 +153,36 @@ TEST(Experiments, LabeledRunOnTinyCorpus)
 
 TEST(Driver, PreindexMatchesSequentialIndexing)
 {
+    // preindex (the parallel index_many) and index_target (the same
+    // ladder, inline) over one store, with a member that cannot lift:
+    // the parallel driver indexes cold and fills the store, the
+    // sequential one is served from it, and both must agree on every
+    // index and on the discrete health.
     firmware::CorpusOptions corpus_options;
     corpus_options.num_devices = 3;
-    const firmware::Corpus corpus =
-        firmware::build_corpus(corpus_options);
+    firmware::Corpus corpus = firmware::build_corpus(corpus_options);
+    loader::Executable corrupt = corpus.images[0].executables[0];
+    corrupt.name = "corrupt.bin";
+    std::fill(corrupt.text.begin(), corrupt.text.end(),
+              std::uint8_t{0xff});  // undecodable on every ISA
+    corpus.images[0].executables.push_back(corrupt);
+    SearchOptions options;
+    options.index_cache_dir = fresh_store_dir("preindex");
 
-    Driver parallel;
+    Driver parallel(options);
     const std::size_t indexed = parallel.preindex(corpus, 4);
     EXPECT_GT(indexed, 0u);
 
-    Driver sequential;
+    Driver sequential(options);
     for (const auto &image : corpus.images) {
         for (const auto &exe : image.executables) {
             const sim::ExecutableIndex *a = sequential.index_target(exe);
             const sim::ExecutableIndex *b = parallel.index_target(exe);
+            if (exe.name == corrupt.name) {
+                EXPECT_EQ(a, nullptr);
+                EXPECT_EQ(b, nullptr);
+                continue;
+            }
             ASSERT_NE(a, nullptr) << exe.name;
             ASSERT_NE(b, nullptr) << exe.name;
             ASSERT_EQ(a->procs.size(), b->procs.size()) << exe.name;
@@ -160,9 +193,82 @@ TEST(Driver, PreindexMatchesSequentialIndexing)
             }
         }
     }
-    EXPECT_TRUE(parallel.health().sane());
-    EXPECT_TRUE(sequential.health().sane());
-    EXPECT_EQ(parallel.health().quarantined, 0u);
+    // One query each: the parallel driver compiles it and writes its
+    // recipe entry, the sequential one is served from the store.
+    const firmware::CveRecord &cve = firmware::cve_database()[0];
+    const Query built = parallel.build_query(cve, isa::Arch::Arm32);
+    const Query loaded = sequential.build_query(cve, isa::Arch::Arm32);
+    ASSERT_EQ(loaded.qv, built.qv);
+    EXPECT_TRUE(std::ranges::equal(
+        loaded.index.procs[static_cast<std::size_t>(loaded.qv)].strands,
+        built.index.procs[static_cast<std::size_t>(built.qv)].strands));
+
+    const ScanHealth &ph = parallel.health();
+    const ScanHealth &sh = sequential.health();
+    EXPECT_EQ(ph.executables_seen, sh.executables_seen);
+    EXPECT_EQ(ph.lifted_ok, sh.lifted_ok);
+    EXPECT_EQ(ph.quarantined, 1u);
+    EXPECT_EQ(sh.quarantined, 1u);
+    // Every cold miss is a warm hit, except the member that never
+    // lifts: it misses both times.
+    EXPECT_EQ(ph.cache_hits, 0u);
+    EXPECT_EQ(sh.cache_hits + 1, ph.cache_misses);
+    EXPECT_EQ(sh.cache_misses, 1u);
+    EXPECT_EQ(ph.query_cache_hits, 0u);
+    EXPECT_EQ(ph.query_cache_misses, 1u);
+    EXPECT_EQ(sh.query_cache_hits, 1u);
+    EXPECT_EQ(sh.query_cache_misses, 0u);
+    EXPECT_TRUE(ph.sane());
+    EXPECT_TRUE(sh.sane());
+}
+
+TEST(Driver, GraphTargetLiftsOnDemandAfterWarmHunt)
+{
+    // A hunt keeps no lifted IR. After one served entirely from a warm
+    // store, graph_target lifts on demand: the graph equals a direct
+    // lift's, and the executable is not counted a second time.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 2;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    ASSERT_FALSE(targets.empty());
+    const firmware::CveRecord &cve = firmware::cve_database()[0];
+    SearchOptions options;
+    options.index_cache_dir = fresh_store_dir("graph-on-demand");
+    Driver(options).search_corpus(cve, targets, 2);  // fills the store
+
+    Driver warm(options);
+    warm.search_corpus(cve, targets, 2);
+    const ScanHealth before = warm.health();
+    ASSERT_GT(before.cache_hits, 0u);
+    ASSERT_EQ(before.cache_misses, 0u);
+    ASSERT_GT(before.query_cache_hits, 0u);
+    ASSERT_EQ(before.query_cache_misses, 0u);
+
+    const auto features = [](const baseline::GraphFeatures &f) {
+        return std::tie(f.entry, f.name, f.blocks, f.edges, f.calls,
+                        f.insts, f.shape_hash, f.callees);
+    };
+    for (const CorpusTarget &target : targets) {
+        const baseline::GraphIndex *graph = warm.graph_target(*target.exe);
+        ASSERT_NE(graph, nullptr) << target.exe->name;
+        auto lifted = lifter::lift_executable(*target.exe);
+        ASSERT_TRUE(lifted.ok()) << target.exe->name;
+        const baseline::GraphIndex direct =
+            baseline::graph_index(lifted.value());
+        EXPECT_EQ(graph->name, direct.name);
+        EXPECT_EQ(graph->by_entry, direct.by_entry) << target.exe->name;
+        ASSERT_EQ(graph->procs.size(), direct.procs.size())
+            << target.exe->name;
+        for (std::size_t i = 0; i < direct.procs.size(); ++i) {
+            EXPECT_TRUE(features(graph->procs[i]) ==
+                        features(direct.procs[i]))
+                << target.exe->name << " procedure " << i;
+        }
+    }
+    EXPECT_EQ(warm.health().executables_seen, before.executables_seen);
+    EXPECT_EQ(warm.health().lifted_ok, before.lifted_ok);
 }
 
 TEST(Driver, CorruptedExecutableIsQuarantinedScanContinues)

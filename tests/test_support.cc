@@ -18,6 +18,7 @@
 #include "support/rng.h"
 #include "support/str.h"
 #include "support/threadpool.h"
+#include "support/trace.h"
 
 namespace firmup {
 namespace {
@@ -247,6 +248,27 @@ TEST(ThreadPool, ParallelForCoversEveryIndex)
     ThreadPool::parallel_for(3, hits.size(), [&hits](std::size_t i) {
         ++hits[i];
     });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << i;
+    }
+}
+
+TEST(ThreadPool, ParallelForStartsAtMostCountWorkers)
+{
+    // A worker beyond the item count would only idle (and be charged
+    // to threadpool.worker_idle_ns).
+    trace::MetricsRegistry::global().reset();
+    trace::set_level(trace::Level::Metrics);
+    std::vector<std::atomic<int>> hits(2);
+    ThreadPool::parallel_for(8, hits.size(), [&hits](std::size_t i) {
+        ++hits[i];
+    });
+    const std::uint64_t queued =
+        trace::MetricsRegistry::global().snapshot().counter(
+            "threadpool.tasks_queued");
+    trace::set_level(trace::Level::Off);
+    trace::MetricsRegistry::global().reset();
+    EXPECT_EQ(queued, 2u);
     for (std::size_t i = 0; i < hits.size(); ++i) {
         EXPECT_EQ(hits[i].load(), 1) << i;
     }
