@@ -127,37 +127,9 @@ BM_StrandExtraction(benchmark::State &state)
 BENCHMARK(BM_StrandExtraction)->Unit(benchmark::kMillisecond);
 
 /**
- * The same extraction through the materializing reference path:
- * decompose into copied strand vectors, build the canonical string,
- * hash it. The delta against BM_StrandExtraction is the streaming +
- * arena-reuse win of the cold path.
- */
-void
-BM_StrandExtractionStringPath(benchmark::State &state)
-{
-    const lifter::LiftedExecutable &lifted = wget_lifted();
-    strand::CanonOptions options;
-    options.sections.text_lo = lifted.text_addr;
-    options.sections.text_hi = lifted.text_end;
-    options.sections.data_lo = lifted.data_addr;
-    options.sections.data_hi = lifted.data_end;
-    options.stream_hash = false;
-    for (auto _ : state) {
-        for (const auto &[entry, proc] : lifted.procs) {
-            benchmark::DoNotOptimize(
-                strand::represent_procedure(proc, options));
-        }
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(lifted.procs.size()));
-}
-BENCHMARK(BM_StrandExtractionStringPath)->Unit(benchmark::kMillisecond);
-
-/**
- * Streaming extraction against a warm canon memo: after the first
- * iteration every block replays its memoized strand-hash span, so this
- * measures the steady-state cost of indexing repeated content.
+ * Extraction against a warm canon memo: after the first iteration every
+ * block replays its memoized strand-hash span, so this measures the
+ * steady-state cost of indexing repeated content.
  */
 void
 BM_StrandExtractionMemoWarm(benchmark::State &state)

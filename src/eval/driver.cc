@@ -83,7 +83,10 @@ query_recipe_key(const lang::PackageSource &source,
           profile.materialize_full_const, profile.reverse_block_layout,
           request.all_features, request.strip, request.keep_exported,
           canon.eliminate_offsets, canon.optimize,
-          canon.normalize_names, canon.stream_hash}) {
+          // The last bit was a hashing-path knob that is now always on;
+          // it stays set so every recipe key, hence every warm store
+          // entry, is unchanged.
+          canon.normalize_names, true}) {
         bits = (bits << 1) | (flag ? 1 : 0);
     }
     key = hash_combine(key, bits);
@@ -356,7 +359,7 @@ strand::CanonOptions
 Driver::canon_options()
 {
     strand::CanonOptions canon = options_.canon;
-    canon.memo = options_.canon_memo ? &canon_memo_ : nullptr;
+    canon.memo = &canon_memo_;
     return canon;
 }
 

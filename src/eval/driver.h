@@ -59,14 +59,6 @@ struct SearchOptions
     game::GameOptions game;
     strand::CanonOptions canon;  ///< section ranges filled per target
     /**
-     * Share one cross-executable canonicalization memo (strand/memo.h)
-     * across every cold index this driver builds. Firmware corpora
-     * re-ship identical basic blocks constantly, so repeat blocks
-     * replay their memoized strand hashes instead of re-canonicalizing.
-     * Ablation knob: memo-on and memo-off scans are bit-identical.
-     */
-    bool canon_memo = true;
-    /**
      * When non-empty, a persistent content-addressed index cache
      * directory (sim::IndexCacheStore): FWIX indexes are loaded from it
      * before lifting and written back after indexing, so the second
@@ -402,7 +394,13 @@ class Driver
     /** Lazily-opened persistent store (options_.index_cache_dir). */
     std::unique_ptr<sim::IndexCacheStore> store_;
     bool store_opened_ = false;
-    /** Cross-executable canon memo shared by every cold index. */
+    /**
+     * Cross-executable canonicalization memo (strand/memo.h) shared by
+     * every cold index this driver builds. Firmware corpora re-ship
+     * identical basic blocks constantly, so repeat blocks replay their
+     * memoized strand hashes instead of re-canonicalizing; the indexes
+     * are bit-identical to memo-less ones (test_canon_stream).
+     */
     strand::CanonMemo canon_memo_;
     /** Memo stats already folded into health_ (see sync_memo_health). */
     strand::CanonMemo::Stats memo_seen_{};
@@ -422,10 +420,7 @@ class Driver
     /** The persistent store, or nullptr when not configured. */
     sim::IndexCacheStore *cache_store();
 
-    /**
-     * options_.canon with the shared memo wired in (or not, when the
-     * canon_memo ablation knob is off).
-     */
+    /** options_.canon with the shared memo wired in. */
     strand::CanonOptions canon_options();
 
     /** Fold new canon-memo hits/misses into health_ (delta-based). */

@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string_view>
 
 #include "support/fsio.h"
@@ -172,11 +171,12 @@ decode_payload(const std::uint8_t *bytes, std::size_t size,
     return false;
 }
 
-Result<ScanJournal>
+template <typename T = ScanJournal>
+Result<T>
 journal_io_error(const std::string &what, const std::string &path)
 {
-    return Result<ScanJournal>::error(
-        ErrorCode::IoError, "journal: " + what + ": " + path);
+    return Result<T>::error(ErrorCode::IoError,
+                            "journal: " + what + ": " + path);
 }
 
 }  // namespace
@@ -323,36 +323,46 @@ ScanJournal::parse(const std::uint8_t *bytes, std::size_t size,
     return load;
 }
 
-Result<ScanJournal>
-ScanJournal::create(const std::string &path, std::uint64_t fingerprint)
+Result<std::size_t>
+ScanJournal::write_file(const std::string &path, std::uint64_t fingerprint,
+                        std::span<const JournalEntry> entries)
 {
-    // Header via tmp + fsync + rename: a crash leaves no journal or a
-    // complete empty one, never a half header that a resume would have
-    // to guess about.
+    ByteBuffer bytes = encode_header(fingerprint);
+    for (const JournalEntry &entry : entries) {
+        const ByteBuffer record = encode_record(entry);
+        bytes.insert(bytes.end(), record.begin(), record.end());
+    }
+    // tmp + one fsync + rename: a crash leaves the previous file (or
+    // none) or the complete new one, never a half header or a torn
+    // record that a resume would have to guess about.
     const std::string tmp = path + ".tmp";
-    {
-        std::FILE *f = std::fopen(tmp.c_str(), "wb");
-        if (f == nullptr) {
-            return journal_io_error("cannot create", tmp);
-        }
-        const ByteBuffer header = encode_header(fingerprint);
-        const bool wrote =
-            std::fwrite(header.data(), 1, header.size(), f) ==
-                header.size() &&
-            fsync_stream(f);
-        std::fclose(f);
-        if (!wrote) {
-            std::remove(tmp.c_str());
-            return journal_io_error("cannot write header", tmp);
-        }
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
+    if (f == nullptr) {
+        return journal_io_error<std::size_t>("cannot create", tmp);
+    }
+    const bool wrote =
+        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
+        fsync_stream(f);
+    std::fclose(f);
+    if (!wrote) {
+        std::remove(tmp.c_str());
+        return journal_io_error<std::size_t>("cannot write", tmp);
     }
     std::error_code ec;
     fs::rename(tmp, path, ec);
     if (ec) {
         std::remove(tmp.c_str());
-        return journal_io_error("cannot publish", path);
+        return journal_io_error<std::size_t>("cannot publish", path);
     }
+    return bytes.size();
+}
 
+Result<ScanJournal>
+ScanJournal::create(const std::string &path, std::uint64_t fingerprint)
+{
+    if (auto written = write_file(path, fingerprint, {}); !written.ok()) {
+        return Result<ScanJournal>::error_from(written);
+    }
     ScanJournal journal;
     journal.path_ = path;
     journal.file_.reset(std::fopen(path.c_str(), "ab"));
@@ -379,24 +389,12 @@ ScanJournal::open_resume(const std::string &path,
         return create(path, fingerprint);
     }
 
-    ByteBuffer bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
-            return journal_io_error("cannot read", path);
-        }
-        in.seekg(0, std::ios::end);
-        const std::streamoff end = in.tellg();
-        in.seekg(0, std::ios::beg);
-        bytes.resize(static_cast<std::size_t>(end));
-        if (end > 0 &&
-            !in.read(reinterpret_cast<char *>(bytes.data()), end)) {
-            return journal_io_error("cannot read", path);
-        }
+    const Result<ByteBuffer> bytes = read_file_bytes(path);
+    if (!bytes.ok()) {
+        return journal_io_error("cannot read", path);
     }
-
     Result<JournalLoad> parsed =
-        parse(bytes.data(), bytes.size(), fingerprint);
+        parse(bytes.value().data(), bytes.value().size(), fingerprint);
     if (!parsed.ok()) {
         return Result<ScanJournal>::error_from(parsed);
     }
@@ -432,9 +430,10 @@ ScanJournal::append(const JournalEntry &entry)
     }
     const ByteBuffer record = encode_record(entry);
     std::lock_guard<std::mutex> lock(*mutex_);
-    // fwrite + fsync per record: one syscall round-trip per target is
-    // noise next to the game it just finished, and it is exactly what
-    // makes a kill -9 lose at most the record being written.
+    // fwrite + fsync per record: that is what makes a kill -9 lose at
+    // most the record being written. Whole files (a fresh journal, a
+    // shard seed, a rebuilt state) go through write_file instead, with
+    // one fsync for all their records.
     if (std::fwrite(record.data(), 1, record.size(), file_.get()) !=
             record.size() ||
         !fsync_stream(file_.get())) {

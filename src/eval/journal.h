@@ -35,6 +35,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -152,10 +153,20 @@ class ScanJournal
     ScanJournal &operator=(const ScanJournal &) = delete;
 
     /**
-     * Create a fresh journal at @p path (truncating any existing file):
-     * the header is written to a temp file, fsync'd, and renamed into
-     * place, so a crash during creation leaves either no journal or a
-     * complete empty one — never a half header.
+     * Write a whole journal at @p path — the header for @p fingerprint,
+     * then one record per entry — as one buffer to `path.tmp`, fsync it
+     * once and rename it into place, so a crash leaves the previous file
+     * (or none) or the complete new one. The records are not appends:
+     * they count in neither appended() nor `journal.appends`. Returns
+     * the bytes written.
+     */
+    static Result<std::size_t> write_file(
+        const std::string &path, std::uint64_t fingerprint,
+        std::span<const JournalEntry> entries);
+
+    /**
+     * Create a fresh, empty journal at @p path (replacing any existing
+     * file) through write_file, and open it for appending.
      */
     static Result<ScanJournal> create(const std::string &path,
                                       std::uint64_t fingerprint);

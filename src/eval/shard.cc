@@ -676,26 +676,20 @@ run_shard_scan(const std::string &worker_binary,
     // (content key, query) pairs replay without lift/canon/search work.
     // Entries are seeded wholesale — content keys don't map to paths
     // without unpacking, and replay simply ignores pairs outside the
-    // shard's slice.
-    for (ShardRun &run : runs) {
-        const std::string journal_path =
-            state_dir + strprintf("/shard-%zu.fwsj", run.shard);
-        auto journal = ScanJournal::create(journal_path, fp);
-        if (!journal.ok()) {
-            report.error = "cannot create " + journal_path + ": " +
-                           journal.error_message();
-            return report;
-        }
-        ScanJournal seeded = std::move(journal).take();
-        for (const JournalEntry &entry : prior) {
-            seeded.append(entry);
-        }
-        seeded.flush();
-    }
-
+    // shard's slice. Each seed is one buffer and one fsync.
     const auto journal_path_of = [&](const ShardRun &run) {
         return state_dir + strprintf("/shard-%zu.fwsj", run.shard);
     };
+    for (const ShardRun &run : runs) {
+        const std::string journal_path = journal_path_of(run);
+        auto seeded = ScanJournal::write_file(journal_path, fp, prior);
+        if (!seeded.ok()) {
+            report.error = "cannot create " + journal_path + ": " +
+                           seeded.error_message();
+            return report;
+        }
+    }
+
     const auto spawn = [&](ShardRun &run) -> bool {
         const bool first_of_shard0 = run.shard == runs.front().shard &&
                                      run.attempt == 0;
@@ -929,8 +923,8 @@ run_shard_scan(const std::string &worker_binary,
 
     // Rebuild the state manifest as the key-sorted last-wins union of
     // every shard journal: shard-count-independent by construction, and
-    // published atomically (tmp + rename) so a crash mid-rebuild leaves
-    // the previous state intact.
+    // written as one buffer published atomically (tmp + one fsync +
+    // rename) so a crash mid-rebuild leaves the previous state intact.
     std::map<std::pair<std::uint64_t, std::uint64_t>, JournalEntry>
         merged_state;
     for (const ShardRun &run : runs) {
@@ -948,21 +942,15 @@ run_shard_scan(const std::string &worker_binary,
                 {entry.content_key, entry.query_fp}, std::move(entry));
         }
     }
-    const std::string state_tmp = state_path + ".tmp";
-    auto rebuilt = ScanJournal::create(state_tmp, fp);
-    if (rebuilt.ok()) {
-        {
-            ScanJournal journal = std::move(rebuilt).take();
-            for (const auto &[key, entry] : merged_state) {
-                journal.append(entry);
-            }
-            journal.flush();
-        }
-        std::filesystem::rename(state_tmp, state_path, ec);
-        if (ec && !options.quiet) {
-            std::fprintf(stderr, "shard-scan: cannot publish %s: %s\n",
-                         state_path.c_str(), ec.message().c_str());
-        }
+    std::vector<JournalEntry> state;
+    state.reserve(merged_state.size());
+    for (auto &[key, entry] : merged_state) {
+        state.push_back(std::move(entry));
+    }
+    const auto rebuilt = ScanJournal::write_file(state_path, fp, state);
+    if (!rebuilt.ok() && !options.quiet) {
+        std::fprintf(stderr, "shard-scan: cannot publish %s: %s\n",
+                     state_path.c_str(), rebuilt.error_message().c_str());
     }
 
     report.wall_seconds =

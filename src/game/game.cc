@@ -56,12 +56,6 @@ class Game
           cand_ready_q_(Q.procs.size(), 0),
           cand_ready_t_(T.procs.size(), 0)
     {
-        for (const sim::ProcEntry &p : Q.procs) {
-            total_hashes_q_ += p.strands.size();
-        }
-        for (const sim::ProcEntry &p : T.procs) {
-            total_hashes_t_ += p.strands.size();
-        }
     }
 
     GameResult
@@ -205,7 +199,6 @@ class Game
         result.pairs_scored = stats_.pairs_scored;
         result.pairs_pruned = pairs_pruned_;
         result.scoring_elem_ops = stats_.elem_ops;
-        result.dense_elem_ops = dense_elem_ops_;
         // One registry flush per game: the hot loop only bumps plain
         // locals, so the Level::Off cost of a game is this single check.
         if (trace::level() != trace::Level::Off) {
@@ -289,9 +282,6 @@ class Game
         // a full (|m|+|other|)-element merge per pair; this path pays
         // only for candidates, and only on a memo miss.
         pairs_pruned_ += others.size() - (fresh ? cands.size() : 0);
-        dense_elem_ops_ +=
-            others.size() * strands(m).size() +
-            (m.in_q ? total_hashes_t_ : total_hashes_q_);
         best_sim = -1;
         int best = -1;
         for (const sim::Candidate &c : cands) {
@@ -339,11 +329,8 @@ class Game
     std::vector<std::uint8_t> cand_ready_q_;
     std::vector<std::uint8_t> cand_ready_t_;
     std::size_t matched_count_ = 0;
-    std::size_t total_hashes_q_ = 0;  ///< Σ strand-set sizes, Q side
-    std::size_t total_hashes_t_ = 0;  ///< Σ strand-set sizes, T side
     sim::ScoringStats stats_;         ///< actual scoring work
     std::uint64_t pairs_pruned_ = 0;
-    std::uint64_t dense_elem_ops_ = 0;  ///< what dense would have paid
     std::uint64_t rival_turns_ = 0;      ///< back-and-forth counters
     std::uint64_t deadline_samples_ = 0; ///< deadline clock reads
 };

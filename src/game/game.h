@@ -92,13 +92,6 @@ struct GameResult
      * accumulations + query-hash probes; see sim::ScoringStats).
      */
     std::uint64_t scoring_elem_ops = 0;
-    /**
-     * Element ops a dense GetBestMatch would have spent: a full
-     * (|m|+|other|) merge per procedure per call. The ratio
-     * dense_elem_ops / scoring_elem_ops is the measured saving of
-     * posting-list pruning + per-game memoization.
-     */
-    std::uint64_t dense_elem_ops = 0;
     /** The partial matching built along the way: Q index ↔ T index. */
     std::map<int, int> q_to_t;
     /** Player/rival narration when GameOptions::record_trace is set. */

@@ -605,7 +605,7 @@ struct HashSink
     void append(char c) { state = fnv1a64_update(state, c); }
 };
 
-/** Accumulates the canonical bytes as a string (debug/ablation path). */
+/** Accumulates the canonical bytes as a string (the reference oracle). */
 struct StringSink
 {
     std::string out;
@@ -851,7 +851,7 @@ emit_strand(Workspace &ws, const StrandLike &strand,
     }
 }
 
-/** Hash one strand through the configured path (streaming or string). */
+/** Hash one strand by streaming its canonical bytes into FNV-1a. */
 template <typename StrandLike>
 std::uint64_t
 hash_strand(Workspace &ws, const StrandLike &strand,
@@ -860,14 +860,9 @@ hash_strand(Workspace &ws, const StrandLike &strand,
     if (strand.empty()) {
         return kFnv1a64Seed;  // == fnv1a64("")
     }
-    if (options.stream_hash) {
-        HashSink sink;
-        emit_strand(ws, strand, options, sink);
-        return sink.state;
-    }
-    StringSink sink;
+    HashSink sink;
     emit_strand(ws, strand, options, sink);
-    return fnv1a64(sink.out);
+    return sink.state;
 }
 
 }  // namespace
@@ -920,26 +915,18 @@ represent_procedure(const ir::Procedure &proc, const CanonOptions &options)
     ProcedureStrands out;
     out.block_count = proc.blocks.size();
     Workspace ws(options);
-    // Slice + canonicalize + hash one block into @p dst. The streaming
-    // path slices into reusable index spans and hashes without
-    // materializing anything; stream_hash=false is the reference
-    // pipeline — materialized strands, canonical strings, then
-    // fnv1a64 — kept bit-compatible for the ablation benchmarks.
+    // Slice + canonicalize + hash one block into @p dst: the slicer
+    // yields reusable index spans and the hash streams the canonical
+    // bytes, so nothing is materialized. canonical_strings() is the
+    // reference (copied strands, canonical strings) it must match.
     const auto hash_block_into = [&ws, &options](
                                      const ir::Block &block,
                                      std::vector<std::uint64_t> &dst) {
-        if (options.stream_hash) {
-            ws.slicer.decompose(block);
-            for (std::size_t s = 0; s < ws.slicer.strand_count(); ++s) {
-                const IndexedStrand view{block.stmts,
-                                         ws.slicer.indexes(s),
-                                         ws.slicer.size(s)};
-                dst.push_back(hash_strand(ws, view, options));
-            }
-            return;
-        }
-        for (const Strand &strand : decompose_block(block)) {
-            dst.push_back(hash_strand(ws, strand, options));
+        ws.slicer.decompose(block);
+        for (std::size_t s = 0; s < ws.slicer.strand_count(); ++s) {
+            const IndexedStrand view{block.stmts, ws.slicer.indexes(s),
+                                     ws.slicer.size(s)};
+            dst.push_back(hash_strand(ws, view, options));
         }
     };
     std::vector<std::uint64_t> scratch;

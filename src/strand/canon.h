@@ -28,7 +28,8 @@
  * The canonical form is a byte sequence with a pinned, explicitly
  * left-to-right emission order (DESIGN.md section 12): hashing streams
  * exactly those bytes into the FNV-1a state without materializing the
- * string, and `canonical_strand` renders the same bytes for debugging.
+ * string, and `canonical_strand` / `canonical_strings` render the same
+ * bytes — the reference oracle the tests hold every hash to.
  */
 #pragma once
 
@@ -65,13 +66,6 @@ struct CanonOptions
     bool optimize = true;
     bool normalize_names = true;
     /**
-     * Hash strands by streaming the canonical byte sequence straight
-     * into the FNV-1a state (default). false builds the canonical
-     * string first and hashes it — the debug/ablation reference path.
-     * Both produce the same hash for every strand (property-tested).
-     */
-    bool stream_hash = true;
-    /**
      * Optional cross-executable block memo (see strand/memo.h). When
      * set, represent_procedure() reuses the memoized strand-hash span
      * of any block already canonicalized under equivalent options.
@@ -89,7 +83,7 @@ struct CanonOptions
     std::uint64_t memo_context = 0;
 };
 
-/** Canonical string form of one strand. */
+/** Canonical string form of one strand; fnv1a64 of it is strand_hash. */
 std::string canonical_strand(const Strand &strand,
                              const CanonOptions &options);
 
@@ -132,7 +126,11 @@ ProcedureStrands strand_set(std::vector<std::uint64_t> hashes);
 ProcedureStrands represent_procedure(const ir::Procedure &proc,
                                      const CanonOptions &options);
 
-/** All canonical strand strings of @p proc (debugging, Fig. 3 demo). */
+/**
+ * All canonical strand strings of @p proc, through the reference
+ * decompose_block (debugging, Fig. 3 demo, and the oracle for
+ * represent_procedure: fnv1a64 of each string is a member of its set).
+ */
 std::vector<std::string> canonical_strings(const ir::Procedure &proc,
                                            const CanonOptions &options);
 

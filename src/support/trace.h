@@ -18,9 +18,8 @@
  *
  * Cost contract: every hook is gated on one relaxed atomic load of the
  * global level. At Level::Off an instrumented build does no clock reads,
- * no allocation, no shard access — `bench/bench_json` records the
- * measured overhead of Level::Full vs Level::Off on the Table-2 game
- * workload as BENCH_micro.json `trace_overhead` (< 2% required).
+ * no allocation, no shard access; perfbench (`--trace 1`) reports the
+ * traced wall over the untraced one as `trace.overhead`.
  */
 #pragma once
 

@@ -4,12 +4,11 @@
  *
  * The unit tests pin the grammar: unknown flags, missing values, inline
  * optional values, tolerant number parsing, and the shared scan group
- * with its inverse. The real-binary tests drive the built `firmup` and
- * `bench_json` (FIRMUP_TOOL_PATH, BENCH_JSON_PATH) the way a user does:
- * every numeric flag of every verb rejects negative, non-numeric and
- * out-of-range values with exit 2, a mistyped or valueless flag never
- * turns into a blob path, and `exec` reports bad numbers instead of
- * aborting.
+ * with its inverse. The real-binary tests drive the built `firmup`
+ * (FIRMUP_TOOL_PATH) the way a user does: every numeric flag of every
+ * verb rejects negative, non-numeric and out-of-range values with exit
+ * 2, a mistyped or valueless flag never turns into a blob path, and
+ * `exec` reports bad numbers instead of aborting.
  */
 #include <gtest/gtest.h>
 
@@ -146,22 +145,16 @@ TEST(ScanFlags, PositionalCveAndInverseRoundTrip)
     }
 }
 
-/** Run @p command via the shell; its stdout goes to @p out_path. */
-int
-run(const std::string &command, const std::string &out_path = "/dev/null",
-    const std::string &err_path = "/dev/null")
-{
-    const int status = std::system(
-        (command + " > " + out_path + " 2> " + err_path).c_str());
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
+/** Run `firmup @p args` via the shell; its stdout goes to @p out_path. */
 int
 cli(const std::string &args, const std::string &out_path = "/dev/null",
     const std::string &err_path = "/dev/null")
 {
-    return run(std::string(FIRMUP_TOOL_PATH) + " " + args, out_path,
-               err_path);
+    const int status =
+        std::system((std::string(FIRMUP_TOOL_PATH) + " " + args + " > " +
+                     out_path + " 2> " + err_path)
+                        .c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 std::string
@@ -231,14 +224,6 @@ TEST(CliFlags, NumericFlagsRejectBadValuesOnEveryVerb)
         EXPECT_NE(good, 2) << with(row, row.good);
         EXPECT_GE(good, 0) << with(row, row.good);
     }
-
-    // bench_json takes one numeric flag; its control run is a cheap entry.
-    const std::string bench = std::string(BENCH_JSON_PATH) +
-                              " --only best_match --devices ";
-    for (const char *bad : {"-1", "x1", "0", "99999999999999999999"}) {
-        EXPECT_EQ(run(bench + bad), 2) << bad;
-    }
-    EXPECT_EQ(run(bench + "1"), 0);
 }
 
 /** A small corpus written to real blobs (the shared blob writer). */

@@ -28,7 +28,9 @@
 #include "support/bytes.h"
 #include "support/cancel.h"
 #include "support/faultinject.h"
+#include "support/fsio.h"
 #include "support/rng.h"
+#include "support/trace.h"
 
 namespace firmup::eval {
 namespace {
@@ -271,6 +273,46 @@ TEST(JournalFault, CreateAppendResumeRoundTripsOnDisk)
     ASSERT_TRUE(reopened.ok()) << reopened.error_message();
     ASSERT_EQ(reload.entries.size(), sample_entries().size() + 1);
     expect_same_entry(extra, reload.entries.back());
+}
+
+TEST(JournalFault, WholeFileWriteEqualsCreateThenAppend)
+{
+    // write_file is the one-buffer, one-fsync form of create() followed
+    // by one append() per entry: same bytes on disk, and none of its
+    // records counts as an append.
+    const std::string appended = fresh_journal_path("appended");
+    {
+        auto journal = ScanJournal::create(appended, kFingerprint);
+        ASSERT_TRUE(journal.ok()) << journal.error_message();
+        for (const JournalEntry &entry : sample_entries()) {
+            ASSERT_TRUE(journal.value().append(entry));
+        }
+    }
+    const std::string whole = fresh_journal_path("whole");
+    trace::MetricsRegistry::global().reset();
+    trace::set_level(trace::Level::Metrics);
+    const Result<std::size_t> written =
+        ScanJournal::write_file(whole, kFingerprint, sample_entries());
+    const std::uint64_t appends =
+        trace::MetricsRegistry::global().snapshot().counter(
+            "journal.appends");
+    trace::set_level(trace::Level::Off);
+    trace::MetricsRegistry::global().reset();
+    ASSERT_TRUE(written.ok()) << written.error_message();
+    EXPECT_EQ(appends, 0u);
+    const Result<ByteBuffer> want = read_file_bytes(appended);
+    const Result<ByteBuffer> got = read_file_bytes(whole);
+    ASSERT_TRUE(want.ok() && got.ok());
+    EXPECT_EQ(got.value(), want.value());
+    EXPECT_EQ(written.value(), want.value().size());
+    EXPECT_FALSE(fs::exists(whole + ".tmp"));
+
+    // With no entries it is the bare header, the file create() leaves.
+    const std::string empty = fresh_journal_path("empty");
+    ASSERT_TRUE(ScanJournal::write_file(empty, kFingerprint, {}).ok());
+    const Result<ByteBuffer> header = read_file_bytes(empty);
+    ASSERT_TRUE(header.ok());
+    EXPECT_EQ(header.value(), ScanJournal::encode_header(kFingerprint));
 }
 
 TEST(JournalFault, TornTailIsTruncatedOnResume)

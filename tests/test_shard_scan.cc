@@ -32,6 +32,7 @@
 #include "firmware/catalog.h"
 #include "firmware/corpus.h"
 #include "firmware/image.h"
+#include "support/trace.h"
 
 namespace firmup::eval {
 namespace {
@@ -336,13 +337,25 @@ TEST(ShardScan, UnchangedCorpusRescansIncrementally)
     const fs::path state_dir =
         fs::path(testing::TempDir()) / "firmup-shard-state";
     fs::remove_all(state_dir);
+    // The coordinator writes each shard seed and the rebuilt state as
+    // whole files: none of their records is a durable append (the
+    // workers, separate processes, do the appends).
+    trace::MetricsRegistry::global().reset();
+    trace::set_level(trace::Level::Metrics);
     const FleetReport first = fleet(3, 1, state_dir.string());
+    const FleetReport second = fleet(3, 1, state_dir.string());
+    const std::uint64_t coordinator_appends =
+        trace::MetricsRegistry::global().snapshot().counter(
+            "journal.appends");
+    trace::set_level(trace::Level::Off);
+    trace::MetricsRegistry::global().reset();
+    EXPECT_EQ(coordinator_appends, 0u);
+
     ASSERT_TRUE(first.ok) << first.error;
     EXPECT_FALSE(first.state_reused);
     EXPECT_GT(first.targets_searched, 0u);
     ASSERT_TRUE(fs::exists(state_dir / "state.fwsj"));
 
-    const FleetReport second = fleet(3, 1, state_dir.string());
     ASSERT_TRUE(second.ok) << second.error;
     EXPECT_TRUE(second.state_reused);
     // Pure replay: nothing searched, nothing lifted or canonicalized,

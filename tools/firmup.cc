@@ -28,7 +28,7 @@
  * and one hunt path: the same CVE resolution and store wiring
  * (eval::prepare_hunt), manifest loader (eval::load_manifest) and
  * finding printer; shard-scan hands the group to its workers unchanged.
- * The matching micro-benchmarks are their own binary, bench/bench_json.
+ * The benchmark that times these verbs end to end is perfbench/.
  *
  * Blobs are the FWIMG containers produced by `firmup corpus` (or any
  * firmware::pack_firmware caller).
