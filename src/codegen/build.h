@@ -32,9 +32,22 @@ struct BuildRequest
     LinkOptions link;
 };
 
-/** Compile a package to MIR under @p request (features + optimization). */
+/**
+ * Compile a package to MIR under @p request (features + optimization).
+ * MIR does not depend on request.arch, so one module serves every ISA
+ * of the same source, profile and feature set. Each call counts in the
+ * `codegen.compile_to_mir` counter.
+ */
 compiler::MModule compile_to_mir(const lang::PackageSource &source,
                                  const BuildRequest &request);
+
+/**
+ * Code-generate, link and optionally strip an already compiled
+ * @p module for request.arch; the executable is named request.exe_name,
+ * or the module's name when that is empty.
+ */
+loader::Executable build_executable(const compiler::MModule &module,
+                                    const BuildRequest &request);
 
 /** Full pipeline: compile, code-generate, link, optionally strip. */
 loader::Executable build_executable(const lang::PackageSource &source,

@@ -207,7 +207,7 @@ namespace {
 std::string
 mval_str(const MVal &v)
 {
-    return v.is_vreg() ? "%" + std::to_string(v.reg)
+    return v.is_vreg() ? concat({"%", std::to_string(v.reg)})
                        : std::to_string(v.imm);
 }
 
@@ -216,7 +216,7 @@ mval_str(const MVal &v)
 std::string
 to_string(const MInst &inst)
 {
-    const std::string d = "%" + std::to_string(inst.dst);
+    const std::string d = concat({"%", std::to_string(inst.dst)});
     switch (inst.kind) {
       case MInst::Kind::Const:
         return d + " = const " + std::to_string(inst.imm);
@@ -238,7 +238,7 @@ to_string(const MInst &inst)
             if (i > 0) {
                 out += ", ";
             }
-            out += "%" + std::to_string(inst.args[i]);
+            out += concat({"%", std::to_string(inst.args[i])});
         }
         return out + ")";
       }

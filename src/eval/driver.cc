@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <thread>
@@ -248,31 +247,71 @@ target_keys(const std::vector<CorpusTarget> &targets)
     return keys;
 }
 
+/** The source a query of @p package at @p version is compiled from. */
+lang::PackageSource
+query_source(const std::string &package, const std::string &version)
+{
+    const trace::TraceSpan span("generate", package);
+    return firmware::generate_package_source(
+        firmware::package_by_name(package), version);
+}
+
+/**
+ * Section 5.1: queries are compiled from source with the reference
+ * toolchain at its default optimization level, all features on (the
+ * researcher's build is a default build).
+ */
+codegen::BuildRequest
+query_request(const std::string &package, isa::Arch arch)
+{
+    codegen::BuildRequest request;
+    request.arch = arch;
+    request.profile = compiler::gcc_like_toolchain();
+    request.exe_name = package + "-query";
+    return request;
+}
+
 }  // namespace
 
 QueryRecipe
 query_recipe(const std::string &package, const std::string &version,
              isa::Arch arch)
 {
-    QueryRecipe recipe;
-    recipe.source = firmware::generate_package_source(
-        firmware::package_by_name(package), version);
-    // Section 5.1: queries are compiled from source with the reference
-    // toolchain at its default optimization level, all features on
-    // (the researcher's build is a default build).
-    recipe.request.arch = arch;
-    recipe.request.profile = compiler::gcc_like_toolchain();
-    recipe.request.exe_name = package + "-query";
-    return recipe;
+    return {query_source(package, version), query_request(package, arch)};
+}
+
+struct Driver::QuerySpec
+{
+    std::string label;
+    std::string package;
+    std::string procedure;
+    std::string version;
+    isa::Arch arch = isa::Arch::Mips32;
+};
+
+struct Driver::QuerySlot
+{
+    std::uint64_t key = 0;  ///< recipe key; set when a store is open
+    bool hit = false;       ///< index served by the store
+    bool built = false;     ///< index compiled, lifted and indexed
+    sim::IndexCacheStore::LoadStats load_stats;
+    double load_seconds = 0.0;
+    std::uint64_t write_bytes = 0;
+    sim::ExecutableIndex index;
+};
+
+Driver::QuerySpec
+Driver::cve_query_spec(const firmware::CveRecord &cve, isa::Arch arch)
+{
+    return {cve.cve_id, cve.package, cve.procedure,
+            latest_vulnerable_version(cve), arch};
 }
 
 Query
 Driver::build_query(const firmware::CveRecord &cve, isa::Arch arch)
 {
-    Query query = build_query(cve.package, cve.procedure,
-                              latest_vulnerable_version(cve), arch);
-    query.label = cve.cve_id;
-    return query;
+    return std::move(
+        build_query_set({cve_query_spec(cve, arch)}, 1, nullptr).front());
 }
 
 Query
@@ -280,79 +319,187 @@ Driver::build_query(const std::string &package,
                     const std::string &procedure,
                     const std::string &version, isa::Arch arch)
 {
-    const QueryRecipe recipe = query_recipe(package, version, arch);
-    Query query;
-    query.label = package + "/" + procedure;
-    query.package = package;
-    query.procedure = procedure;
-    query.version = version;
-
-    // A warm store serves the query index under its recipe key,
-    // skipping compile + lift + canonicalize — the FWIX round-trip is
-    // bit-faithful (hashes, postings), so outcomes are identical to a
-    // fresh build.
-    sim::IndexCacheStore *const store = cache_store();
-    const std::uint64_t key =
-        store != nullptr
-            ? query_recipe_key(recipe.source, recipe.request,
-                               options_.canon)
-            : 0;
-    if (store != nullptr) {
-        sim::IndexCacheStore::LoadStats load_stats;
-        const auto load_start = std::chrono::steady_clock::now();
-        auto loaded = store->load(key, options_.mmap_index, &load_stats);
-        fold_load(health_, seconds_since(load_start), load_stats);
-        if (loaded.ok()) {
-            ++health_.query_cache_hits;
-            c_query_cache_hits.add();
-            query.index = std::move(loaded).take();
-            query.qv = query.index.find_by_name(procedure);
-            FIRMUP_ASSERT(query.qv >= 0,
-                          "query procedure missing: " + procedure);
-            return query;
-        }
-        ++health_.query_cache_misses;
-        c_query_cache_misses.add();
-    }
-
-    const loader::Executable exe =
-        codegen::build_executable(recipe.source, recipe.request);
-
-    auto lifted = lifter::lift_executable(exe);
-    FIRMUP_ASSERT(lifted.ok(), "query lift failed: " +
-                                   lifted.error_message());
-
-    query.index = sim::index_executable(lifted.value(), canon_options());
-    sync_memo_health();
-    query.qv = query.index.find_by_name(procedure);
-    FIRMUP_ASSERT(query.qv >= 0,
-                  "query procedure missing: " + procedure);
-    if (store != nullptr) {
-        if (auto written = store->store(key, query.index);
-            written.ok()) {
-            health_.cache_write_bytes += written.value();
-            c_cache_write_bytes.add(written.value());
-        }
-    }
-    return query;
+    return std::move(
+        build_query_set({{package + "/" + procedure, package, procedure,
+                          version, arch}},
+                        1, nullptr)
+            .front());
 }
 
-unsigned
-resolve_worker_threads(unsigned threads)
+void
+Driver::probe_query(sim::IndexCacheStore &store, QuerySlot &slot) const
 {
-    if (threads != 0) {
-        return threads;
+    const auto load_start = std::chrono::steady_clock::now();
+    auto loaded = store.load(slot.key, options_.mmap_index, &slot.load_stats);
+    slot.load_seconds = seconds_since(load_start);
+    slot.hit = loaded.ok();
+    if (slot.hit) {
+        slot.index = std::move(loaded).take();
     }
-    // FIRMUP_THREADS overrides hardware concurrency for threads == 0;
-    // the determinism tests use it to pin the worker count externally.
-    if (const char *env = std::getenv("FIRMUP_THREADS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0) {
-            return static_cast<unsigned>(parsed);
+}
+
+std::vector<Query>
+Driver::build_query_set(const std::vector<QuerySpec> &specs,
+                        unsigned threads, const CancelToken *cancel)
+{
+    std::vector<Query> queries(specs.size());
+    if (specs.empty()) {
+        return queries;
+    }
+    const auto start = std::chrono::steady_clock::now();
+    const std::uint64_t cpu_start = trace::process_cpu_ns();
+    sim::IndexCacheStore *const store = cache_store();
+    std::vector<QuerySlot> slots(specs.size());
+
+    // Group the specs by source: (package, version) decides the rendered
+    // source, hence the MIR, which does not depend on the ISA. A spec
+    // whose source and ISA repeat an earlier spec's has that spec's
+    // recipe; first[i] names the earliest such spec.
+    std::vector<std::vector<std::size_t>> sources;
+    std::vector<std::size_t> first(specs.size());
+    {
+        std::map<std::pair<std::string, std::string>, std::size_t> source_of;
+        std::map<std::pair<std::size_t, isa::Arch>, std::size_t> recipe_of;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            const auto [src, fresh] = source_of.try_emplace(
+                {specs[i].package, specs[i].version}, sources.size());
+            if (fresh) {
+                sources.emplace_back();
+            }
+            first[i] =
+                recipe_of.try_emplace({src->second, specs[i].arch}, i)
+                    .first->second;
+            if (first[i] == i) {
+                sources[src->second].push_back(i);
+            }
         }
     }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
+
+    // Probe on the calling thread: a warm store serves the query index
+    // under its recipe key, skipping compile + lift + canonicalize (the
+    // FWIX round-trip is bit-faithful, so outcomes are identical to a
+    // fresh build). Each source is rendered for its keys and dropped
+    // before the next. jobs[j] lists one source's missing specs.
+    std::vector<std::vector<std::size_t>> jobs;
+    for (std::vector<std::size_t> &members : sources) {
+        if (store != nullptr) {
+            const lang::PackageSource source = query_source(
+                specs[members.front()].package,
+                specs[members.front()].version);
+            std::vector<std::size_t> missing;
+            for (const std::size_t i : members) {
+                slots[i].key = query_recipe_key(
+                    source, query_request(specs[i].package, specs[i].arch),
+                    options_.canon);
+                probe_query(*store, slots[i]);
+                if (!slots[i].hit) {
+                    missing.push_back(i);
+                }
+            }
+            members = std::move(missing);
+        }
+        if (!members.empty()) {
+            jobs.push_back(std::move(members));
+        }
+    }
+
+    // Build one source per job: one compile_to_mir, then backend+link,
+    // lift and index per missing ISA. The AST dies once the MIR exists,
+    // each executable once it is lifted and each lifted IR once it is
+    // indexed; the slots keep only indexes. Workers share the
+    // thread-safe canon memo and write distinct recipe-keyed entries.
+    ThreadPool::parallel_for(
+        resolve_worker_threads(threads), jobs.size(), [&](std::size_t j) {
+            // Cancellation point, as in index_many: an unbuilt slot
+            // leaves no trace in health.
+            if (cancel != nullptr && cancel->requested()) {
+                return;
+            }
+            const QuerySpec &lead = specs[jobs[j].front()];
+            const trace::TraceSpan span("query_build", lead.package);
+            codegen::BuildRequest request =
+                query_request(lead.package, lead.arch);
+            compiler::MModule module;
+            {
+                const lang::PackageSource source =
+                    query_source(lead.package, lead.version);
+                const trace::TraceSpan compile("compile_to_mir");
+                module = codegen::compile_to_mir(source, request);
+            }
+            for (const std::size_t i : jobs[j]) {
+                request.arch = specs[i].arch;
+                auto lifted = [&] {
+                    loader::Executable exe;
+                    {
+                        const trace::TraceSpan link("backend_link");
+                        exe = codegen::build_executable(module, request);
+                    }
+                    return lifter::lift_executable(exe);
+                }();
+                FIRMUP_ASSERT(lifted.ok(), "query lift failed: " +
+                                               lifted.error_message());
+                QuerySlot &slot = slots[i];
+                slot.index = sim::index_executable(lifted.value(),
+                                                   canon_options(), 1);
+                slot.built = true;
+                if (store != nullptr) {
+                    if (auto written = store->store(slot.key, slot.index);
+                        written.ok()) {
+                        slot.write_bytes = written.value();
+                    }
+                }
+            }
+        });
+
+    // Merge in spec order, as serial one-at-a-time builds would have: a
+    // repeated recipe loads the entry its first spec wrote (or copies
+    // that index when there is no store entry to load).
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        QuerySlot &slot = slots[i];
+        if (first[i] != i) {
+            if (queries[first[i]].qv < 0) {
+                continue;  // its recipe was never built
+            }
+            if (store != nullptr) {
+                slot.key = slots[first[i]].key;
+                probe_query(*store, slot);
+            }
+            if (!slot.hit) {
+                slot.index = queries[first[i]].index;
+            }
+        } else if (!slot.hit && !slot.built) {
+            continue;  // cancelled before its job ran
+        }
+        if (store != nullptr) {
+            fold_load(health_, slot.load_seconds, slot.load_stats);
+            if (slot.hit) {
+                ++health_.query_cache_hits;
+                c_query_cache_hits.add();
+            } else {
+                ++health_.query_cache_misses;
+                c_query_cache_misses.add();
+            }
+        }
+        if (slot.write_bytes != 0) {
+            health_.cache_write_bytes += slot.write_bytes;
+            c_cache_write_bytes.add(slot.write_bytes);
+        }
+        const QuerySpec &spec = specs[i];
+        Query &query = queries[i];
+        query.label = spec.label;
+        query.package = spec.package;
+        query.procedure = spec.procedure;
+        query.version = spec.version;
+        query.index = std::move(slot.index);
+        query.qv = query.index.find_by_name(spec.procedure);
+        FIRMUP_ASSERT(query.qv >= 0,
+                      "query procedure missing: " + spec.procedure);
+    }
+    sync_memo_health();
+    health_.query_seconds += seconds_since(start);
+    health_.query_cpu_seconds +=
+        static_cast<double>(trace::process_cpu_ns() - cpu_start) * 1e-9;
+    return queries;
 }
 
 strand::CanonOptions
@@ -777,24 +924,15 @@ Driver::search(const Query &query, const sim::ExecutableIndex &target)
     return outcome;
 }
 
-std::map<isa::Arch, Query>
-Driver::build_queries(const firmware::CveRecord &cve,
-                      const std::vector<CorpusTarget> &targets,
-                      unsigned threads)
-{
-    return build_queries(cve, targets, target_keys(targets), threads);
-}
-
-std::map<isa::Arch, Query>
-Driver::build_queries(const firmware::CveRecord &cve,
-                      const std::vector<CorpusTarget> &targets,
-                      const std::vector<std::uint64_t> &keys,
-                      unsigned threads)
+std::vector<isa::Arch>
+Driver::query_isas(const std::vector<CorpusTarget> &targets,
+                   const std::vector<std::uint64_t> &keys,
+                   unsigned threads)
 {
     index_many(targets, keys, threads);
     // After indexing, index_keyed is a pure cache/quarantine lookup, so
-    // this lazily builds exactly the query set of the serial scan loop.
-    std::map<isa::Arch, Query> queries;
+    // this finds exactly the ISAs the serial scan loop would query.
+    std::vector<isa::Arch> isas;
     for (std::size_t t = 0; t < targets.size(); ++t) {
         // Cancellation point: on a cache miss (e.g. targets index_many
         // skipped after cancellation) index_keyed cold-lifts serially,
@@ -805,8 +943,30 @@ Driver::build_queries(const firmware::CveRecord &cve,
         }
         const sim::ExecutableIndex *index =
             index_keyed(*targets[t].exe, keys[t]);
-        if (index != nullptr && !queries.contains(index->arch)) {
-            queries.emplace(index->arch, build_query(cve, index->arch));
+        if (index != nullptr &&
+            std::ranges::find(isas, index->arch) == isas.end()) {
+            isas.push_back(index->arch);
+        }
+    }
+    return isas;
+}
+
+std::map<isa::Arch, Query>
+Driver::build_queries(const firmware::CveRecord &cve,
+                      const std::vector<CorpusTarget> &targets,
+                      unsigned threads)
+{
+    std::vector<QuerySpec> specs;
+    for (const isa::Arch arch :
+         query_isas(targets, target_keys(targets), threads)) {
+        specs.push_back(cve_query_spec(cve, arch));
+    }
+    std::vector<Query> built =
+        build_query_set(specs, threads, options_.cancel);
+    std::map<isa::Arch, Query> queries;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (built[i].qv >= 0) {
+            queries.emplace(specs[i].arch, std::move(built[i]));
         }
     }
     return queries;
@@ -998,21 +1158,18 @@ Driver::search_corpus_batch(const std::vector<firmware::CveRecord> &cves,
     // up by these.
     const std::vector<std::uint64_t> keys = target_keys(targets);
 
-    // Per-CVE queries over that CVE's pending targets — the same
+    // Per-CVE query ISAs over that CVE's pending targets — the same
     // carve-out a single-CVE scan performs, so replayed pairs and
     // quarantined keys are never lifted again. The first CVE's
-    // build_queries indexes the union of pending targets; the rest are
-    // pure cache lookups. A refused resume (journal fingerprint
-    // mismatch) builds no query: run_batch returns the empty grid, and
-    // lifting for a scan that is not going to run would be wasted.
-    std::vector<std::map<isa::Arch, Query>> query_sets(cves.size());
-    std::vector<const std::map<isa::Arch, Query> *> set_ptrs;
-    set_ptrs.reserve(cves.size());
-    for (std::size_t q = 0; q < cves.size(); ++q) {
-        set_ptrs.push_back(&query_sets[q]);
-        if (health_.resume_rejected) {
-            continue;
-        }
+    // query_isas indexes the union of pending targets; the rest are
+    // pure cache lookups. Every (CVE, ISA) query is then built in one
+    // query phase. A refused resume (journal fingerprint mismatch)
+    // builds no query: run_batch returns the empty grid, and lifting
+    // for a scan that is not going to run would be wasted.
+    std::vector<QuerySpec> specs;
+    std::vector<std::size_t> spec_cve;
+    for (std::size_t q = 0; q < cves.size() && !health_.resume_rejected;
+         ++q) {
         std::vector<CorpusTarget> pending;
         std::vector<std::uint64_t> pending_keys;
         for (std::size_t t = 0; t < targets.size(); ++t) {
@@ -1023,8 +1180,25 @@ Driver::search_corpus_batch(const std::vector<firmware::CveRecord> &cves,
             pending.push_back(targets[t]);
             pending_keys.push_back(keys[t]);
         }
-        query_sets[q] = build_queries(cves[q], pending, pending_keys,
-                                      threads);
+        for (const isa::Arch arch :
+             query_isas(pending, pending_keys, threads)) {
+            specs.push_back(cve_query_spec(cves[q], arch));
+            spec_cve.push_back(q);
+        }
+    }
+    std::vector<Query> built =
+        build_query_set(specs, threads, options_.cancel);
+    std::vector<std::map<isa::Arch, Query>> query_sets(cves.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (built[i].qv >= 0) {
+            query_sets[spec_cve[i]].emplace(specs[i].arch,
+                                            std::move(built[i]));
+        }
+    }
+    std::vector<const std::map<isa::Arch, Query> *> set_ptrs;
+    set_ptrs.reserve(cves.size());
+    for (const std::map<isa::Arch, Query> &set : query_sets) {
+        set_ptrs.push_back(&set);
     }
     return run_batch(set_ptrs, query_fps, targets, keys, threads, confirm);
 }

@@ -31,6 +31,7 @@
 #include "sim/similarity.h"
 #include "strand/memo.h"
 #include "support/cancel.h"
+#include "support/threadpool.h"
 
 namespace firmup::eval {
 
@@ -149,9 +150,10 @@ struct QueryRecipe
 };
 
 /**
- * The recipe of @p package at @p version for @p arch. build_query
- * compiles it on a recipe-store miss; the BinDiff experiment compiles
- * and lifts it for the query's structural graph.
+ * The recipe of @p package at @p version for @p arch. The query phase
+ * compiles it on a recipe-store miss (one MIR per source, shared by
+ * every ISA); the BinDiff experiment compiles and lifts it for the
+ * query's structural graph.
  */
 QueryRecipe query_recipe(const std::string &package,
                          const std::string &version, isa::Arch arch);
@@ -186,15 +188,6 @@ std::vector<CorpusTarget> corpus_targets(const firmware::Corpus &corpus);
  * `scan.content_keys` counter records every call.
  */
 std::uint64_t content_key(const loader::Executable &exe);
-
-/**
- * Resolve a worker-thread count: non-zero @p threads is returned as-is;
- * 0 means the FIRMUP_THREADS environment override when set, otherwise
- * hardware concurrency (minimum 1). The determinism tests and CI use
- * FIRMUP_THREADS to pin parallelism externally on machines whose core
- * count would otherwise serialize the scan.
- */
-unsigned resolve_worker_threads(unsigned threads);
 
 /**
  * Journal scan label of one CVE hunt: (cve id, package, procedure,
@@ -241,11 +234,12 @@ class Driver
     Query build_query(const firmware::CveRecord &cve, isa::Arch arch);
 
     /**
-     * Build a query for an arbitrary (package, procedure, version).
-     * With a persistent store configured, the query index is served
-     * from (or written back to) the store under its recipe key, so a
-     * warm build skips compile + lift + canonicalize; the FWIX
-     * round-trip is bit-faithful, so either way yields the same query.
+     * Build a query for an arbitrary (package, procedure, version): the
+     * one-query case of the query phase (build_query_set). With a
+     * persistent store configured, the query index is served from (or
+     * written back to) the store under its recipe key, so a warm build
+     * skips compile + lift + canonicalize; the FWIX round-trip is
+     * bit-faithful, so either way yields the same query.
      */
     Query build_query(const std::string &package,
                       const std::string &procedure,
@@ -356,8 +350,9 @@ class Driver
 
     /**
      * Index @p targets (parallel) and build one query per ISA that
-     * actually occurs among the indexable ones, in target order —
-     * exactly the lazily-built query set of the serial scan loop.
+     * actually occurs among the indexable ones (first occurrence in
+     * target order) in one query phase — one MIR for the CVE's source,
+     * shared by its ISAs.
      */
     std::map<isa::Arch, Query> build_queries(
         const firmware::CveRecord &cve,
@@ -444,11 +439,41 @@ class Driver
      */
     static std::uint64_t query_fingerprint(const std::string &label);
 
-    /** build_queries over targets whose content keys are @p keys. */
-    std::map<isa::Arch, Query> build_queries(
-        const firmware::CveRecord &cve,
+    /** One query the query phase builds (driver.cc). */
+    struct QuerySpec;
+    /** What the query phase produced for one QuerySpec (driver.cc). */
+    struct QuerySlot;
+
+    /** The spec of @p cve's query for @p arch. */
+    static QuerySpec cve_query_spec(const firmware::CveRecord &cve,
+                                    isa::Arch arch);
+
+    /**
+     * ISAs of the indexable @p targets (content keys @p keys), in
+     * first-occurrence order, after index_many over them. Stops at a
+     * requested cancellation.
+     */
+    std::vector<isa::Arch> query_isas(
         const std::vector<CorpusTarget> &targets,
         const std::vector<std::uint64_t> &keys, unsigned threads);
+
+    /**
+     * The one query builder. Probe: on the calling thread, render each
+     * distinct (package, version) source once and load each recipe key
+     * from the store. Build: one job per source with a miss, on
+     * resolve_worker_threads(@p threads) workers — render, one
+     * compile_to_mir, then backend+link, lift and index per missing
+     * ISA, with store write-back. Merge: fold hits, misses, loads and
+     * writes into health in spec order. A job that finds @p cancel
+     * requested builds nothing; its queries come back with qv == -1.
+     * @return one query per spec, in spec order.
+     */
+    std::vector<Query> build_query_set(const std::vector<QuerySpec> &specs,
+                                       unsigned threads,
+                                       const CancelToken *cancel);
+
+    /** Load @p slot's recipe key from @p store into @p slot. */
+    void probe_query(sim::IndexCacheStore &store, QuerySlot &slot) const;
 
     /**
      * The batched fan-out core every search_corpus overload lands on:

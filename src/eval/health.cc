@@ -81,6 +81,8 @@ ScanHealth::merge(const ScanHealth &other)
     }
     index_seconds += other.index_seconds;
     index_cpu_seconds += other.index_cpu_seconds;
+    query_seconds += other.query_seconds;
+    query_cpu_seconds += other.query_cpu_seconds;
     game_seconds += other.game_seconds;
     game_cpu_seconds += other.game_cpu_seconds;
     confirm_seconds += other.confirm_seconds;

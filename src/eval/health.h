@@ -143,6 +143,10 @@ struct ScanHealth
      *  - `index_seconds` is the *elapsed* wall clock of the (parallel)
      *    lift+index phase; `index_cpu_seconds` is the process-CPU time
      *    the phase consumed across all workers.
+     *  - `query_seconds`/`query_cpu_seconds` are the same pair for the
+     *    (parallel) query phase: recipe-store probes, then generate →
+     *    compile_to_mir → backend+link → lift → index of every query
+     *    the store could not serve.
      *  - `game_seconds`/`confirm_seconds` are per-outcome wall clock
      *    *summed over outcomes* — on a parallel scan that is busy time
      *    across workers, not elapsed time. The matching
@@ -154,6 +158,8 @@ struct ScanHealth
      */
     double index_seconds = 0.0;
     double index_cpu_seconds = 0.0;
+    double query_seconds = 0.0;
+    double query_cpu_seconds = 0.0;
     double game_seconds = 0.0;
     double game_cpu_seconds = 0.0;
     double confirm_seconds = 0.0;

@@ -341,6 +341,8 @@ decode_frame(std::string_view payload, FrameFields *fields)
     X(cache_parse_seconds)                                               \
     X(index_seconds)                                                     \
     X(index_cpu_seconds)                                                 \
+    X(query_seconds)                                                     \
+    X(query_cpu_seconds)                                                 \
     X(game_seconds)                                                      \
     X(game_cpu_seconds)                                                  \
     X(confirm_seconds)                                                   \

@@ -246,7 +246,7 @@ operand_str(const Operand &op)
       case Operand::Kind::None:
         return "<none>";
       case Operand::Kind::Temp:
-        return "t" + std::to_string(op.as_temp());
+        return concat({"t", std::to_string(op.as_temp())});
       case Operand::Kind::Const:
         return "0x" + to_hex(op.as_const());
     }
@@ -305,7 +305,7 @@ write_set(const Stmt &s)
 std::string
 to_string(const Stmt &s)
 {
-    const std::string d = "t" + std::to_string(s.dst);
+    const std::string d = concat({"t", std::to_string(s.dst)});
     switch (s.kind) {
       case Stmt::Kind::Get:
         return d + " = Get(r" + std::to_string(s.reg) + ")";

@@ -241,14 +241,15 @@ to_string(const Expr &e)
       case Expr::Kind::Const:
         return std::to_string(e.value);
       case Expr::Kind::Param:
-        return "p" + std::to_string(e.index);
+        return concat({"p", std::to_string(e.index)});
       case Expr::Kind::Local:
-        return "v" + std::to_string(e.index);
+        return concat({"v", std::to_string(e.index)});
       case Expr::Kind::LoadGlobal:
-        return "g" + std::to_string(e.index) + "[" + to_string(*e.a) + "]";
+        return concat(
+            {"g", std::to_string(e.index), "[", to_string(*e.a), "]"});
       case Expr::Kind::Bin:
-        return "(" + to_string(*e.a) + " " + binop_token(e.op) + " " +
-               to_string(*e.b) + ")";
+        return concat({"(", to_string(*e.a), " ", binop_token(e.op), " ",
+                       to_string(*e.b), ")"});
       case Expr::Kind::Call: {
         std::vector<std::string> parts;
         for (const ExprPtr &arg : e.args) {

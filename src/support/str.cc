@@ -19,6 +19,21 @@ join(const std::vector<std::string> &parts, std::string_view sep)
 }
 
 std::string
+concat(std::initializer_list<std::string_view> parts)
+{
+    std::size_t size = 0;
+    for (const std::string_view part : parts) {
+        size += part.size();
+    }
+    std::string out;
+    out.reserve(size);
+    for (const std::string_view part : parts) {
+        out += part;
+    }
+    return out;
+}
+
+std::string
 to_hex(std::uint64_t value, int width)
 {
     char buf[32];

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -18,6 +19,9 @@ namespace firmup {
 
 /** Join elements of @p parts with @p sep. */
 std::string join(const std::vector<std::string> &parts, std::string_view sep);
+
+/** @p parts back to back, built in one allocation. */
+std::string concat(std::initializer_list<std::string_view> parts);
 
 /** Hexadecimal rendering of a value, zero-padded to @p width digits. */
 std::string to_hex(std::uint64_t value, int width = 0);

@@ -1,6 +1,7 @@
 #include "support/threadpool.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <deque>
 #include <utility>
 
@@ -20,6 +21,24 @@ const trace::Counter c_ws_chunks("worksteal.chunks_dealt");
 const trace::Counter c_ws_steals("worksteal.steals");
 
 }  // namespace
+
+unsigned
+resolve_worker_threads(unsigned threads)
+{
+    if (threads != 0) {
+        return threads;
+    }
+    // FIRMUP_THREADS overrides hardware concurrency for threads == 0;
+    // the determinism tests use it to pin the worker count externally.
+    if (const char *env = std::getenv("FIRMUP_THREADS")) {
+        const long parsed = std::strtol(env, nullptr, 10);
+        if (parsed > 0) {
+            return static_cast<unsigned>(parsed);
+        }
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw != 0 ? hw : 1;
+}
 
 ThreadPool::ThreadPool(unsigned num_threads)
 {

@@ -26,6 +26,15 @@
 
 namespace firmup {
 
+/**
+ * Resolve a worker-thread count: non-zero @p threads is returned as-is;
+ * 0 means the FIRMUP_THREADS environment override when set, otherwise
+ * hardware concurrency (minimum 1). The determinism tests and CI use
+ * FIRMUP_THREADS to pin parallelism externally on machines whose core
+ * count would otherwise serialize the work.
+ */
+unsigned resolve_worker_threads(unsigned threads);
+
 /** Fixed-size worker pool; destruction joins after draining the queue. */
 class ThreadPool
 {

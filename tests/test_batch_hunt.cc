@@ -13,7 +13,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "firmware/catalog.h"
 #include "firmware/corpus.h"
 #include "support/cancel.h"
+#include "support/fsio.h"
 #include "support/trace.h"
 
 namespace firmup::eval {
@@ -44,6 +48,70 @@ hunt_cves()
     const std::vector<firmware::CveRecord> &all =
         firmware::cve_database();
     return {all.begin(), all.begin() + 3};
+}
+
+/** Value of counter @p name over @p run, at trace::Level::Metrics. */
+template <typename Run>
+std::uint64_t
+counted(const char *name, Run &&run)
+{
+    trace::MetricsRegistry::global().reset();
+    trace::set_level(trace::Level::Metrics);
+    run();
+    const std::uint64_t count =
+        trace::MetricsRegistry::global().snapshot().counter(name);
+    trace::set_level(trace::Level::Off);
+    trace::MetricsRegistry::global().reset();
+    return count;
+}
+
+/** Every count and flag of @p health: none depends on timing. */
+std::vector<std::uint64_t>
+discrete_health(const ScanHealth &h)
+{
+    std::vector<std::uint64_t> counts = {
+        h.images_seen,        h.images_rejected,
+        h.members_damaged,    h.executables_seen,
+        h.lifted_ok,          h.quarantined,
+        h.games_played,       h.games_unresolved,
+        h.cancelled,          h.targets_cancelled,
+        h.resumed_targets,    h.retries,
+        h.watchdog_expired,   h.journal_truncated_bytes,
+        h.cache_hits,         h.cache_misses,
+        h.cache_write_bytes,  h.cache_mmap_loads,
+        h.resident_hits,      h.resident_misses,
+        h.resident_evictions, h.query_cache_hits,
+        h.query_cache_misses, h.canon_memo_hits,
+        h.canon_memo_misses,  h.resume_rejected};
+    counts.insert(counts.end(), h.errors.begin(), h.errors.end());
+    return counts;
+}
+
+/** ISAs of the indexable @p targets, in first-occurrence order. */
+std::vector<isa::Arch>
+target_isas(const std::vector<CorpusTarget> &targets)
+{
+    Driver driver((SearchOptions()));
+    std::vector<isa::Arch> isas;
+    for (const CorpusTarget &target : targets) {
+        const sim::ExecutableIndex *index = driver.index_target(*target.exe);
+        if (index != nullptr && std::ranges::find(isas, index->arch) ==
+                                    isas.end()) {
+            isas.push_back(index->arch);
+        }
+    }
+    return isas;
+}
+
+/** File names of the entries in store directory @p dir. */
+std::set<std::string>
+store_entries(const std::string &dir)
+{
+    std::set<std::string> names;
+    for (const fs::directory_entry &entry : fs::directory_iterator(dir)) {
+        names.insert(entry.path().filename().string());
+    }
+    return names;
 }
 
 void
@@ -242,15 +310,9 @@ TEST(BatchHunt, ScanKeysEachTargetOnce)
         firmware::cve_database();
     const auto keys_counted = [&](const SearchOptions &options,
                                   unsigned threads) {
-        trace::MetricsRegistry::global().reset();
-        trace::set_level(trace::Level::Metrics);
-        Driver(options).search_corpus_batch(cves, targets, threads);
-        const std::uint64_t keys =
-            trace::MetricsRegistry::global().snapshot().counter(
-                "scan.content_keys");
-        trace::set_level(trace::Level::Off);
-        trace::MetricsRegistry::global().reset();
-        return keys;
+        return counted("scan.content_keys", [&] {
+            Driver(options).search_corpus_batch(cves, targets, threads);
+        });
     };
     // One store, so only the first scan compiles the queries.
     SearchOptions options;
@@ -266,6 +328,189 @@ TEST(BatchHunt, ScanKeysEachTargetOnce)
     EXPECT_EQ(keys_counted(options, 2), targets.size());
     options.resume = true;
     EXPECT_EQ(keys_counted(options, 2), targets.size()) << "resumed";
+}
+
+TEST(BatchHunt, QueryPhaseCompilesEachSourceOnceAtAnyThreadCount)
+{
+    // A cold hunt builds every (CVE, ISA) query in one parallel phase
+    // that lowers and optimizes each distinct (package, version) source
+    // once and shares the MIR across ISAs. At any worker count, each
+    // query's store entry holds the bytes a store-less one-at-a-time
+    // build_query produces, and no count in health moves.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 3;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    const std::vector<firmware::CveRecord> &cves =
+        firmware::cve_database();
+    const std::vector<isa::Arch> isas = target_isas(targets);
+    ASSERT_GE(isas.size(), 2u);
+    std::set<std::pair<std::string, std::string>> sources;
+    for (const firmware::CveRecord &cve : cves) {
+        sources.insert({cve.package, latest_vulnerable_version(cve)});
+    }
+
+    std::vector<Query> reference;  // CVE-major, then isas order
+    {
+        Driver serial((SearchOptions()));
+        for (const firmware::CveRecord &cve : cves) {
+            for (const isa::Arch arch : isas) {
+                reference.push_back(serial.build_query(cve, arch));
+            }
+        }
+    }
+
+    std::vector<std::uint64_t> first_health;
+    std::vector<std::vector<CorpusOutcome>> first_grid;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        const std::string context = "threads=" + std::to_string(threads);
+        const ScopedTempDir store("firmup-batch-query-phase");
+        SearchOptions options;
+        options.index_cache_dir = store.path();
+        ScanHealth health;
+        std::vector<std::vector<CorpusOutcome>> grid;
+        const std::uint64_t compiles =
+            counted("codegen.compile_to_mir", [&] {
+                Driver batch(options);
+                grid = batch.search_corpus_batch(cves, targets, threads);
+                health = batch.health();
+            });
+        EXPECT_EQ(compiles, sources.size()) << context;
+        EXPECT_EQ(health.query_cache_hits, 0u) << context;
+        EXPECT_EQ(health.query_cache_misses, reference.size()) << context;
+        EXPECT_GT(health.query_seconds, 0.0) << context;
+        EXPECT_TRUE(health.sane()) << context;
+
+        Driver reader(options);
+        std::size_t i = 0;
+        for (const firmware::CveRecord &cve : cves) {
+            for (const isa::Arch arch : isas) {
+                const Query loaded = reader.build_query(cve, arch);
+                EXPECT_TRUE(std::ranges::equal(loaded.index.blob,
+                                               reference[i].index.blob))
+                    << context << " " << cve.cve_id << " "
+                    << isa::arch_name(arch);
+                EXPECT_EQ(loaded.qv, reference[i].qv)
+                    << context << " " << cve.cve_id;
+                ++i;
+            }
+        }
+        EXPECT_EQ(reader.health().query_cache_misses, 0u) << context;
+
+        if (first_grid.empty()) {
+            first_health = discrete_health(health);
+            first_grid = std::move(grid);
+            continue;
+        }
+        EXPECT_EQ(discrete_health(health), first_health) << context;
+        expect_grids_equal(first_grid, grid, context);
+    }
+}
+
+TEST(BatchHunt, HalfWarmStoreRebuildsOnlyItsMissingQueries)
+{
+    // A store missing some recipe entries serves the rest and rebuilds
+    // exactly the missing ones, byte for byte, with the same grid.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 3;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    const std::vector<firmware::CveRecord> &cves =
+        firmware::cve_database();
+    const ScopedTempDir store("firmup-batch-half-warm");
+    SearchOptions options;
+    options.index_cache_dir = store.path();
+    // Target entries first, so the hunt adds only recipe entries.
+    Driver(options).preindex(corpus, 2);
+    const std::set<std::string> target_entries =
+        store_entries(store.path());
+
+    std::vector<std::vector<CorpusOutcome>> cold_grid;
+    std::size_t pairs = 0;
+    {
+        Driver cold(options);
+        cold_grid = cold.search_corpus_batch(cves, targets, 2);
+        pairs = cold.health().query_cache_misses;
+    }
+    std::map<std::string, ByteBuffer> recipes;
+    for (const std::string &name : store_entries(store.path())) {
+        if (!target_entries.contains(name)) {
+            recipes[name] =
+                read_file_bytes(store.path() + "/" + name).take();
+        }
+    }
+    ASSERT_EQ(recipes.size(), pairs);
+    ASSERT_GE(pairs, 3u);
+
+    std::size_t deleted = 0;
+    std::size_t n = 0;
+    for (const auto &[name, bytes] : recipes) {
+        if (n++ % 3 == 0) {
+            fs::remove(store.path() + "/" + name);
+            ++deleted;
+        }
+    }
+    Driver half(options);
+    const std::vector<std::vector<CorpusOutcome>> grid =
+        half.search_corpus_batch(cves, targets, 2);
+    expect_grids_equal(cold_grid, grid, "half-warm");
+    const ScanHealth &health = half.health();
+    EXPECT_EQ(health.query_cache_misses, deleted);
+    EXPECT_EQ(health.query_cache_hits + health.query_cache_misses, pairs);
+    EXPECT_EQ(health.cache_misses, 0u);
+    EXPECT_TRUE(health.sane());
+
+    std::set<std::string> want = target_entries;
+    for (const auto &[name, bytes] : recipes) {
+        want.insert(name);
+        auto now = read_file_bytes(store.path() + "/" + name);
+        ASSERT_TRUE(now.ok()) << name << " was not rebuilt";
+        EXPECT_EQ(now.value(), bytes) << name;
+    }
+    EXPECT_EQ(store_entries(store.path()), want);
+}
+
+TEST(BatchHunt, RepeatedCveSharesOneBuildPerQuery)
+{
+    // A CVE listed twice has one recipe per ISA: the phase compiles its
+    // source once and builds each query once. The repeat is served the
+    // way a serial build would serve it, from the store entry the first
+    // build wrote (or a copy of its index without a store), so both
+    // rows are equal.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 2;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    const std::vector<isa::Arch> isas = target_isas(targets);
+    ASSERT_FALSE(isas.empty());
+    const firmware::CveRecord &cve = firmware::cve_database().front();
+    const ScopedTempDir store("firmup-batch-repeat");
+    for (const bool with_store : {false, true}) {
+        const std::string context =
+            with_store ? "with store" : "without store";
+        SearchOptions options;
+        if (with_store) {
+            options.index_cache_dir = store.path();
+        }
+        ScanHealth health;
+        std::vector<std::vector<CorpusOutcome>> grid;
+        const std::uint64_t compiles =
+            counted("codegen.compile_to_mir", [&] {
+                Driver driver(options);
+                grid = driver.search_corpus_batch({cve, cve}, targets, 2);
+                health = driver.health();
+            });
+        EXPECT_EQ(compiles, 1u) << context;
+        ASSERT_EQ(grid.size(), 2u) << context;
+        expect_rows_equal(grid[0], grid[1], context);
+        EXPECT_EQ(health.query_cache_misses, with_store ? isas.size() : 0u)
+            << context;
+        EXPECT_EQ(health.query_cache_hits, with_store ? isas.size() : 0u)
+            << context;
+    }
 }
 
 TEST(BatchHunt, ResumeUnderOtherConfirmRatioIsRejected)

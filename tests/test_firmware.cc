@@ -10,6 +10,9 @@
 #include "firmware/corpus.h"
 #include "firmware/image.h"
 #include "lang/generate.h"
+#include "support/fsio.h"
+#include "support/hash.h"
+#include "support/str.h"
 
 namespace firmup::firmware {
 namespace {
@@ -345,6 +348,43 @@ TEST(Corpus, Deterministic)
                       b.images[i].executables[e].text);
         }
     }
+}
+
+TEST(Corpus, SeedCorpusBlobsAndTruthArePinned)
+{
+    // Devices build on worker threads, yet the default corpus (scale 1,
+    // seed 2018) must pack to the same bytes with the same ground truth
+    // as a device-by-device serial build: these digests never move.
+    const CorpusOptions options;
+    const Corpus corpus = build_corpus(options);
+    const ScopedTempDir dir("firmup-corpus-pin");
+    auto written = write_corpus_blobs(corpus, options.seed, dir.path());
+    ASSERT_TRUE(written.ok()) << written.error_message();
+    ASSERT_EQ(written.value().size(), 36u);
+    std::uint64_t blobs = kFnv1a64Seed;
+    for (const std::string &path : written.value()) {
+        const ByteBuffer bytes = read_file_bytes(path).take();
+        blobs = fnv1a64_update(
+            blobs, std::string_view(
+                       reinterpret_cast<const char *>(bytes.data()),
+                       bytes.size()));
+    }
+    std::uint64_t truth = kFnv1a64Seed;
+    for (const TruthExe &exe : corpus.truth) {
+        std::string row =
+            strprintf("%d %s %s %s", exe.image_index, exe.exe_name.c_str(),
+                      exe.package.c_str(), exe.pkg_version.c_str());
+        for (const std::string &feature : exe.enabled_features) {
+            row += " +" + feature;
+        }
+        for (const TruthProc &proc : exe.procs) {
+            row += strprintf(" %s@%x", proc.source_name.c_str(),
+                             proc.entry);
+        }
+        truth = fnv1a64_update(truth, row + "\n");
+    }
+    EXPECT_EQ(blobs, 0x2de6edb7338a98edull);
+    EXPECT_EQ(truth, 0x63f10f00a697979eull);
 }
 
 TEST(Corpus, LatestReleaseMarkedOncePerDevice)

@@ -73,6 +73,8 @@ synthetic_health()
     health.canon_memo_misses = 5;
     health.index_seconds = 1.5;
     health.index_cpu_seconds = 5.25;
+    health.query_seconds = 0.5;
+    health.query_cpu_seconds = 1.75;
     health.game_seconds = 0.75;
     health.game_cpu_seconds = 0.7;
     health.confirm_seconds = 0.125;

@@ -218,6 +218,8 @@ TEST(ShardFrames, HealthFieldsRoundTrip)
     health.resume_reject_reason = "fingerprint \"mismatch\"\n";
     health.index_seconds = 2.5;
     health.index_cpu_seconds = 2.0;
+    health.query_seconds = 0.75;
+    health.query_cpu_seconds = 2.25;
     health.game_seconds = 1.5;
     health.game_cpu_seconds = 1.0;
     health.confirm_seconds = 0.25;
@@ -267,6 +269,8 @@ TEST(ShardFrames, HealthFieldsRoundTrip)
     EXPECT_EQ(back.resume_reject_reason, health.resume_reject_reason);
     EXPECT_EQ(back.index_seconds, health.index_seconds);
     EXPECT_EQ(back.index_cpu_seconds, health.index_cpu_seconds);
+    EXPECT_EQ(back.query_seconds, health.query_seconds);
+    EXPECT_EQ(back.query_cpu_seconds, health.query_cpu_seconds);
     EXPECT_EQ(back.game_seconds, health.game_seconds);
     EXPECT_EQ(back.game_cpu_seconds, health.game_cpu_seconds);
     EXPECT_EQ(back.confirm_seconds, health.confirm_seconds);

@@ -430,8 +430,8 @@ TEST(TraceProperty, EndToEndPipelineLeavesAllStageSpans)
         names.insert(event.name);
     }
     for (const char *required :
-         {"unpack", "lift", "index", "game", "confirm",
-          "search_target"}) {
+         {"unpack", "lift", "index", "game", "confirm", "search_target",
+          "query_build", "generate", "compile_to_mir", "backend_link"}) {
         EXPECT_TRUE(names.contains(required))
             << "no span named " << required;
     }
