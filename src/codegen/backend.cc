@@ -1,9 +1,11 @@
 #include "codegen/backend.h"
 
+#include "compiler/liveness.h"
 #include "support/error.h"
 
 namespace firmup::codegen {
 
+using compiler::for_each_use;
 using compiler::MBlock;
 using compiler::MInst;
 using compiler::MOp;
@@ -25,33 +27,6 @@ cond_for(MOp op)
       case MOp::CmpLEU: return isa::Cond::LEU;
       default:
         FIRMUP_ASSERT(false, "not a compare");
-    }
-}
-
-template <typename Fn>
-void
-for_each_use(const MInst &inst, Fn fn)
-{
-    switch (inst.kind) {
-      case MInst::Kind::Const:
-      case MInst::Kind::GAddr:
-        break;
-      case MInst::Kind::Copy:
-      case MInst::Kind::Load:
-        fn(inst.a);
-        break;
-      case MInst::Kind::Bin:
-      case MInst::Kind::Store:
-        fn(inst.a);
-        if (inst.b.is_vreg()) {
-            fn(inst.b.reg);
-        }
-        break;
-      case MInst::Kind::Call:
-        for (VReg arg : inst.args) {
-            fn(arg);
-        }
-        break;
     }
 }
 

@@ -28,16 +28,24 @@ loader::Executable
 build_executable(const compiler::MModule &module,
                  const BuildRequest &request)
 {
-    auto backend = Backend::create(request.arch, request.profile);
     std::vector<ProcCode> procs;
-    procs.reserve(module.procs.size());
-    for (const compiler::MProc &proc : module.procs) {
-        procs.push_back(backend->generate(proc));
+    {
+        // Instruction selection and register allocation, per procedure.
+        const trace::TraceSpan span("backend");
+        auto backend = Backend::create(request.arch, request.profile);
+        procs.reserve(module.procs.size());
+        for (const compiler::MProc &proc : module.procs) {
+            procs.push_back(backend->generate(proc));
+        }
     }
-    loader::Executable exe =
-        link_module(procs, module.global_words, request.arch, request.link,
-                    request.exe_name.empty() ? module.name
-                                             : request.exe_name);
+    loader::Executable exe;
+    {
+        const trace::TraceSpan span("link");
+        exe = link_module(procs, module.global_words, request.arch,
+                          request.link,
+                          request.exe_name.empty() ? module.name
+                                                   : request.exe_name);
+    }
     if (request.strip) {
         loader::strip_executable(exe, request.keep_exported);
     }

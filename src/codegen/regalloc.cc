@@ -1,46 +1,19 @@
 #include "codegen/regalloc.h"
 
 #include <algorithm>
-#include <map>
 
+#include "compiler/liveness.h"
 #include "support/error.h"
 
 namespace firmup::codegen {
 
+using compiler::for_each_use;
 using compiler::MBlock;
 using compiler::MInst;
 using compiler::MProc;
-using compiler::MTerm;
 using compiler::VReg;
 
 namespace {
-
-template <typename Fn>
-void
-for_each_use(const MInst &inst, Fn fn)
-{
-    switch (inst.kind) {
-      case MInst::Kind::Const:
-      case MInst::Kind::GAddr:
-        break;
-      case MInst::Kind::Copy:
-      case MInst::Kind::Load:
-        fn(inst.a);
-        break;
-      case MInst::Kind::Bin:
-      case MInst::Kind::Store:
-        fn(inst.a);
-        if (inst.b.is_vreg()) {
-            fn(inst.b.reg);
-        }
-        break;
-      case MInst::Kind::Call:
-        for (VReg arg : inst.args) {
-            fn(arg);
-        }
-        break;
-    }
-}
 
 struct Interval
 {
@@ -53,63 +26,6 @@ struct Interval
 
 }  // namespace
 
-std::vector<std::vector<bool>>
-compute_live_in(const MProc &proc)
-{
-    const std::size_t n_vregs = proc.next_vreg;
-    std::map<int, std::size_t> block_pos;
-    for (std::size_t i = 0; i < proc.blocks.size(); ++i) {
-        block_pos[proc.blocks[i].id] = i;
-    }
-    std::vector<std::vector<bool>> live_in(
-        proc.blocks.size(), std::vector<bool>(n_vregs, false));
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (std::size_t bi = proc.blocks.size(); bi-- > 0;) {
-            const MBlock &block = proc.blocks[bi];
-            std::vector<bool> live(n_vregs, false);
-            auto absorb = [&](int succ_id) {
-                const auto it = block_pos.find(succ_id);
-                if (it == block_pos.end()) {
-                    return;
-                }
-                const auto &succ = live_in[it->second];
-                for (std::size_t v = 0; v < n_vregs; ++v) {
-                    if (succ[v]) {
-                        live[v] = true;
-                    }
-                }
-            };
-            switch (block.term.kind) {
-              case MTerm::Kind::Jump:
-                absorb(block.term.target);
-                break;
-              case MTerm::Kind::Branch:
-                absorb(block.term.target);
-                absorb(block.term.fallthrough);
-                live[block.term.cond] = true;
-                break;
-              case MTerm::Kind::Ret:
-                live[block.term.ret_reg] = true;
-                break;
-            }
-            for (std::size_t ii = block.insts.size(); ii-- > 0;) {
-                const MInst &inst = block.insts[ii];
-                if (inst.has_dst()) {
-                    live[inst.dst] = false;
-                }
-                for_each_use(inst, [&live](VReg r) { live[r] = true; });
-            }
-            if (live != live_in[bi]) {
-                live_in[bi] = std::move(live);
-                changed = true;
-            }
-        }
-    }
-    return live_in;
-}
-
 Allocation
 allocate_registers(const MProc &proc, const isa::AbiInfo &abi,
                    bool callee_saved_first)
@@ -118,11 +34,8 @@ allocate_registers(const MProc &proc, const isa::AbiInfo &abi,
     Allocation out;
     out.locs.resize(n_vregs);
 
-    const auto live_in = compute_live_in(proc);
-    std::map<int, std::size_t> block_pos;
-    for (std::size_t i = 0; i < proc.blocks.size(); ++i) {
-        block_pos[proc.blocks[i].id] = i;
-    }
+    const compiler::Liveness liveness(proc);
+    compiler::VRegSet live_out(n_vregs);
 
     // Assign linear positions: each instruction gets one slot, block
     // boundaries get their own positions so cross-block liveness extends
@@ -145,11 +58,8 @@ allocate_registers(const MProc &proc, const isa::AbiInfo &abi,
         const MBlock &block = proc.blocks[bi];
         const int block_start = pos++;
         // live-in vregs are live at the block start position.
-        for (std::size_t v = 0; v < n_vregs; ++v) {
-            if (live_in[bi][v]) {
-                touch(static_cast<VReg>(v), block_start);
-            }
-        }
+        liveness.live_in(bi).for_each(
+            [&touch, block_start](VReg v) { touch(v, block_start); });
         for (const MInst &inst : block.insts) {
             for_each_use(inst,
                          [&touch, pos](VReg r) { touch(r, pos); });
@@ -162,31 +72,11 @@ allocate_registers(const MProc &proc, const isa::AbiInfo &abi,
             ++pos;
         }
         const int block_end = pos++;
-        // live-out = union of successor live-ins.
-        auto absorb = [&](int succ_id) {
-            const auto it = block_pos.find(succ_id);
-            if (it == block_pos.end()) {
-                return;
-            }
-            for (std::size_t v = 0; v < n_vregs; ++v) {
-                if (live_in[it->second][v]) {
-                    touch(static_cast<VReg>(v), block_end);
-                }
-            }
-        };
-        switch (block.term.kind) {
-          case MTerm::Kind::Jump:
-            absorb(block.term.target);
-            break;
-          case MTerm::Kind::Branch:
-            absorb(block.term.target);
-            absorb(block.term.fallthrough);
-            touch(block.term.cond, block_end);
-            break;
-          case MTerm::Kind::Ret:
-            touch(block.term.ret_reg, block_end);
-            break;
-        }
+        // live-out (successors' live-in plus the terminator's operand) is
+        // live at the block end position.
+        liveness.live_out(bi, live_out);
+        live_out.for_each(
+            [&touch, block_end](VReg v) { touch(v, block_end); });
     }
     // Parameters are live-in to the procedure.
     for (int i = 0; i < proc.num_params; ++i) {

@@ -41,9 +41,6 @@ struct Allocation
     int num_spill_slots = 0;
 };
 
-/** Per-block live-in sets (indexed like proc.blocks, then by vreg). */
-std::vector<std::vector<bool>> compute_live_in(const compiler::MProc &proc);
-
 /** Allocate registers for @p proc under @p abi. */
 Allocation allocate_registers(const compiler::MProc &proc,
                               const isa::AbiInfo &abi,

@@ -5,6 +5,7 @@
 #include <optional>
 #include <set>
 
+#include "compiler/liveness.h"
 #include "support/error.h"
 
 namespace firmup::compiler {
@@ -62,34 +63,6 @@ log2_of(std::int32_t v)
         ++n;
     }
     return n;
-}
-
-/** Uses of vregs in an instruction, for liveness. */
-template <typename Fn>
-void
-for_each_use(const MInst &inst, Fn fn)
-{
-    switch (inst.kind) {
-      case MInst::Kind::Const:
-      case MInst::Kind::GAddr:
-        break;
-      case MInst::Kind::Copy:
-      case MInst::Kind::Load:
-        fn(inst.a);
-        break;
-      case MInst::Kind::Bin:
-      case MInst::Kind::Store:
-        fn(inst.a);
-        if (inst.b.is_vreg()) {
-            fn(inst.b.reg);
-        }
-        break;
-      case MInst::Kind::Call:
-        for (VReg arg : inst.args) {
-            fn(arg);
-        }
-        break;
-    }
 }
 
 }  // namespace
@@ -297,111 +270,25 @@ eliminate_common_subexpressions(MProc &proc)
 void
 eliminate_dead_code(MProc &proc)
 {
-    const std::size_t n_vregs = proc.next_vreg;
-    std::map<int, std::size_t> block_pos;
-    for (std::size_t i = 0; i < proc.blocks.size(); ++i) {
-        block_pos[proc.blocks[i].id] = i;
-    }
-
-    // Iterative backward liveness to a fixed point.
-    std::vector<std::vector<bool>> live_in(
-        proc.blocks.size(), std::vector<bool>(n_vregs, false));
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (std::size_t bi = proc.blocks.size(); bi-- > 0;) {
-            const MBlock &block = proc.blocks[bi];
-            std::vector<bool> live(n_vregs, false);
-            // live-out = union of successor live-ins.
-            auto absorb = [&](int succ_id) {
-                const auto it = block_pos.find(succ_id);
-                if (it == block_pos.end()) {
-                    return;
-                }
-                const auto &succ_live = live_in[it->second];
-                for (std::size_t v = 0; v < n_vregs; ++v) {
-                    if (succ_live[v]) {
-                        live[v] = true;
-                    }
-                }
-            };
-            switch (block.term.kind) {
-              case MTerm::Kind::Jump:
-                absorb(block.term.target);
-                break;
-              case MTerm::Kind::Branch:
-                absorb(block.term.target);
-                absorb(block.term.fallthrough);
-                if (block.term.cond < n_vregs) {
-                    live[block.term.cond] = true;
-                }
-                break;
-              case MTerm::Kind::Ret:
-                if (block.term.ret_reg < n_vregs) {
-                    live[block.term.ret_reg] = true;
-                }
-                break;
-            }
-            for (std::size_t ii = block.insts.size(); ii-- > 0;) {
-                const MInst &inst = block.insts[ii];
-                if (inst.has_dst() && inst.dst < n_vregs) {
-                    live[inst.dst] = false;
-                }
-                for_each_use(inst, [&live, n_vregs](VReg r) {
-                    if (r < n_vregs) {
-                        live[r] = true;
-                    }
-                });
-            }
-            if (live != live_in[bi]) {
-                live_in[bi] = std::move(live);
-                changed = true;
-            }
-        }
-    }
-
-    // Second pass: delete instructions whose result is dead at that point.
+    const Liveness liveness(proc);
+    VRegSet live(proc.next_vreg);
+    // Delete instructions whose result is dead at that point.
     for (std::size_t bi = 0; bi < proc.blocks.size(); ++bi) {
         MBlock &block = proc.blocks[bi];
-        std::vector<bool> live(n_vregs, false);
-        auto absorb = [&](int succ_id) {
-            const auto it = block_pos.find(succ_id);
-            if (it == block_pos.end()) {
-                return;
-            }
-            const auto &succ_live = live_in[it->second];
-            for (std::size_t v = 0; v < n_vregs; ++v) {
-                if (succ_live[v]) {
-                    live[v] = true;
-                }
-            }
-        };
-        switch (block.term.kind) {
-          case MTerm::Kind::Jump:
-            absorb(block.term.target);
-            break;
-          case MTerm::Kind::Branch:
-            absorb(block.term.target);
-            absorb(block.term.fallthrough);
-            live[block.term.cond] = true;
-            break;
-          case MTerm::Kind::Ret:
-            live[block.term.ret_reg] = true;
-            break;
-        }
+        liveness.live_out(bi, live);
         std::vector<MInst> kept;
         kept.reserve(block.insts.size());
         for (std::size_t ii = block.insts.size(); ii-- > 0;) {
             MInst &inst = block.insts[ii];
             const bool needed = inst.has_side_effects() ||
-                                (inst.has_dst() && live[inst.dst]);
+                                (inst.has_dst() && live.contains(inst.dst));
             if (!needed) {
                 continue;
             }
             if (inst.has_dst()) {
-                live[inst.dst] = false;
+                live.erase(inst.dst);
             }
-            for_each_use(inst, [&live](VReg r) { live[r] = true; });
+            for_each_use(inst, [&live](VReg r) { live.insert(r); });
             kept.push_back(std::move(inst));
         }
         std::reverse(kept.begin(), kept.end());

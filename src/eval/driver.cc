@@ -224,8 +224,8 @@ content_key(const loader::Executable &exe)
     c_content_keys.add();
     // content_hash64 over the text bytes, not fnv1a64: the key is
     // recomputed for every target on every scan, so on a fully-resident
-    // pass this hash IS the index stage — see BM_* and the
-    // resident_cache bench entry.
+    // pass this hash IS the index stage — see
+    // SpeedFloors.ResidentCacheBeatsStoreLoads.
     return hash_combine(
         fnv1a64(exe.name),
         content_hash64(std::string_view(

@@ -7,6 +7,7 @@
 
 #include <set>
 
+#include "compiler/liveness.h"
 #include "compiler/lower.h"
 #include "compiler/passes.h"
 #include "compiler/toolchain.h"
@@ -164,6 +165,49 @@ TEST(Passes, DeadCodeEliminationKeepsSideEffects)
     proc.blocks.push_back(std::move(block));
     eliminate_dead_code(proc);
     EXPECT_EQ(proc.blocks[0].insts.size(), 4u);  // only vreg 1 dropped
+}
+
+TEST(Passes, LivenessCrossesWordsLoopsAndIgnoresOutOfRangeVregs)
+{
+    // Block 20 loops on itself; vreg 65 lives in the second word; vreg
+    // 99 is past next_vreg and never live; id 99 names no block.
+    MProc proc;
+    proc.next_vreg = 70;
+    MBlock entry;
+    entry.id = 10;
+    entry.insts.push_back(MInst::make_const(65, 1));
+    entry.insts.push_back(MInst::copy(1, 0));
+    entry.term = MTerm::jump(20);
+    MBlock loop;
+    loop.id = 20;
+    loop.insts.push_back(MInst::bin(2, MOp::Add, 1, MVal::vreg(65)));
+    loop.insts.push_back(MInst::copy(1, 2));
+    loop.insts.push_back(MInst::store(99, 1));
+    loop.term = MTerm::branch(2, 20, 30);
+    MBlock exit;
+    exit.id = 30;
+    exit.term = MTerm::ret(1);
+    MBlock stray;
+    stray.id = 40;
+    stray.term = MTerm::jump(99);
+    for (MBlock *block : {&entry, &loop, &exit, &stray}) {
+        proc.blocks.push_back(std::move(*block));
+    }
+
+    const Liveness liveness(proc);
+    auto members = [](const VRegSet &set) {
+        std::vector<VReg> out;
+        set.for_each([&out](VReg v) { out.push_back(v); });
+        return out;
+    };
+    EXPECT_EQ(members(liveness.live_in(0)), std::vector<VReg>{0});
+    EXPECT_EQ(members(liveness.live_in(1)), (std::vector<VReg>{1, 65}));
+    EXPECT_EQ(members(liveness.live_in(2)), std::vector<VReg>{1});
+    EXPECT_TRUE(members(liveness.live_in(3)).empty());
+    VRegSet out(proc.next_vreg);
+    liveness.live_out(1, out);
+    EXPECT_EQ(members(out), (std::vector<VReg>{1, 2, 65}));
+    EXPECT_FALSE(out.contains(99));
 }
 
 TEST(Passes, CseReusesPureExpressions)

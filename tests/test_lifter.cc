@@ -2,12 +2,20 @@
  * @file
  * Lifter unit tests: per-ISA statement lifting semantics (zero register,
  * flag thunks, PPC compare signedness), the MIPS delay-slot
- * re-attribution, architecture sniffing and procedure discovery edges.
+ * re-attribution, architecture sniffing and procedure discovery edges,
+ * and the flat-table lift_executable against the reference lifter in
+ * lifter_oracle.h on a seed corpus, seeded mutants and hand-built CFG
+ * edges.
  */
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "codegen/build.h"
 #include "firmware/catalog.h"
+#include "firmware/corpus.h"
 #include "isa/arm.h"
 #include "isa/mips.h"
 #include "isa/ppc.h"
@@ -15,7 +23,9 @@
 #include "lang/generate.h"
 #include "lifter/cfg.h"
 #include "lifter/lift.h"
+#include "lifter_oracle.h"
 #include "support/rng.h"
+#include "support/str.h"
 
 namespace firmup::lifter {
 namespace {
@@ -365,6 +375,322 @@ TEST(Robustness, TruncatedTextSection)
     exe.text.resize(exe.text.size() / 3);
     auto lifted = lift_executable(exe);
     ASSERT_TRUE(lifted.ok());
+}
+
+}  // namespace
+}  // namespace firmup::lifter
+
+namespace firmup::lifter {
+namespace {
+
+// ---- the flat lifter against the reference lifter ----
+
+/**
+ * Everything lift_executable decides, as text: procedure entries and
+ * names, each procedure's µIR, and every block's end kind, target,
+ * fallthrough and statement addresses.
+ */
+std::string
+render(const Result<LiftedExecutable> &lifted)
+{
+    if (!lifted.ok()) {
+        return "error " + lifted.error_message();
+    }
+    const LiftedExecutable &x = lifted.value();
+    std::string out = strprintf(
+        "%s %s text %s-%s data %s-%s\n", x.name.c_str(),
+        isa::arch_name(x.arch), to_hex(x.text_addr).c_str(),
+        to_hex(x.text_end).c_str(), to_hex(x.data_addr).c_str(),
+        to_hex(x.data_end).c_str());
+    for (const auto &[entry, proc] : x.procs) {
+        out += strprintf("entry %s '%s'\n", to_hex(entry).c_str(),
+                         proc.name.c_str());
+        out += ir::to_string(proc);
+        for (const auto &[addr, block] : proc.blocks) {
+            out += strprintf("block %s @%s end %d target %s fall %s:",
+                             to_hex(addr).c_str(), to_hex(block.addr).c_str(),
+                             static_cast<int>(block.end),
+                             to_hex(block.target).c_str(),
+                             to_hex(block.fallthrough).c_str());
+            for (const ir::Stmt &stmt : block.stmts) {
+                out += ' ';
+                out += to_hex(stmt.insn_addr);
+            }
+            out += "\n";
+        }
+    }
+    return out;
+}
+
+constexpr LiftOptions kAllOptions[] = {
+    {true, true}, {true, false}, {false, true}, {false, false}};
+
+/** Both lifters agree on @p exe under @p options. */
+void
+expect_matches_oracle(const loader::Executable &exe,
+                      const LiftOptions &options, const std::string &what)
+{
+    const std::string flat = render(lift_executable(exe, options));
+    const std::string reference =
+        render(oracle::lift_executable(exe, options));
+    EXPECT_EQ(flat, reference)
+        << what << " (sniff " << options.sniff_arch << ", scan "
+        << options.prologue_scan << ")";
+}
+
+TEST(LifterOracle, SeedCorpusUnderEveryOption)
+{
+    // Four small devices; at this corpus seed they cover all four ISAs.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.seed = 15;
+    corpus_options.num_devices = 4;
+    corpus_options.min_packages = 2;
+    corpus_options.max_packages = 3;
+    const firmware::Corpus corpus = firmware::build_corpus(corpus_options);
+    std::set<isa::Arch> arches;
+    std::set<bool> stripped;
+    std::size_t exes = 0;
+    for (const firmware::FirmwareImage &image : corpus.images) {
+        for (const loader::Executable &exe : image.executables) {
+            arches.insert(exe.arch);
+            stripped.insert(exe.stripped);
+            ++exes;
+            for (const LiftOptions &options : kAllOptions) {
+                expect_matches_oracle(exe, options, image.device + "/" +
+                                                        exe.name);
+            }
+        }
+    }
+    EXPECT_GT(exes, 10u);
+    EXPECT_EQ(arches.size(), std::size(isa::kAllArches));
+    EXPECT_EQ(stripped.size(), 2u);
+}
+
+/** One clean build of a small package per (ISA, stripped). */
+std::vector<loader::Executable>
+clean_builds()
+{
+    const auto &pkg = firmware::package_by_name("miniupnpd");
+    const auto source = firmware::generate_package_source(pkg, "1.8");
+    std::vector<loader::Executable> out;
+    for (isa::Arch arch : isa::kAllArches) {
+        for (bool strip : {false, true}) {
+            codegen::BuildRequest request;
+            request.arch = arch;
+            request.profile = compiler::gcc_like_toolchain();
+            request.strip = strip;
+            request.keep_exported = false;
+            out.push_back(codegen::build_executable(source, request));
+        }
+    }
+    return out;
+}
+
+TEST(LifterOracle, SeededMutants)
+{
+    // Byte flips, truncated text, and random entry addresses, symbol
+    // addresses and declared arch: the two lifters must agree on every
+    // mutant, whatever it decodes to.
+    Rng rng(2020);
+    int mutants = 0;
+    for (const loader::Executable &clean : clean_builds()) {
+        const std::uint64_t span = clean.text.size() + 64;
+        auto near_text = [&] {
+            return static_cast<std::uint32_t>(clean.text_addr - 32 +
+                                              rng.index(span));
+        };
+        for (int round = 0; round < 24; ++round) {
+            loader::Executable exe = clean;
+            switch (round % 4) {
+              case 0:
+                for (std::size_t f = 1 + rng.index(8); f-- > 0;) {
+                    exe.text[rng.index(exe.text.size())] ^=
+                        static_cast<std::uint8_t>(1 + rng.index(255));
+                }
+                break;
+              case 1:
+                exe.text.resize(rng.index(exe.text.size()));
+                break;
+              case 2:
+                exe.entry = near_text();
+                break;
+              case 3:
+                for (loader::Symbol &sym : exe.symbols) {
+                    if (rng.index(2) == 0) {
+                        sym.addr = near_text();
+                    }
+                }
+                exe.symbols.push_back({near_text(), false, "extra"});
+                break;
+            }
+            if (rng.index(3) == 0) {
+                exe.declared_arch = isa::kAllArches[rng.index(
+                    std::size(isa::kAllArches))];
+            }
+            expect_matches_oracle(exe, kAllOptions[rng.index(4)],
+                                  exe.name + " mutant " +
+                                      std::to_string(round));
+            ++mutants;
+        }
+    }
+    EXPECT_EQ(mutants, 8 * 24);
+}
+
+/** An executable whose text is @p insts laid out from 0x1000. */
+loader::Executable
+hand_built(isa::Arch arch, const std::vector<isa::MachInst> &insts)
+{
+    loader::Executable exe;
+    exe.name = "hand";
+    exe.arch = arch;
+    exe.declared_arch = arch;
+    exe.text_addr = 0x1000;
+    exe.entry = 0x1000;
+    const isa::Target &target = isa::target_for(arch);
+    for (const isa::MachInst &inst : insts) {
+        target.encode(inst, exe.text_addr + exe.text.size(), exe.text);
+    }
+    return exe;
+}
+
+/** Both lifters agree on @p exe under every option; returns the lift. */
+LiftedExecutable
+agreed(const loader::Executable &exe, const std::string &what)
+{
+    for (const LiftOptions &options : kAllOptions) {
+        expect_matches_oracle(exe, options, what);
+    }
+    return lift_executable(exe).take();
+}
+
+isa::MachInst
+mips_branch(std::uint64_t target)
+{
+    namespace m = isa::mips;
+    return m::make_ri(m::Op::Beq, 0, m::A0, static_cast<std::int32_t>(
+                                                 target));
+}
+
+isa::MachInst
+mips_jump(isa::mips::Op op, std::uint64_t target)
+{
+    isa::MachInst inst;
+    inst.op = static_cast<std::uint16_t>(op);
+    inst.imm = static_cast<std::int64_t>(target);
+    return inst;
+}
+
+isa::MachInst
+mips_step(std::int32_t k)
+{
+    namespace m = isa::mips;
+    return m::make_ri(m::Op::Addiu, m::V0, m::V0, k);
+}
+
+TEST(LifterOracle, BranchToTextEndIsALeaderOutsideText)
+{
+    namespace m = isa::mips;
+    // beq at 0x1000 targets text_end (0x1014): the run from 0x1008 must
+    // end in a fallthrough to text_end, not in a decode hole.
+    const auto exe = hand_built(
+        isa::Arch::Mips32, {mips_branch(0x1014), m::make_nop(),
+                            mips_step(1), mips_step(2), mips_step(3)});
+    const auto lifted = agreed(exe, "branch to text_end");
+    const ir::Procedure &proc = lifted.procs.at(0x1000);
+    ASSERT_TRUE(proc.blocks.contains(0x1008));
+    EXPECT_EQ(proc.blocks.at(0x1008).end, ir::BlockEndKind::Fallthrough);
+    EXPECT_EQ(proc.blocks.at(0x1008).fallthrough, 0x1014u);
+    EXPECT_FALSE(proc.blocks.contains(0x1014));
+}
+
+TEST(LifterOracle, BranchesOutsideText)
+{
+    namespace m = isa::mips;
+    // One branch above text_end, one below text_addr, one jump far away.
+    agreed(hand_built(isa::Arch::Mips32,
+                      {mips_branch(0x1100), m::make_nop(),
+                       mips_branch(0x0f00), m::make_nop(),
+                       mips_jump(m::Op::J, 0x4000), m::make_nop()}),
+           "branches outside text");
+    // x86: a jcc past text_end and a jmp to text_end.
+    namespace x = isa::x86;
+    isa::MachInst jcc;
+    jcc.op = static_cast<std::uint16_t>(x::Op::Jcc);
+    jcc.imm = 0x9000;
+    isa::MachInst jmp;
+    jmp.op = static_cast<std::uint16_t>(x::Op::Jmp);
+    jmp.imm = 0x100f;  // text_end
+    isa::MachInst nop;
+    nop.op = static_cast<std::uint16_t>(x::Op::Nop);
+    agreed(hand_built(isa::Arch::X86, {jcc, nop, jmp, nop}),
+           "x86 branches outside text");
+}
+
+TEST(LifterOracle, DelaySlotIsTheLastWordOfText)
+{
+    namespace m = isa::mips;
+    // The slot decodes, and the fallthrough after it is text_end.
+    const auto lifted = agreed(
+        hand_built(isa::Arch::Mips32,
+                   {mips_step(1), mips_branch(0x1000), mips_step(2)}),
+        "slot is the last word");
+    const ir::Procedure &proc = lifted.procs.at(0x1000);
+    ASSERT_FALSE(proc.blocks.empty());
+    EXPECT_EQ(proc.blocks.rbegin()->second.fallthrough, 0x100cu);
+    // The branch itself is the last word: its slot lies outside text.
+    agreed(hand_built(isa::Arch::Mips32, {mips_step(1), mips_branch(0x1000)}),
+           "slot outside text");
+}
+
+TEST(LifterOracle, JumpAndCallIntoAnotherProcedure)
+{
+    namespace m = isa::mips;
+    // p0 (0x1000) jumps into the middle of p1 (0x1010) and calls the
+    // instruction after that, which p1 already claimed.
+    auto exe = hand_built(
+        isa::Arch::Mips32,
+        {mips_jump(m::Op::Jal, 0x101c), m::make_nop(),
+         mips_jump(m::Op::J, 0x1018), m::make_nop(),
+         mips_step(1), mips_step(2), mips_step(3), mips_step(4),
+         m::make_rrr(m::Op::Jr, 0, m::Ra, 0), m::make_nop()});
+    exe.symbols = {{0x1000, true, "p0"}, {0x1010, true, "p1"}};
+    const auto lifted = agreed(exe, "jump into another procedure");
+    EXPECT_TRUE(lifted.procs.contains(0x101c));
+}
+
+TEST(LifterOracle, PrologueScanInsideAMultiByteInstruction)
+{
+    namespace x = isa::x86;
+    // mov eax, imm32 at 0x1000 spans 0x1000-0x1005; its immediate puts
+    // the bytes of `push ebp` at the 4-aligned 0x1004, which the scan
+    // finds unclaimed and lifts as a procedure of its own.
+    isa::MachInst mov;
+    mov.op = static_cast<std::uint16_t>(x::Op::MovRI);
+    mov.rd = x::Eax;
+    mov.imm = 0x50420000;
+    isa::MachInst ret;
+    ret.op = static_cast<std::uint16_t>(x::Op::Ret);
+    const auto lifted = agreed(hand_built(isa::Arch::X86, {mov, ret, ret}),
+                               "scan inside an instruction");
+    EXPECT_TRUE(lifted.procs.contains(0x1004));
+}
+
+TEST(LifterOracle, DuplicateSymbolsAndSymbolsOutsideText)
+{
+    namespace m = isa::mips;
+    auto exe = hand_built(isa::Arch::Mips32,
+                          {mips_step(1), m::make_rrr(m::Op::Jr, 0, m::Ra, 0),
+                           m::make_nop(), mips_step(2),
+                           m::make_rrr(m::Op::Jr, 0, m::Ra, 0),
+                           m::make_nop()});
+    exe.symbols = {{0x100c, true, "first"}, {0x100c, true, "again"},
+                   {0x1018, true, "end"},   {0x0ffc, true, "low"},
+                   {0, true, "zero"},       {0x1000, true, "start"},
+                   {0x1002, true, "odd"}};
+    const auto lifted = agreed(exe, "duplicate and outside symbols");
+    ASSERT_TRUE(lifted.procs.contains(0x100c));
+    EXPECT_EQ(lifted.procs.at(0x100c).name, "first");
+    EXPECT_FALSE(lifted.procs.contains(0x1018));
 }
 
 }  // namespace

@@ -13,10 +13,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -424,16 +426,35 @@ TEST(TraceProperty, EndToEndPipelineLeavesAllStageSpans)
         "wget", "ftp_retrieve_glob", "1.15", isa::Arch::Mips32);
     ASSERT_TRUE(driver.search(query, query.index).detected);
 
+    const std::vector<TraceEvent> events =
+        MetricsRegistry::global().events();
     std::set<std::string> names;
-    for (const TraceEvent &event :
-         MetricsRegistry::global().events()) {
+    for (const TraceEvent &event : events) {
         names.insert(event.name);
     }
     for (const char *required :
          {"unpack", "lift", "index", "game", "confirm", "search_target",
-          "query_build", "generate", "compile_to_mir", "backend_link"}) {
+          "query_build", "generate", "compile_to_mir", "backend_link",
+          "backend", "link"}) {
         EXPECT_TRUE(names.contains(required))
             << "no span named " << required;
+    }
+    // A query build's backend_link splits into its backend and link.
+    auto nested_in = [&events](const TraceEvent &parent,
+                               std::string_view child) {
+        return std::any_of(
+            events.begin(), events.end(), [&](const TraceEvent &e) {
+                return e.name == child && e.tid == parent.tid &&
+                       e.start_ns >= parent.start_ns &&
+                       e.start_ns + e.dur_ns <=
+                           parent.start_ns + parent.dur_ns;
+            });
+    };
+    for (const TraceEvent &event : events) {
+        if (std::string_view(event.name) == "backend_link") {
+            EXPECT_TRUE(nested_in(event, "backend"));
+            EXPECT_TRUE(nested_in(event, "link"));
+        }
     }
     EXPECT_TRUE(JsonValidator(chrome_trace_json()).valid());
 
