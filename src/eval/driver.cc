@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -38,23 +39,13 @@ latest_vulnerable_version(const firmware::CveRecord &cve)
 namespace {
 
 /**
- * Store key for a query's finalized index: a digest of everything the
- * index is a function of — the rendered package source (name, version,
- * globals, every procedure body), the whole build request (arch,
- * toolchain profile knobs, feature/strip/link settings) and the canon
- * knobs. Queries are compiled from source, so they have no content
- * bytes to address until codegen has run — which is exactly the cost a
- * warm hunt wants to skip; hashing the build recipe instead lets the
- * store serve the index before any compilation happens. The "fwq1:"
- * domain prefix keeps recipe keys disjoint from content keys in the
- * shared store namespace; bump it whenever codegen, the lifter or
- * canonicalization change the index a given recipe produces (source
- * and knob changes re-key automatically).
+ * The source half of a query's recipe key (see query_recipe_key): a
+ * digest of the rendered package source — name, version, globals and
+ * every procedure body. It does not depend on the ISA, so the probe
+ * computes it once per source, not once per (source, ISA) spec.
  */
 std::uint64_t
-query_recipe_key(const lang::PackageSource &source,
-                 const codegen::BuildRequest &request,
-                 const strand::CanonOptions &canon)
+query_source_digest(const lang::PackageSource &source)
 {
     std::uint64_t key =
         fnv1a64("fwq1:" + source.name + ":" + source.version);
@@ -65,7 +56,31 @@ query_recipe_key(const lang::PackageSource &source,
     for (const lang::ProcedureAst &proc : source.procedures) {
         key = hash_combine(key, fnv1a64(lang::to_string(proc)));
     }
-    key = hash_combine(key, fnv1a64(isa::arch_name(request.arch)));
+    return key;
+}
+
+/**
+ * Store key for a query's finalized index: a digest of everything the
+ * index is a function of — the source (@p source_digest, from
+ * query_source_digest), the whole build request (arch, toolchain
+ * profile knobs, feature/strip/link settings) and the canon knobs,
+ * folded onto the source digest in that order. Queries are compiled
+ * from source, so they have no content bytes to address until codegen
+ * has run — which is exactly the cost a warm hunt wants to skip;
+ * hashing the build recipe instead lets the store serve the index
+ * before any compilation happens. The "fwq1:" domain prefix keeps
+ * recipe keys disjoint from content keys in the shared store
+ * namespace; bump it whenever codegen, the lifter or canonicalization
+ * change the index a given recipe produces (source and knob changes
+ * re-key automatically).
+ */
+std::uint64_t
+query_recipe_key(std::uint64_t source_digest,
+                 const codegen::BuildRequest &request,
+                 const strand::CanonOptions &canon)
+{
+    std::uint64_t key =
+        hash_combine(source_digest, fnv1a64(isa::arch_name(request.arch)));
     const compiler::ToolchainProfile &profile = request.profile;
     key = hash_combine(key, fnv1a64(profile.name));
     key = hash_combine(key, static_cast<std::uint64_t>(profile.opt_level));
@@ -378,18 +393,19 @@ Driver::build_query_set(const std::vector<QuerySpec> &specs,
     // Probe on the calling thread: a warm store serves the query index
     // under its recipe key, skipping compile + lift + canonicalize (the
     // FWIX round-trip is bit-faithful, so outcomes are identical to a
-    // fresh build). Each source is rendered for its keys and dropped
-    // before the next. jobs[j] lists one source's missing specs.
+    // fresh build). Each source is rendered and digested once for all
+    // its ISAs' keys, and dropped before the next. jobs[j] lists one
+    // source's missing specs.
     std::vector<std::vector<std::size_t>> jobs;
     for (std::vector<std::size_t> &members : sources) {
         if (store != nullptr) {
-            const lang::PackageSource source = query_source(
+            const std::uint64_t digest = query_source_digest(query_source(
                 specs[members.front()].package,
-                specs[members.front()].version);
+                specs[members.front()].version));
             std::vector<std::size_t> missing;
             for (const std::size_t i : members) {
                 slots[i].key = query_recipe_key(
-                    source, query_request(specs[i].package, specs[i].arch),
+                    digest, query_request(specs[i].package, specs[i].arch),
                     options_.canon);
                 probe_query(*store, slots[i]);
                 if (!slots[i].hit) {
@@ -559,7 +575,7 @@ Driver::quarantine(const loader::Executable &exe, std::uint64_t key,
     entry.code = code;
     entry.exe_name = exe.name;
     entry.message = message;
-    journal_append(entry);
+    journal_append({&entry, 1});
 }
 
 struct Driver::IndexSlot
@@ -1049,12 +1065,12 @@ Driver::open_journal(const std::string &label, bool confirm)
 }
 
 void
-Driver::journal_append(const JournalEntry &entry)
+Driver::journal_append(std::span<const JournalEntry> entries)
 {
-    if (!journal_.is_open()) {
+    if (!journal_.is_open() || entries.empty()) {
         return;
     }
-    journal_.append(entry);
+    journal_.append(entries);
     if (options_.cancel_after_appends > 0 &&
         options_.cancel != nullptr &&
         journal_.appended() >= options_.cancel_after_appends) {
@@ -1334,75 +1350,85 @@ Driver::run_batch(
     // target back-to-back while its index is hot, and a target is
     // released before the next one is touched. Workers read the frozen
     // caches and write disjoint slots; the first worker exception
-    // propagates out of run().
+    // propagates out of run(). play(k) plays pair k and returns its
+    // journal record when the pair decided an answer.
+    const auto play = [&](std::size_t k) -> std::optional<JournalEntry> {
+        const std::size_t t = k / nq;
+        const std::size_t q = k % nq;
+        if (replayed[q][t] || resolve_cancelled[t]) {
+            return std::nullopt;  // served from the journal / cancelled
+        }
+        const sim::ExecutableIndex *target = resolved[t];
+        if (target == nullptr) {
+            return std::nullopt;  // quarantined
+        }
+        // Cancellation point: drain, don't start, once shutdown is
+        // requested; in-flight games poll the token at their deadline
+        // sample points.
+        if (cancel != nullptr && cancel->requested()) {
+            out[q][t].outcome.cancelled = true;
+            return std::nullopt;
+        }
+        JournalEntry entry;
+        entry.content_key = keys[t];
+        entry.query_fp = query_fps[q];
+        const std::map<isa::Arch, Query> &queries = *query_sets[q];
+        const auto qit = queries.find(target->arch);
+        if (qit == queries.end()) {
+            out[q][t].indexed = false;  // no query for this ISA
+            return entry;
+        }
+        const trace::TraceSpan span("search_target", targets[t].exe->name);
+        SearchOutcome outcome = confirm
+                                    ? search_outcome(qit->second, *target)
+                                    : match_outcome(qit->second, *target);
+        // Watchdog retry: deadline expiry is the one transient game
+        // failure (wall-clock BudgetExhausted depends on machine load,
+        // not on the input); redo with backoff while the retry budget
+        // lasts. Everything else is deterministic and would fail
+        // identically.
+        int retries = 0;
+        double backoff = retry_policy.backoff_seconds;
+        while (outcome.deadline_expired && !outcome.cancelled &&
+               retries < retry_policy.max_retries &&
+               !(cancel != nullptr && cancel->requested())) {
+            if (backoff > 0.0) {
+                std::this_thread::sleep_for(
+                    std::chrono::duration<double>(backoff));
+            }
+            backoff *= retry_policy.backoff_factor;
+            ++retries;
+            outcome = confirm ? search_outcome(qit->second, *target)
+                              : match_outcome(qit->second, *target);
+        }
+        outcome.retries = retries;
+        out[q][t].outcome = outcome;
+        if (outcome.cancelled) {
+            // Cancelled pairs are never journaled (no answer to replay
+            // — the resume redoes them).
+            return std::nullopt;
+        }
+        entry.indexed = true;
+        entry.outcome = outcome;
+        return entry;
+    };
+    // One chunk is one journal group: its decided pairs are committed
+    // with one write and one fsync once the whole range is done — also
+    // when the range drains on cancel, so a SIGTERM keeps every
+    // finished pair.
+    const bool journaled = journal_.is_open();
     const auto match_start = std::chrono::steady_clock::now();
     WorkStealingScheduler::run(
-        resolve_worker_threads(threads), nq * nt, [&](std::size_t k) {
-            const std::size_t t = k / nq;
-            const std::size_t q = k % nq;
-            if (replayed[q][t] || resolve_cancelled[t]) {
-                return;  // served from the journal / cancelled above
-            }
-            const sim::ExecutableIndex *target = resolved[t];
-            if (target == nullptr) {
-                return;  // quarantined
-            }
-            // Cancellation point: drain, don't start, once shutdown is
-            // requested; in-flight games poll the token at their
-            // deadline sample points.
-            if (cancel != nullptr && cancel->requested()) {
-                out[q][t].outcome.cancelled = true;
-                return;
-            }
-            const std::map<isa::Arch, Query> &queries = *query_sets[q];
-            const auto qit = queries.find(target->arch);
-            if (qit == queries.end()) {
-                out[q][t].indexed = false;  // no query for this ISA
-                JournalEntry entry;
-                entry.content_key = keys[t];
-                entry.query_fp = query_fps[q];
-                entry.indexed = false;
-                journal_append(entry);
-                return;
-            }
-            const trace::TraceSpan span("search_target",
-                                        targets[t].exe->name);
-            SearchOutcome outcome =
-                confirm ? search_outcome(qit->second, *target)
-                        : match_outcome(qit->second, *target);
-            // Watchdog retry: deadline expiry is the one transient game
-            // failure (wall-clock BudgetExhausted depends on machine
-            // load, not on the input); redo with backoff while the
-            // retry budget lasts. Everything else is deterministic and
-            // would fail identically.
-            int retries = 0;
-            double backoff = retry_policy.backoff_seconds;
-            while (outcome.deadline_expired && !outcome.cancelled &&
-                   retries < retry_policy.max_retries &&
-                   !(cancel != nullptr && cancel->requested())) {
-                if (backoff > 0.0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(backoff));
+        resolve_worker_threads(threads), nq * nt,
+        [&](std::size_t begin, std::size_t end) {
+            std::vector<JournalEntry> group;
+            for (std::size_t k = begin; k < end; ++k) {
+                std::optional<JournalEntry> record = play(k);
+                if (record && journaled) {
+                    group.push_back(std::move(*record));
                 }
-                backoff *= retry_policy.backoff_factor;
-                ++retries;
-                outcome = confirm
-                              ? search_outcome(qit->second, *target)
-                              : match_outcome(qit->second, *target);
             }
-            outcome.retries = retries;
-            out[q][t].outcome = outcome;
-            if (!outcome.cancelled) {
-                // Journal the completed pair the moment it finishes;
-                // cancelled pairs are never journaled (no answer to
-                // replay — the resume redoes them).
-                JournalEntry entry;
-                entry.content_key = keys[t];
-                entry.query_fp = query_fps[q];
-                entry.indexed = true;
-                entry.outcome = outcome;
-                journal_append(entry);
-            }
+            journal_append(group);
         });
     options_.game = saved_game;
     health_.match_wall_seconds += seconds_since(match_start);
@@ -1440,7 +1466,9 @@ Driver::run_batch(
     if (cancel != nullptr && cancel->requested()) {
         health_.cancelled = true;
     }
-    journal_.flush();
+    const ScanJournal::CommitTime commits = journal_.take_commit_time();
+    health_.journal_seconds += commits.seconds;
+    health_.journal_cpu_seconds += commits.cpu_seconds;
     return out;
 }
 

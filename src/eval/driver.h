@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,8 +86,9 @@ struct SearchOptions
     /**
      * When non-empty, search_corpus keeps an append-only scan journal
      * (eval/journal.h) at this path: each target's outcome is durably
-     * recorded as it completes, so a crashed or cancelled scan can be
-     * resumed without redoing finished targets.
+     * recorded with the scheduler chunk it ran in (one group commit per
+     * chunk), so a crashed or cancelled scan can be resumed without
+     * redoing finished targets.
      */
     std::string journal_path;
     /**
@@ -99,8 +101,9 @@ struct SearchOptions
     /**
      * Cooperative cancellation token, polled between pipeline stages
      * and at game-deadline sample points. When it fires, in-flight
-     * targets drain, the journal is flushed, and the scan returns a
-     * partial result with health().cancelled set. Not owned.
+     * targets drain, each chunk commits the pairs it finished, and the
+     * scan returns a partial result with health().cancelled set. Not
+     * owned.
      */
     CancelToken *cancel = nullptr;
     /**
@@ -120,9 +123,10 @@ struct SearchOptions
     double retry_backoff_seconds = 0.05;
     /**
      * Test seam for deterministic interruption: request cancellation on
-     * `cancel` after this many journal appends (0 = never). The CI
-     * interrupt/resume smoke and the kill-mid-scan property test use it
-     * to cut a scan at a reproducible point without racing a signal.
+     * `cancel` after the journal commit that brings the appended record
+     * count to this value or past it (0 = never). The CI interrupt/resume
+     * smoke and the kill-mid-scan property test use it to cut a scan at
+     * a reproducible point without racing a signal.
      */
     std::size_t cancel_after_appends = 0;
 };
@@ -505,10 +509,12 @@ class Driver
     void open_journal(const std::string &label, bool confirm);
 
     /**
-     * Append one record (no-op when the journal is closed) and fire the
-     * cancel_after_appends test seam. Thread-safe.
+     * Commit @p entries as one journal group (no-op when the journal is
+     * closed or the group is empty), then fire the cancel_after_appends
+     * test seam once the commit brings appended() to its value.
+     * Thread-safe.
      */
-    void journal_append(const JournalEntry &entry);
+    void journal_append(std::span<const JournalEntry> entries);
 
     /** What one executable's load_or_lift produced (driver.cc). */
     struct IndexSlot;

@@ -88,6 +88,8 @@ ScanHealth::merge(const ScanHealth &other)
     confirm_seconds += other.confirm_seconds;
     confirm_cpu_seconds += other.confirm_cpu_seconds;
     match_wall_seconds += other.match_wall_seconds;
+    journal_seconds += other.journal_seconds;
+    journal_cpu_seconds += other.journal_cpu_seconds;
     for (std::size_t c = 0; c < kErrorCodeCount; ++c) {
         errors[c] += other.errors[c];
     }

@@ -155,6 +155,9 @@ struct ScanHealth
      *    game+confirm fan-out phases of search_corpus (0 for purely
      *    serial search()/match() callers, where `game_seconds` already
      *    is elapsed time).
+     *  - `journal_seconds`/`journal_cpu_seconds` are busy wall and
+     *    thread-CPU time inside scan-journal group commits (write +
+     *    fsync), summed over threads; zero without a journal.
      */
     double index_seconds = 0.0;
     double index_cpu_seconds = 0.0;
@@ -165,6 +168,8 @@ struct ScanHealth
     double confirm_seconds = 0.0;
     double confirm_cpu_seconds = 0.0;
     double match_wall_seconds = 0.0;
+    double journal_seconds = 0.0;
+    double journal_cpu_seconds = 0.0;
 
     /** errors[code] = failures of that class, across all stages. */
     std::array<std::size_t, kErrorCodeCount> errors{};

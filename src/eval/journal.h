@@ -6,11 +6,12 @@
  * crash, OOM-kill or operator SIGTERM must not forfeit the work already
  * done. The journal is an append-only write-ahead log of per-target
  * results keyed by content key (eval::content_key): each target's
- * outcome is appended — checksummed — the moment it completes, and a
- * rerun with `--resume` replays the journal, skips every already-scanned
- * content key, and merges the replayed outcomes with the fresh ones so
- * the final findings and ScanHealth are bit-identical to an
- * uninterrupted scan (the determinism tests are the bar).
+ * outcome is appended — checksummed — once the scheduler chunk it ran
+ * in completes, and a rerun with `--resume` replays the journal, skips
+ * every already-scanned content key, and merges the replayed outcomes
+ * with the fresh ones so the final findings and ScanHealth are
+ * bit-identical to an uninterrupted scan (the determinism tests are
+ * the bar).
  *
  * FWSJ v2 on-disk format (all integers little-endian):
  *
@@ -137,10 +138,13 @@ inline constexpr const char *kJournalFingerprintMismatch =
     "label)";
 
 /**
- * The append-only scan journal. Move-only; append() is thread-safe
- * (worker threads journal outcomes as they complete) and durable — each
- * record is fflush+fsync'd before append() returns, so a crash can tear
- * at most the record being written, which the parser truncates away.
+ * The append-only scan journal. Move-only; append() is thread-safe and
+ * durable. Hunt workers commit in groups — one work-stealing chunk of at
+ * most 64 (query, target) records — and each group is written with one
+ * fwrite and one fsync before append() returns. A crash can therefore
+ * tear at most the groups being written: the parser keeps every whole
+ * record before the tear, and resume replays per record, so a torn
+ * group costs only the pairs past the tear.
  */
 class ScanJournal
 {
@@ -199,17 +203,31 @@ class ScanJournal
     static ByteBuffer encode_record(const JournalEntry &entry);
 
     /**
-     * Append one record, durably. Thread-safe. Returns false on write
-     * failure — the scan keeps going; a journal problem costs resume
-     * coverage, never the scan itself.
+     * Commit @p entries as one group: encode them, then under the mutex
+     * write them with one fwrite and make them durable with one fsync.
+     * Thread-safe. Each record counts in appended() and
+     * `journal.appends`; the group counts once in `journal.commits` and
+     * leaves one `journal_commit` span. An empty group writes nothing.
+     * Returns false on write failure — the scan keeps going; a journal
+     * problem costs resume coverage, never the scan itself.
      */
-    bool append(const JournalEntry &entry);
+    bool append(std::span<const JournalEntry> entries);
+
+    /** Append one record: the one-record group. */
+    bool append(const JournalEntry &entry) { return append({&entry, 1}); }
 
     /** Records appended through this handle (not replayed ones). */
     std::size_t appended() const;
 
-    /** Flush + fsync the underlying stream (append already does). */
-    void flush();
+    /** Busy time inside commits (write + fsync), summed over threads. */
+    struct CommitTime
+    {
+        double seconds = 0.0;      ///< wall clock
+        double cpu_seconds = 0.0;  ///< thread CPU
+    };
+
+    /** The commit time accumulated since the last call; resets it. */
+    CommitTime take_commit_time();
 
     bool is_open() const { return file_ != nullptr; }
     const std::string &path() const { return path_; }
@@ -225,6 +243,7 @@ class ScanJournal
     /** Behind unique_ptr: std::mutex is immovable, ScanJournal is not. */
     std::unique_ptr<std::mutex> mutex_;
     std::size_t appended_ = 0;
+    CommitTime commit_time_;
 };
 
 }  // namespace firmup::eval

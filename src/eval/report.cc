@@ -78,12 +78,12 @@ render_health(const ScanHealth &health)
     std::string out = health.summary() + "\n";
     if (health.index_seconds + health.query_seconds +
             health.game_seconds + health.confirm_seconds +
-            health.match_wall_seconds >
+            health.match_wall_seconds + health.journal_seconds >
         0.0) {
         // Wall semantics differ per stage (see ScanHealth): index, query
-        // build and match-phase are elapsed clocks; game/confirm are
-        // per-outcome sums, i.e. busy time across workers on a parallel
-        // scan.
+        // build and match-phase are elapsed clocks; game/confirm and the
+        // journal's group commits are sums, i.e. busy time across
+        // workers on a parallel scan.
         Table stages({"stage", "wall s", "cpu s"});
         add_stage_row(stages, "lift+index", "elapsed",
                       health.index_seconds, health.index_cpu_seconds);
@@ -93,6 +93,8 @@ render_health(const ScanHealth &health)
                       health.game_cpu_seconds);
         add_stage_row(stages, "confirm", "busy", health.confirm_seconds,
                       health.confirm_cpu_seconds);
+        add_stage_row(stages, "journal", "busy", health.journal_seconds,
+                      health.journal_cpu_seconds);
         add_stage_row(stages, "match phase", "elapsed",
                       health.match_wall_seconds, 0.0);
         out += stages.render();

@@ -347,7 +347,9 @@ decode_frame(std::string_view payload, FrameFields *fields)
     X(game_cpu_seconds)                                                  \
     X(confirm_seconds)                                                   \
     X(confirm_cpu_seconds)                                               \
-    X(match_wall_seconds)
+    X(match_wall_seconds)                                                \
+    X(journal_seconds)                                                   \
+    X(journal_cpu_seconds)
 
 #define FIRMUP_SHARD_HEALTH_BOOL_FIELDS(X)                               \
     X(cancelled)                                                         \

@@ -172,9 +172,10 @@ struct ShardScanOptions : ScanFlags
     bool quiet = false;  ///< suppress coordinator progress lines
     /**
      * Test seams, applied to the FIRST spawn of shard 0 only (the
-     * respawn must survive): after N journal appends the worker either
-     * dies with _exit(9) mid-protocol (kill seam) or goes silent without
-     * exiting (stall seam — exercises the heartbeat deadline).
+     * respawn must survive): after the journal commit that reaches N
+     * records the worker drains, then either dies with _exit(9)
+     * mid-protocol (kill seam) or goes silent without exiting (stall
+     * seam — exercises the heartbeat deadline).
      */
     std::size_t kill_first_worker_after = 0;
     bool stall_first_worker = false;

@@ -168,8 +168,9 @@ WorkStealingScheduler::chunk_for(std::size_t count, unsigned threads)
 }
 
 void
-WorkStealingScheduler::run(unsigned threads, std::size_t count,
-                           const std::function<void(std::size_t)> &fn)
+WorkStealingScheduler::run(
+    unsigned threads, std::size_t count,
+    const std::function<void(std::size_t, std::size_t)> &fn)
 {
     if (count == 0) {
         return;
@@ -177,15 +178,18 @@ WorkStealingScheduler::run(unsigned threads, std::size_t count,
     const unsigned n =
         static_cast<unsigned>(std::min<std::size_t>(
             std::max(1u, threads), count));
+    const std::size_t chunk = chunk_for(count, n);
+    c_ws_runs.add();
+    c_ws_chunks.add((count + chunk - 1) / chunk);
     if (n == 1) {
-        // Exact serial semantics, no thread machinery: this is the path
-        // the 1-worker determinism runs compare everything against.
-        for (std::size_t i = 0; i < count; ++i) {
-            fn(i);
+        // Exact serial semantics, no thread machinery: the same ranges
+        // in order on the calling thread. This is the path the 1-worker
+        // determinism runs compare everything against.
+        for (std::size_t begin = 0; begin < count; begin += chunk) {
+            fn(begin, std::min(begin + chunk, count));
         }
         return;
     }
-    c_ws_runs.add();
 
     struct Range
     {
@@ -203,18 +207,12 @@ WorkStealingScheduler::run(unsigned threads, std::size_t count,
     // Deal contiguous chunks round-robin. Contiguity is load-bearing for
     // callers that order items target-major; round-robin spreads the
     // initial ranges so stealing is the exception, not the steady state.
-    const std::size_t chunk = chunk_for(count, n);
-    std::size_t begin = 0;
     unsigned next_worker = 0;
-    std::size_t dealt = 0;
-    while (begin < count) {
-        const std::size_t end = std::min(begin + chunk, count);
-        deques[next_worker].ranges.push_back({begin, end});
-        begin = end;
+    for (std::size_t begin = 0; begin < count; begin += chunk) {
+        deques[next_worker].ranges.push_back(
+            {begin, std::min(begin + chunk, count)});
         next_worker = (next_worker + 1) % n;
-        ++dealt;
     }
-    c_ws_chunks.add(dealt);
 
     std::atomic<bool> cancelled{false};
     std::mutex error_mutex;
@@ -247,12 +245,7 @@ WorkStealingScheduler::run(unsigned threads, std::size_t count,
                     return;  // every deque drained; in-flight chunks
                              // spawn no new work, so this is final
                 }
-                for (std::size_t i = range.begin; i < range.end; ++i) {
-                    if (cancelled.load(std::memory_order_relaxed)) {
-                        return;
-                    }
-                    fn(i);
-                }
+                fn(range.begin, range.end);
             }
         } catch (...) {
             cancelled.store(true);

@@ -100,12 +100,15 @@ class ThreadPool
  * possible from what the owner is about to touch. Contiguous chunks are
  * what lets the driver order items target-major: every query's game
  * against one target runs back-to-back on one worker while that
- * target's index is hot.
+ * target's index is hot. The callback receives a whole chunk as one
+ * range, so a caller can also batch per-chunk side effects: the driver
+ * commits one journal group per chunk.
  *
- * Exception semantics match parallel_for: the first thrown exception
- * cancels the sweep (remaining items are abandoned, in-chunk items
- * included) and is rethrown on the calling thread. fn must be safe to
- * call concurrently for distinct indices. Which worker runs which index
+ * Exception semantics follow parallel_for at chunk granularity: the
+ * first thrown exception cancels the sweep — chunks not yet started are
+ * abandoned, while chunks already running on other threads run to
+ * their end — and is rethrown on the calling thread. fn must be safe to
+ * call concurrently for disjoint ranges. Which worker runs which chunk
  * is non-deterministic; callers get determinism by writing disjoint
  * per-index slots and merging single-threaded, exactly as with
  * parallel_for.
@@ -122,12 +125,15 @@ class WorkStealingScheduler
     static std::size_t chunk_for(std::size_t count, unsigned threads);
 
     /**
-     * Run @p fn(i) for i in [0, count) across @p threads workers
-     * (minimum 1; the calling thread participates) and wait. If any
+     * Cover [0, count) with chunk_for(count, workers) ranges and run
+     * @p fn(begin, end) once per range across @p threads workers
+     * (minimum 1; the calling thread participates), then wait. One
+     * worker walks the ranges in order on the calling thread. If any
      * invocation throws, the first exception is rethrown here.
      */
-    static void run(unsigned threads, std::size_t count,
-                    const std::function<void(std::size_t)> &fn);
+    static void run(
+        unsigned threads, std::size_t count,
+        const std::function<void(std::size_t, std::size_t)> &fn);
 };
 
 }  // namespace firmup

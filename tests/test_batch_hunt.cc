@@ -15,9 +15,12 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "eval/driver.h"
@@ -25,6 +28,8 @@
 #include "firmware/corpus.h"
 #include "support/cancel.h"
 #include "support/fsio.h"
+#include "support/hash.h"
+#include "support/threadpool.h"
 #include "support/trace.h"
 
 namespace firmup::eval {
@@ -261,6 +266,197 @@ TEST(BatchHunt, KilledBatchHuntResumesBitIdentically)
     }
 }
 
+/** What one traced batch hunt left behind. */
+struct TracedHunt
+{
+    std::vector<std::vector<CorpusOutcome>> grid;
+    ScanHealth health;
+    trace::Snapshot metrics;
+    std::size_t commit_spans = 0;
+};
+
+/** Run one batch hunt at trace::Level::Full. */
+TracedHunt
+traced_hunt(const SearchOptions &options,
+            const std::vector<firmware::CveRecord> &cves,
+            const std::vector<CorpusTarget> &targets, unsigned threads)
+{
+    TracedHunt hunt;
+    trace::MetricsRegistry &registry = trace::MetricsRegistry::global();
+    registry.reset();
+    trace::set_level(trace::Level::Full);
+    {
+        Driver driver(options);
+        hunt.grid = driver.search_corpus_batch(cves, targets, threads);
+        hunt.health = driver.health();
+    }
+    trace::set_level(trace::Level::Off);
+    hunt.metrics = registry.snapshot();
+    for (const trace::TraceEvent &event : registry.events()) {
+        hunt.commit_spans +=
+            std::string_view(event.name) == "journal_commit" ? 1 : 0;
+    }
+    registry.reset();
+    return hunt;
+}
+
+/** The (content key, query fingerprint) of every record at @p path. */
+std::vector<std::pair<std::uint64_t, std::uint64_t>>
+journal_pairs(const std::string &path)
+{
+    const Result<ByteBuffer> bytes = read_file_bytes(path);
+    EXPECT_TRUE(bytes.ok()) << path;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+    if (!bytes.ok()) {
+        return pairs;
+    }
+    const Result<JournalLoad> load = ScanJournal::parse(
+        bytes.value().data(), bytes.value().size(), 0);
+    EXPECT_TRUE(load.ok()) << load.error_message();
+    if (load.ok()) {
+        for (const JournalEntry &entry : load.value().entries) {
+            pairs.emplace_back(entry.content_key, entry.query_fp);
+        }
+    }
+    return pairs;
+}
+
+TEST(BatchHunt, JournalCommitsOneGroupPerChunk)
+{
+    // A journaled hunt commits each scheduler chunk's records as one
+    // group: at least one commit, at most one per chunk dealt, one
+    // record per decided pair, one journal_commit span per commit, and
+    // nothing else about the hunt moves. At one thread the chunks walk
+    // the grid in order, so the records land in grid order:
+    // target-major, query by query.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 2;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    ASSERT_FALSE(targets.empty());
+    const std::vector<firmware::CveRecord> &cves =
+        firmware::cve_database();
+    const ScopedTempDir store("firmup-batch-group");
+    SearchOptions plain;
+    plain.index_cache_dir = store.path();
+    Driver(plain).search_corpus_batch(cves, targets, 2);  // warm store
+
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        const std::string context = "threads=" + std::to_string(threads);
+        const TracedHunt want = traced_hunt(plain, cves, targets, threads);
+        SearchOptions journaled = plain;
+        journaled.journal_path =
+            fresh_journal_path("group-" + std::to_string(threads));
+        const TracedHunt got =
+            traced_hunt(journaled, cves, targets, threads);
+
+        const std::uint64_t commits =
+            got.metrics.counter("journal.commits");
+        EXPECT_GT(commits, 0u) << context;
+        EXPECT_LE(commits, got.metrics.counter("worksteal.chunks_dealt"))
+            << context;
+        EXPECT_EQ(got.metrics.counter("journal.appends"),
+                  got.metrics.counter("scan.outcomes"))
+            << context;
+        EXPECT_EQ(got.commit_spans, commits) << context;
+        EXPECT_EQ(got.metrics.events_dropped, 0u) << context;
+        EXPECT_GT(got.health.journal_seconds, 0.0) << context;
+        EXPECT_EQ(want.health.journal_seconds, 0.0) << context;
+        EXPECT_EQ(want.metrics.counter("journal.commits"), 0u) << context;
+        expect_grids_equal(want.grid, got.grid, context);
+        EXPECT_EQ(discrete_health(got.health), discrete_health(want.health))
+            << context;
+
+        if (threads == 1) {
+            std::vector<std::pair<std::uint64_t, std::uint64_t>> order;
+            for (const CorpusTarget &target : targets) {
+                for (const firmware::CveRecord &cve : cves) {
+                    order.emplace_back(
+                        content_key(*target.exe),
+                        fnv1a64("fwsj-query:" + cve_scan_label(cve)));
+                }
+            }
+            EXPECT_EQ(journal_pairs(journaled.journal_path), order);
+        }
+    }
+}
+
+TEST(BatchHunt, TornGroupResumesToTheFreshGrid)
+{
+    // A kill -9 mid-commit cuts a group anywhere: at a record boundary
+    // or inside a record. Resume keeps the whole records before the cut
+    // and replays them pair by pair, so the grid is the fresh one and
+    // resumed_targets counts exactly the records kept.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 2;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    // One target per content key, so each record answers one pair.
+    std::vector<CorpusTarget> targets;
+    std::set<std::uint64_t> keys;
+    for (const CorpusTarget &target : corpus_targets(corpus)) {
+        if (keys.insert(content_key(*target.exe)).second) {
+            targets.push_back(target);
+        }
+    }
+    const std::vector<firmware::CveRecord> cves = hunt_cves();
+    const ScopedTempDir store("firmup-batch-torn");
+    SearchOptions options;
+    options.index_cache_dir = store.path();
+    options.journal_path = fresh_journal_path("torn-origin");
+    std::vector<std::vector<CorpusOutcome>> fresh;
+    {
+        Driver driver(options);
+        fresh = driver.search_corpus_batch(cves, targets, 1);
+    }
+    const ByteBuffer origin = read_file_bytes(options.journal_path).take();
+    const Result<JournalLoad> load =
+        ScanJournal::parse(origin.data(), origin.size(), 0);
+    ASSERT_TRUE(load.ok()) << load.error_message();
+    const std::vector<JournalEntry> &records = load.value().entries;
+    ASSERT_EQ(records.size(), cves.size() * targets.size());
+
+    // At one thread group g holds records [g * chunk, (g + 1) * chunk).
+    // Cut the second group, so the first stays whole before it.
+    const std::size_t chunk =
+        WorkStealingScheduler::chunk_for(records.size(), 1);
+    ASSERT_GE(chunk, 2u);
+    ASSERT_GE(records.size(), 2 * chunk);
+    std::vector<std::size_t> offset = {
+        ScanJournal::encode_header(0).size()};
+    for (const JournalEntry &record : records) {
+        offset.push_back(offset.back() +
+                         ScanJournal::encode_record(record).size());
+    }
+    ASSERT_EQ(offset.back(), origin.size());
+
+    options.resume = true;
+    for (std::size_t kept = chunk; kept <= 2 * chunk; ++kept) {
+        std::vector<std::size_t> cuts = {offset[kept]};
+        if (kept < 2 * chunk) {
+            cuts.push_back((offset[kept] + offset[kept + 1]) / 2);
+        }
+        for (const std::size_t cut : cuts) {
+            const std::string context = "cut at byte " +
+                                        std::to_string(cut) + ", " +
+                                        std::to_string(kept) + " kept";
+            options.journal_path = fresh_journal_path("torn");
+            {
+                std::ofstream out(options.journal_path, std::ios::binary);
+                out.write(reinterpret_cast<const char *>(origin.data()),
+                          static_cast<std::streamsize>(cut));
+            }
+            Driver resumed(options);
+            const std::vector<std::vector<CorpusOutcome>> grid =
+                resumed.search_corpus_batch(cves, targets, 1);
+            expect_grids_equal(fresh, grid, context);
+            EXPECT_EQ(resumed.health().resumed_targets, kept) << context;
+            EXPECT_TRUE(resumed.health().sane()) << context;
+        }
+    }
+}
+
 TEST(BatchHunt, ReplayedPairsCountAsGamesButAddNoTimings)
 {
     // A resumed pair is the game the journaling scan played: it counts
@@ -470,6 +666,26 @@ TEST(BatchHunt, HalfWarmStoreRebuildsOnlyItsMissingQueries)
         EXPECT_EQ(now.value(), bytes) << name;
     }
     EXPECT_EQ(store_entries(store.path()), want);
+}
+
+TEST(BatchHunt, RecipeStoreNamesArePinned)
+{
+    // A store primed by an earlier build keeps serving its recipe
+    // entries warm only while every recipe key, hence every entry's
+    // file name, stays put. These are the first CVE's four entries as
+    // earlier builds wrote them.
+    const firmware::CveRecord &cve = firmware::cve_database().front();
+    const ScopedTempDir store("firmup-batch-recipe-pin");
+    SearchOptions options;
+    options.index_cache_dir = store.path();
+    Driver driver(options);
+    for (const isa::Arch arch : isa::kAllArches) {
+        driver.build_query(cve, arch);
+    }
+    EXPECT_EQ(store_entries(store.path()),
+              (std::set<std::string>{
+                  "0a6981d021e0ed11.fwix", "21e88f4eb5b1928a.fwix",
+                  "fc6555b69a6825f2.fwix", "fd41a461c6ddf72e.fwix"}));
 }
 
 TEST(BatchHunt, RepeatedCveSharesOneBuildPerQuery)

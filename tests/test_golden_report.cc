@@ -80,6 +80,8 @@ synthetic_health()
     health.confirm_seconds = 0.125;
     health.confirm_cpu_seconds = 0.1;
     health.match_wall_seconds = 0.25;
+    health.journal_seconds = 0.0625;
+    health.journal_cpu_seconds = 0.015625;
     health.note_error(ErrorCode::TruncatedMember);
     health.note_error(ErrorCode::TruncatedMember);
     health.note_error(ErrorCode::MalformedContainer);

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -267,7 +268,6 @@ TEST(JournalFault, CreateAppendResumeRoundTripsOnDisk)
     extra.outcome.detected = true;
     extra.outcome.sim = 9;
     EXPECT_TRUE(resumed.value().append(extra));
-    resumed.value().flush();
     JournalLoad reload;
     auto reopened = ScanJournal::open_resume(path, kFingerprint, &reload);
     ASSERT_TRUE(reopened.ok()) << reopened.error_message();
@@ -313,6 +313,47 @@ TEST(JournalFault, WholeFileWriteEqualsCreateThenAppend)
     const Result<ByteBuffer> header = read_file_bytes(empty);
     ASSERT_TRUE(header.ok());
     EXPECT_EQ(header.value(), ScanJournal::encode_header(kFingerprint));
+}
+
+TEST(JournalFault, GroupAppendEqualsPerRecordAppends)
+{
+    // A group commit is one write and one fsync for many records: the
+    // bytes on disk are those of create() followed by one append() per
+    // record, every record counts as an append, and the group counts as
+    // one commit. An empty group writes and counts nothing.
+    const std::vector<JournalEntry> entries = sample_entries();
+    const std::string per_record = fresh_journal_path("per-record");
+    {
+        auto journal = ScanJournal::create(per_record, kFingerprint);
+        ASSERT_TRUE(journal.ok()) << journal.error_message();
+        for (const JournalEntry &entry : entries) {
+            ASSERT_TRUE(journal.value().append(entry));
+        }
+    }
+    const std::string grouped = fresh_journal_path("grouped");
+    auto journal = ScanJournal::create(grouped, kFingerprint);
+    ASSERT_TRUE(journal.ok()) << journal.error_message();
+    trace::MetricsRegistry::global().reset();
+    trace::set_level(trace::Level::Metrics);
+    const bool wrote = journal.value().append(entries);
+    const bool empty = journal.value().append(std::span<const JournalEntry>());
+    const trace::Snapshot metrics =
+        trace::MetricsRegistry::global().snapshot();
+    trace::set_level(trace::Level::Off);
+    trace::MetricsRegistry::global().reset();
+    EXPECT_TRUE(wrote);
+    EXPECT_TRUE(empty);
+    EXPECT_EQ(journal.value().appended(), entries.size());
+    EXPECT_EQ(metrics.counter("journal.appends"), entries.size());
+    EXPECT_EQ(metrics.counter("journal.commits"), 1u);
+    const ScanJournal::CommitTime first = journal.value().take_commit_time();
+    EXPECT_GT(first.seconds, 0.0);
+    EXPECT_EQ(journal.value().take_commit_time().seconds, 0.0);
+
+    const Result<ByteBuffer> want = read_file_bytes(per_record);
+    const Result<ByteBuffer> got = read_file_bytes(grouped);
+    ASSERT_TRUE(want.ok() && got.ok());
+    EXPECT_EQ(got.value(), want.value());
 }
 
 TEST(JournalFault, TornTailIsTruncatedOnResume)

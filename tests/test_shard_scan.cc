@@ -225,6 +225,8 @@ TEST(ShardFrames, HealthFieldsRoundTrip)
     health.confirm_seconds = 0.25;
     health.confirm_cpu_seconds = 0.125;
     health.match_wall_seconds = 3.5;
+    health.journal_seconds = 0.375;
+    health.journal_cpu_seconds = 0.1875;
     for (std::size_t c = 0; c < kErrorCodeCount; ++c) {
         health.errors[c] = c + 1;
     }
@@ -276,6 +278,8 @@ TEST(ShardFrames, HealthFieldsRoundTrip)
     EXPECT_EQ(back.confirm_seconds, health.confirm_seconds);
     EXPECT_EQ(back.confirm_cpu_seconds, health.confirm_cpu_seconds);
     EXPECT_EQ(back.match_wall_seconds, health.match_wall_seconds);
+    EXPECT_EQ(back.journal_seconds, health.journal_seconds);
+    EXPECT_EQ(back.journal_cpu_seconds, health.journal_cpu_seconds);
     EXPECT_EQ(back.errors, health.errors);
 }
 

@@ -149,10 +149,12 @@ usage()
         "  --target-budget SEC    wall-clock watchdog per game\n"
         "  --fail-on-quarantine[=N]  exit 4 when more than N\n"
         "                         executables were quarantined\n"
-        "  --cancel-after N       (testing) cancel after N journal\n"
-        "                         appends, as SIGTERM would\n"
-        "SIGINT/SIGTERM drain in-flight targets, flush the journal and\n"
-        "exit 130 with a partial report; rerun with --resume to finish\n"
+        "  --cancel-after N       (testing) cancel, as SIGTERM would,\n"
+        "                         after the journal commit that\n"
+        "                         reaches N records\n"
+        "SIGINT/SIGTERM drain in-flight targets, commit what finished to\n"
+        "the journal and exit 130 with a partial report; rerun with\n"
+        "--resume to finish\n"
         "shard-scan also takes: --worker-threads N (threads per worker),\n"
         "--heartbeat SEC (stall deadline, default 30), --max-respawns N\n"
         "(default 2) and --quiet\n"
@@ -500,9 +502,9 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
     std::printf("\n");
 
     // Cooperative shutdown: the first SIGINT/SIGTERM requests the
-    // process-wide token (drained below: in-flight targets finish, the
-    // journal is flushed, a partial report prints, exit 130); a second
-    // signal exits immediately.
+    // process-wide token (drained below: in-flight targets finish, each
+    // chunk commits its finished pairs to the journal, a partial report
+    // prints, exit 130); a second signal exits immediately.
     CancelToken &cancel = CancelToken::process();
     cancel.reset();
     install_cancel_signal_handlers();
@@ -612,8 +614,9 @@ cmd_shard_scan(const std::vector<std::string> &args)
              eval::switch_flag("--quiet", sopt.quiet),
              eval::string_flag("--stats-json", stats_out),
              // Test seams: shard 0's first worker dies (or stalls, with
-             // --stall-first) after N journal appends; the respawn must
-             // finish the shard with a bit-identical merged report.
+             // --stall-first) after the journal commit that reaches N
+             // records; the respawn must finish the shard with a
+             // bit-identical merged report.
              eval::number_flag("--kill-first-after",
                                sopt.kill_first_worker_after, 1),
              eval::switch_flag("--stall-first", sopt.stall_first_worker)},
