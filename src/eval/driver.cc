@@ -811,6 +811,14 @@ SearchOutcome
 Driver::match_outcome(const Query &query,
                       const sim::ExecutableIndex &target) const
 {
+    int runner_up = 0;
+    return play(query, target, runner_up);
+}
+
+SearchOutcome
+Driver::play(const Query &query, const sim::ExecutableIndex &target,
+             int &runner_up) const
+{
     SearchOutcome outcome;
     if (target.procs.empty()) {
         return outcome;
@@ -831,6 +839,7 @@ Driver::match_outcome(const Query &query,
             outcome.detected = true;
             outcome.matched_entry = result.target_entry;
             outcome.sim = result.sim;
+            runner_up = result.runner_up_sim;
         }
         outcome.game_seconds = seconds_since(start);
         outcome.game_cpu_seconds = cpu_seconds_since(cpu_start);
@@ -888,7 +897,8 @@ SearchOutcome
 Driver::search_outcome(const Query &query,
                        const sim::ExecutableIndex &target) const
 {
-    SearchOutcome outcome = match_outcome(query, target);
+    int runner_up = 0;
+    SearchOutcome outcome = play(query, target, runner_up);
     if (!outcome.detected) {
         return outcome;
     }
@@ -909,18 +919,20 @@ Driver::search_outcome(const Query &query,
                                     q_strands))) {
         // Dominance fallback: compare against the runner-up, the best
         // Sim any other procedure of the target shares with the query.
-        // Procedures sharing nothing score 0 either way, so the posting
-        // lists the games already read cover every contender.
-        int second = 0;
-        for (const sim::Candidate &c :
-             sim::shared_candidates(target, q_set)) {
-            if (target.procs[static_cast<std::size_t>(c.index)].entry !=
-                outcome.matched_entry) {
-                second = std::max(second, c.sim);
+        // The game read it off its Sim table; the top-1 ablation counts
+        // it over the posting lists (procedures sharing nothing score 0
+        // either way).
+        if (!options_.use_game) {
+            for (const sim::Candidate &c :
+                 sim::shared_candidates(target, q_set)) {
+                if (target.procs[static_cast<std::size_t>(c.index)]
+                        .entry != outcome.matched_entry) {
+                    runner_up = std::max(runner_up, c.sim);
+                }
             }
         }
         accept = static_cast<double>(outcome.sim) >=
-                 options_.margin_factor * static_cast<double>(second);
+                 options_.margin_factor * static_cast<double>(runner_up);
     }
     if (!accept) {
         outcome.detected = false;

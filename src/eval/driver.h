@@ -416,6 +416,15 @@ class Driver
     std::map<std::pair<std::uint64_t, std::uint64_t>, JournalEntry>
         journal_replay_;
 
+    /**
+     * match_outcome, also setting @p runner_up to the game's runner-up
+     * Sim (GameResult::runner_up_sim) when it matched. Left untouched
+     * on the use_game = false ablation path.
+     */
+    SearchOutcome play(const Query &query,
+                       const sim::ExecutableIndex &target,
+                       int &runner_up) const;
+
     /** The persistent store, or nullptr when not configured. */
     sim::IndexCacheStore *cache_store();
 

@@ -38,10 +38,11 @@ struct Ref
 /**
  * Player state for one game. All bookkeeping is flat, sized to the two
  * executables: match arrays (-1 = unmatched), unmatchable byte arrays,
- * and a per-game memo of candidate lists. Candidate lists come from the
- * target's inverted index and never change during a game — only the
- * exclusion state does — so GetBestMatch is a cheap re-argmax over a
- * cached list instead of a full rescore of the other side.
+ * and the |Q|x|T| table of every Sim(q, t), filled once by the
+ * constructor's posting join. Raw Sims never change during a game —
+ * only the exclusion state does — so GetBestMatch is an argmax over
+ * one row or column of that table instead of a rescore of the other
+ * side.
  */
 class Game
 {
@@ -52,10 +53,10 @@ class Game
           match_q_(Q.procs.size(), -1), match_t_(T.procs.size(), -1),
           unmatchable_q_(Q.procs.size(), 0),
           unmatchable_t_(T.procs.size(), 0),
-          cand_q_(Q.procs.size()), cand_t_(T.procs.size()),
-          cand_ready_q_(Q.procs.size(), 0),
-          cand_ready_t_(T.procs.size(), 0)
+          read_q_(Q.procs.size(), 0), read_t_(T.procs.size(), 0),
+          sims_(Q.procs.size() * T.procs.size(), 0)
     {
+        join();
     }
 
     GameResult
@@ -150,8 +151,10 @@ class Game
             // best_match tie-break keeps the game finite.
             const bool consistent = back == m.index;
             if (consistent) {
-                note("rival: no better pick for " + name_of(fwd) +
-                     "; pair accepted");
+                if (opt_.record_trace) {
+                    note("rival: no better pick for " + name_of(fwd) +
+                         "; pair accepted");
+                }
                 record(m, fwd);
                 if (m == qv || fwd == qv) {
                     result.matched = true;
@@ -161,6 +164,8 @@ class Game
                     result.target_entry =
                         t_.procs[static_cast<std::size_t>(t_index)].entry;
                     result.sim = forward_sim;
+                    result.runner_up_sim =
+                        runner_up(qv_index, result.target_entry);
                     break;
                 }
                 stack.pop_back();
@@ -175,8 +180,11 @@ class Game
             // contested procedures and retry from the top of the stack.
             const Ref bck{m.in_q, back};
             ++rival_turns_;
-            note(strprintf("rival: counters with %s (Sim=%d > %d)",
-                           name_of(bck).c_str(), back_sim, forward_sim));
+            if (opt_.record_trace) {
+                note(strprintf("rival: counters with %s (Sim=%d > %d)",
+                               name_of(bck).c_str(), back_sim,
+                               forward_sim));
+            }
             bool pushed = false;
             for (const Ref &r : {fwd, bck}) {
                 if (!is_matched(r) &&
@@ -196,9 +204,9 @@ class Game
                 result.q_to_t.emplace(static_cast<int>(qi), match_q_[qi]);
             }
         }
-        result.pairs_scored = stats_.pairs_scored;
+        result.pairs_scored = pairs_scored_;
         result.pairs_pruned = pairs_pruned_;
-        result.scoring_elem_ops = stats_.elem_ops;
+        result.scoring_elem_ops = elem_ops_;
         // One registry flush per game: the hot loop only bumps plain
         // locals, so the Level::Off cost of a game is this single check.
         if (trace::level() != trace::Level::Off) {
@@ -221,11 +229,39 @@ class Game
     }
 
   private:
-    std::span<const std::uint64_t>
-    strands(const Ref &r) const
+    /**
+     * Fill sims_ with one sorted join of the two posting dictionaries:
+     * every hash both executables hold adds the product of its two
+     * posting lists into the table, so each cell ends at
+     * |Strands(q) ∩ Strands(t)|. Cost: the dictionary elements the join
+     * visits plus one increment per (q, t) incidence pair — the
+     * game's scoring_elem_ops.
+     */
+    void
+    join()
     {
-        const auto &procs = r.in_q ? q_.procs : t_.procs;
-        return procs[static_cast<std::size_t>(r.index)].strands;
+        const std::size_t nt = t_.procs.size();
+        std::uint64_t increments = 0;
+        const std::size_t visits = sim::for_each_shared(
+            q_.posting_hashes, t_.posting_hashes,
+            [&](std::size_t qh, std::size_t th) {
+                const std::uint32_t *const tp =
+                    t_.posting_procs.data() + t_.posting_offsets[th];
+                const std::uint32_t *const te =
+                    t_.posting_procs.data() + t_.posting_offsets[th + 1];
+                const std::uint32_t qlo = q_.posting_offsets[qh];
+                const std::uint32_t qhi = q_.posting_offsets[qh + 1];
+                for (std::uint32_t k = qlo; k < qhi; ++k) {
+                    std::int32_t *const row =
+                        sims_.data() + q_.posting_procs[k] * nt;
+                    for (const std::uint32_t *t = tp; t != te; ++t) {
+                        ++row[*t];
+                    }
+                }
+                increments += static_cast<std::uint64_t>(qhi - qlo) *
+                              static_cast<std::uint64_t>(te - tp);
+            });
+        elem_ops_ = visits + increments;
     }
 
     bool
@@ -243,68 +279,70 @@ class Game
     }
 
     /**
-     * Candidate list of @p m against the other executable, computed at
-     * most once per game (exclusion state changes between calls, the raw
-     * Sim counts never do).
-     */
-    const std::vector<sim::Candidate> &
-    candidates_of(const Ref &m)
-    {
-        auto &memo = m.in_q ? cand_q_ : cand_t_;
-        auto &ready = m.in_q ? cand_ready_q_ : cand_ready_t_;
-        const std::size_t i = static_cast<std::size_t>(m.index);
-        if (!ready[i]) {
-            const sim::ExecutableIndex &other = m.in_q ? t_ : q_;
-            memo[i] = sim::shared_candidates(other, strands(m), &stats_);
-            ready[i] = 1;
-        }
-        return memo[i];
-    }
-
-    /**
      * GetBestMatch: the highest-Sim procedure on the other side that is
-     * not already matched. Ties break to the lowest index. Procedures
-     * sharing zero strands are never touched; when every candidate is
-     * excluded, the dense semantics are preserved by falling back to the
-     * lowest eligible index with Sim 0.
+     * not already matched or unmatchable, read from @p m's row (a Q
+     * procedure) or column (a T procedure) of the Sim table. Strict `>`
+     * breaks ties to the lowest index; when nothing eligible shares a
+     * strand, that is the lowest eligible index at Sim 0.
      */
     int
     best_match(const Ref &m, int &best_sim)
     {
-        const auto &others = m.in_q ? t_.procs : q_.procs;
+        const std::size_t nt = t_.procs.size();
+        const std::size_t i = static_cast<std::size_t>(m.index);
+        const std::size_t n = m.in_q ? nt : q_.procs.size();
+        const std::int32_t *const sims =
+            m.in_q ? sims_.data() + i * nt : sims_.data() + i;
+        const std::size_t stride = m.in_q ? 1 : nt;
         const auto &match_other = m.in_q ? match_t_ : match_q_;
         const auto &unmatchable_other =
             m.in_q ? unmatchable_t_ : unmatchable_q_;
-        const auto &ready = m.in_q ? cand_ready_q_ : cand_ready_t_;
-        const bool fresh = !ready[static_cast<std::size_t>(m.index)];
-        const std::vector<sim::Candidate> &cands = candidates_of(m);
-        // Dense GetBestMatch rescored every procedure on every call —
-        // a full (|m|+|other|)-element merge per pair; this path pays
-        // only for candidates, and only on a memo miss.
-        pairs_pruned_ += others.size() - (fresh ? cands.size() : 0);
+        // Dense GetBestMatch rescored every procedure on every call. A
+        // row's nonzero Sims count as scored on its first read — the
+        // pairs the posting join actually produced for it — and every
+        // other pair of every read as pruned.
+        auto &read = m.in_q ? read_q_ : read_t_;
+        std::size_t scored = 0;
+        if (!read[i]) {
+            read[i] = 1;
+            for (std::size_t o = 0; o < n; ++o) {
+                scored += sims[o * stride] != 0 ? 1 : 0;
+            }
+        }
+        pairs_scored_ += scored;
+        pairs_pruned_ += n - scored;
         best_sim = -1;
         int best = -1;
-        for (const sim::Candidate &c : cands) {
-            const std::size_t i = static_cast<std::size_t>(c.index);
-            if (match_other[i] >= 0 || unmatchable_other[i]) {
+        for (std::size_t o = 0; o < n; ++o) {
+            if (match_other[o] >= 0 || unmatchable_other[o]) {
                 continue;
             }
-            if (c.sim > best_sim) {
-                best_sim = c.sim;
-                best = c.index;
+            if (sims[o * stride] > best_sim) {
+                best_sim = sims[o * stride];
+                best = static_cast<int>(o);
             }
         }
-        if (best >= 0) {
-            return best;
-        }
-        for (std::size_t i = 0; i < others.size(); ++i) {
-            if (match_other[i] < 0 && !unmatchable_other[i]) {
-                best_sim = 0;
-                return static_cast<int>(i);
+        return best;
+    }
+
+    /**
+     * Confirm's runner-up for a match of @p qv at @p entry: the best
+     * Sim(qv, t) over target procedures at any other entry, matched or
+     * not (0 when none shares a strand).
+     */
+    int
+    runner_up(int qv, std::uint64_t entry) const
+    {
+        const std::size_t nt = t_.procs.size();
+        const std::int32_t *const row =
+            sims_.data() + static_cast<std::size_t>(qv) * nt;
+        int second = 0;
+        for (std::size_t t = 0; t < nt; ++t) {
+            if (t_.procs[t].entry != entry) {
+                second = std::max(second, row[t]);
             }
         }
-        best_sim = -1;
-        return -1;
+        return second;
     }
 
     void
@@ -324,13 +362,14 @@ class Game
     std::vector<int> match_t_;  ///< T index -> Q index, -1 = unmatched
     std::vector<std::uint8_t> unmatchable_q_;
     std::vector<std::uint8_t> unmatchable_t_;
-    std::vector<std::vector<sim::Candidate>> cand_q_;  ///< memo: Q vs T
-    std::vector<std::vector<sim::Candidate>> cand_t_;  ///< memo: T vs Q
-    std::vector<std::uint8_t> cand_ready_q_;
-    std::vector<std::uint8_t> cand_ready_t_;
+    std::vector<std::uint8_t> read_q_;  ///< row already read once
+    std::vector<std::uint8_t> read_t_;  ///< column already read once
+    /** Sim(q, t) at [q * |T| + t]: linear in T, since Q is a query. */
+    std::vector<std::int32_t> sims_;
     std::size_t matched_count_ = 0;
-    sim::ScoringStats stats_;         ///< actual scoring work
+    std::uint64_t pairs_scored_ = 0;
     std::uint64_t pairs_pruned_ = 0;
+    std::uint64_t elem_ops_ = 0;         ///< join visits + increments
     std::uint64_t rival_turns_ = 0;      ///< back-and-forth counters
     std::uint64_t deadline_samples_ = 0; ///< deadline clock reads
 };

@@ -74,22 +74,33 @@ struct GameResult
     int target_index = -1;       ///< index into T.procs when matched
     std::uint64_t target_entry = 0;
     int sim = 0;                 ///< Sim(qv, match)
+    /**
+     * When matched: the best Sim(qv, t) over target procedures whose
+     * entry differs from target_entry, matched or not (0 when none
+     * shares a strand). The driver's confirm stage reads it as the
+     * runner-up of its dominance fallback.
+     */
+    int runner_up_sim = 0;
     int steps = 0;               ///< loop iterations (Fig. 9 metric)
     /**
-     * Pairwise similarity scores actually computed: one per candidate
-     * pair on a candidate-list memo miss (lists are memoized per game).
+     * Pair Sims GetBestMatch consumed: on the first read of a
+     * procedure's row (Q side) or column (T side) of the game's Sim
+     * table, one per nonzero entry — the pairs the posting join
+     * produced for it.
      */
     std::uint64_t pairs_scored = 0;
     /**
      * Pair scores a dense GetBestMatch (rescoring every procedure on
-     * every call) would have computed but this game skipped, via the
-     * inverted index's zero-share pruning and the per-game memo.
+     * every call) would have computed but this game skipped: the zero
+     * entries of a first read, and every entry of a repeated read.
      * pairs_scored + pairs_pruned is the dense-equivalent pair count.
      */
     std::uint64_t pairs_pruned = 0;
     /**
-     * Element-level scoring operations actually performed (posting
-     * accumulations + query-hash probes; see sim::ScoringStats).
+     * Element-level scoring work of the game's one posting join: the
+     * posting-dictionary elements sim::for_each_shared visits, plus one
+     * Sim-table increment per (q, t) incidence pair of every shared
+     * hash.
      */
     std::uint64_t scoring_elem_ops = 0;
     /** The partial matching built along the way: Q index ↔ T index. */
@@ -99,7 +110,11 @@ struct GameResult
 };
 
 /**
- * Run the game matching @p qv_index (into Q.procs) against T.
+ * Run the game matching @p qv_index (into Q.procs) against T. Before
+ * the first step, one join of the two posting dictionaries computes
+ * every nonzero Sim(q, t) into a |Q|x|T| table, so @p Q should be a
+ * query executable (tens of procedures): the table is then linear in
+ * the target.
  */
 GameResult match_query(const sim::ExecutableIndex &Q, int qv_index,
                        const sim::ExecutableIndex &T,

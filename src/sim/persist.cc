@@ -282,8 +282,9 @@ read_proc_rec(const std::uint8_t *bytes, const Directory &dir,
 /**
  * CSR posting safety scan: offsets start at 0, never decrease, end
  * exactly at the incidence count, and every procedure index is in
- * range. These bound every downstream posting walk (e.g. the
- * per-procedure accumulators in shared_candidates).
+ * range. These bound every downstream posting walk (e.g. the game's
+ * Sim table rows and columns, and the accumulators in
+ * shared_candidates).
  */
 bool
 postings_safe(const ExecutableIndex &index)

@@ -9,74 +9,6 @@
 
 namespace firmup::sim {
 
-namespace {
-
-/**
- * First position in [first, last) not less than @p key, found by
- * exponential (galloping) probing followed by a bounded binary search.
- * Beats std::lower_bound when the answer is near the front — which it
- * is when intersecting a small sorted set against a huge one.
- */
-const std::uint64_t *
-gallop_lower_bound(const std::uint64_t *first, const std::uint64_t *last,
-                   std::uint64_t key)
-{
-    const std::size_t n = static_cast<std::size_t>(last - first);
-    std::size_t bound = 1;
-    while (bound < n && first[bound] < key) {
-        bound <<= 1;
-    }
-    return std::lower_bound(first + (bound >> 1),
-                            first + std::min(bound + 1, n), key);
-}
-
-/**
- * Visit every hash shared by two flat strand sets, in ascending hash
- * order (the order matters: weighted_sim must accumulate bit-identically
- * no matter which side is smaller). Linear two-pointer merge for
- * comparable sizes, galloping from the smaller side when lopsided.
- */
-template <typename OnShared>
-void
-for_each_shared(std::span<const std::uint64_t> a,
-                std::span<const std::uint64_t> b, OnShared &&on)
-{
-    if (a.size() > b.size()) {
-        std::swap(a, b);
-    }
-    if (a.empty()) {
-        return;
-    }
-    const std::uint64_t *s = a.data();
-    const std::uint64_t *se = s + a.size();
-    const std::uint64_t *l = b.data();
-    const std::uint64_t *le = l + b.size();
-    constexpr std::size_t kGallopRatio = 16;
-    if (b.size() / a.size() >= kGallopRatio) {
-        for (; s != se && l != le; ++s) {
-            l = gallop_lower_bound(l, le, *s);
-            if (l != le && *l == *s) {
-                on(*s);
-                ++l;
-            }
-        }
-        return;
-    }
-    while (s != se && l != le) {
-        if (*s < *l) {
-            ++s;
-        } else if (*l < *s) {
-            ++l;
-        } else {
-            on(*s);
-            ++s;
-            ++l;
-        }
-    }
-}
-
-}  // namespace
-
 int
 ExecutableIndex::find_by_entry(std::uint64_t addr) const
 {
@@ -151,55 +83,31 @@ int
 sim_score(std::span<const std::uint64_t> q, std::span<const std::uint64_t> t)
 {
     int shared = 0;
-    for_each_shared(q, t, [&shared](std::uint64_t) { ++shared; });
+    for_each_shared(q, t, [&shared](std::size_t, std::size_t) { ++shared; });
     return shared;
 }
 
 std::vector<Candidate>
-shared_candidates(const ExecutableIndex &T,
-                  std::span<const std::uint64_t> q, ScoringStats *stats)
+shared_candidates(const ExecutableIndex &T, std::span<const std::uint64_t> q)
 {
-    std::vector<Candidate> out;
-    if (T.procs.empty() || q.empty()) {
-        return out;
-    }
     // Accumulate shared counts over the posting lists of q's strands:
     // only procedures sharing at least one strand are ever touched.
-    ScoringStats local;
     std::vector<int> counts(T.procs.size(), 0);
     std::vector<std::uint32_t> touched;
-    const std::uint64_t *base = T.posting_hashes.data();
-    const std::uint64_t *ph = base;
-    const std::uint64_t *pe = base + T.posting_hashes.size();
-    for (const std::uint64_t h : q) {
-        ++local.elem_ops;  // one probe per query hash
-        ph = gallop_lower_bound(ph, pe, h);
-        if (ph == pe) {
-            break;
-        }
-        if (*ph != h) {
-            continue;
-        }
-        const std::size_t row = static_cast<std::size_t>(ph - base);
-        const std::uint32_t lo = T.posting_offsets[row];
-        const std::uint32_t hi = T.posting_offsets[row + 1];
-        for (std::uint32_t j = lo; j < hi; ++j) {
+    for_each_shared(q, T.posting_hashes, [&](std::size_t, std::size_t row) {
+        for (std::uint32_t j = T.posting_offsets[row];
+             j < T.posting_offsets[row + 1]; ++j) {
             const std::uint32_t proc = T.posting_procs[j];
-            ++local.elem_ops;  // one accumulation per incidence
             if (counts[proc]++ == 0) {
                 touched.push_back(proc);
-                ++local.pairs_scored;
             }
         }
-    }
+    });
     std::sort(touched.begin(), touched.end());
+    std::vector<Candidate> out;
     out.reserve(touched.size());
     for (std::uint32_t proc : touched) {
         out.push_back({static_cast<int>(proc), counts[proc]});
-    }
-    if (stats != nullptr) {
-        stats->pairs_scored += local.pairs_scored;
-        stats->elem_ops += local.elem_ops;
     }
     return out;
 }
@@ -245,8 +153,9 @@ weighted_sim(std::span<const std::uint64_t> q,
              std::span<const std::uint64_t> t, const GlobalContext &context)
 {
     double score = 0.0;
-    for_each_shared(q, t,
-                    [&](std::uint64_t h) { score += context.weight_of(h); });
+    for_each_shared(q, t, [&](std::size_t i, std::size_t) {
+        score += context.weight_of(q[i]);
+    });
     return score;
 }
 

@@ -14,11 +14,12 @@
  * sets, plus the search acceleration structures that make corpus-scale
  * matching cheap: a CSR inverted index (strand hash → posting list of
  * procedure indices) and hashed entry/name lookup maps. Most (q, t)
- * procedure pairs in a corpus share zero strands; the posting lists let
- * GetBestMatch touch only the pairs that share at least one.
+ * procedure pairs in a corpus share zero strands; joining two posting
+ * dictionaries touches only the pairs that share at least one.
  */
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <span>
@@ -116,41 +117,114 @@ ExecutableIndex index_executable(const lifter::LiftedExecutable &lifted,
                                  strand::CanonOptions options = {},
                                  unsigned threads = 1);
 
+namespace detail {
+
+/**
+ * First position in [first, last) not less than @p key, found by
+ * exponential (galloping) probing followed by a bounded binary search.
+ * Beats std::lower_bound when the answer is near the front — which it
+ * is when intersecting a small sorted set against a huge one.
+ */
+inline const std::uint64_t *
+gallop_lower_bound(const std::uint64_t *first, const std::uint64_t *last,
+                   std::uint64_t key)
+{
+    const std::size_t n = static_cast<std::size_t>(last - first);
+    std::size_t bound = 1;
+    while (bound < n && first[bound] < key) {
+        bound <<= 1;
+    }
+    return std::lower_bound(first + (bound >> 1),
+                            first + std::min(bound + 1, n), key);
+}
+
+}  // namespace detail
+
+/**
+ * The one intersection kernel: visit every hash two sorted, unique hash
+ * sets share as @p on(i, j), where a[i] == b[j], in ascending hash order
+ * (the order matters: weighted_sim must accumulate bit-identically no
+ * matter which side is smaller). Linear two-pointer merge for
+ * comparable sizes, galloping from the smaller side when lopsided
+ * (>= 16x). sim_score, weighted_sim and the game's posting join
+ * (game/game.cc) all run on it.
+ *
+ * @return the set elements the kernel visited: in a merge, every
+ *         element either cursor steps past; in a gallop, two per probe
+ *         (the smaller side's element and the one it lands on).
+ */
+template <typename OnShared>
+std::size_t
+for_each_shared(std::span<const std::uint64_t> a,
+                std::span<const std::uint64_t> b, OnShared &&on)
+{
+    const bool swapped = a.size() > b.size();
+    if (swapped) {
+        std::swap(a, b);
+    }
+    if (a.empty()) {
+        return 0;
+    }
+    const std::uint64_t *const s0 = a.data();
+    const std::uint64_t *const se = s0 + a.size();
+    const std::uint64_t *const l0 = b.data();
+    const std::uint64_t *const le = l0 + b.size();
+    const std::uint64_t *s = s0;
+    const std::uint64_t *l = l0;
+    const auto emit = [&] {
+        const auto i = static_cast<std::size_t>(s - s0);
+        const auto j = static_cast<std::size_t>(l - l0);
+        if (swapped) {
+            on(j, i);
+        } else {
+            on(i, j);
+        }
+    };
+    constexpr std::size_t kGallopRatio = 16;
+    if (b.size() / a.size() >= kGallopRatio) {
+        for (; s != se && l != le; ++s) {
+            l = detail::gallop_lower_bound(l, le, *s);
+            if (l != le && *l == *s) {
+                emit();
+                ++l;
+            }
+        }
+        return 2 * static_cast<std::size_t>(s - s0);
+    }
+    while (s != se && l != le) {
+        if (*s < *l) {
+            ++s;
+        } else if (*l < *s) {
+            ++l;
+        } else {
+            emit();
+            ++s;
+            ++l;
+        }
+    }
+    return static_cast<std::size_t>((s - s0) + (l - l0));
+}
+
 /**
  * Sim(q, t): the number of shared canonical strands of two sorted,
- * unique hash sets. A two-pointer merge, galloping from the smaller
- * side when the sizes are lopsided (>= 16x). The posting-list path
- * (shared_candidates) computes the same count for every procedure of an
- * executable at once; this pairwise form serves the baselines and the
+ * unique hash sets (for_each_shared). The game computes the same count
+ * for every procedure pair of two executables at once, by joining their
+ * posting dictionaries; this pairwise form serves the baselines and the
  * procedure-centric ablation.
  */
 int sim_score(std::span<const std::uint64_t> q,
               std::span<const std::uint64_t> t);
 
-/** Work accounting for one or more shared_candidates calls. */
-struct ScoringStats
-{
-    /** Pair scores produced: one per procedure whose Sim was computed. */
-    std::uint64_t pairs_scored = 0;
-    /**
-     * Element-level scoring operations: posting-list accumulations plus
-     * query-hash probes. The old dense GetBestMatch paid |q|+|t| per
-     * pair per call in the same unit.
-     */
-    std::uint64_t elem_ops = 0;
-};
-
 /**
  * Every procedure of @p T sharing at least one strand with @p q (sorted,
  * unique), with its exact Sim, in ascending procedure-index order. Reads
  * the posting lists, so it touches only procedures that share a strand
- * (the VulMatch-style signature pruning).
- * @param stats when non-null, accumulates the scoring work performed —
- *        the game's "pairwise scoring operations" metric.
+ * (the VulMatch-style signature pruning). Serves the GitZ-style baseline
+ * and the use_game = false ablation; the game joins whole posting
+ * dictionaries instead (game/game.h).
  */
 std::vector<Candidate> shared_candidates(const ExecutableIndex &T,
-                                         std::span<const std::uint64_t> q,
-                                         ScoringStats *stats = nullptr);
+                                         std::span<const std::uint64_t> q);
 
 /**
  * Statistical strand weights trained from a sample of procedures — the

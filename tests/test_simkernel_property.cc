@@ -1,26 +1,32 @@
 /**
  * @file
- * Property tests for the flat-vector similarity kernel and the
- * posting-list GetBestMatch path.
+ * Property tests for the flat-vector similarity kernel, the posting
+ * lists and the game's posting join.
  *
  * The reference implementations below keep the paper's literal
  * semantics: per-hash `std::set` lookups for Sim, ascending-set
  * iteration for weighted Sim, a dense argmax (lowest-index tie-break)
  * for GetBestMatch, a dense Sim over every procedure for candidate
- * lists, Alg. 2 played on those dense Sims, and linear first-occurrence
- * scans for the lookup maps. On randomized strand sets, the
- * vector/posting-list kernels must return bit-identical results —
- * including the floating-point sum of weighted_sim, which both sides
- * accumulate in ascending hash order, and the zero-Sim fallback of the
- * dense argmax.
+ * lists, Alg. 2 played on those dense Sims (with confirm's runner-up as
+ * a max over them), and linear first-occurrence scans for the lookup
+ * maps. On randomized strand sets — and, for the game, on every game of
+ * a real 9-CVE hunt — the vector/posting-list kernels must return
+ * bit-identical results, including the floating-point sum of
+ * weighted_sim, which both sides accumulate in ascending hash order,
+ * and the zero-Sim fallback of the dense argmax.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "eval/driver.h"
+#include "firmware/catalog.h"
+#include "firmware/corpus.h"
 #include "game/game.h"
 #include "sim/persist.h"
 #include "sim/similarity.h"
@@ -33,12 +39,13 @@ namespace {
 constexpr std::uint64_t kUniverse = 48;  ///< small => frequent overlap
 
 std::set<std::uint64_t>
-random_set(Rng &rng, std::size_t max_size)
+random_set(Rng &rng, std::size_t max_size,
+           std::uint64_t universe = kUniverse)
 {
     std::set<std::uint64_t> out;
     const std::size_t n = rng.index(max_size + 1);
     for (std::size_t i = 0; i < n; ++i) {
-        out.insert(rng.next() % kUniverse);
+        out.insert(rng.next() % universe);
     }
     return out;
 }
@@ -116,7 +123,7 @@ ref_candidates(const std::vector<std::set<std::uint64_t>> &others,
     return out;
 }
 
-/** The game's candidate-based argmax, incl. the zero-Sim fallback. */
+/** An argmax over shared_candidates, incl. the zero-Sim fallback. */
 int
 fast_best(const sim::ExecutableIndex &T,
           std::span<const std::uint64_t> q,
@@ -154,19 +161,40 @@ struct RandomExe
     sim::ExecutableIndex index;
 };
 
+/** An executable over the given strand sets, at entries 0x1000 + 0x40i. */
 RandomExe
-random_exe(Rng &rng, std::size_t max_procs, std::size_t max_strands)
+exe_of(std::vector<std::set<std::uint64_t>> sets)
 {
     RandomExe exe;
-    const std::size_t n = 1 + rng.index(max_procs);
-    for (std::size_t i = 0; i < n; ++i) {
-        exe.sets.push_back(random_set(rng, max_strands));
+    exe.sets = std::move(sets);
+    for (std::size_t i = 0; i < exe.sets.size(); ++i) {
         exe.procs.push_back({0x1000 + 0x40 * i, "",
-                             strand::strand_set(to_strands(
-                                 exe.sets.back()))});
+                             strand::strand_set(to_strands(exe.sets[i]))});
     }
     exe.index = sim::build_index("random", isa::Arch::Mips32, exe.procs);
     return exe;
+}
+
+RandomExe
+random_exe(Rng &rng, std::size_t max_procs, std::size_t max_strands,
+           std::uint64_t universe = kUniverse)
+{
+    std::vector<std::set<std::uint64_t>> sets(1 + rng.index(max_procs));
+    for (auto &set : sets) {
+        set = random_set(rng, max_strands, universe);
+    }
+    return exe_of(std::move(sets));
+}
+
+/** The strand sets of every procedure of @p index, as std::sets. */
+std::vector<std::set<std::uint64_t>>
+index_sets(const sim::ExecutableIndex &index)
+{
+    std::vector<std::set<std::uint64_t>> out;
+    for (const sim::ProcEntry &proc : index.procs) {
+        out.emplace_back(proc.strands.begin(), proc.strands.end());
+    }
+    return out;
 }
 
 /** Outcome of one literal Alg. 2 game (the fields match_query sets). */
@@ -383,31 +411,187 @@ TEST(SimKernelProperty, BestMatchWinnerAndTieBreakMatchReference)
     }
 }
 
+/**
+ * Confirm's runner-up, literally: the best std::set Sim of @p q against
+ * any procedure of @p T whose entry is not @p entry.
+ */
+int
+ref_runner_up(const std::set<std::uint64_t> &q,
+              const std::vector<std::set<std::uint64_t>> &T_sets,
+              const sim::ExecutableIndex &T, std::uint64_t entry)
+{
+    int second = 0;
+    for (std::size_t i = 0; i < T_sets.size(); ++i) {
+        if (T.procs[i].entry != entry) {
+            second = std::max(second, ref_sim(q, T_sets[i]));
+        }
+    }
+    return second;
+}
+
+/** One game of match_query against Alg. 2 as written; its result. */
+game::GameResult
+expect_game_matches_oracle(const sim::ExecutableIndex &Q,
+                           const std::vector<std::set<std::uint64_t>> &Q_sets,
+                           int qv, const sim::ExecutableIndex &T,
+                           const std::vector<std::set<std::uint64_t>> &T_sets,
+                           const game::GameOptions &options,
+                           const std::string &label)
+{
+    const game::GameResult fast = game::match_query(Q, qv, T, options);
+    const RefGame want = ref_game(Q_sets, qv, T_sets, options);
+    EXPECT_EQ(fast.matched, want.matched) << label;
+    EXPECT_EQ(fast.ending, want.ending) << label;
+    EXPECT_EQ(fast.target_index, want.target_index) << label;
+    EXPECT_EQ(fast.sim, want.sim) << label;
+    EXPECT_EQ(fast.steps, want.steps) << label;
+    EXPECT_EQ(fast.q_to_t, want.q_to_t) << label;
+    if (want.matched) {
+        const std::uint64_t entry =
+            T.procs[static_cast<std::size_t>(want.target_index)].entry;
+        EXPECT_EQ(fast.target_entry, entry) << label;
+        EXPECT_EQ(fast.runner_up_sim,
+                  ref_runner_up(Q_sets[static_cast<std::size_t>(qv)],
+                                T_sets, T, entry))
+            << label;
+    }
+    return fast;
+}
+
+/** Every qv of @p Q against @p T, through the oracle. */
+void
+expect_games_match_oracle(const RandomExe &Q, const RandomExe &T,
+                          const std::string &label)
+{
+    for (std::size_t qv = 0; qv < Q.sets.size(); ++qv) {
+        expect_game_matches_oracle(Q.index, Q.sets, static_cast<int>(qv),
+                                   T.index, T.sets, {},
+                                   label + " qv " + std::to_string(qv));
+    }
+}
+
+/** Longest posting list of @p index. */
+std::uint32_t
+longest_posting(const sim::ExecutableIndex &index)
+{
+    std::uint32_t longest = 0;
+    for (std::size_t h = 0; h < index.posting_hashes.size(); ++h) {
+        longest = std::max(longest, index.posting_offsets[h + 1] -
+                                        index.posting_offsets[h]);
+    }
+    return longest;
+}
+
+/**
+ * A small executable whose strands mostly come from @p big's, so the
+ * games it plays against @p big share strands.
+ */
+RandomExe
+small_exe_within(Rng &rng, const RandomExe &big)
+{
+    std::vector<std::set<std::uint64_t>> sets(1 + rng.index(2));
+    for (auto &set : sets) {
+        for (std::size_t n = 1 + rng.index(3); n > 0; --n) {
+            const auto &from = big.sets[rng.index(big.sets.size())];
+            if (!from.empty() && rng.chance(3, 4)) {
+                set.insert(*std::next(from.begin(),
+                                      static_cast<std::ptrdiff_t>(
+                                          rng.index(from.size()))));
+            } else {
+                set.insert(rng.next() % 4096);
+            }
+        }
+    }
+    return exe_of(std::move(sets));
+}
+
 TEST(SimKernelProperty, GameMatchesDenseAlgorithm2Oracle)
 {
     Rng rng(0x6a3e);
     for (int trial = 0; trial < 120; ++trial) {
         const RandomExe Q = random_exe(rng, 8, 12);
         const RandomExe T = random_exe(rng, 8, 12);
-        for (std::size_t qv = 0; qv < Q.sets.size(); ++qv) {
-            const game::GameResult fast = game::match_query(
-                Q.index, static_cast<int>(qv), T.index);
-            const RefGame want =
-                ref_game(Q.sets, static_cast<int>(qv), T.sets);
-            EXPECT_EQ(fast.matched, want.matched);
-            EXPECT_EQ(fast.ending, want.ending);
-            EXPECT_EQ(fast.target_index, want.target_index);
-            if (want.matched) {
-                EXPECT_EQ(fast.target_entry,
-                          T.procs[static_cast<std::size_t>(
-                                      want.target_index)]
-                              .entry);
+        expect_games_match_oracle(Q, T, "trial " + std::to_string(trial));
+    }
+    // Lopsided dictionaries: one side holds >= 16x the other's posting
+    // hashes, so the posting join gallops, in both argument orders.
+    for (int trial = 0; trial < 60; ++trial) {
+        std::vector<std::set<std::uint64_t>> big_sets(6 + rng.index(5));
+        for (auto &set : big_sets) {
+            for (std::size_t n = 40 + rng.index(60); n > 0; --n) {
+                set.insert(rng.next() % 4096);
             }
-            EXPECT_EQ(fast.sim, want.sim);
-            EXPECT_EQ(fast.steps, want.steps);
-            EXPECT_EQ(fast.q_to_t, want.q_to_t);
+        }
+        const RandomExe big = exe_of(std::move(big_sets));
+        const RandomExe small = small_exe_within(rng, big);
+        ASSERT_GE(big.index.posting_hashes.size(),
+                  16 * small.index.posting_hashes.size())
+            << "lopsided trial " << trial;
+        const std::string label = "lopsided trial " + std::to_string(trial);
+        expect_games_match_oracle(small, big, label + " small vs big");
+        expect_games_match_oracle(big, small, label + " big vs small");
+    }
+    // Strands shared by many procedures: a tiny hash universe makes
+    // most posting lists several procedures long on both sides.
+    std::uint32_t longest = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+        const RandomExe Q = random_exe(rng, 12, 8, 10);
+        const RandomExe T = random_exe(rng, 12, 8, 10);
+        longest = std::max({longest, longest_posting(Q.index),
+                            longest_posting(T.index)});
+        expect_games_match_oracle(Q, T,
+                                  "shared trial " + std::to_string(trial));
+    }
+    EXPECT_GE(longest, 4u);
+}
+
+TEST(SimKernelProperty, HuntGamesMatchAlgorithm2OnRealIndexes)
+{
+    // Every (query, target) game of a 9-CVE hunt over a small seed
+    // corpus, played by match_query and by Alg. 2 as written over the
+    // std::set strand sets of the same indexes.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 3;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    const std::vector<eval::CorpusTarget> targets =
+        eval::corpus_targets(corpus);
+    ASSERT_FALSE(targets.empty());
+    eval::Driver driver;
+    const game::GameOptions &options = driver.options().game;
+    std::map<const sim::ExecutableIndex *,
+             std::vector<std::set<std::uint64_t>>>
+        target_sets;
+    int games = 0, matched = 0, contested = 0;
+    for (const firmware::CveRecord &cve : firmware::cve_database()) {
+        const std::map<isa::Arch, eval::Query> queries =
+            driver.build_queries(cve, targets, 2);
+        for (const auto &[arch, query] : queries) {
+            const auto query_sets = index_sets(query.index);
+            for (const eval::CorpusTarget &corpus_target : targets) {
+                const sim::ExecutableIndex *target =
+                    driver.index_target(*corpus_target.exe);
+                if (target == nullptr || target->arch != arch ||
+                    target->procs.empty()) {
+                    continue;
+                }
+                auto [it, fresh] = target_sets.try_emplace(target);
+                if (fresh) {
+                    it->second = index_sets(*target);
+                }
+                const game::GameResult result = expect_game_matches_oracle(
+                    query.index, query_sets, query.qv, *target, it->second,
+                    options, cve.cve_id + " vs " + target->name);
+                ++games;
+                matched += result.matched ? 1 : 0;
+                contested += result.steps > 1 ? 1 : 0;
+            }
         }
     }
+    // The hunt played real, contested games.
+    EXPECT_GT(games, 100);
+    EXPECT_GT(matched, 0);
+    EXPECT_GT(contested, 0);
 }
 
 /** sim_score, both argument orders, against the std::set oracle. */

@@ -122,6 +122,8 @@ TEST(TraceDeterminism, SearchCorpusStatsIdenticalAcrossThreadCounts)
     // is vacuous).
     EXPECT_GT(reference.counters.at("game.games"), 0u);
     EXPECT_GT(reference.counters.at("game.pairs_scored"), 0u);
+    EXPECT_GT(reference.counters.at("game.scoring_elem_ops"), 0u);
+    EXPECT_GT(reference.counters.at("game.rival_turns"), 0u);
     EXPECT_GT(reference.counters.at("canon.memo_misses"), 0u);
 
     for (const unsigned threads : {2u, 8u}) {
