@@ -127,13 +127,6 @@ const trace::Counter c_cache_write_bytes("cache.write_bytes");
 const trace::Counter c_cache_load_micros("cache.load_micros");
 const trace::Counter c_cache_mmap_loads("cache.mmap_loads");
 
-// Resident in-process cache lane: hits never touch the store, so they
-// are deliberately not cache.hits — the CI resident smoke asserts
-// cache.hits + cache.misses == resident.misses across passes.
-const trace::Counter c_resident_hits("resident.hits");
-const trace::Counter c_resident_misses("resident.misses");
-const trace::Counter c_resident_evictions("resident.evictions");
-
 // Query-recipe lane (build_query with a store): kept apart from the
 // target-index counters so cache.hits still equals executables served
 // from disk.
@@ -210,37 +203,15 @@ fold_load(ScanHealth &health, double seconds,
     }
 }
 
-/**
- * Publish an index to the process resident cache (no-op
- * without one). Returns the evictions this put caused, so the calling
- * scan — not some later reader — is charged for them.
- */
-std::size_t
-resident_publish(sim::ResidentIndexCache *resident, std::uint64_t key,
-                 std::shared_ptr<const sim::ExecutableIndex> index)
-{
-    if (resident == nullptr) {
-        return 0;
-    }
-    const std::size_t before = resident->stats().evictions;
-    resident->put(key, std::move(index));
-    const std::size_t evicted = resident->stats().evictions - before;
-    if (evicted > 0) {
-        c_resident_evictions.add(evicted);
-    }
-    return evicted;
-}
-
 }  // namespace
 
 std::uint64_t
 content_key(const loader::Executable &exe)
 {
     c_content_keys.add();
-    // content_hash64 over the text bytes, not fnv1a64: the key is
-    // recomputed for every target on every scan, so on a fully-resident
-    // pass this hash IS the index stage — see
-    // SpeedFloors.ResidentCacheBeatsStoreLoads.
+    // content_hash64 over the text bytes: every scan keys every target,
+    // and a different hash would orphan every store entry, journal and
+    // --state dir, so the key stays bit-identical (DESIGN §11).
     return hash_combine(
         fnv1a64(exe.name),
         content_hash64(std::string_view(
@@ -580,15 +551,13 @@ Driver::quarantine(const loader::Executable &exe, std::uint64_t key,
 
 struct Driver::IndexSlot
 {
-    bool attempted = false;      ///< false = skipped by cancellation
-    bool from_resident = false;  ///< index still hot in-process
-    bool resident_miss = false;  ///< resident cache consulted, missed
-    bool from_cache = false;     ///< index loaded, lift skipped
-    bool cache_miss = false;     ///< store consulted and missed
+    bool attempted = false;   ///< false = skipped by cancellation
+    bool from_cache = false;  ///< index loaded, lift skipped
+    bool cache_miss = false;  ///< store consulted and missed
     ErrorCode code = ErrorCode::Unknown;
     std::string message;
-    /** The index; nullptr when the lift failed (code, message). */
-    std::shared_ptr<const sim::ExecutableIndex> index;
+    /** The index; empty when the lift failed (code, message). */
+    std::optional<sim::ExecutableIndex> index;
     sim::IndexCacheStore::LoadStats load_stats;
     std::uint64_t write_bytes = 0;
     double load_seconds = 0.0;
@@ -601,17 +570,6 @@ Driver::load_or_lift(const loader::Executable &exe, std::uint64_t key,
 {
     IndexSlot slot;
     slot.attempted = true;
-    // Resident tier first: a hot index costs one hash lookup — no store
-    // I/O, no checksum, no parse. The cache is mutex-guarded, so
-    // workers probe it concurrently.
-    if (sim::ResidentIndexCache *resident = options_.resident_cache) {
-        if (auto hot = resident->get(key)) {
-            slot.from_resident = true;
-            slot.index = std::move(hot);
-            return slot;
-        }
-        slot.resident_miss = true;
-    }
     // Warm path: a persisted index skips the whole lift + canonicalize
     // + pack phase. Any load failure (absent, corrupt, stale) is a
     // miss; the cold path below re-lifts.
@@ -622,8 +580,7 @@ Driver::load_or_lift(const loader::Executable &exe, std::uint64_t key,
         slot.load_seconds = seconds_since(load_start);
         if (loaded.ok()) {
             slot.from_cache = true;
-            slot.index = std::make_shared<sim::ExecutableIndex>(
-                std::move(loaded).take());
+            slot.index = std::move(loaded).take();
             return slot;
         }
         slot.cache_miss = true;
@@ -638,14 +595,13 @@ Driver::load_or_lift(const loader::Executable &exe, std::uint64_t key,
         slot.message = lifted.error_message();
         return slot;
     }
-    auto index = std::make_shared<sim::ExecutableIndex>(
-        sim::index_executable(lifted.value(), canon_options(), threads));
+    slot.index =
+        sim::index_executable(lifted.value(), canon_options(), threads);
     if (store != nullptr) {
-        if (auto written = store->store(key, *index); written.ok()) {
+        if (auto written = store->store(key, *slot.index); written.ok()) {
             slot.write_bytes = written.value();
         }
     }
-    slot.index = std::move(index);
     return slot;
 }
 
@@ -660,14 +616,7 @@ Driver::merge_slot(const loader::Executable &exe, std::uint64_t key,
     if (slot.from_cache || slot.cache_miss) {
         fold_load(health_, slot.load_seconds, slot.load_stats);
     }
-    if (slot.resident_miss) {
-        ++health_.resident_misses;
-        c_resident_misses.add();
-    }
-    if (slot.from_resident) {
-        ++health_.resident_hits;
-        c_resident_hits.add();
-    } else if (slot.from_cache) {
+    if (slot.from_cache) {
         ++health_.cache_hits;
         c_cache_hits.add();
     } else if (slot.cache_miss) {
@@ -678,17 +627,13 @@ Driver::merge_slot(const loader::Executable &exe, std::uint64_t key,
         health_.cache_write_bytes += slot.write_bytes;
         c_cache_write_bytes.add(slot.write_bytes);
     }
-    if (slot.index == nullptr) {
+    if (!slot.index) {
         quarantine(exe, key, slot.code, slot.message);
         return nullptr;
     }
     note_healthy(key);
-    if (!slot.from_resident) {
-        health_.resident_evictions +=
-            resident_publish(options_.resident_cache, key, slot.index);
-    }
-    return index_cache_.emplace(key, std::move(slot.index))
-        .first->second.get();
+    return &index_cache_.emplace(key, std::move(*slot.index))
+                .first->second;
 }
 
 const sim::ExecutableIndex *
@@ -702,7 +647,7 @@ Driver::index_keyed(const loader::Executable &exe, std::uint64_t key)
 {
     auto it = index_cache_.find(key);
     if (it != index_cache_.end()) {
-        return it->second.get();
+        return &it->second;
     }
     if (quarantined_.contains(key)) {
         return nullptr;

@@ -76,14 +76,6 @@ struct SearchOptions
      */
     bool mmap_index = true;
     /**
-     * Optional process-wide resident index cache (not owned). When set,
-     * deserialized/mapped target indexes are published here under their
-     * content key and later scans — including scans by *other* Driver
-     * instances in the same process — serve them without touching the
-     * store. Findings are bit-identical at any budget, including 0.
-     */
-    sim::ResidentIndexCache *resident_cache = nullptr;
-    /**
      * When non-empty, search_corpus keeps an append-only scan journal
      * (eval/journal.h) at this path: each target's outcome is durably
      * recorded with the scheduler chunk it ran in (one group commit per
@@ -373,13 +365,11 @@ class Driver
     SearchOptions options_;
     ScanHealth health_;
     /**
-     * Per-driver target-index cache. Values are shared_ptr so one
-     * deserialized index can simultaneously live here, in the process
-     * ResidentIndexCache, and in an in-flight scan — eviction anywhere
-     * drops a reference, never the index (or the mmap view behind it).
+     * Per-driver target-index cache, by content key. std::map keeps
+     * every index at a stable address for the driver's lifetime, and
+     * each index's `backing` pins the blob or mapping its spans view.
      */
-    std::map<std::uint64_t, std::shared_ptr<const sim::ExecutableIndex>>
-        index_cache_;
+    std::map<std::uint64_t, sim::ExecutableIndex> index_cache_;
     std::map<std::uint64_t, baseline::GraphIndex> graph_cache_;
     /** Content keys of executables that failed to lift. */
     std::set<std::uint64_t> quarantined_;
@@ -529,21 +519,21 @@ class Driver
     struct IndexSlot;
 
     /**
-     * One executable's load-or-lift ladder: the resident cache, then
-     * the persistent @p store, then lift (transient failures retried)
-     * + index + store write-back. The lifted IR is dropped as soon as
-     * the index exists. Reads only thread-safe driver state, so
-     * index_many runs it on worker threads; @p threads fans
-     * index_executable's procedures out.
+     * One executable's load-or-lift ladder: the persistent @p store,
+     * then lift (transient failures retried) + index + store
+     * write-back. The lifted IR is dropped as soon as the index exists.
+     * Reads only thread-safe driver state, so index_many runs it on
+     * worker threads; @p threads fans index_executable's procedures
+     * out.
      */
     IndexSlot load_or_lift(const loader::Executable &exe,
                            std::uint64_t key, sim::IndexCacheStore *store,
                            unsigned threads);
 
     /**
-     * Fold one load_or_lift result into the caches and health: cache
-     * and resident counters, quarantine on failure, resident publish
-     * and index_cache_ entry on success. Single-threaded.
+     * Fold one load_or_lift result into the cache and health: store
+     * counters, quarantine on failure, index_cache_ entry on success.
+     * Single-threaded.
      * @return the cached index, or nullptr when quarantined.
      */
     const sim::ExecutableIndex *merge_slot(const loader::Executable &exe,

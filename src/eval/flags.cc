@@ -9,7 +9,6 @@ namespace {
 constexpr const char *kCveList = "--cve-list";
 constexpr const char *kIndexCache = "--index-cache";
 constexpr const char *kNoMmap = "--no-mmap";
-constexpr const char *kResidentCacheMb = "--resident-cache-mb";
 
 }  // namespace
 
@@ -95,17 +94,6 @@ parse_scan_args(const std::vector<std::string> &args,
                           }});
     verb_flags.push_back(index_cache_flag(scan.index_cache_dir));
     verb_flags.push_back(switch_flag(kNoMmap, scan.mmap_index, false));
-    verb_flags.push_back(
-        {kResidentCacheMb, Flag::Arity::Value,
-         [&scan](const std::string &value) {
-             std::size_t mb = 0;  // capped so the bytes cannot overflow
-             const bool ok =
-                 parse_number(value, mb, 0, std::size_t{1} << 40);
-             if (ok) {
-                 scan.resident_cache_mb = mb;
-             }
-             return ok;
-         }});
     blobs.clear();
     if (!parse_flags(args, verb_flags, blobs)) {
         return false;
@@ -126,10 +114,6 @@ scan_flag_args(const ScanFlags &scan)
     }
     if (!scan.mmap_index) {
         args.push_back(kNoMmap);
-    }
-    if (scan.resident_cache_mb) {
-        args.insert(args.end(), {kResidentCacheMb,
-                                 std::to_string(*scan.resident_cache_mb)});
     }
     return args;
 }
@@ -152,15 +136,10 @@ resolve_cves(const std::vector<std::string> &ids)
 }
 
 Result<std::vector<firmware::CveRecord>>
-prepare_hunt(const ScanFlags &scan, SearchOptions &options,
-             sim::ResidentIndexCache &resident)
+prepare_hunt(const ScanFlags &scan, SearchOptions &options)
 {
     options.index_cache_dir = scan.index_cache_dir;
     options.mmap_index = scan.mmap_index;
-    if (scan.resident_cache_mb) {
-        resident.set_budget_bytes(*scan.resident_cache_mb << 20);
-        options.resident_cache = &resident;
-    }
     return resolve_cves(scan.cve_ids);
 }
 

@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,12 +74,6 @@ struct ScanFlags
     std::string index_cache_dir;
     /** Cleared by `--no-mmap`: read store entries instead of mapping. */
     bool mmap_index = true;
-    /**
-     * `--resident-cache-mb N`: keep opened indexes resident, per
-     * process, under an N MiB LRU budget (0 wires a cache that holds
-     * nothing); unset = no resident tier.
-     */
-    std::optional<std::size_t> resident_cache_mb;
 };
 
 /** `--index-cache DIR` alone, the one group member `index` takes. */
@@ -104,11 +97,9 @@ resolve_cves(const std::vector<std::string> &ids);
 
 /**
  * The hunt preamble of `search` and a shard worker: resolve the CVEs
- * and point @p options at the store the flags name, wiring @p resident
- * in under its budget when a resident tier is asked for.
+ * and point @p options at the store the flags name.
  */
 Result<std::vector<firmware::CveRecord>>
-prepare_hunt(const ScanFlags &scan, SearchOptions &options,
-             sim::ResidentIndexCache &resident);
+prepare_hunt(const ScanFlags &scan, SearchOptions &options);
 
 }  // namespace firmup::eval

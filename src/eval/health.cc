@@ -68,9 +68,6 @@ ScanHealth::merge(const ScanHealth &other)
     cache_checksum_seconds += other.cache_checksum_seconds;
     cache_parse_seconds += other.cache_parse_seconds;
     cache_mmap_loads += other.cache_mmap_loads;
-    resident_hits += other.resident_hits;
-    resident_misses += other.resident_misses;
-    resident_evictions += other.resident_evictions;
     query_cache_hits += other.query_cache_hits;
     query_cache_misses += other.query_cache_misses;
     canon_memo_hits += other.canon_memo_hits;
@@ -123,9 +120,7 @@ ScanHealth::sane() const
     }
     // A cache hit is a healthy executable served from disk, so it is
     // counted in lifted_ok (the scan's coverage is the same either way).
-    // Resident hits are likewise healthy executables (served from the
-    // in-process cache); the two tiers are disjoint per executable.
-    if (cache_hits > lifted_ok || resident_hits > lifted_ok) {
+    if (cache_hits > lifted_ok) {
         return false;
     }
     if (quarantine_log.size() >
@@ -175,13 +170,6 @@ ScanHealth::summary() const
             cache_hits + cache_misses,
             static_cast<double>(cache_hits) /
                 static_cast<double>(cache_hits + cache_misses) * 100.0);
-    }
-    if (resident_hits + resident_misses > 0) {
-        out += strprintf("; resident cache %zu/%zu hot", resident_hits,
-                         resident_hits + resident_misses);
-        if (resident_evictions > 0) {
-            out += strprintf(" (%zu evicted)", resident_evictions);
-        }
     }
     if (query_cache_hits + query_cache_misses > 0) {
         out += strprintf("; query recipes %zu/%zu warm",

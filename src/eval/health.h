@@ -91,19 +91,6 @@ struct ScanHealth
     std::size_t cache_mmap_loads = 0;
 
     /**
-     * Resident in-process index cache accounting (zero unless the scan
-     * ran with a ResidentIndexCache wired into SearchOptions): hits are
-     * executables whose deserialized index was still resident from an
-     * earlier scan in this process — no store I/O, no checksum, no
-     * parse. Hits are healthy lifted executables (counted in lifted_ok)
-     * but deliberately NOT cache_hits: the disk store was never
-     * touched. Evictions are attributed to the scan that caused them.
-     */
-    std::size_t resident_hits = 0;
-    std::size_t resident_misses = 0;
-    std::size_t resident_evictions = 0;
-
-    /**
      * Query-recipe store accounting, kept apart from the target-index
      * counters above: a recipe hit serves a compiled query's index
      * without running codegen, so it has no lifted executable

@@ -120,17 +120,6 @@ render_health(const ScanHealth &health)
                 health.cache_parse_seconds, health.cache_mmap_loads);
         }
     }
-    if (health.resident_hits + health.resident_misses > 0) {
-        out += strprintf(
-            "resident cache: %zu hit(s), %zu miss(es), %s hit rate, "
-            "%zu eviction(s)\n",
-            health.resident_hits, health.resident_misses,
-            percent(static_cast<double>(health.resident_hits) /
-                    static_cast<double>(health.resident_hits +
-                                        health.resident_misses))
-                .c_str(),
-            health.resident_evictions);
-    }
     if (health.canon_memo_hits + health.canon_memo_misses > 0) {
         out += strprintf(
             "canon memo: %llu hit(s), %llu miss(es), %s of blocks "

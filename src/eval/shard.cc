@@ -326,9 +326,6 @@ decode_frame(std::string_view payload, FrameFields *fields)
     X(cache_misses)                                                      \
     X(cache_write_bytes)                                                 \
     X(cache_mmap_loads)                                                  \
-    X(resident_hits)                                                     \
-    X(resident_misses)                                                   \
-    X(resident_evictions)                                                \
     X(query_cache_hits)                                                  \
     X(query_cache_misses)                                                \
     X(canon_memo_hits)                                                   \
@@ -411,8 +408,7 @@ run_shard_worker(const ShardWorkerOptions &options)
     FrameWriter writer(STDOUT_FILENO);
 
     SearchOptions sopt;
-    sim::ResidentIndexCache resident;
-    auto cves = prepare_hunt(options, sopt, resident);
+    auto cves = prepare_hunt(options, sopt);
     if (!cves.ok()) {
         std::fprintf(stderr, "firmup worker: %s\n",
                      cves.error_message().c_str());

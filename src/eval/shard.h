@@ -7,8 +7,8 @@
  * vendor images. `firmup shard-scan` shards a corpus manifest across N
  * worker *processes* (fork/exec of the same binary in a hidden
  * `--worker` mode), each running the existing search_corpus_batch
- * driver against the shared FWIX store with its own resident cache and
- * per-shard FWSJ journal.
+ * driver once against the shared FWIX store, with its own per-shard
+ * FWSJ journal.
  *
  * Discipline, in order of importance:
  *

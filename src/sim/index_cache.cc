@@ -176,95 +176,4 @@ IndexCacheStore::store(std::uint64_t content_key,
     return bytes.size();
 }
 
-// ---- ResidentIndexCache ------------------------------------------------
-
-std::shared_ptr<const ExecutableIndex>
-ResidentIndexCache::get(std::uint64_t key)
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) {
-        ++stats_.misses;
-        return nullptr;
-    }
-    it->second.tick = ++tick_;
-    ++stats_.hits;
-    return it->second.index;
-}
-
-void
-ResidentIndexCache::put(std::uint64_t key,
-                        std::shared_ptr<const ExecutableIndex> index)
-{
-    if (index == nullptr) {
-        return;
-    }
-    const std::size_t bytes = index->memory_bytes();
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (bytes > budget_bytes_) {
-        // Never fits (budget 0 lands here too): don't thrash the rest
-        // of the cache to make room for something unkeepable.
-        return;
-    }
-    auto &entry = entries_[key];
-    resident_bytes_ -= entry.bytes;  // 0 for a fresh entry
-    entry.index = std::move(index);
-    entry.bytes = bytes;
-    entry.tick = ++tick_;
-    resident_bytes_ += bytes;
-    evict_to_budget_locked();
-}
-
-void
-ResidentIndexCache::set_budget_bytes(std::size_t budget_bytes)
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    budget_bytes_ = budget_bytes;
-    evict_to_budget_locked();
-}
-
-std::size_t
-ResidentIndexCache::budget_bytes() const
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    return budget_bytes_;
-}
-
-void
-ResidentIndexCache::clear()
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    entries_.clear();
-    resident_bytes_ = 0;
-}
-
-ResidentIndexCache::Stats
-ResidentIndexCache::stats() const
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    Stats out = stats_;
-    out.resident_bytes = resident_bytes_;
-    out.entries = entries_.size();
-    return out;
-}
-
-void
-ResidentIndexCache::evict_to_budget_locked()
-{
-    // Linear LRU scan per eviction: the cache holds at most a few
-    // hundred corpus-sized indexes, so an O(n) victim search is noise
-    // next to the load it prevented.
-    while (resident_bytes_ > budget_bytes_ && !entries_.empty()) {
-        auto victim = entries_.begin();
-        for (auto it = std::next(victim); it != entries_.end(); ++it) {
-            if (it->second.tick < victim->second.tick) {
-                victim = it;
-            }
-        }
-        resident_bytes_ -= victim->second.bytes;
-        entries_.erase(victim);
-        ++stats_.evictions;
-    }
-}
-
 }  // namespace firmup::sim

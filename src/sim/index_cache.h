@@ -1,7 +1,7 @@
 /**
  * @file
- * Persistent, content-addressed cache of serialized executable indexes,
- * plus the in-process resident cache layered above it.
+ * Persistent, content-addressed cache of serialized executable indexes:
+ * the one warm tier of a scan.
  *
  * The paper's evaluation machine indexes its ~200k-executable corpus
  * once and then serves every CVE hunt as pure lookups (section 5.1);
@@ -16,16 +16,12 @@
  * (e.g. FWIX v5) fail the open guards as StaleFormat and are
  * transparently re-indexed.
  *
- * Two tiers sit above the disk bytes:
- *
- *  - the **mmap path**: load() maps an entry and opens the mapped bytes
- *    with open_index_view after a checksum pass — no copies. The
- *    mapping is pinned by the index's `backing` and unmapped when the
- *    last copy drops it. `use_mmap = false` (--no-mmap), or a map that
- *    fails, reads the file into a heap buffer and opens that instead.
- *  - the **ResidentIndexCache**: a byte-budgeted LRU of opened indexes
- *    keyed by content key, shared across scans within one process, so
- *    back-to-back hunts skip even the open+checksum.
+ * load() maps an entry and opens the mapped bytes with open_index_view
+ * after a checksum pass — no copies. The mapping is pinned by the
+ * index's `backing` and unmapped when the last copy drops it, so a
+ * loaded index stays valid after its store is destroyed and its file
+ * removed. `use_mmap = false` (--no-mmap), or a map that fails, reads
+ * the file into a heap buffer and opens that instead.
  *
  * Robustness contract:
  *  - writes are atomic AND durable: write to `<entry>.tmp-<tid>`,
@@ -41,10 +37,7 @@
  */
 #pragma once
 
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "sim/persist.h"
 #include "support/error.h"
@@ -103,78 +96,6 @@ class IndexCacheStore
 
   private:
     std::string dir_;
-};
-
-/**
- * Process-wide LRU of opened indexes, keyed by content key, bounded by
- * a byte budget measured with ExecutableIndex::memory_bytes().
- *
- * Shared-ownership pin contract: get() hands out shared_ptrs, and
- * eviction only drops the cache's own reference — an index (and the
- * blob or file mapping behind it) stays fully valid for as long as any
- * caller still holds it, even if it is evicted mid-scan. There
- * is therefore no "in use" bookkeeping and no way for the budget knob
- * to change scan findings: a smaller budget only converts resident hits
- * back into store loads.
- *
- * All methods are thread-safe; the mutex guards only map bookkeeping
- * (never a parse or a map), so contention stays negligible next to the
- * work a miss triggers.
- */
-class ResidentIndexCache
-{
-  public:
-    struct Stats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
-        std::size_t resident_bytes = 0;
-        std::size_t entries = 0;
-    };
-
-    /** @p budget_bytes 0 disables residency: every get() misses. */
-    explicit ResidentIndexCache(std::size_t budget_bytes = 0)
-        : budget_bytes_(budget_bytes)
-    {
-    }
-
-    /** The resident index for @p key, or nullptr (and a miss count). */
-    std::shared_ptr<const ExecutableIndex> get(std::uint64_t key);
-
-    /**
-     * Insert (or refresh) @p key. Charges index->memory_bytes() against
-     * the budget and evicts least-recently-used entries until it fits;
-     * an index alone larger than the whole budget is not retained.
-     */
-    void put(std::uint64_t key,
-             std::shared_ptr<const ExecutableIndex> index);
-
-    void set_budget_bytes(std::size_t budget_bytes);
-    std::size_t budget_bytes() const;
-
-    /** Drop every entry (outstanding shared_ptrs stay valid). */
-    void clear();
-
-    Stats stats() const;
-
-  private:
-    struct Entry
-    {
-        std::shared_ptr<const ExecutableIndex> index;
-        std::size_t bytes = 0;
-        std::uint64_t tick = 0;  ///< last-touched stamp (LRU order)
-    };
-
-    /** Evict LRU entries until resident_bytes_ <= budget_bytes_. */
-    void evict_to_budget_locked();
-
-    mutable std::mutex mu_;
-    std::unordered_map<std::uint64_t, Entry> entries_;
-    std::size_t budget_bytes_ = 0;
-    std::size_t resident_bytes_ = 0;
-    std::uint64_t tick_ = 0;
-    Stats stats_;
 };
 
 }  // namespace firmup::sim

@@ -23,21 +23,6 @@ ExecutableIndex::find_by_name(const std::string &proc_name) const
     return it != name_map.end() ? it->second : -1;
 }
 
-std::size_t
-ExecutableIndex::memory_bytes() const
-{
-    // Approximate accounting for the resident-cache byte budget. Map
-    // node overhead is deliberately coarse — the budget is a ballast
-    // figure, not an allocator audit.
-    std::size_t bytes = sizeof(*this) + name.size() + blob.size();
-    for (const ProcEntry &proc : procs) {
-        bytes += sizeof(ProcEntry) + proc.name.size();
-    }
-    // entry_map / name_map: one entry per procedure each, roughly.
-    bytes += procs.size() * 2 * sizeof(std::uint64_t) * 2;
-    return bytes;
-}
-
 ExecutableIndex
 index_executable(const lifter::LiftedExecutable &lifted,
                  strand::CanonOptions options, unsigned threads)

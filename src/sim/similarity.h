@@ -80,8 +80,8 @@ struct ExecutableIndex
     /**
      * Keeps `blob` alive: the heap buffer of a fresh build, or the
      * MappedFile or read buffer of a store load. Copying the index
-     * shares it, so resident-cache eviction can never invalidate an
-     * in-use index.
+     * shares it, so a copy stays valid after the store that loaded it
+     * is gone.
      */
     std::shared_ptr<const void> backing;
 
@@ -93,13 +93,6 @@ struct ExecutableIndex
     int find_by_entry(std::uint64_t addr) const;
     /** Index of the first procedure named @p name, or -1. */
     int find_by_name(const std::string &name) const;
-
-    /**
-     * Approximate bytes this index keeps resident — the accounting
-     * unit of the ResidentIndexCache byte budget: the blob, the
-     * per-procedure entries and the lookup maps.
-     */
-    std::size_t memory_bytes() const;
 };
 
 /**

@@ -48,9 +48,9 @@ std::uint64_t fnv1a64(std::string_view bytes);
  * Fast 64-bit digest for large buffers (content keys): four
  * independent FNV-style lanes consuming 8 bytes per step, folded
  * through the splitmix64 mixer. Byte-serial fnv1a64 caps near one
- * byte per cycle, which made content keying the bottleneck of
- * fully-resident warm scans; the lanes trade fnv1a64's chunkable
- * streaming form for instruction-level parallelism. Deterministic
+ * byte per cycle, and every scan keys every target's whole text; the
+ * lanes trade fnv1a64's chunkable streaming form for
+ * instruction-level parallelism. Deterministic
  * across runs on a given host; lane words are read in native byte
  * order, so digests are only stable across hosts of one endianness —
  * fine for content keys, which name entries in host-local caches.

@@ -9,8 +9,8 @@
  * vectors. MappedFile is the RAII half of that path: it owns one
  * PROT_READ / MAP_PRIVATE mapping and unmaps on destruction, so an
  * ExecutableIndex view can pin the bytes alive with a
- * shared_ptr<MappedFile> and eviction can never pull pages out from
- * under an in-flight scan.
+ * shared_ptr<MappedFile>: the pages stay mapped for as long as any
+ * copy of the index lives, even after the store that loaded it is gone.
  */
 #pragma once
 

@@ -84,10 +84,9 @@ discrete_health(const ScanHealth &h)
         h.watchdog_expired,   h.journal_truncated_bytes,
         h.cache_hits,         h.cache_misses,
         h.cache_write_bytes,  h.cache_mmap_loads,
-        h.resident_hits,      h.resident_misses,
-        h.resident_evictions, h.query_cache_hits,
-        h.query_cache_misses, h.canon_memo_hits,
-        h.canon_memo_misses,  h.resume_rejected};
+        h.query_cache_hits,   h.query_cache_misses,
+        h.canon_memo_hits,    h.canon_memo_misses,
+        h.resume_rejected};
     counts.insert(counts.end(), h.errors.begin(), h.errors.end());
     return counts;
 }

@@ -66,12 +66,12 @@ TEST(ParseFlags, UsageErrorsNeverBecomePositionals)
 {
     std::string journal;
     bool resume = false;
-    int passes = 1;
+    int iters = 1;
     std::string limit = "unset";
     const std::vector<Flag> flags = {
         string_flag("--journal", journal),
         switch_flag("--resume", resume),
-        number_flag("--passes", passes, 1),
+        number_flag("--iters", iters, 1),
         {"--fail", Flag::Arity::Optional,
          [&limit](const std::string &value) {
              limit = value;
@@ -79,12 +79,12 @@ TEST(ParseFlags, UsageErrorsNeverBecomePositionals)
          }}};
     std::vector<std::string> positionals;
     ASSERT_TRUE(parse_flags({"a.fw", "--journal", "j", "--resume", "b.fw",
-                             "--passes", "3", "--fail=2"},
+                             "--iters", "3", "--fail=2"},
                             flags, positionals));
     EXPECT_EQ(positionals, (std::vector<std::string>{"a.fw", "b.fw"}));
     EXPECT_EQ(journal, "j");
     EXPECT_TRUE(resume);
-    EXPECT_EQ(passes, 3);
+    EXPECT_EQ(iters, 3);
     EXPECT_EQ(limit, "2");
     ASSERT_TRUE(parse_flags({"--fail"}, flags, positionals));
     EXPECT_EQ(limit, "");
@@ -97,8 +97,8 @@ TEST(ParseFlags, UsageErrorsNeverBecomePositionals)
              {"--journal=j"},             // no inline form for values
              {"--resume=yes"},            // switches take no value
              {"--fail="},                 // empty inline value
-             {"--passes", "0"},           // below the flag's range
-             {"--passes", "two"}}) {      // not a number
+             {"--iters", "0"},            // below the flag's range
+             {"--iters", "two"}}) {       // not a number
         std::vector<std::string> rest;
         EXPECT_FALSE(parse_flags(bad, flags, rest)) << join(bad, " ");
     }
@@ -112,16 +112,14 @@ TEST(ScanFlags, PositionalCveAndInverseRoundTrip)
     EXPECT_EQ(scan.cve_ids, std::vector<std::string>{"CVE-1"});
     EXPECT_EQ(blobs, (std::vector<std::string>{"a.fw", "b.fw"}));
     EXPECT_TRUE(scan.mmap_index);
-    EXPECT_FALSE(scan.resident_cache_mb.has_value());
 
     ScanFlags full;
     ASSERT_TRUE(parse_scan_args(
         {"--cve-list", ",CVE-1,,CVE-2,", "a b.fw", "--index-cache", "s d",
-         "--no-mmap", "--resident-cache-mb", "0"},
+         "--no-mmap"},
         {}, full, blobs));
     EXPECT_EQ(full.cve_ids, (std::vector<std::string>{"CVE-1", "CVE-2"}));
     EXPECT_EQ(blobs, std::vector<std::string>{"a b.fw"});
-    EXPECT_EQ(full.resident_cache_mb, std::optional<std::size_t>{0});
 
     std::vector<std::string> args = scan_flag_args(full);
     args.push_back("a b.fw");
@@ -130,14 +128,12 @@ TEST(ScanFlags, PositionalCveAndInverseRoundTrip)
     EXPECT_EQ(back.cve_ids, full.cve_ids);
     EXPECT_EQ(back.index_cache_dir, full.index_cache_dir);
     EXPECT_EQ(back.mmap_index, full.mmap_index);
-    EXPECT_EQ(back.resident_cache_mb, full.resident_cache_mb);
 
     for (const std::vector<std::string> &bad :
          std::vector<std::vector<std::string>>{
              {"CVE-1"},                        // no blob
              {"--cve-list", ",,", "a.fw"},     // no CVE in the list
              {"CVE-1", "a.fw", "--index-cache"},
-             {"CVE-1", "--resident-cache-mb", "-1", "a.fw"},
              {"CVE-1", "--no-mmapp", "a.fw"}}) {
         ScanFlags ignored;
         EXPECT_FALSE(parse_scan_args(bad, {}, ignored, blobs))
@@ -185,7 +181,6 @@ TEST(CliFlags, NumericFlagsRejectBadValuesOnEveryVerb)
         {"fuzz-unpack " + blob, "--seed", "7"},
         {"shard-scan " + cve + " " + blob, "--workers", "2", "257"},
         {"shard-scan " + cve + " " + blob, "--worker-threads", "1"},
-        {"shard-scan " + cve + " " + blob, "--resident-cache-mb", "8"},
         {"shard-scan " + cve + " " + blob, "--heartbeat", "5", "1e999"},
         {"shard-scan " + cve + " " + blob, "--max-respawns", "1"},
         {"shard-scan " + cve + " " + blob, "--kill-first-after", "1"},
@@ -194,15 +189,11 @@ TEST(CliFlags, NumericFlagsRejectBadValuesOnEveryVerb)
         {"--worker --cve-list " + cve + " " + blob, "--threads", "1"},
         {"--worker --cve-list " + cve + " " + blob, "--heartbeat", "5",
          "1e999"},
-        {"--worker --cve-list " + cve + " " + blob, "--resident-cache-mb",
-         "8"},
         {"--worker --cve-list " + cve + " " + blob, "--exit-after", "1"},
     };
     const std::string trace = "trace --trace-out " + tmp.path() + "/t.json";
     for (const std::string &verb : {std::string("search"), trace}) {
         const std::string base = verb + " " + cve + " " + blob;
-        rows.push_back({base, "--resident-cache-mb", "8"});
-        rows.push_back({base, "--passes", "2"});
         rows.push_back({base + " --shard-count 2", "--shard-index", "1"});
         rows.push_back({base + " --shard-index 0", "--shard-count", "2"});
         rows.push_back({base, "--target-budget", "5", "1e999"});
@@ -267,8 +258,14 @@ TEST(CliFlags, MistypedOrValuelessFlagsAreUsageErrors)
           "shard-scan CVE-2011-0762 --workrs 2 " + blobs.all(),
           // Real flags, but not this verb's.
           "search CVE-2011-0762 --workers 2 " + blobs.all(),
+          "index " + blobs.paths.front() + " --no-mmap",
+          // Removed flags stay removed.
+          "search CVE-2011-0762 --passes 2 " + blobs.all(),
           "shard-scan CVE-2011-0762 --passes 2 " + blobs.all(),
-          "index " + blobs.paths.front() + " --no-mmap"}) {
+          "trace CVE-2011-0762 --trace-out " + blobs.dir.path() +
+              "/t.json --resident-cache-mb 8 " + blobs.all(),
+          "shard-scan CVE-2011-0762 --resident-cache-mb 8 " +
+              blobs.all()}) {
         EXPECT_EQ(cli(args, out), 2) << args;
         EXPECT_EQ(slurp(out).find("VULNERABLE"), std::string::npos) << args;
     }

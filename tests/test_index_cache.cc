@@ -1,10 +1,11 @@
 /**
  * @file
  * Persistent index cache tests: store round-trips, corrupt-entry
- * degradation, and the warm-start property — a driver scanning through a
+ * degradation, the pin contract (a mapped load outlives its store and
+ * its file), and the warm-start property — a driver scanning through a
  * populated cache must reproduce the cold scan bit-identically (same
  * outcomes, same work metrics, same coverage accounting) while lifting
- * nothing.
+ * nothing, mapped or read, at any thread count.
  */
 #include <gtest/gtest.h>
 
@@ -93,6 +94,44 @@ TEST(IndexCacheStore, MissThenRoundTrip)
     }
 }
 
+TEST(IndexCacheStore, MappedLoadOutlivesItsStoreAndDirectory)
+{
+    // The pin contract: an index's spans point into the mapped entry,
+    // and its `backing` keeps the mapping alive after the store that
+    // loaded it is destroyed and the file is unlinked.
+    firmware::CorpusOptions options;
+    options.num_devices = 1;
+    const firmware::Corpus corpus = firmware::build_corpus(options);
+    const sim::ExecutableIndex reference = tiny_corpus_index(corpus);
+    const std::string dir = fresh_cache_dir("pin");
+    sim::ExecutableIndex mapped;
+    {
+        const sim::IndexCacheStore store(dir);
+        ASSERT_TRUE(store.store(7, reference).ok());
+        sim::IndexCacheStore::LoadStats stats;
+        auto loaded = store.load(7, /*use_mmap=*/true, &stats);
+        ASSERT_TRUE(loaded.ok()) << loaded.error_message();
+        ASSERT_TRUE(stats.mapped);
+        mapped = std::move(loaded).take();
+    }
+    fs::remove_all(dir);
+    ASSERT_FALSE(fs::exists(dir));
+
+    EXPECT_TRUE(std::ranges::equal(mapped.blob, reference.blob));
+    ASSERT_EQ(mapped.procs.size(), reference.procs.size());
+    for (std::size_t p = 0; p < reference.procs.size(); ++p) {
+        EXPECT_TRUE(std::ranges::equal(mapped.procs[p].strands,
+                                       reference.procs[p].strands));
+    }
+    ASSERT_GT(mapped.posting_hashes.size(), 0u);
+    EXPECT_TRUE(std::ranges::equal(mapped.posting_hashes,
+                                   reference.posting_hashes));
+    EXPECT_TRUE(std::ranges::equal(mapped.posting_offsets,
+                                   reference.posting_offsets));
+    EXPECT_TRUE(std::ranges::equal(mapped.posting_procs,
+                                   reference.posting_procs));
+}
+
 TEST(IndexCacheStore, CorruptAndStaleEntriesAreMisses)
 {
     firmware::CorpusOptions options;
@@ -135,17 +174,20 @@ const char *const kWorkCounters[] = {
     "cache.hits",        "cache.misses",
 };
 
+/** @p mmap_index false is --no-mmap; @p threads the scan's workers. */
 ScanRun
 scan(const firmware::CveRecord &cve,
      const std::vector<CorpusTarget> &targets,
-     const std::string &cache_dir)
+     const std::string &cache_dir, bool mmap_index = true,
+     unsigned threads = 4)
 {
     trace::MetricsRegistry::global().reset();
     ScanRun run;
     SearchOptions options;
     options.index_cache_dir = cache_dir;
+    options.mmap_index = mmap_index;
     Driver driver(options);
-    run.outcomes = driver.search_corpus(cve, targets, 4);
+    run.outcomes = driver.search_corpus(cve, targets, threads);
     const trace::Snapshot snapshot =
         trace::MetricsRegistry::global().snapshot();
     for (const char *name : kWorkCounters) {
@@ -210,13 +252,30 @@ TEST(IndexCacheWarmStart, WarmScanIsBitIdenticalToCold)
     EXPECT_EQ(cold.counters.at("cache.misses"),
               cold.health.cache_misses);
 
-    const ScanRun warm = scan(cve, targets, cache_dir);
-    expect_same_scan(cold, warm);
-    // The warm run lifted nothing: every index came from disk.
-    EXPECT_EQ(warm.health.cache_misses, 0u);
-    EXPECT_EQ(warm.health.cache_hits, cold.health.cache_misses);
-    EXPECT_EQ(warm.counters.at("cache.hits"), warm.health.cache_hits);
-    EXPECT_EQ(warm.counters.at("cache.misses"), 0u);
+    // Warm runs lift nothing — every index comes from disk, mapped or
+    // read (--no-mmap) — and match the cold run at any thread count.
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        for (const bool mmap_index : {true, false}) {
+            SCOPED_TRACE(testing::Message() << "threads " << threads
+                                            << " mmap " << mmap_index);
+            const ScanRun warm =
+                scan(cve, targets, cache_dir, mmap_index, threads);
+            expect_same_scan(cold, warm);
+            EXPECT_EQ(warm.health.cache_misses, 0u);
+            EXPECT_EQ(warm.health.cache_hits, cold.health.cache_misses);
+            EXPECT_EQ(warm.counters.at("cache.hits"),
+                      warm.health.cache_hits);
+            EXPECT_EQ(warm.counters.at("cache.misses"), 0u);
+            if (mmap_index) {
+                // Every target hit is mapped, and so is every query
+                // recipe load.
+                EXPECT_GE(warm.health.cache_mmap_loads,
+                          warm.health.cache_hits);
+            } else {
+                EXPECT_EQ(warm.health.cache_mmap_loads, 0u);
+            }
+        }
+    }
 
     // Corrupt one cache entry: the scan degrades to exactly one miss —
     // re-lifting that executable — with identical results.

@@ -27,7 +27,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "eval/journal.h"
 #include "eval/shard.h"
 #include "firmware/catalog.h"
 #include "firmware/corpus.h"
@@ -207,9 +206,6 @@ TEST(ShardFrames, HealthFieldsRoundTrip)
     health.cache_checksum_seconds = 0.125;
     health.cache_parse_seconds = 0.0625;
     health.cache_mmap_loads = 13;
-    health.resident_hits = 14;
-    health.resident_misses = 15;
-    health.resident_evictions = 16;
     health.query_cache_hits = 17;
     health.query_cache_misses = 18;
     health.canon_memo_hits = 19;
@@ -260,9 +256,6 @@ TEST(ShardFrames, HealthFieldsRoundTrip)
               health.cache_checksum_seconds);
     EXPECT_EQ(back.cache_parse_seconds, health.cache_parse_seconds);
     EXPECT_EQ(back.cache_mmap_loads, health.cache_mmap_loads);
-    EXPECT_EQ(back.resident_hits, health.resident_hits);
-    EXPECT_EQ(back.resident_misses, health.resident_misses);
-    EXPECT_EQ(back.resident_evictions, health.resident_evictions);
     EXPECT_EQ(back.query_cache_hits, health.query_cache_hits);
     EXPECT_EQ(back.query_cache_misses, health.query_cache_misses);
     EXPECT_EQ(back.canon_memo_hits, health.canon_memo_hits);
@@ -396,7 +389,6 @@ TEST(ShardWorkerArgs, DecodeInvertsEveryWorkerVisibleField)
     options.heartbeat_seconds = 0.1;  // must survive the trip through text
     options.index_cache_dir = "/store dir/fwix";
     options.mmap_index = false;
-    options.resident_cache_mb = 64;
     options.kill_first_worker_after = 7;
     options.stall_first_worker = true;
     const std::string journal = "/state dir/shard-2.fwsj";
@@ -406,8 +398,7 @@ TEST(ShardWorkerArgs, DecodeInvertsEveryWorkerVisibleField)
     ASSERT_FALSE(args.empty());
     EXPECT_EQ(args.front(), "--worker");
     // The inverse emits each shared flag once.
-    for (const char *flag : {"--cve-list", "--index-cache", "--no-mmap",
-                             "--resident-cache-mb"}) {
+    for (const char *flag : {"--cve-list", "--index-cache", "--no-mmap"}) {
         EXPECT_EQ(std::count(args.begin(), args.end(), flag), 1) << flag;
     }
     ShardWorkerOptions decoded;
@@ -421,7 +412,6 @@ TEST(ShardWorkerArgs, DecodeInvertsEveryWorkerVisibleField)
     EXPECT_EQ(decoded.blob_paths, options.blob_paths);
     EXPECT_EQ(decoded.index_cache_dir, options.index_cache_dir);
     EXPECT_EQ(decoded.mmap_index, options.mmap_index);
-    EXPECT_EQ(decoded.resident_cache_mb, options.resident_cache_mb);
     EXPECT_EQ(decoded.exit_after_appends, options.kill_first_worker_after);
     EXPECT_EQ(decoded.stall_after_appends, options.stall_first_worker);
 
@@ -439,7 +429,6 @@ TEST(ShardWorkerArgs, DecodeInvertsEveryWorkerVisibleField)
     EXPECT_EQ(back.blob_paths, plain.blob_paths);
     EXPECT_EQ(back.index_cache_dir, "");
     EXPECT_TRUE(back.mmap_index);
-    EXPECT_FALSE(back.resident_cache_mb.has_value());
     EXPECT_EQ(back.heartbeat_seconds, plain.heartbeat_seconds);
     EXPECT_EQ(back.exit_after_appends, 0u);
     EXPECT_FALSE(back.stall_after_appends);
@@ -449,8 +438,7 @@ TEST(ShardScan, ScanFlagsReachEveryWorker)
 {
     // The shared store flags must change what the workers do, not just
     // what the coordinator parsed: on a warm store the merged health
-    // shows mapped loads by default, none under --no-mmap, and resident
-    // traffic only when a resident budget is asked for.
+    // shows mapped loads by default and none under --no-mmap.
     const PackedCorpus &corpus = packed_corpus();
     ShardScanOptions options;
     options.cve_ids = {corpus.cve_id};
@@ -464,7 +452,6 @@ TEST(ShardScan, ScanFlagsReachEveryWorker)
     const FleetReport mapped = run_shard_scan(FIRMUP_TOOL_PATH, options);
     ASSERT_TRUE(mapped.ok) << mapped.error;
     EXPECT_GT(mapped.health.cache_mmap_loads, 0u);
-    EXPECT_EQ(mapped.health.resident_misses, 0u);
 
     ShardScanOptions read = options;
     read.mmap_index = false;
@@ -473,14 +460,6 @@ TEST(ShardScan, ScanFlagsReachEveryWorker)
     EXPECT_EQ(unmapped.health.cache_mmap_loads, 0u);
     EXPECT_GT(unmapped.health.cache_hits, 0u);
     expect_findings_equal(mapped, unmapped, "--no-mmap");
-
-    ShardScanOptions resident = options;
-    resident.resident_cache_mb = 64;
-    const FleetReport with_resident =
-        run_shard_scan(FIRMUP_TOOL_PATH, resident);
-    ASSERT_TRUE(with_resident.ok) << with_resident.error;
-    EXPECT_GT(with_resident.health.resident_misses, 0u);
-    expect_findings_equal(mapped, with_resident, "--resident-cache-mb");
 }
 
 /** Run the real CLI via the shell, stdout to @p out_path. */
@@ -505,39 +484,6 @@ vulnerable_lines(const std::string &out_path)
         }
     }
     return lines;
-}
-
-TEST(ShardScanCli, PassesGetPerPassJournals)
-{
-    const PackedCorpus &corpus = packed_corpus();
-    const fs::path base =
-        fs::path(testing::TempDir()) / "firmup-pass-journal";
-    fs::remove_all(base);
-    fs::create_directories(base);
-    const std::string journal = (base / "scan.fwsj").string();
-    std::string args = "search " + corpus.cve_id + " --passes 2 " +
-                       "--journal " + journal + " --index-cache " +
-                       corpus.store_dir;
-    for (const std::string &path : corpus.paths) {
-        args += " " + path;
-    }
-    const int exit_code =
-        run_cli(args, (base / "out.txt").string());
-    EXPECT_TRUE(exit_code == 0 || exit_code == 3) << exit_code;
-    // Pass 1 journals to FILE; pass 2 to FILE.pass2 — same scan, so
-    // both parse under the same fingerprint with the same record count.
-    ASSERT_TRUE(fs::exists(journal));
-    ASSERT_TRUE(fs::exists(journal + ".pass2"));
-    const auto bytes1 = slurp(journal);
-    const auto bytes2 = slurp(journal + ".pass2");
-    auto load1 = ScanJournal::parse(bytes1.data(), bytes1.size(), 0);
-    auto load2 = ScanJournal::parse(bytes2.data(), bytes2.size(), 0);
-    ASSERT_TRUE(load1.ok()) << load1.error_message();
-    ASSERT_TRUE(load2.ok()) << load2.error_message();
-    EXPECT_EQ(load1.value().fingerprint, load2.value().fingerprint);
-    EXPECT_GT(load1.value().entries.size(), 0u);
-    EXPECT_EQ(load2.value().entries.size(), load1.value().entries.size());
-    fs::remove_all(base);
 }
 
 TEST(ShardScanCli, SearchShardSlicesUnionToFullScan)

@@ -1,17 +1,12 @@
 /**
  * @file
- * The three speed floors of the scan engine, each on its own workload,
+ * The two speed floors of the scan engine, each on its own workload,
  * thread and worker counts, bound and enforcement condition:
  *
  *  - multi_hunt: 18-device scale-1 corpus over a pre-filled store. One
  *    batch driver at 2 threads hunts the whole CVE database >= 1.0x
  *    faster than one fresh single-CVE driver per CVE at 1 thread, with
  *    identical (query, target) grids.
- *  - resident_cache: the same corpus. The lift+index stage of warm
- *    scans at 2 threads served from a resident cache (best of 10 reps,
- *    each summing 8 fresh drivers) is >= 3.0x faster than loading from
- *    the store, with zero store I/O on the hot side and identical rows
- *    (also under --no-mmap and a budget-0 resident cache).
  *  - shard_scan: scale-10 blobs over a store pre-warmed by preindex, one
  *    CVE, 1 thread per worker. Findings are identical at 1 and 3
  *    workers; the --state rescan searches 0 targets and does no lift,
@@ -35,7 +30,6 @@
 #include "eval/shard.h"
 #include "firmware/catalog.h"
 #include "firmware/corpus.h"
-#include "sim/index_cache.h"
 #include "support/fsio.h"
 
 namespace firmup::eval {
@@ -109,91 +103,6 @@ TEST(SpeedFloors, MultiHuntBeatsSerialSingleCveScans)
         EXPECT_TRUE(rows_identical(serial[q], grid[q])) << cves[q].cve_id;
     }
     EXPECT_GE(speedup, 1.0);
-}
-
-TEST(SpeedFloors, ResidentCacheBeatsStoreLoads)
-{
-    const firmware::Corpus corpus = firmware::build_corpus({});
-    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
-    const firmware::CveRecord &cve = firmware::cve_database().front();
-    const ScopedTempDir store("firmup-floor-resident");
-    SearchOptions warm;
-    warm.index_cache_dir = store.path();
-    Driver(warm).preindex(corpus, kThreads);  // untimed store fill
-
-    // One shared, budget-unbounded resident cache, filled by an untimed
-    // pass; every timed hot driver must then run entirely hot.
-    sim::ResidentIndexCache resident(std::size_t{1} << 30);
-    SearchOptions hot = warm;
-    hot.resident_cache = &resident;
-    Driver(hot).search_corpus(cve, targets, kThreads);
-
-    // One driver's lift+index stage takes 0.5-3 ms, too short to time
-    // steadily, so a rep sums the stage over kDriversPerRep fresh
-    // drivers, warm and hot reps alternate so both see the same host,
-    // and the floor compares the best of kReps reps per side. The
-    // health is every driver's merged, the rows the first driver's;
-    // every driver's rows must equal them.
-    constexpr int kReps = 10;
-    constexpr int kDriversPerRep = 8;
-    const auto rep_stage = [&](const SearchOptions &options,
-                               ScanHealth &health,
-                               std::vector<CorpusOutcome> &rows) {
-        double stage = 0.0;
-        for (int k = 0; k < kDriversPerRep; ++k) {
-            Driver driver(options);
-            std::vector<CorpusOutcome> got =
-                driver.search_corpus(cve, targets, kThreads);
-            stage += driver.health().index_seconds;
-            health.merge(driver.health());
-            if (rows.empty()) {
-                rows = std::move(got);
-            } else {
-                EXPECT_TRUE(rows_identical(rows, got));
-            }
-        }
-        return stage;
-    };
-    ScanHealth warm_health;
-    ScanHealth hot_health;
-    std::vector<CorpusOutcome> warm_rows;
-    std::vector<CorpusOutcome> hot_rows;
-    double warm_stage = 0.0;
-    double hot_stage = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-        const double w = rep_stage(warm, warm_health, warm_rows);
-        const double h = rep_stage(hot, hot_health, hot_rows);
-        warm_stage = rep == 0 ? w : std::min(warm_stage, w);
-        hot_stage = rep == 0 ? h : std::min(hot_stage, h);
-    }
-
-    // --no-mmap reads and a budget-0 resident cache change nothing but
-    // the timings.
-    SearchOptions nomap = warm;
-    nomap.mmap_index = false;
-    const std::vector<CorpusOutcome> nomap_rows =
-        Driver(nomap).search_corpus(cve, targets, kThreads);
-    sim::ResidentIndexCache empty_resident(0);
-    SearchOptions zero = warm;
-    zero.resident_cache = &empty_resident;
-    const std::vector<CorpusOutcome> zero_rows =
-        Driver(zero).search_corpus(cve, targets, kThreads);
-
-    const double speedup = warm_stage / hot_stage;
-    std::printf("resident_cache: %zu targets, %d drivers per rep, best "
-                "warm stage %.6f s, hot stage %.6f s at %u threads, "
-                "%.2fx (floor 3.0x)\n",
-                targets.size(), kDriversPerRep, warm_stage, hot_stage,
-                kThreads, speedup);
-    EXPECT_TRUE(rows_identical(warm_rows, hot_rows));
-    EXPECT_TRUE(rows_identical(warm_rows, nomap_rows));
-    EXPECT_TRUE(rows_identical(warm_rows, zero_rows));
-    // A single store load (or re-parse) by any hot driver is a bug in
-    // the tier order, not a timing wobble.
-    EXPECT_EQ(hot_health.cache_hits, 0u);
-    EXPECT_EQ(hot_health.cache_misses, 0u);
-    EXPECT_EQ(hot_health.resident_misses, 0u);
-    EXPECT_GE(speedup, 3.0);
 }
 
 TEST(SpeedFloors, ShardScanScalesAndRescansIncrementally)

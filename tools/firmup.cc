@@ -24,8 +24,8 @@
  * validation rule per flag — so an unknown flag, a flag the verb does
  * not take, a missing value and a value out of range exit 2 instead of
  * becoming blob paths. search, trace and shard-scan share one group
- * (ScanFlags: --cve-list, --index-cache, --no-mmap, --resident-cache-mb)
- * and one hunt path: the same CVE resolution and store wiring
+ * (ScanFlags: --cve-list, --index-cache, --no-mmap) and one hunt
+ * path: the same CVE resolution and store wiring
  * (eval::prepare_hunt), manifest loader (eval::load_manifest) and
  * finding printer; shard-scan hands the group to its workers unchanged.
  * The benchmark that times these verbs end to end is perfbench/.
@@ -121,23 +121,12 @@ usage()
         "                         store, so repeat scans of the same\n"
         "                         executables skip lifting entirely\n"
         "                         (warm start; index takes it too)\n"
-        "  --resident-cache-mb N  keep opened indexes resident\n"
-        "                         in-process (per worker for shard-scan)\n"
-        "                         under an N MiB LRU budget (0 =\n"
-        "                         ablation: cache wired, holds nothing;\n"
-        "                         findings identical)\n"
         "  --no-mmap              read store entries into memory\n"
         "                         instead of mapping them (findings\n"
         "                         identical)\n"
         "search/trace/shard-scan/index/fuzz-unpack also take\n"
         "--stats-json FILE to collect and dump the metrics snapshot\n"
         "search/trace also take:\n"
-        "  --passes N             run the hunt N times with fresh\n"
-        "                         drivers in one process (the resident\n"
-        "                         cache persists across passes; with\n"
-        "                         --journal, pass K>1 journals to\n"
-        "                         FILE.passK so each pass keeps its own\n"
-        "                         durable record)\n"
         "  --shard-index I --shard-count N\n"
         "                         scan only the blobs shard_of_path\n"
         "                         assigns to shard I of N — the same\n"
@@ -429,12 +418,10 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
     std::vector<std::string> paths;
     std::string trace_out, stats_out;
     std::optional<int> quarantine_limit;  ///< set by --fail-on-quarantine
-    int passes = 1;
     int shard_index = -1;  ///< -1 = no sharding requested
     int shard_count = -1;
     std::vector<eval::Flag> flags = {
         eval::string_flag("--stats-json", stats_out),
-        eval::number_flag("--passes", passes, 1),
         eval::string_flag("--journal", options.journal_path),
         eval::switch_flag("--resume", options.resume),
         eval::number_flag("--shard-index", shard_index, 0),
@@ -477,20 +464,12 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
         trace::set_level(trace::Level::Metrics);
     }
 
-    // One process-level resident index cache shared by every pass's
-    // driver — the in-process warm tier --passes exists to exercise:
-    // pass 2 serves every target index from memory (resident hits, zero
-    // store loads, zero re-parses). Budget 0 is a valid ablation: every
-    // put is a no-op and findings must not change.
-    sim::ResidentIndexCache resident_cache;
-    const auto cves = eval::prepare_hunt(scan, options, resident_cache);
+    const auto cves = eval::prepare_hunt(scan, options);
     if (!cves.ok()) {
         return unknown_cve(cves.error_message());
     }
     // Unpack everything first; the blobs must stay alive across the
-    // parallel fan-out. Unpack health is recorded once and folded into
-    // each pass's driver, so a single-pass run reports exactly what it
-    // always did.
+    // parallel fan-out.
     const eval::Manifest manifest = eval::load_manifest(
         paths, sharded ? static_cast<std::size_t>(shard_index) : 0,
         sharded ? static_cast<std::size_t>(shard_count) : 1);
@@ -512,34 +491,12 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
 
     // The whole hunt — parallel index, per-ISA queries, work-stealing
     // (query, target) fan-out — in one batched pass; findings print per
-    // CVE in target order afterwards. --passes N repeats the hunt with a
-    // fresh driver each time (same process, shared resident cache);
-    // findings and the report come from the final pass.
-    std::vector<std::vector<eval::CorpusOutcome>> grid;
-    eval::ScanHealth health;
-    for (int pass = 1; pass <= passes; ++pass) {
-        eval::SearchOptions pass_options = options;
-        if (pass > 1 && !options.journal_path.empty()) {
-            // Each pass gets its own journal (FILE.passK) instead of
-            // clobbering pass 1's record — and never resumes from it:
-            // replaying pass K-1's outcomes would skip the very scan
-            // work --passes exists to re-measure.
-            pass_options.journal_path =
-                options.journal_path + strprintf(".pass%d", pass);
-            pass_options.resume = false;
-        }
-        eval::Driver driver(pass_options);
-        driver.health().merge(manifest.health);
-        grid = driver.search_corpus_batch(cves.value(), manifest.targets);
-        health = driver.health();
-        if (passes > 1) {
-            std::printf("pass %d/%d: %s\n", pass, passes,
-                        health.summary().c_str());
-        }
-        if (health.resume_rejected || health.cancelled) {
-            break;
-        }
-    }
+    // CVE in target order afterwards.
+    eval::Driver driver(options);
+    driver.health().merge(manifest.health);
+    const std::vector<std::vector<eval::CorpusOutcome>> grid =
+        driver.search_corpus_batch(cves.value(), manifest.targets);
+    const eval::ScanHealth &health = driver.health();
     if (health.resume_rejected) {
         // The journal on disk belongs to a different scan configuration
         // (e.g. it was written for another --cve-list): the
