@@ -2,10 +2,11 @@
  * @file
  * Persistent index cache tests: store round-trips, corrupt-entry
  * degradation, the pin contract (a mapped load outlives its store and
- * its file), and the warm-start property — a driver scanning through a
+ * its file), the warm-start property — a driver scanning through a
  * populated cache must reproduce the cold scan bit-identically (same
  * outcomes, same work metrics, same coverage accounting) while lifting
- * nothing, mapped or read, at any thread count.
+ * nothing — and the identity matrix: lifted, mapped and read (--no-mmap)
+ * indexes give the same findings at 1, 2 and 8 threads.
  */
 #include <gtest/gtest.h>
 
@@ -252,30 +253,13 @@ TEST(IndexCacheWarmStart, WarmScanIsBitIdenticalToCold)
     EXPECT_EQ(cold.counters.at("cache.misses"),
               cold.health.cache_misses);
 
-    // Warm runs lift nothing — every index comes from disk, mapped or
-    // read (--no-mmap) — and match the cold run at any thread count.
-    for (const unsigned threads : {1u, 2u, 8u}) {
-        for (const bool mmap_index : {true, false}) {
-            SCOPED_TRACE(testing::Message() << "threads " << threads
-                                            << " mmap " << mmap_index);
-            const ScanRun warm =
-                scan(cve, targets, cache_dir, mmap_index, threads);
-            expect_same_scan(cold, warm);
-            EXPECT_EQ(warm.health.cache_misses, 0u);
-            EXPECT_EQ(warm.health.cache_hits, cold.health.cache_misses);
-            EXPECT_EQ(warm.counters.at("cache.hits"),
-                      warm.health.cache_hits);
-            EXPECT_EQ(warm.counters.at("cache.misses"), 0u);
-            if (mmap_index) {
-                // Every target hit is mapped, and so is every query
-                // recipe load.
-                EXPECT_GE(warm.health.cache_mmap_loads,
-                          warm.health.cache_hits);
-            } else {
-                EXPECT_EQ(warm.health.cache_mmap_loads, 0u);
-            }
-        }
-    }
+    const ScanRun warm = scan(cve, targets, cache_dir);
+    expect_same_scan(cold, warm);
+    // The warm run lifted nothing: every index came from disk.
+    EXPECT_EQ(warm.health.cache_misses, 0u);
+    EXPECT_EQ(warm.health.cache_hits, cold.health.cache_misses);
+    EXPECT_EQ(warm.counters.at("cache.hits"), warm.health.cache_hits);
+    EXPECT_EQ(warm.counters.at("cache.misses"), 0u);
 
     // Corrupt one cache entry: the scan degrades to exactly one miss —
     // re-lifting that executable — with identical results.
@@ -303,6 +287,68 @@ TEST(IndexCacheWarmStart, WarmScanIsBitIdenticalToCold)
 
     trace::set_level(trace::Level::Off);
     trace::MetricsRegistry::global().reset();
+}
+
+// An index reaches a game from one of three tiers: lifted in process
+// (no store), mapped from the store, or read from it (--no-mmap).
+
+TEST(ResidentCacheIdentity, FindingsIdenticalAcrossTiersAndThreads)
+{
+    trace::set_level(trace::Level::Metrics);
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 2;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    ASSERT_FALSE(targets.empty());
+    const firmware::CveRecord &cve = firmware::cve_database().front();
+    const std::string cache_dir = fresh_cache_dir("identity");
+
+    // Reference: the cold scan that also fills the store.
+    const ScanRun reference = scan(cve, targets, cache_dir);
+    EXPECT_GT(reference.health.cache_misses, 0u);
+
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(testing::Message() << "threads " << threads);
+        // No store: every index is lifted.
+        const ScanRun lifted = scan(cve, targets, "", true, threads);
+        expect_same_scan(reference, lifted);
+        EXPECT_EQ(lifted.health.cache_hits, 0u);
+        EXPECT_EQ(lifted.health.cache_misses, 0u);
+        for (const bool mmap_index : {true, false}) {
+            SCOPED_TRACE(testing::Message() << "mmap " << mmap_index);
+            const ScanRun warm =
+                scan(cve, targets, cache_dir, mmap_index, threads);
+            expect_same_scan(reference, warm);
+            EXPECT_EQ(warm.health.cache_misses, 0u);
+            EXPECT_EQ(warm.health.cache_hits,
+                      reference.health.cache_misses);
+        }
+    }
+
+    trace::set_level(trace::Level::Off);
+    trace::MetricsRegistry::global().reset();
+}
+
+TEST(ResidentCacheIdentity, WarmMmapScanUsesTheViewPath)
+{
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 1;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    const firmware::CveRecord &cve = firmware::cve_database().front();
+    const std::string cache_dir = fresh_cache_dir("viewpath");
+    scan(cve, targets, cache_dir, true, 2);  // store fill
+
+    const ScanRun mapped = scan(cve, targets, cache_dir, true, 2);
+    EXPECT_GT(mapped.health.cache_hits, 0u);
+    // Every target hit is mapped, plus the query-recipe loads too.
+    EXPECT_GE(mapped.health.cache_mmap_loads, mapped.health.cache_hits);
+
+    const ScanRun copied = scan(cve, targets, cache_dir, false, 2);
+    EXPECT_GT(copied.health.cache_hits, 0u);
+    EXPECT_EQ(copied.health.cache_mmap_loads, 0u);
 }
 
 }  // namespace
