@@ -20,6 +20,7 @@
 #include "lifter/cfg.h"
 #include "sim/persist.h"
 #include "strand/canon.h"
+#include "strand/memo.h"
 #include "support/fsio.h"
 #include "support/mmapfile.h"
 

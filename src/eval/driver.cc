@@ -393,8 +393,8 @@ Driver::build_query_set(const std::vector<QuerySpec> &specs,
     // Build one source per job: one compile_to_mir, then backend+link,
     // lift and index per missing ISA. The AST dies once the MIR exists,
     // each executable once it is lifted and each lifted IR once it is
-    // indexed; the slots keep only indexes. Workers share the
-    // thread-safe canon memo and write distinct recipe-keyed entries.
+    // indexed; the slots keep only indexes. Workers write distinct
+    // recipe-keyed entries.
     ThreadPool::parallel_for(
         resolve_worker_threads(threads), jobs.size(), [&](std::size_t j) {
             // Cancellation point, as in index_many: an unbuilt slot
@@ -427,7 +427,7 @@ Driver::build_query_set(const std::vector<QuerySpec> &specs,
                                                lifted.error_message());
                 QuerySlot &slot = slots[i];
                 slot.index = sim::index_executable(lifted.value(),
-                                                   canon_options(), 1);
+                                                   options_.canon, 1);
                 slot.built = true;
                 if (store != nullptr) {
                     if (auto written = store->store(slot.key, slot.index);
@@ -482,28 +482,10 @@ Driver::build_query_set(const std::vector<QuerySpec> &specs,
         FIRMUP_ASSERT(query.qv >= 0,
                       "query procedure missing: " + spec.procedure);
     }
-    sync_memo_health();
     health_.query_seconds += seconds_since(start);
     health_.query_cpu_seconds +=
         static_cast<double>(trace::process_cpu_ns() - cpu_start) * 1e-9;
     return queries;
-}
-
-strand::CanonOptions
-Driver::canon_options()
-{
-    strand::CanonOptions canon = options_.canon;
-    canon.memo = &canon_memo_;
-    return canon;
-}
-
-void
-Driver::sync_memo_health()
-{
-    const strand::CanonMemo::Stats now = canon_memo_.stats();
-    health_.canon_memo_hits += now.hits - memo_seen_.hits;
-    health_.canon_memo_misses += now.misses - memo_seen_.misses;
-    memo_seen_ = now;
 }
 
 sim::IndexCacheStore *
@@ -596,7 +578,7 @@ Driver::load_or_lift(const loader::Executable &exe, std::uint64_t key,
         return slot;
     }
     slot.index =
-        sim::index_executable(lifted.value(), canon_options(), threads);
+        sim::index_executable(lifted.value(), options_.canon, threads);
     if (store != nullptr) {
         if (auto written = store->store(key, *slot.index); written.ok()) {
             slot.write_bytes = written.value();
@@ -654,9 +636,7 @@ Driver::index_keyed(const loader::Executable &exe, std::uint64_t key)
     }
     IndexSlot slot = load_or_lift(exe, key, cache_store(),
                                   resolve_worker_threads(0));
-    const sim::ExecutableIndex *index = merge_slot(exe, key, slot);
-    sync_memo_health();
-    return index;
+    return merge_slot(exe, key, slot);
 }
 
 const baseline::GraphIndex *
@@ -722,7 +702,7 @@ Driver::index_many(const std::vector<CorpusTarget> &targets,
     // may touch the persistent store: loads read distinct files, write-
     // backs publish distinct content-keyed entries via atomic rename.
     // Each worker indexes its own executable serially (the parallelism
-    // is across executables here), sharing the thread-safe canon memo.
+    // is across executables here).
     sim::IndexCacheStore *const store = cache_store();
     const CancelToken *const cancel = options_.cancel;
     std::vector<IndexSlot> slots(work.size());
@@ -745,7 +725,6 @@ Driver::index_many(const std::vector<CorpusTarget> &targets,
             ++indexed;
         }
     }
-    sync_memo_health();
     health_.index_seconds += seconds_since(start);
     health_.index_cpu_seconds +=
         static_cast<double>(trace::process_cpu_ns() - cpu_start) * 1e-9;

@@ -30,7 +30,6 @@
 #include "game/game.h"
 #include "sim/index_cache.h"
 #include "sim/similarity.h"
-#include "strand/memo.h"
 #include "support/cancel.h"
 #include "support/threadpool.h"
 
@@ -383,16 +382,6 @@ class Driver
     /** Lazily-opened persistent store (options_.index_cache_dir). */
     std::unique_ptr<sim::IndexCacheStore> store_;
     bool store_opened_ = false;
-    /**
-     * Cross-executable canonicalization memo (strand/memo.h) shared by
-     * every cold index this driver builds. Firmware corpora re-ship
-     * identical basic blocks constantly, so repeat blocks replay their
-     * memoized strand hashes instead of re-canonicalizing; the indexes
-     * are bit-identical to memo-less ones (test_canon_stream).
-     */
-    strand::CanonMemo canon_memo_;
-    /** Memo stats already folded into health_ (see sync_memo_health). */
-    strand::CanonMemo::Stats memo_seen_{};
     /** Scan journal (empty/closed when options_.journal_path is unset). */
     ScanJournal journal_;
     bool journal_opened_ = false;
@@ -417,12 +406,6 @@ class Driver
 
     /** The persistent store, or nullptr when not configured. */
     sim::IndexCacheStore *cache_store();
-
-    /** options_.canon with the shared memo wired in. */
-    strand::CanonOptions canon_options();
-
-    /** Fold new canon-memo hits/misses into health_ (delta-based). */
-    void sync_memo_health();
 
     /** Count @p key as a seen + healthy executable, once. */
     void note_healthy(std::uint64_t key);

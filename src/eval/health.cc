@@ -70,8 +70,6 @@ ScanHealth::merge(const ScanHealth &other)
     cache_mmap_loads += other.cache_mmap_loads;
     query_cache_hits += other.query_cache_hits;
     query_cache_misses += other.query_cache_misses;
-    canon_memo_hits += other.canon_memo_hits;
-    canon_memo_misses += other.canon_memo_misses;
     resume_rejected = resume_rejected || other.resume_rejected;
     if (resume_reject_reason.empty()) {
         resume_reject_reason = other.resume_reject_reason;
@@ -175,16 +173,6 @@ ScanHealth::summary() const
         out += strprintf("; query recipes %zu/%zu warm",
                          query_cache_hits,
                          query_cache_hits + query_cache_misses);
-    }
-    if (canon_memo_hits + canon_memo_misses > 0) {
-        out += strprintf(
-            "; canon memo %llu/%llu block(s) reused (%.1f%%)",
-            static_cast<unsigned long long>(canon_memo_hits),
-            static_cast<unsigned long long>(canon_memo_hits +
-                                            canon_memo_misses),
-            static_cast<double>(canon_memo_hits) /
-                static_cast<double>(canon_memo_hits + canon_memo_misses) *
-                100.0);
     }
     if (resume_rejected) {
         out += "; RESUME REJECTED (journal fingerprint mismatch)";

@@ -101,11 +101,11 @@ struct ScanHealth
     std::size_t query_cache_misses = 0;
 
     /**
-     * Cross-executable canon memo accounting (see strand/memo.h): hits
-     * are basic blocks whose strand-hash span was replayed from the
-     * memo during cold indexing; misses were canonicalized and
-     * published. Zero when the scan ran memo-off or entirely warm from
-     * the index cache.
+     * Canon memo accounting (see strand/memo.h). No scan writes these:
+     * every command canonicalizes each block directly, so they read 0.
+     * They stay only because perfbench/harness.cc still reads them (its
+     * `strand.canon_memo.hit_ratio`); they go with that harness's
+     * serial replay (ROADMAP item 8).
      */
     std::uint64_t canon_memo_hits = 0;
     std::uint64_t canon_memo_misses = 0;

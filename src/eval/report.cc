@@ -120,17 +120,6 @@ render_health(const ScanHealth &health)
                 health.cache_parse_seconds, health.cache_mmap_loads);
         }
     }
-    if (health.canon_memo_hits + health.canon_memo_misses > 0) {
-        out += strprintf(
-            "canon memo: %llu hit(s), %llu miss(es), %s of blocks "
-            "reused\n",
-            static_cast<unsigned long long>(health.canon_memo_hits),
-            static_cast<unsigned long long>(health.canon_memo_misses),
-            percent(static_cast<double>(health.canon_memo_hits) /
-                    static_cast<double>(health.canon_memo_hits +
-                                        health.canon_memo_misses))
-                .c_str());
-    }
     if (health.resume_rejected) {
         out += strprintf("RESUME REJECTED: %s\n",
                          health.resume_reject_reason.c_str());

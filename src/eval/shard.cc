@@ -327,9 +327,7 @@ decode_frame(std::string_view payload, FrameFields *fields)
     X(cache_write_bytes)                                                 \
     X(cache_mmap_loads)                                                  \
     X(query_cache_hits)                                                  \
-    X(query_cache_misses)                                                \
-    X(canon_memo_hits)                                                   \
-    X(canon_memo_misses)
+    X(query_cache_misses)
 
 #define FIRMUP_SHARD_HEALTH_DOUBLE_FIELDS(X)                             \
     X(cache_load_seconds)                                                \

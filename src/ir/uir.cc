@@ -170,25 +170,6 @@ Stmt::exit(Operand cond, Operand target)
     return s;
 }
 
-bool
-Stmt::defines_temp() const
-{
-    switch (kind) {
-      case Kind::Get:
-      case Kind::Bin:
-      case Kind::Un:
-      case Kind::Load:
-      case Kind::Select:
-      case Kind::Call:
-        return true;
-      case Kind::Put:
-      case Kind::Store:
-      case Kind::Exit:
-        return false;
-    }
-    return false;
-}
-
 std::vector<std::uint64_t>
 Block::successors() const
 {

@@ -113,7 +113,24 @@ struct Stmt
     static Stmt exit(Operand cond, Operand target);
 
     /** True for kinds that define `dst`. */
-    bool defines_temp() const;
+    bool
+    defines_temp() const
+    {
+        switch (kind) {
+          case Kind::Get:
+          case Kind::Bin:
+          case Kind::Un:
+          case Kind::Load:
+          case Kind::Select:
+          case Kind::Call:
+            return true;
+          case Kind::Put:
+          case Kind::Store:
+          case Kind::Exit:
+            return false;
+        }
+        return false;
+    }
 };
 
 /** How a basic block transfers control at its end. */

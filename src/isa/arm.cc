@@ -169,14 +169,13 @@ Result<Decoded>
 decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
 {
     if (avail < 4) {
-        return Result<Decoded>::error("arm: truncated instruction");
+        return decode_error("arm: truncated instruction");
     }
     const std::uint32_t word = read_u32_le(p);
     const std::uint32_t cond = word >> 28;
     const std::uint32_t op_field = (word >> 20) & 0xff;
     if (op_field > kMaxOp) {
-        return Result<Decoded>::error("arm: unknown opcode " +
-                                      std::to_string(op_field));
+        return decode_error("arm: unknown opcode");
     }
     const auto op = static_cast<Op>(op_field);
     MachInst inst;
@@ -194,7 +193,7 @@ decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
                    (static_cast<std::int64_t>(delta) << 2);
         if (op == Op::B && cond != kCondAl) {
             if (!cond_from_field(cond, inst.cond)) {
-                return Result<Decoded>::error("arm: bad condition");
+                return decode_error("arm: bad condition");
             }
             inst.rt = 1;  // conditional marker
         }
@@ -202,7 +201,7 @@ decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
       }
       case Op::Set:
         if (!cond_from_field(cond, inst.cond)) {
-            return Result<Decoded>::error("arm: bad set condition");
+            return decode_error("arm: bad set condition");
         }
         inst.rd = rd;
         return Decoded{inst, 4};
@@ -213,7 +212,7 @@ decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
         return Decoded{inst, 4};
       default:
         if (cond != kCondAl) {
-            return Result<Decoded>::error("arm: unexpected condition");
+            return decode_error("arm: unexpected condition");
         }
         inst.rd = rd;
         inst.rs = rn;

@@ -105,6 +105,19 @@ struct Decoded
 };
 
 /**
+ * A decode failure: ErrorCode::UndecodableInsn with a fixed literal
+ * message, so it allocates nothing. The lifter's prologue scan probes
+ * every unclaimed aligned text address, and most of them fail. Callers
+ * that show the failure name the bytes themselves (`firmup disasm`).
+ */
+template <std::size_t N>
+Result<Decoded>
+decode_error(const char (&message)[N])
+{
+    return Result<Decoded>::error(ErrorCode::UndecodableInsn, message);
+}
+
+/**
  * Per-ISA function table. One instance per architecture; obtained from
  * target_for(). Plain function pointers keep the table trivially copyable
  * and make the ISA boundary explicit.

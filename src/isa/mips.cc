@@ -214,7 +214,7 @@ Result<Decoded>
 decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
 {
     if (avail < 4) {
-        return Result<Decoded>::error("mips: truncated instruction");
+        return decode_error("mips: truncated instruction");
     }
     const std::uint32_t word = read_u32_be(p);
     MachInst inst;
@@ -270,8 +270,7 @@ decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
                 return Decoded{inst, 4};
             }
         }
-        return Result<Decoded>::error("mips: unknown SPECIAL funct " +
-                                      std::to_string(funct));
+        return decode_error("mips: unknown SPECIAL funct");
     }
     if (opcode == 0x02 || opcode == 0x03) {
         inst.op = static_cast<std::uint16_t>(opcode == 0x02 ? Op::J
@@ -312,8 +311,7 @@ decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
         }
         return Decoded{inst, 4};
     }
-    return Result<Decoded>::error("mips: unknown opcode " +
-                                  std::to_string(opcode));
+    return decode_error("mips: unknown opcode");
 }
 
 const char *

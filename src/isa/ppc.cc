@@ -219,7 +219,7 @@ Result<Decoded>
 decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
 {
     if (avail < 4) {
-        return Result<Decoded>::error("ppc: truncated instruction");
+        return decode_error("ppc: truncated instruction");
     }
     const std::uint32_t word = read_u32_be(p);
     MachInst inst;
@@ -275,10 +275,10 @@ decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
         const std::uint32_t bi = (word >> 16) & 31;
         const bool if_true = bo == 12;
         if (!if_true && bo != 4) {
-            return Result<Decoded>::error("ppc: unsupported BO");
+            return decode_error("ppc: unsupported BO");
         }
         if (!cond_from_bits(bi, if_true, inst.cond)) {
-            return Result<Decoded>::error("ppc: unsupported BI");
+            return decode_error("ppc: unsupported BI");
         }
         const auto bd =
             static_cast<std::int32_t>((word & 0xfffc) << 16) >> 16;
@@ -290,7 +290,7 @@ decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
             inst.op = static_cast<std::uint16_t>(Op::Blr);
             return Decoded{inst, 4};
         }
-        return Result<Decoded>::error("ppc: unsupported opcd-19 form");
+        return decode_error("ppc: unsupported opcd-19 form");
       case 31: {
         const std::uint32_t xo = (word >> 1) & 0x3ff;
         if (xo == 339 && ra == 8) {
@@ -307,7 +307,7 @@ decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
             inst.op = static_cast<std::uint16_t>(Op::Setbc);
             inst.rd = rt;
             if (!cond_from_bits(ra, rb == 0, inst.cond)) {
-                return Result<Decoded>::error("ppc: bad setbc BI");
+                return decode_error("ppc: bad setbc BI");
             }
             return Decoded{inst, 4};
         }
@@ -340,12 +340,10 @@ decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
             }
             return Decoded{inst, 4};
         }
-        return Result<Decoded>::error("ppc: unknown xo " +
-                                      std::to_string(xo));
+        return decode_error("ppc: unknown xo");
       }
       default:
-        return Result<Decoded>::error("ppc: unknown opcd " +
-                                      std::to_string(opcd));
+        return decode_error("ppc: unknown opcd");
     }
 }
 

@@ -161,14 +161,14 @@ Result<Decoded>
 decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
 {
     if (avail < 1) {
-        return Result<Decoded>::error("x86: empty input");
+        return decode_error("x86: empty input");
     }
     const std::uint8_t opcode = p[0];
     MachInst inst;
 
     if (opcode >= 0x30 && opcode <= 0x35) {
         if (avail < 5) {
-            return Result<Decoded>::error("x86: truncated jcc");
+            return decode_error("x86: truncated jcc");
         }
         inst.op = static_cast<std::uint16_t>(Op::Jcc);
         inst.cond = static_cast<Cond>(opcode - 0x30);
@@ -178,12 +178,11 @@ decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
     }
     const Spec *spec = spec_for_opcode(opcode);
     if (spec == nullptr) {
-        return Result<Decoded>::error("x86: unknown opcode " +
-                                      std::to_string(opcode));
+        return decode_error("x86: unknown opcode");
     }
     const int size = 1 + (spec->has_mod ? 1 : 0) + (spec->has_imm ? 4 : 0);
     if (avail < static_cast<std::size_t>(size)) {
-        return Result<Decoded>::error("x86: truncated instruction");
+        return decode_error("x86: truncated instruction");
     }
     inst.op = static_cast<std::uint16_t>(spec->op);
     int offset = 1;
@@ -193,7 +192,7 @@ decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
         const auto low = static_cast<std::uint8_t>(mod & 15);
         if (spec->op == Op::Setcc) {
             if (low > static_cast<std::uint8_t>(Cond::LEU)) {
-                return Result<Decoded>::error("x86: bad setcc cond");
+                return decode_error("x86: bad setcc cond");
             }
             inst.cond = static_cast<Cond>(low);
         } else if (spec->op == Op::LoadRM || spec->op == Op::StoreMR ||
@@ -203,7 +202,7 @@ decode(const std::uint8_t *p, std::size_t avail, std::uint64_t addr)
             inst.rt = low;
         }
         if (inst.rd > 7 || inst.rs > 7 || inst.rt > 7) {
-            return Result<Decoded>::error("x86: bad register");
+            return decode_error("x86: bad register");
         }
     }
     if (spec->has_imm) {

@@ -70,7 +70,9 @@ struct CanonOptions
      * set, represent_procedure() reuses the memoized strand-hash span
      * of any block already canonicalized under equivalent options.
      * Never part of hash identity: memo-on and memo-off produce
-     * bit-identical representations.
+     * bit-identical representations. No product path sets it (every
+     * scan canonicalizes each block directly); only perfbench's replay
+     * does, and the option goes with that replay.
      */
     CanonMemo *memo = nullptr;
     /**

@@ -2,13 +2,20 @@
  * @file
  * CanonMemo — a cross-executable canonicalization memo.
  *
- * Firmware corpora are dominated by reuse: images from the same vendor
- * ship the same packages, and different builds share whole basic blocks
- * byte-for-byte. Canonicalizing a block is pure — its strand hashes are
- * fully determined by the block's statements and the CanonOptions — so
- * the driver shares one thread-safe memo across every executable of a
- * scan: a basic block seen anywhere before is represented by replaying
- * its memoized strand-hash span instead of re-slicing and re-hashing.
+ * Canonicalizing a block is pure — its strand hashes are fully
+ * determined by the block's statements and the CanonOptions — so a
+ * thread-safe memo shared across executables can represent a basic
+ * block seen before by replaying its memoized strand-hash span instead
+ * of re-slicing and re-hashing.
+ *
+ * No product path sets it. Keying a block folds five words of every
+ * statement through two serial hash chains, which costs about half of
+ * canonicalizing the block outright, and only 37-38% of a corpus's
+ * blocks repeat; a cold scan ran faster and leaner with every block
+ * canonicalized directly (DESIGN §12). The memo stays as a library
+ * option (CanonOptions::memo) only because perfbench/harness.cc's serial
+ * replay still sets it; it is deleted along with that replay (ROADMAP
+ * item 8).
  *
  * The key is a 128-bit digest over (canon options, memo context, block
  * statement content). The options — section geometry and the three

@@ -81,6 +81,21 @@ class Result
         return r;
     }
 
+    /**
+     * Construct a failed result whose message is a string literal. Only
+     * the pointer is kept, so the failure allocates nothing: decoders
+     * fail this way on every non-instruction byte the lifter probes.
+     */
+    template <std::size_t N>
+    static Result
+    error(ErrorCode code, const char (&literal)[N])
+    {
+        Result r;
+        r.code_ = code;
+        r.literal_ = literal;
+        return r;
+    }
+
     /** Re-wrap another Result's failure, preserving its code. */
     template <typename U>
     static Result
@@ -98,7 +113,12 @@ class Result
     T &&take() && { assert(ok()); return std::move(*value_); }
 
     /** Diagnostic message; requires !ok(). */
-    const std::string &error_message() const { assert(!ok()); return error_; }
+    std::string
+    error_message() const
+    {
+        assert(!ok());
+        return literal_ != nullptr ? std::string(literal_) : error_;
+    }
 
     /** Taxonomy code; requires !ok(). */
     ErrorCode error_code() const { assert(!ok()); return code_; }
@@ -107,6 +127,7 @@ class Result
     Result() = default;
     std::optional<T> value_;
     std::string error_;
+    const char *literal_ = nullptr;  ///< set instead of error_ for literals
     ErrorCode code_ = ErrorCode::Unknown;
 };
 

@@ -58,12 +58,24 @@ std::uint64_t fnv1a64(std::string_view bytes);
 std::uint64_t content_hash64(std::string_view bytes);
 
 /** Strong 64-bit finalizer (splitmix64 mixer) for integer keys. */
-std::uint64_t mix64(std::uint64_t x);
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
 
 /**
  * Combine two 64-bit hashes order-dependently.
  * Used to fold structured values (op, operands...) into one digest.
  */
-std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value);
+inline std::uint64_t
+hash_combine(std::uint64_t seed, std::uint64_t value)
+{
+    return mix64(seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 6) +
+                         (seed >> 2)));
+}
 
 }  // namespace firmup

@@ -85,7 +85,6 @@ discrete_health(const ScanHealth &h)
         h.cache_hits,         h.cache_misses,
         h.cache_write_bytes,  h.cache_mmap_loads,
         h.query_cache_hits,   h.query_cache_misses,
-        h.canon_memo_hits,    h.canon_memo_misses,
         h.resume_rejected};
     counts.insert(counts.end(), h.errors.begin(), h.errors.end());
     return counts;

@@ -12,8 +12,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -283,6 +285,41 @@ TEST(CliExec, BadNumbersAreUsageErrorsNotAborts)
     // Well-formed numbers get past the parser: this entry is no
     // procedure, which the interpreter reports as a failed run.
     EXPECT_EQ(cli(exec + "@1000 0x10 -1"), 1);
+}
+
+TEST(CliVerbs, CorpusCreatesItsOutDirBeforeGenerating)
+{
+    // `corpus --out` creates a missing DIR, parents included, as
+    // --index-cache and --state do, and the blobs it writes there scan.
+    const ScopedTempDir tmp("firmup-cli");
+    const std::string dir = tmp.path() + "/new/corpus";
+    const std::string out = tmp.path() + "/out.txt";
+    const std::string err = tmp.path() + "/err.txt";
+    ASSERT_EQ(cli("corpus --devices 1 --out " + dir, out, err), 0)
+        << slurp(err);
+    std::vector<std::string> blobs;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        blobs.push_back(entry.path().string());
+    }
+    ASSERT_FALSE(blobs.empty());
+    std::sort(blobs.begin(), blobs.end());
+    const std::string stats = tmp.path() + "/stats.json";
+    const int found = cli("search CVE-2011-0762 " + join(blobs, " ") +
+                              " --stats-json " + stats,
+                          out);
+    EXPECT_TRUE(found == 0 || found == 3) << found;  // 3: no findings
+    const std::string json = slurp(stats);
+    const std::string key = "\"scan.content_keys\": ";
+    const std::size_t at = json.find(key);
+    ASSERT_NE(at, std::string::npos) << json;
+    EXPECT_GT(std::stoul(json.substr(at + key.size())), 0u) << json;
+
+    // A DIR that cannot be created fails before any generation, naming
+    // the DIR rather than a blob inside it.
+    const std::string file = tmp.path() + "/out.txt";
+    EXPECT_EQ(cli("corpus --devices 1 --out " + file, "/dev/null", err), 1);
+    EXPECT_NE(slurp(err).find("cannot create " + file), std::string::npos)
+        << slurp(err);
 }
 
 TEST(CliVerbs, BenchJsonIsNotAFirmupVerb)

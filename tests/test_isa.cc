@@ -6,12 +6,50 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+#include <vector>
+
 #include "isa/arm.h"
 #include "isa/isa.h"
 #include "isa/mips.h"
 #include "isa/ppc.h"
 #include "isa/x86.h"
 #include "support/rng.h"
+
+namespace {
+
+/** Heap allocations this thread made while `g_count_allocations`. */
+thread_local bool g_count_allocations = false;
+thread_local std::size_t g_allocations = 0;
+
+}  // namespace
+
+void *
+operator new(std::size_t size)
+{
+    if (g_count_allocations) {
+        ++g_allocations;
+    }
+    if (void *p = std::malloc(size == 0 ? 1 : size)) {
+        return p;
+    }
+    throw std::bad_alloc();
+}
+
+// Out of line, so the compiler never sees free() meet a pointer that
+// came from operator new.
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace firmup::isa {
 namespace {
@@ -325,6 +363,37 @@ TEST_P(IsaRoundTrip, DecodeRejectsTruncatedInput)
     const std::uint8_t short_buf[1] = {0};
     // 0 available bytes must always fail.
     EXPECT_FALSE(target.decode(short_buf, 0, 0x400000).ok());
+}
+
+TEST_P(IsaRoundTrip, DecodeFailuresAllocateNothing)
+{
+    // The lifter's prologue scan decodes every unclaimed aligned text
+    // address and most of those decodes fail, so a failure must not
+    // build a heap string. Every byte offset of random bytes hits the
+    // ISA's failure paths, truncation at the end included.
+    const Arch arch = GetParam();
+    const Target &target = target_for(arch);
+    Rng rng(static_cast<std::uint64_t>(arch) * 104729 + 7);
+    std::vector<std::uint8_t> bytes(4096);
+    for (std::uint8_t &byte : bytes) {
+        byte = static_cast<std::uint8_t>(rng.next());
+    }
+    std::size_t failures = 0;
+    g_allocations = 0;
+    g_count_allocations = true;
+    for (std::size_t offset = 0; offset < bytes.size(); ++offset) {
+        const auto decoded = target.decode(
+            bytes.data() + offset, bytes.size() - offset, 0x400000 + offset);
+        failures += decoded.ok() ? 0 : 1;
+    }
+    g_count_allocations = false;
+    EXPECT_GT(failures, bytes.size() / 4);
+    EXPECT_EQ(g_allocations, 0u);
+    // The message is still there for whoever prints it.
+    const auto empty = target.decode(bytes.data(), 0, 0x400000);
+    ASSERT_FALSE(empty.ok());
+    EXPECT_EQ(empty.error_code(), ErrorCode::UndecodableInsn);
+    EXPECT_FALSE(empty.error_message().empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArches, IsaRoundTrip,

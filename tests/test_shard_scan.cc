@@ -208,8 +208,6 @@ TEST(ShardFrames, HealthFieldsRoundTrip)
     health.cache_mmap_loads = 13;
     health.query_cache_hits = 17;
     health.query_cache_misses = 18;
-    health.canon_memo_hits = 19;
-    health.canon_memo_misses = 20;
     health.resume_rejected = true;
     health.resume_reject_reason = "fingerprint \"mismatch\"\n";
     health.index_seconds = 2.5;
@@ -258,8 +256,6 @@ TEST(ShardFrames, HealthFieldsRoundTrip)
     EXPECT_EQ(back.cache_mmap_loads, health.cache_mmap_loads);
     EXPECT_EQ(back.query_cache_hits, health.query_cache_hits);
     EXPECT_EQ(back.query_cache_misses, health.query_cache_misses);
-    EXPECT_EQ(back.canon_memo_hits, health.canon_memo_hits);
-    EXPECT_EQ(back.canon_memo_misses, health.canon_memo_misses);
     EXPECT_EQ(back.resume_rejected, health.resume_rejected);
     EXPECT_EQ(back.resume_reject_reason, health.resume_reject_reason);
     EXPECT_EQ(back.index_seconds, health.index_seconds);
@@ -359,11 +355,12 @@ TEST(ShardScan, UnchangedCorpusRescansIncrementally)
 
     ASSERT_TRUE(second.ok) << second.error;
     EXPECT_TRUE(second.state_reused);
-    // Pure replay: nothing searched, nothing lifted or canonicalized,
-    // no index-store traffic — the acceptance bar for incremental.
+    // Pure replay: nothing searched, no query built, no index-store
+    // traffic (with a store, every lifted target is a cache miss) — the
+    // acceptance bar for incremental.
     EXPECT_EQ(second.targets_searched, 0u);
     EXPECT_GT(second.incremental_skips, 0u);
-    EXPECT_EQ(second.health.canon_memo_misses, 0u);
+    EXPECT_EQ(second.health.query_cache_misses, 0u);
     EXPECT_EQ(second.health.cache_hits, 0u);
     EXPECT_EQ(second.health.cache_misses, 0u);
     expect_findings_equal(first, second, "incremental rescan");

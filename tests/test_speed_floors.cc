@@ -151,12 +151,12 @@ TEST(SpeedFloors, ShardScanScalesAndRescansIncrementally)
     EXPECT_FALSE(one.findings.empty());
     EXPECT_EQ(three.findings, one.findings);
     EXPECT_EQ(rescan.findings, one.findings);
-    // The rescan is pure replay: nothing searched, nothing lifted or
-    // canonicalized, no store traffic.
+    // The rescan is pure replay: nothing searched, no query built, no
+    // store traffic (with a store, every lifted target is a miss).
     EXPECT_TRUE(rescan.state_reused);
     EXPECT_EQ(rescan.targets_searched, 0u);
     EXPECT_GT(rescan.incremental_skips, 0u);
-    EXPECT_EQ(rescan.health.canon_memo_misses, 0u);
+    EXPECT_EQ(rescan.health.query_cache_misses, 0u);
     EXPECT_EQ(rescan.health.cache_hits, 0u);
     EXPECT_EQ(rescan.health.cache_misses, 0u);
     if (enforced) {

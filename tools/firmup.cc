@@ -34,6 +34,7 @@
  * firmware::pack_firmware caller).
  */
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -209,6 +210,14 @@ cmd_corpus(const std::vector<std::string> &args)
         !positionals.empty() || out_dir.empty()) {
         return usage();
     }
+    // Before generating, so a bad --out fails fast and names the dir.
+    std::error_code ec;
+    std::filesystem::create_directories(out_dir, ec);
+    if (ec) {
+        std::fprintf(stderr, "firmup: cannot create %s: %s\n",
+                     out_dir.c_str(), ec.message().c_str());
+        return 1;
+    }
     const firmware::Corpus corpus = firmware::build_corpus(options);
     const auto written =
         firmware::write_corpus_blobs(corpus, options.seed, out_dir);
@@ -332,9 +341,16 @@ cmd_disasm(const std::string &path, const std::string &member, int count)
                 target.decode(exe.text.data() + offset,
                               exe.text.size() - offset, addr);
             if (!decoded.ok()) {
-                std::printf("  %06llx: <%s>\n",
+                // The decoder's message is fixed; name the bytes here.
+                std::string bytes;
+                for (std::size_t b = offset;
+                     b < exe.text.size() && b < offset + 4; ++b) {
+                    bytes += strprintf(" %02x", exe.text[b]);
+                }
+                std::printf("  %06llx: <%s at%s>\n",
                             static_cast<unsigned long long>(addr),
-                            decoded.error_message().c_str());
+                            decoded.error_message().c_str(),
+                            bytes.c_str());
                 break;
             }
             std::printf("  %06llx: %s\n",
