@@ -11,7 +11,6 @@
 #include "codegen/build.h"
 #include "support/error.h"
 #include "support/hash.h"
-#include "support/retry.h"
 #include "support/str.h"
 #include "support/threadpool.h"
 #include "support/trace.h"
@@ -141,6 +140,16 @@ const trace::Counter c_resumed_targets("journal.resumed_targets");
 const trace::Counter c_cancelled_targets("scan.cancelled_targets");
 const trace::Counter c_retries("scan.retries");
 const trace::Counter c_watchdog_expired("scan.watchdog_expired");
+
+// The game grid's ranges, one journal group each.
+const trace::Counter c_chunks("scan.chunks");
+
+// Watchdog retries: a game whose wall-clock budget expired is played
+// again at most kMaxTargetRetries times, after a backoff that starts at
+// kRetryBackoffSeconds and doubles per retry.
+constexpr int kMaxTargetRetries = 2;
+constexpr double kRetryBackoffSeconds = 0.05;
+constexpr double kRetryBackoffFactor = 2.0;
 
 // Every content_key call: a scan call keys each target once.
 const trace::Counter c_content_keys("scan.content_keys");
@@ -395,7 +404,7 @@ Driver::build_query_set(const std::vector<QuerySpec> &specs,
     // each executable once it is lifted and each lifted IR once it is
     // indexed; the slots keep only indexes. Workers write distinct
     // recipe-keyed entries.
-    ThreadPool::parallel_for(
+    parallel_for(
         resolve_worker_threads(threads), jobs.size(), [&](std::size_t j) {
             // Cancellation point, as in index_many: an unbuilt slot
             // leaves no trace in health.
@@ -543,7 +552,6 @@ struct Driver::IndexSlot
     sim::IndexCacheStore::LoadStats load_stats;
     std::uint64_t write_bytes = 0;
     double load_seconds = 0.0;
-    int retries = 0;             ///< transient lift retries consumed
 };
 
 Driver::IndexSlot
@@ -567,11 +575,7 @@ Driver::load_or_lift(const loader::Executable &exe, std::uint64_t key,
         }
         slot.cache_miss = true;
     }
-    auto lifted = retry_transient(
-        RetryPolicy{options_.max_target_retries,
-                    options_.retry_backoff_seconds},
-        options_.cancel, [&] { return lift_untrusted(exe); },
-        &slot.retries);
+    auto lifted = lift_untrusted(exe);
     if (!lifted.ok()) {
         slot.code = lifted.error_code();
         slot.message = lifted.error_message();
@@ -591,10 +595,6 @@ const sim::ExecutableIndex *
 Driver::merge_slot(const loader::Executable &exe, std::uint64_t key,
                    IndexSlot &slot)
 {
-    if (slot.retries > 0) {
-        health_.retries += static_cast<std::size_t>(slot.retries);
-        c_retries.add(static_cast<std::uint64_t>(slot.retries));
-    }
     if (slot.from_cache || slot.cache_miss) {
         fold_load(health_, slot.load_seconds, slot.load_stats);
     }
@@ -706,7 +706,7 @@ Driver::index_many(const std::vector<CorpusTarget> &targets,
     sim::IndexCacheStore *const store = cache_store();
     const CancelToken *const cancel = options_.cancel;
     std::vector<IndexSlot> slots(work.size());
-    ThreadPool::parallel_for(
+    parallel_for(
         resolve_worker_threads(threads), work.size(), [&](std::size_t i) {
             // Cancellation point: an unattempted slot leaves no trace —
             // no health accounting, no quarantine — so a resume retries
@@ -942,9 +942,9 @@ scan_fingerprint(const SearchOptions &options, const std::string &label,
         fp, static_cast<std::uint64_t>(options.game.max_matches));
     fp = hash_combine(
         fp, static_cast<std::uint64_t>(options.game.min_sim));
-    // Wall-clock knobs (game.max_seconds, the watchdog, the retry
-    // policy) are deliberately excluded: they bound how long a scan may
-    // take, not which answer a target deterministically produces.
+    // Wall-clock knobs (game.max_seconds, the watchdog budget) are
+    // deliberately excluded: they bound how long a scan may take, not
+    // which answer a target deterministically produces.
     return fp != 0 ? fp : 1;  // 0 means "skip the check" in parse()
 }
 
@@ -1277,17 +1277,15 @@ Driver::run_batch(
          options_.target_budget_seconds < options_.game.max_seconds)) {
         options_.game.max_seconds = options_.target_budget_seconds;
     }
-    const RetryPolicy retry_policy{options_.max_target_retries,
-                                   options_.retry_backoff_seconds};
 
-    // Fan the outstanding games out over (query, target) work items on
-    // the work-stealing scheduler, target-major (k = t * nq + q): the
-    // scheduler's contiguous chunks then play every query against one
-    // target back-to-back while its index is hot, and a target is
-    // released before the next one is touched. Workers read the frozen
-    // caches and write disjoint slots; the first worker exception
-    // propagates out of run(). play(k) plays pair k and returns its
-    // journal record when the pair decided an answer.
+    // Fan the outstanding games out over the (query, target) grid in
+    // contiguous chunks, target-major (k = t * nq + q): a chunk plays
+    // every query against one target back-to-back while its index is
+    // hot, and free workers take the chunks in grid order, so targets
+    // are touched roughly in order. Workers read the frozen caches and
+    // write disjoint slots; the first worker exception propagates out
+    // of parallel_for. play(k) plays pair k and returns its journal
+    // record when the pair decided an answer.
     const auto play = [&](std::size_t k) -> std::optional<JournalEntry> {
         const std::size_t t = k / nq;
         const std::size_t q = k % nq;
@@ -1324,15 +1322,15 @@ Driver::run_batch(
         // lasts. Everything else is deterministic and would fail
         // identically.
         int retries = 0;
-        double backoff = retry_policy.backoff_seconds;
+        double backoff = kRetryBackoffSeconds;
         while (outcome.deadline_expired && !outcome.cancelled &&
-               retries < retry_policy.max_retries &&
+               retries < kMaxTargetRetries &&
                !(cancel != nullptr && cancel->requested())) {
             if (backoff > 0.0) {
                 std::this_thread::sleep_for(
                     std::chrono::duration<double>(backoff));
             }
-            backoff *= retry_policy.backoff_factor;
+            backoff *= kRetryBackoffFactor;
             ++retries;
             outcome = confirm ? search_outcome(qit->second, *target)
                               : match_outcome(qit->second, *target);
@@ -1354,9 +1352,12 @@ Driver::run_batch(
     // finished pair.
     const bool journaled = journal_.is_open();
     const auto match_start = std::chrono::steady_clock::now();
-    WorkStealingScheduler::run(
-        resolve_worker_threads(threads), nq * nt,
-        [&](std::size_t begin, std::size_t end) {
+    const unsigned workers = resolve_worker_threads(threads);
+    const std::size_t pairs = nq * nt;
+    const std::size_t chunk = chunk_for(pairs, workers);
+    c_chunks.add((pairs + chunk - 1) / chunk);
+    parallel_for(
+        workers, pairs, chunk, [&](std::size_t begin, std::size_t end) {
             std::vector<JournalEntry> group;
             for (std::size_t k = begin; k < end; ++k) {
                 std::optional<JournalEntry> record = play(k);

@@ -77,7 +77,7 @@ struct SearchOptions
     /**
      * When non-empty, search_corpus keeps an append-only scan journal
      * (eval/journal.h) at this path: each target's outcome is durably
-     * recorded with the scheduler chunk it ran in (one group commit per
+     * recorded with the grid chunk it ran in (one group commit per
      * chunk), so a crashed or cancelled scan can be resumed without
      * redoing finished targets.
      */
@@ -100,18 +100,12 @@ struct SearchOptions
     /**
      * Per-target watchdog: wall-clock budget in seconds for one
      * target's game (tightens game.max_seconds when smaller; 0 keeps
-     * the game's own budget). A watchdog-expired game is unresolved,
-     * retried per the policy below, and counted in
-     * health().watchdog_expired.
+     * the game's own budget). A watchdog-expired game is played again
+     * up to twice, after a backoff of 50 ms that doubles per retry (the
+     * one retry a scan makes; every other failure is deterministic),
+     * and counted in health().watchdog_expired when it still expires.
      */
     double target_budget_seconds = 0.0;
-    /**
-     * Bounded retry-with-backoff for transient per-target failures
-     * (error_code_transient: IoError lifts, watchdog-expired games).
-     * Deterministic failures are never retried.
-     */
-    int max_target_retries = 2;
-    double retry_backoff_seconds = 0.05;
     /**
      * Test seam for deterministic interruption: request cancellation on
      * `cancel` after the journal commit that brings the appended record
@@ -204,7 +198,7 @@ std::string batch_scan_label(const std::vector<firmware::CveRecord> &cves);
  * joined query identities), the confirm/match mode, and every
  * deterministic matching knob of @p options — so a journal can only be
  * resumed into a scan that would have produced the same per-key
- * outcomes. Wall-clock knobs (watchdog, retries) are deliberately
+ * outcomes. Wall-clock knobs (the watchdog budget) are deliberately
  * excluded. Exposed at namespace scope so the shard-scan coordinator
  * (eval/shard.h) can seed per-shard journals and the persistent
  * scan-state manifest with exactly the fingerprint the workers'
@@ -323,12 +317,12 @@ class Driver
      * Batched multi-CVE hunt — the production shape: hunt a whole CVE
      * list across one corpus in a single pass. Each target executable
      * is indexed exactly once (warm FWIX load or cold lift), per-ISA
-     * queries are built once per CVE, and the games fan out over
-     * (query, target) work items on a work-stealing scheduler
-     * (support/threadpool.h) ordered target-major: every query's game
-     * against a target runs back-to-back while that target's index is
-     * hot, in contiguous chunks sized to actually fill cores instead of
-     * drowning warm-cache games in per-task scheduling overhead.
+     * queries are built once per CVE, and the games fan out over the
+     * (query, target) grid ordered target-major, in contiguous chunks
+     * of chunk_for(pairs, threads) pairs (support/threadpool.h): every
+     * query's game against a target runs back-to-back while that
+     * target's index is hot, and a chunk is big enough that warm-cache
+     * games are not drowned in per-item scheduling overhead.
      *
      * Returns one outcome row per CVE, in CVE order; row q is
      * bit-identical to what search_corpus(cves[q], targets) would have
@@ -465,7 +459,7 @@ class Driver
      * The batched fan-out core every search_corpus overload lands on:
      * replay the journaled (query, target) pairs, index the remaining
      * distinct targets once, then run the outstanding games target-major
-     * on the work-stealing scheduler and merge accounting
+     * in chunked parallel_for ranges and merge accounting
      * single-threaded in (query, target) order — the same order N
      * sequential single-query scans would have produced. The journal
      * must already be open (or absent) when this runs.

@@ -51,9 +51,9 @@ struct ScanHealth
      *    (not scanned, not journaled — a resume redoes them);
      *  - `resumed_targets` counts targets whose outcome was replayed
      *    from a scan journal instead of being recomputed;
-     *  - `retries` counts transient-failure retries (lift IoError,
-     *    watchdog-expired games) that eventually produced an answer or
-     *    exhausted the retry budget;
+     *  - `retries` counts the replays of watchdog-expired games (the
+     *    only failure a scan retries), whether the replay produced an
+     *    answer or exhausted the retry budget;
      *  - `watchdog_expired` counts games whose per-target wall-clock
      *    budget expired (a subset of games_unresolved);
      *  - `journal_truncated_bytes` is the torn/corrupt journal tail

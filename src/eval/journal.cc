@@ -173,12 +173,11 @@ decode_payload(const std::uint8_t *bytes, std::size_t size,
     return false;
 }
 
-template <typename T = ScanJournal>
-Result<T>
+Result<ScanJournal>
 journal_io_error(const std::string &what, const std::string &path)
 {
-    return Result<T>::error(ErrorCode::IoError,
-                            "journal: " + what + ": " + path);
+    return Result<ScanJournal>::error(ErrorCode::IoError,
+                                      "journal: " + what + ": " + path);
 }
 
 }  // namespace
@@ -334,29 +333,10 @@ ScanJournal::write_file(const std::string &path, std::uint64_t fingerprint,
         const ByteBuffer record = encode_record(entry);
         bytes.insert(bytes.end(), record.begin(), record.end());
     }
-    // tmp + one fsync + rename: a crash leaves the previous file (or
-    // none) or the complete new one, never a half header or a torn
-    // record that a resume would have to guess about.
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr) {
-        return journal_io_error<std::size_t>("cannot create", tmp);
-    }
-    const bool wrote =
-        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
-        fsync_stream(f);
-    std::fclose(f);
-    if (!wrote) {
-        std::remove(tmp.c_str());
-        return journal_io_error<std::size_t>("cannot write", tmp);
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        std::remove(tmp.c_str());
-        return journal_io_error<std::size_t>("cannot publish", path);
-    }
-    return bytes.size();
+    // Published whole: a crash leaves the previous file (or none) or
+    // the complete new one, never a half header or a torn record that
+    // a resume would have to guess about.
+    return publish_file(path, bytes);
 }
 
 Result<ScanJournal>

@@ -6,8 +6,8 @@
  * crash, OOM-kill or operator SIGTERM must not forfeit the work already
  * done. The journal is an append-only write-ahead log of per-target
  * results keyed by content key (eval::content_key): each target's
- * outcome is appended — checksummed — once the scheduler chunk it ran
- * in completes, and a rerun with `--resume` replays the journal, skips
+ * outcome is appended — checksummed — once the grid chunk it ran in
+ * completes, and a rerun with `--resume` replays the journal, skips
  * every already-scanned content key, and merges the replayed outcomes
  * with the fresh ones so the final findings and ScanHealth are
  * bit-identical to an uninterrupted scan (the determinism tests are
@@ -139,7 +139,7 @@ inline constexpr const char *kJournalFingerprintMismatch =
 
 /**
  * The append-only scan journal. Move-only; append() is thread-safe and
- * durable. Hunt workers commit in groups — one work-stealing chunk of at
+ * durable. Hunt workers commit in groups — one game-grid chunk of at
  * most 64 (query, target) records — and each group is written with one
  * fwrite and one fsync before append() returns. A crash can therefore
  * tear at most the groups being written: the parser keeps every whole
@@ -158,9 +158,10 @@ class ScanJournal
 
     /**
      * Write a whole journal at @p path — the header for @p fingerprint,
-     * then one record per entry — as one buffer to `path.tmp`, fsync it
-     * once and rename it into place, so a crash leaves the previous file
-     * (or none) or the complete new one. The records are not appends:
+     * then one record per entry — as one buffer through publish_file
+     * (support/fsio.h): a temp file, one fsync, a rename into place and
+     * a directory fsync, so a crash leaves the previous file (or none)
+     * or the complete new one, under a name that survives it. The records are not appends:
      * they count in neither appended() nor `journal.appends`. Returns
      * the bytes written.
      */

@@ -16,8 +16,8 @@
  *     the manifest blob path, findings carry their global manifest
  *     coordinates, and the coordinator merges in the fixed
  *     (cve, blob, executable) order — so the merged findings are
- *     bit-identical at any worker count, the same bar the ThreadPool
- *     fan-out already meets for thread counts.
+ *     bit-identical at any worker count, the same bar the in-process
+ *     parallel_for fan-out already meets for thread counts.
  *  2. **Crash tolerance.** Workers stream length-prefixed NDJSON frames
  *     (support/subproc.h) — findings, quarantines, a ScanHealth
  *     summary, heartbeats — over their stdout pipe. A worker that dies

@@ -288,7 +288,7 @@ build_corpus(const CorpusOptions &options)
         device_rngs.push_back(rng.fork("device" + std::to_string(d)));
     }
     std::vector<DeviceBuild> built(device_rngs.size());
-    ThreadPool::parallel_for(
+    parallel_for(
         resolve_worker_threads(0), built.size(), [&](std::size_t d) {
             built[d] = build_device(device_rngs[d], static_cast<int>(d),
                                     options);

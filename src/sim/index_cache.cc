@@ -1,14 +1,9 @@
 #include "sim/index_cache.h"
 
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <functional>
+#include <memory>
 #include <system_error>
-#include <thread>
 
 #include "support/fsio.h"
 #include "support/mmapfile.h"
@@ -107,73 +102,9 @@ Result<std::size_t>
 IndexCacheStore::store(std::uint64_t content_key,
                        const ExecutableIndex &index) const
 {
-    const std::span<const std::uint8_t> bytes = index.blob;
-    const std::string path = path_for(content_key);
-    // Unique per writer: concurrent stores of the same key each write
-    // their own temp file and the last rename wins atomically.
-    const std::string tmp = strprintf(
-        "%s.tmp-%llu", path.c_str(),
-        static_cast<unsigned long long>(std::hash<std::thread::id>{}(
-            std::this_thread::get_id())));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-        if (!out) {
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return Result<std::size_t>::error(
-                ErrorCode::IoError, "index cache write failed: " + tmp);
-        }
-    }
-    // Durability before publish: the rename is atomic in the namespace,
-    // but without an fsync a crash shortly after can leave the *final*
-    // path holding zero-length or partial data on some filesystems —
-    // exactly the corrupt-entry class the loader then has to quarantine.
-    // Sync the temp file so whatever gets renamed into place is the
-    // complete blob or nothing.
-    if (!fsync_path(tmp)) {
-        std::error_code ec;
-        fs::remove(tmp, ec);
-        return Result<std::size_t>::error(
-            ErrorCode::IoError, "index cache fsync failed: " + tmp);
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec == std::errc::cross_device_link) {
-        // The temp normally shares the entry's directory, but callers
-        // can hand a dir that is itself a mount boundary (overlay /
-        // bind setups). Fall back to copying into a fresh dir-local
-        // temp and renaming that — same atomicity, one extra copy.
-        const std::string local_tmp = tmp + ".x";
-        ec.clear();
-        fs::copy_file(tmp, local_tmp,
-                      fs::copy_options::overwrite_existing, ec);
-        if (!ec && !fsync_path(local_tmp)) {
-            ec = std::make_error_code(std::errc::io_error);
-        }
-        if (!ec) {
-            fs::rename(local_tmp, path, ec);
-        }
-        std::error_code ec2;
-        fs::remove(tmp, ec2);
-        if (ec) {
-            fs::remove(local_tmp, ec2);
-        }
-    }
-    if (ec) {
-        std::error_code ec2;
-        fs::remove(tmp, ec2);
-        return Result<std::size_t>::error(
-            ErrorCode::IoError,
-            "index cache publish failed: " + path + ": " + ec.message());
-    }
-    // The rename published a directory entry; fsync the directory so a
-    // crash cannot roll the namespace back to "no such entry" while the
-    // data blocks survive. Best-effort: a store that cannot sync its
-    // directory still published a readable entry for this boot.
-    fsync_dir(dir_);
-    return bytes.size();
+    // Without the fsyncs a crash could publish a name over a hole: the
+    // corrupt-entry class the loader would then have to quarantine.
+    return publish_file(path_for(content_key), index.blob);
 }
 
 }  // namespace firmup::sim

@@ -24,12 +24,11 @@
  * the file into a heap buffer and opens that instead.
  *
  * Robustness contract:
- *  - writes are atomic AND durable: write to `<entry>.tmp-<tid>`,
- *    fsync the temp file, rename over the final path, then fsync the
- *    parent directory — a crash at any point leaves either the old
- *    entry, the complete new entry, or nothing (never a torn file, and
- *    never a rename the directory forgot). A rename refused with
- *    cross-device EXDEV is retried through a dir-local copy.
+ *  - writes are atomic AND durable: store() is publish_file
+ *    (support/fsio.h) — a per-writer temp file, fsync, rename over the
+ *    final path, directory fsync — so a crash at any point leaves
+ *    either the old entry, the complete new entry, or nothing (never a
+ *    torn file, and never a rename the directory forgot).
  *  - loads never trust the bytes: any missing, truncated, corrupted or
  *    stale-format file surfaces as a clean Result error (the FWIX
  *    version/layout/checksum guards), which callers treat as a cache

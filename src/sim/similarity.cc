@@ -51,16 +51,11 @@ index_executable(const lifter::LiftedExecutable &lifted,
     };
     // Procedures are independent units of work; each writes only its
     // own pre-sized slot, so any schedule yields the same index. Small
-    // executables (fuzz mutants, single-proc fixtures) stay inline —
-    // a pool costs more than it saves there.
+    // executables (fuzz mutants, single-proc fixtures) stay on the
+    // calling thread: starting threads costs more than it saves there.
     constexpr std::size_t kParallelThreshold = 4;
-    if (threads > 1 && order.size() >= kParallelThreshold) {
-        ThreadPool::parallel_for(threads, order.size(), represent_slot);
-    } else {
-        for (std::size_t slot = 0; slot < order.size(); ++slot) {
-            represent_slot(slot);
-        }
-    }
+    parallel_for(order.size() >= kParallelThreshold ? threads : 1,
+                 order.size(), represent_slot);
     return build_index(lifted.name, lifted.arch, procs);
 }
 

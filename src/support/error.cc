@@ -28,25 +28,6 @@ error_code_name(ErrorCode code)
     return "invalid";
 }
 
-bool
-error_code_transient(ErrorCode code)
-{
-    switch (code) {
-      case ErrorCode::IoError:
-      case ErrorCode::BudgetExhausted:
-        return true;
-      case ErrorCode::Unknown:
-      case ErrorCode::MalformedContainer:
-      case ErrorCode::TruncatedMember:
-      case ErrorCode::UndecodableInsn:
-      case ErrorCode::LiftBailout:
-      case ErrorCode::MissingProcedure:
-      case ErrorCode::StaleFormat:
-        return false;
-    }
-    return false;
-}
-
 void
 assert_fail(const char *expr, const char *file, int line,
             const std::string &message)

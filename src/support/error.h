@@ -44,15 +44,6 @@ enum class ErrorCode : std::uint8_t {
 /** Stable human-readable name, e.g. "truncated-member". */
 const char *error_code_name(ErrorCode code);
 
-/**
- * Retry taxonomy: true for failures that can legitimately succeed on a
- * retry (IoError — a flaky mount, a transiently full disk — and
- * BudgetExhausted, whose wall-clock form depends on machine load).
- * Everything else is a property of the input bytes and will fail
- * identically forever; retrying it only burns budget.
- */
-bool error_code_transient(ErrorCode code);
-
 /** Number of distinct ErrorCode values (for dense histograms). */
 inline constexpr std::size_t kErrorCodeCount =
     static_cast<std::size_t>(ErrorCode::StaleFormat) + 1;

@@ -8,10 +8,55 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <system_error>
+#include <thread>
 
 #include "support/str.h"
 
 namespace firmup {
+
+namespace {
+
+/**
+ * Flush @p path's written contents to stable storage (POSIX fsync).
+ * Returns false when the file cannot be opened or synced.
+ */
+bool
+fsync_path(const std::string &path)
+{
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    if (fd < 0) {
+        return false;
+    }
+    const bool ok = ::fsync(fd) == 0;
+    ::close(fd);
+    return ok;
+}
+
+/**
+ * Flush @p dir's directory entries to stable storage. The rename that
+ * publishes an atomic write is itself just a dirent update: without
+ * syncing the parent directory a crash after the rename can forget the
+ * published *name* even though the file contents are durable.
+ */
+bool
+fsync_dir(const std::string &dir)
+{
+#ifdef O_DIRECTORY
+    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+#else
+    const int fd = ::open(dir.c_str(), O_RDONLY);
+#endif
+    if (fd < 0) {
+        return false;
+    }
+    const bool ok = ::fsync(fd) == 0;
+    ::close(fd);
+    return ok;
+}
+
+}  // namespace
 
 Result<ByteBuffer>
 read_file_bytes(const std::string &path)
@@ -56,40 +101,71 @@ read_file_bytes(const std::string &path)
 }
 
 bool
-fsync_path(const std::string &path)
-{
-    const int fd = ::open(path.c_str(), O_WRONLY);
-    if (fd < 0) {
-        return false;
-    }
-    const bool ok = ::fsync(fd) == 0;
-    ::close(fd);
-    return ok;
-}
-
-bool
-fsync_dir(const std::string &dir)
-{
-#ifdef O_DIRECTORY
-    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-#else
-    const int fd = ::open(dir.c_str(), O_RDONLY);
-#endif
-    if (fd < 0) {
-        return false;
-    }
-    const bool ok = ::fsync(fd) == 0;
-    ::close(fd);
-    return ok;
-}
-
-bool
 fsync_stream(std::FILE *stream)
 {
     if (stream == nullptr || std::fflush(stream) != 0) {
         return false;
     }
     return ::fsync(fileno(stream)) == 0;
+}
+
+Result<std::size_t>
+publish_file(const std::string &path, std::span<const std::uint8_t> bytes)
+{
+    namespace fs = std::filesystem;
+    const auto fail = [](const char *what, const std::string &name,
+                         const std::string &why) {
+        return Result<std::size_t>::error(
+            ErrorCode::IoError,
+            std::string("cannot ") + what + " " + name + ": " + why);
+    };
+    const std::string tmp = strprintf(
+        "%s.tmp-%d-%llx", path.c_str(), static_cast<int>(::getpid()),
+        static_cast<unsigned long long>(std::hash<std::thread::id>{}(
+            std::this_thread::get_id())));
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
+    if (f == nullptr) {
+        return fail("create", tmp, std::strerror(errno));
+    }
+    const bool wrote =
+        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
+        fsync_stream(f);
+    const int write_errno = errno;
+    std::fclose(f);
+    std::error_code ec;
+    if (!wrote) {
+        fs::remove(tmp, ec);
+        return fail("write", tmp, std::strerror(write_errno));
+    }
+    fs::rename(tmp, path, ec);
+    if (ec == std::errc::cross_device_link) {
+        // The temp shares the target's directory, but that directory
+        // can itself be a mount boundary (overlay or bind setups): copy
+        // into a second temp and rename that instead.
+        const std::string copy = tmp + ".x";
+        ec.clear();
+        fs::copy_file(tmp, copy, fs::copy_options::overwrite_existing,
+                      ec);
+        if (!ec && !fsync_path(copy)) {
+            ec = std::make_error_code(std::errc::io_error);
+        }
+        if (!ec) {
+            fs::rename(copy, path, ec);
+        }
+        std::error_code ignored;
+        fs::remove(copy, ignored);
+        fs::remove(tmp, ignored);
+    }
+    if (ec) {
+        const std::string why = ec.message();
+        fs::remove(tmp, ec);
+        return fail("publish", path, why);
+    }
+    // Best-effort: a directory that cannot be synced still holds a
+    // readable file for this boot.
+    const fs::path dir = fs::path(path).parent_path();
+    fsync_dir(dir.empty() ? "." : dir.string());
+    return bytes.size();
 }
 
 ScopedTempDir::ScopedTempDir(const std::string &prefix)

@@ -2,16 +2,19 @@
  * @file
  * File reads, and durability helpers for crash-safe persistence.
  *
- * The atomic write-via-rename idiom (IndexCacheStore, ScanJournal) is
- * only crash-safe when the temp file's *contents* reach stable storage
- * before the rename publishes its name: without the fsync, a power loss
- * after the rename but before writeback can leave a fully-published
- * entry whose payload is a hole. These helpers are the missing half of
- * that idiom.
+ * The atomic write-via-rename idiom is only crash-safe when the temp
+ * file's *contents* reach stable storage before the rename publishes
+ * its name, and the rename itself is only durable once the directory
+ * is synced: without those fsyncs a power loss can leave a published
+ * entry whose payload is a hole, or forget the name altogether.
+ * publish_file is that idiom, written once for every durable file
+ * (IndexCacheStore entries and whole ScanJournal files).
  */
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 
 #include "support/bytes.h"
@@ -27,23 +30,21 @@ namespace firmup {
  */
 Result<ByteBuffer> read_file_bytes(const std::string &path);
 
-/**
- * Flush @p path's written contents to stable storage (POSIX fsync).
- * Returns false when the file cannot be opened or synced; callers on
- * the publish path should treat that as a failed write.
- */
-bool fsync_path(const std::string &path);
-
-/**
- * Flush @p dir's directory entries to stable storage. The rename that
- * publishes an atomic write is itself just a dirent update: without
- * syncing the parent directory a crash after the rename can forget the
- * published *name* even though the file contents are durable.
- */
-bool fsync_dir(const std::string &dir);
-
 /** fsync an already-open stdio stream (fflush + fsync of its fd). */
 bool fsync_stream(std::FILE *stream);
+
+/**
+ * Durably replace @p path with @p bytes: write them to a temp file
+ * beside it (named per process and thread, so concurrent publishers of
+ * one path never share a temp file and the last rename wins), fsync
+ * it, rename it over @p path and fsync the directory. A rename refused
+ * as cross-device is retried through a second, copied temp file. A
+ * crash at any point leaves the previous file (or none) or the
+ * complete new one. Any failure is an IoError that leaves no temp file
+ * behind. Returns the bytes written.
+ */
+Result<std::size_t> publish_file(const std::string &path,
+                                 std::span<const std::uint8_t> bytes);
 
 /**
  * A fresh directory under the system temp dir, named

@@ -3,13 +3,14 @@
  * Determinism and crash-recovery properties of the batched multi-CVE
  * hunt (Driver::search_corpus_batch).
  *
- * The batch scheduler fans a (query, target) grid across work-stealing
- * workers and plays every game against a target while its index is
- * live. None of that may show in the findings: the per-(q, t) outcome
- * grid must be bit-identical to N independent single-CVE scans, at any
- * worker count and for any split of the CVE list into sub-batches. The
- * journal property extends the single-scan one: a batch hunt killed
- * mid-flight must resume into exactly the uninterrupted grid.
+ * The batch hunt fans a (query, target) grid out in contiguous chunks
+ * over parallel workers and plays every game against a target while
+ * its index is live. None of that may show in the findings: the
+ * per-(q, t) outcome grid must be bit-identical to N independent
+ * single-CVE scans, at any worker count and for any split of the CVE
+ * list into sub-batches. The journal property extends the single-scan
+ * one: a batch hunt killed mid-flight must resume into exactly the
+ * uninterrupted grid.
  */
 #include <gtest/gtest.h>
 
@@ -321,12 +322,13 @@ journal_pairs(const std::string &path)
 
 TEST(BatchHunt, JournalCommitsOneGroupPerChunk)
 {
-    // A journaled hunt commits each scheduler chunk's records as one
-    // group: at least one commit, at most one per chunk dealt, one
-    // record per decided pair, one journal_commit span per commit, and
-    // nothing else about the hunt moves. At one thread the chunks walk
-    // the grid in order, so the records land in grid order:
-    // target-major, query by query.
+    // A journaled hunt commits each grid chunk's records as one group:
+    // at least one commit, at most one per chunk (scan.chunks counts
+    // the ceil(pairs / chunk_for(pairs, threads)) chunks), one record
+    // per decided pair, one journal_commit span per commit, and nothing
+    // else about the hunt moves. At one thread the chunks walk the grid
+    // in order, so the records land in grid order: target-major, query
+    // by query.
     firmware::CorpusOptions corpus_options;
     corpus_options.num_devices = 2;
     const firmware::Corpus corpus =
@@ -352,8 +354,11 @@ TEST(BatchHunt, JournalCommitsOneGroupPerChunk)
         const std::uint64_t commits =
             got.metrics.counter("journal.commits");
         EXPECT_GT(commits, 0u) << context;
-        EXPECT_LE(commits, got.metrics.counter("worksteal.chunks_dealt"))
-            << context;
+        const std::size_t pairs = cves.size() * targets.size();
+        const std::size_t chunk = chunk_for(pairs, threads);
+        const std::uint64_t chunks = got.metrics.counter("scan.chunks");
+        EXPECT_EQ(chunks, (pairs + chunk - 1) / chunk) << context;
+        EXPECT_LE(commits, chunks) << context;
         EXPECT_EQ(got.metrics.counter("journal.appends"),
                   got.metrics.counter("scan.outcomes"))
             << context;
@@ -417,8 +422,7 @@ TEST(BatchHunt, TornGroupResumesToTheFreshGrid)
 
     // At one thread group g holds records [g * chunk, (g + 1) * chunk).
     // Cut the second group, so the first stays whole before it.
-    const std::size_t chunk =
-        WorkStealingScheduler::chunk_for(records.size(), 1);
+    const std::size_t chunk = chunk_for(records.size(), 1);
     ASSERT_GE(chunk, 2u);
     ASSERT_GE(records.size(), 2 * chunk);
     std::vector<std::size_t> offset = {
@@ -453,6 +457,47 @@ TEST(BatchHunt, TornGroupResumesToTheFreshGrid)
             EXPECT_TRUE(resumed.health().sane()) << context;
         }
     }
+}
+
+TEST(BatchHunt, WatchdogExpiredGamesAreRetriedTwice)
+{
+    // A 1e-12 s budget has passed by the game's first deadline sample,
+    // so every game with a candidate expires at step 0 however often it
+    // is replayed: it uses both retries and stays unresolved, with no
+    // finding. The same hunt without a budget retries nothing.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 2;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    const firmware::CveRecord &cve = firmware::cve_database().front();
+
+    SearchOptions budgeted;
+    budgeted.target_budget_seconds = 1e-12;
+    Driver driver(budgeted);
+    const std::vector<CorpusOutcome> rows =
+        driver.search_corpus(cve, targets, 4);
+    std::size_t expired = 0;
+    std::size_t retries = 0;
+    for (const CorpusOutcome &row : rows) {
+        retries += static_cast<std::size_t>(row.outcome.retries);
+        if (!row.outcome.deadline_expired) {
+            continue;
+        }
+        ++expired;
+        EXPECT_EQ(row.outcome.retries, 2) << row.target.exe->name;
+        EXPECT_TRUE(row.outcome.unresolved) << row.target.exe->name;
+        EXPECT_FALSE(row.outcome.detected) << row.target.exe->name;
+    }
+    EXPECT_GT(expired, 0u);
+    EXPECT_EQ(driver.health().watchdog_expired, expired);
+    EXPECT_EQ(driver.health().retries, retries);
+
+    Driver unbudgeted{SearchOptions{}};
+    for (const CorpusOutcome &row : unbudgeted.search_corpus(cve, targets, 4)) {
+        EXPECT_EQ(row.outcome.retries, 0) << row.target.exe->name;
+    }
+    EXPECT_EQ(unbudgeted.health().retries, 0u);
 }
 
 TEST(BatchHunt, ReplayedPairsCountAsGamesButAddNoTimings)

@@ -288,7 +288,9 @@ TEST(JournalFault, WholeFileWriteEqualsCreateThenAppend)
             ASSERT_TRUE(journal.value().append(entry));
         }
     }
-    const std::string whole = fresh_journal_path("whole");
+    // In a directory of its own, so that any temp file would show.
+    const ScopedTempDir whole_dir("firmup-journal-whole");
+    const std::string whole = whole_dir.path() + "/whole.fwsj";
     trace::MetricsRegistry::global().reset();
     trace::set_level(trace::Level::Metrics);
     const Result<std::size_t> written =
@@ -305,7 +307,12 @@ TEST(JournalFault, WholeFileWriteEqualsCreateThenAppend)
     ASSERT_TRUE(want.ok() && got.ok());
     EXPECT_EQ(got.value(), want.value());
     EXPECT_EQ(written.value(), want.value().size());
-    EXPECT_FALSE(fs::exists(whole + ".tmp"));
+    std::vector<std::string> left;
+    for (const fs::directory_entry &entry :
+         fs::directory_iterator(whole_dir.path())) {
+        left.push_back(entry.path().string());
+    }
+    EXPECT_EQ(left, std::vector<std::string>{whole});
 
     // With no entries it is the bare header, the file create() leaves.
     const std::string empty = fresh_journal_path("empty");

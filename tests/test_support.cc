@@ -4,17 +4,22 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "support/cancel.h"
 #include "support/error.h"
 #include "support/fsio.h"
 #include "support/hash.h"
-#include "support/retry.h"
 #include "support/rng.h"
 #include "support/str.h"
 #include "support/threadpool.h"
@@ -229,85 +234,146 @@ TEST(FileRead, DirectoryIsIoErrorAndFileGivesItsBytes)
     fs::remove_all(dir);
 }
 
-TEST(ThreadPool, RunsAllTasks)
+TEST(FileWrite, PublishReplacesWholeAndLeavesNoTemp)
 {
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(4);
-        for (int i = 0; i < 100; ++i) {
-            pool.submit([&counter] { ++counter; });
+    namespace fs = std::filesystem;
+    const ScopedTempDir dir("firmup-publish");
+    const auto names = [&dir] {
+        std::vector<std::string> out;
+        for (const fs::directory_entry &entry :
+             fs::directory_iterator(dir.path())) {
+            out.push_back(entry.path().filename().string());
         }
-        pool.wait_idle();
-        EXPECT_EQ(counter.load(), 100);
-    }
+        return out;
+    };
+    const std::string path = dir.path() + "/entry.bin";
+    std::ofstream(path, std::ios::binary)
+        << "the previous contents, longer than the new ones";
+    const ByteBuffer want = {0, 'F', 'W', 0xff, '\n', 7};
+    const Result<std::size_t> written = publish_file(path, want);
+    ASSERT_TRUE(written.ok()) << written.error_message();
+    EXPECT_EQ(written.value(), want.size());
+    const Result<ByteBuffer> got = read_file_bytes(path);
+    ASSERT_TRUE(got.ok()) << got.error_message();
+    EXPECT_EQ(got.value(), want);
+    EXPECT_EQ(names(), std::vector<std::string>{"entry.bin"});
+
+    // A missing directory is an IoError, and nothing appears anywhere.
+    const Result<std::size_t> missing =
+        publish_file(dir.path() + "/absent/entry.bin", want);
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.error_code(), ErrorCode::IoError);
+    EXPECT_EQ(names(), std::vector<std::string>{"entry.bin"});
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndex)
+TEST(ParallelFor, CoversEveryIndex)
 {
     std::vector<std::atomic<int>> hits(257);
-    ThreadPool::parallel_for(3, hits.size(), [&hits](std::size_t i) {
-        ++hits[i];
-    });
+    parallel_for(3, hits.size(), [&hits](std::size_t i) { ++hits[i]; });
     for (std::size_t i = 0; i < hits.size(); ++i) {
         EXPECT_EQ(hits[i].load(), 1) << i;
     }
 }
 
-TEST(ThreadPool, ParallelForStartsAtMostCountWorkers)
+TEST(ParallelFor, StartsAtMostCountWorkers)
 {
-    // A worker beyond the item count would only idle (and be charged
-    // to threadpool.worker_idle_ns).
+    // A worker beyond the item count would only idle: two items on
+    // eight threads run on at most two threads.
+    std::mutex mutex;
+    std::set<std::thread::id> ran_on;
+    std::vector<std::atomic<int>> hits(2);
+    parallel_for(8, hits.size(), [&](std::size_t i) {
+        ++hits[i];
+        const std::lock_guard<std::mutex> lock(mutex);
+        ran_on.insert(std::this_thread::get_id());
+    });
+    EXPECT_GE(ran_on.size(), 1u);
+    EXPECT_LE(ran_on.size(), hits.size());
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << i;
+    }
+}
+
+TEST(ParallelFor, RangesAreTheChunksOfTheIndexSpace)
+{
+    // Whatever the thread count, fn sees exactly the ranges
+    // [k * chunk, min((k + 1) * chunk, count)), each once, so every
+    // index is covered once.
+    constexpr std::size_t chunk = 5;
+    for (const std::size_t count :
+         {std::size_t{1}, chunk - 1, chunk, 10 * chunk + 3}) {
+        for (const unsigned threads : {1u, 2u, 8u}) {
+            const std::string context = "count=" + std::to_string(count) +
+                                        " threads=" +
+                                        std::to_string(threads);
+            std::mutex mutex;
+            std::vector<std::pair<std::size_t, std::size_t>> got;
+            std::vector<std::atomic<int>> hits(count);
+            parallel_for(threads, count, chunk,
+                         [&](std::size_t begin, std::size_t end) {
+                             for (std::size_t i = begin; i < end; ++i) {
+                                 ++hits[i];
+                             }
+                             const std::lock_guard<std::mutex> lock(mutex);
+                             got.emplace_back(begin, end);
+                         });
+            std::sort(got.begin(), got.end());
+            std::vector<std::pair<std::size_t, std::size_t>> want;
+            for (std::size_t begin = 0; begin < count; begin += chunk) {
+                want.emplace_back(begin, std::min(begin + chunk, count));
+            }
+            EXPECT_EQ(got, want) << context;
+            for (std::size_t i = 0; i < count; ++i) {
+                EXPECT_EQ(hits[i].load(), 1) << context << " index " << i;
+            }
+        }
+    }
+}
+
+TEST(ParallelFor, OneWorkerRunsRangesInOrderOnTheCaller)
+{
+    // One worker is the calling thread walking the ranges in order, and
+    // a throwing range is the last one to run.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> begins;
+    std::set<std::thread::id> ran_on;
+    EXPECT_THROW(parallel_for(1, 40, 4,
+                              [&](std::size_t begin, std::size_t) {
+                                  ran_on.insert(std::this_thread::get_id());
+                                  begins.push_back(begin);
+                                  if (begin == 12) {
+                                      throw std::runtime_error("range 3");
+                                  }
+                              }),
+                 std::runtime_error);
+    EXPECT_EQ(begins, (std::vector<std::size_t>{0, 4, 8, 12}));
+    EXPECT_EQ(ran_on, std::set<std::thread::id>{caller});
+}
+
+TEST(ParallelFor, ObservesOneIdleTailPerWorker)
+{
+    // 15 ranges on 3 workers: each worker observes its tail wait once.
     trace::MetricsRegistry::global().reset();
     trace::set_level(trace::Level::Metrics);
-    std::vector<std::atomic<int>> hits(2);
-    ThreadPool::parallel_for(8, hits.size(), [&hits](std::size_t i) {
-        ++hits[i];
-    });
-    const std::uint64_t queued =
-        trace::MetricsRegistry::global().snapshot().counter(
-            "threadpool.tasks_queued");
+    parallel_for(3, 30, 2, [](std::size_t, std::size_t) {});
+    const trace::Snapshot snap = trace::MetricsRegistry::global().snapshot();
     trace::set_level(trace::Level::Off);
     trace::MetricsRegistry::global().reset();
-    EXPECT_EQ(queued, 2u);
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << i;
-    }
+    const auto idle = snap.histograms.find("threadpool.worker_idle_ns");
+    ASSERT_NE(idle, snap.histograms.end());
+    EXPECT_EQ(idle->second.count, 3u);
 }
 
-TEST(ThreadPool, ZeroWorkIsFine)
+TEST(ParallelFor, ZeroWorkIsFine)
 {
-    ThreadPool::parallel_for(4, 0, [](std::size_t) { FAIL(); });
-    ThreadPool pool(1);
-    pool.wait_idle();
+    parallel_for(4, 0, [](std::size_t) { FAIL(); });
+    parallel_for(4, 0, 8, [](std::size_t, std::size_t) { FAIL(); });
 }
 
-TEST(ThreadPool, DestructionDrainsQueue)
-{
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i) {
-            pool.submit([&counter] { ++counter; });
-        }
-        // No wait_idle: the destructor must drain before joining.
-    }
-    EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, WaitIdleRethrowsFirstWorkerException)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-    EXPECT_TRUE(pool.cancelled());
-    // The exception is delivered once; a second wait is clean.
-    pool.wait_idle();
-}
-
-TEST(ThreadPool, ParallelForPropagatesException)
+TEST(ParallelFor, PropagatesException)
 {
     try {
-        ThreadPool::parallel_for(4, 10000, [](std::size_t i) {
+        parallel_for(4, 10000, [](std::size_t i) {
             if (i == 17) {
                 throw std::runtime_error("index 17 is cursed");
             }
@@ -316,23 +382,6 @@ TEST(ThreadPool, ParallelForPropagatesException)
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "index 17 is cursed");
     }
-}
-
-TEST(ThreadPool, ExceptionDoesNotLoseOtherTasks)
-{
-    std::atomic<int> counter{0};
-    ThreadPool pool(4);
-    for (int i = 0; i < 32; ++i) {
-        pool.submit([&counter, i] {
-            if (i == 5) {
-                throw std::runtime_error("boom");
-            }
-            ++counter;
-        });
-    }
-    EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-    // submit()ed tasks are independent: all non-throwing ones ran.
-    EXPECT_EQ(counter.load(), 31);
 }
 
 TEST(Cancel, TokenIsStickyAndResettable)
@@ -356,100 +405,6 @@ TEST(Cancel, ProcessTokenIsASingleton)
     b.request();
     EXPECT_TRUE(a.requested());
     a.reset();
-}
-
-TEST(Retry, TransientTaxonomyIsExactlyIoAndBudget)
-{
-    // The permanent/transient split is the single source of truth the
-    // driver's retry loop keys on: only failures a retry can plausibly
-    // fix qualify. Everything else must fail fast, once.
-    for (std::size_t i = 0; i < kErrorCodeCount; ++i) {
-        const auto code = static_cast<ErrorCode>(i);
-        const bool transient = code == ErrorCode::IoError ||
-                               code == ErrorCode::BudgetExhausted;
-        EXPECT_EQ(error_code_transient(code), transient)
-            << "code " << i;
-    }
-}
-
-TEST(Retry, TransientFailureRetriesUntilSuccess)
-{
-    RetryPolicy policy;
-    policy.max_retries = 3;
-    int calls = 0;
-    int retries = -1;
-    auto result = retry_transient(
-        policy, nullptr,
-        [&calls] {
-            ++calls;
-            if (calls < 3) {
-                return Result<int>::error(ErrorCode::IoError, "flaky");
-            }
-            return Result<int>(7);
-        },
-        &retries);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.value(), 7);
-    EXPECT_EQ(calls, 3);
-    EXPECT_EQ(retries, 2);
-}
-
-TEST(Retry, PermanentFailureIsNeverRetried)
-{
-    RetryPolicy policy;
-    policy.max_retries = 5;
-    int calls = 0;
-    auto result = retry_transient(policy, nullptr, [&calls] {
-        ++calls;
-        return Result<int>::error(ErrorCode::MalformedContainer, "bad");
-    });
-    EXPECT_FALSE(result.ok());
-    EXPECT_EQ(calls, 1);
-}
-
-TEST(Retry, BudgetIsBounded)
-{
-    RetryPolicy policy;
-    policy.max_retries = 2;
-    int calls = 0;
-    int retries = -1;
-    auto result = retry_transient(
-        policy, nullptr,
-        [&calls] {
-            ++calls;
-            return Result<int>::error(ErrorCode::IoError, "still flaky");
-        },
-        &retries);
-    EXPECT_FALSE(result.ok());
-    EXPECT_EQ(result.error_code(), ErrorCode::IoError);
-    EXPECT_EQ(calls, 3);  // first attempt + 2 retries
-    EXPECT_EQ(retries, 2);
-}
-
-TEST(Retry, CancellationStopsRetrying)
-{
-    RetryPolicy policy;
-    policy.max_retries = 100;
-    CancelToken token;
-    token.request();
-    int calls = 0;
-    auto result = retry_transient(policy, &token, [&calls] {
-        ++calls;
-        return Result<int>::error(ErrorCode::IoError, "flaky");
-    });
-    EXPECT_FALSE(result.ok());
-    EXPECT_EQ(calls, 1);  // drained, not hammered, during shutdown
-}
-
-TEST(Retry, ZeroPolicyDisablesRetries)
-{
-    int calls = 0;
-    auto result = retry_transient(RetryPolicy{}, nullptr, [&calls] {
-        ++calls;
-        return Result<int>::error(ErrorCode::IoError, "flaky");
-    });
-    EXPECT_FALSE(result.ok());
-    EXPECT_EQ(calls, 1);
 }
 
 }  // namespace

@@ -505,7 +505,7 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
     install_cancel_signal_handlers();
     options.cancel = &cancel;
 
-    // The whole hunt — parallel index, per-ISA queries, work-stealing
+    // The whole hunt — parallel index, per-ISA queries, the chunked
     // (query, target) fan-out — in one batched pass; findings print per
     // CVE in target order afterwards.
     eval::Driver driver(options);
