@@ -1,11 +1,16 @@
 #include "eval/driver.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <mutex>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "baseline/gitz_like.h"
 #include "codegen/build.h"
@@ -141,8 +146,16 @@ const trace::Counter c_cancelled_targets("scan.cancelled_targets");
 const trace::Counter c_retries("scan.retries");
 const trace::Counter c_watchdog_expired("scan.watchdog_expired");
 
-// The game grid's ranges, one journal group each.
+// The game grid's ranges.
 const trace::Counter c_chunks("scan.chunks");
+
+// Hunt journal records are committed in groups of up to this many.
+constexpr std::size_t kJournalGroup = 64;
+
+// Memory at the start of the game phase: executable bytes the targets
+// still hold, and the FWIX bytes of the driver's index map.
+const trace::Gauge g_text_bytes_held("scan.text_bytes_held");
+const trace::Gauge g_index_bytes("scan.index_bytes");
 
 // Watchdog retries: a game whose wall-clock budget expired is played
 // again at most kMaxTargetRetries times, after a backoff that starts at
@@ -151,7 +164,7 @@ constexpr int kMaxTargetRetries = 2;
 constexpr double kRetryBackoffSeconds = 0.05;
 constexpr double kRetryBackoffFactor = 2.0;
 
-// Every content_key call: a scan call keys each target once.
+// Every content_key call: a scan keys each target once.
 const trace::Counter c_content_keys("scan.content_keys");
 
 std::uint64_t
@@ -217,6 +230,7 @@ fold_load(ScanHealth &health, double seconds,
 std::uint64_t
 content_key(const loader::Executable &exe)
 {
+    FIRMUP_ASSERT(!exe.released, "keying released executable " + exe.name);
     c_content_keys.add();
     // content_hash64 over the text bytes: every scan keys every target,
     // and a different hash would orphan every store entry, journal and
@@ -229,18 +243,6 @@ content_key(const loader::Executable &exe)
 }
 
 namespace {
-
-/** content_key of every target, in target order. */
-std::vector<std::uint64_t>
-target_keys(const std::vector<CorpusTarget> &targets)
-{
-    std::vector<std::uint64_t> keys;
-    keys.reserve(targets.size());
-    for (const CorpusTarget &target : targets) {
-        keys.push_back(content_key(*target.exe));
-    }
-    return keys;
-}
 
 /** The source a query of @p package at @p version is compiled from. */
 lang::PackageSource
@@ -324,6 +326,7 @@ Driver::build_query(const std::string &package,
 void
 Driver::probe_query(sim::IndexCacheStore &store, QuerySlot &slot) const
 {
+    const trace::TraceSpan span("store_load");
     const auto load_start = std::chrono::steady_clock::now();
     auto loaded = store.load(slot.key, options_.mmap_index, &slot.load_stats);
     slot.load_seconds = seconds_since(load_start);
@@ -370,59 +373,52 @@ Driver::build_query_set(const std::vector<QuerySpec> &specs,
         }
     }
 
-    // Probe on the calling thread: a warm store serves the query index
-    // under its recipe key, skipping compile + lift + canonicalize (the
-    // FWIX round-trip is bit-faithful, so outcomes are identical to a
-    // fresh build). Each source is rendered and digested once for all
-    // its ISAs' keys, and dropped before the next. jobs[j] lists one
-    // source's missing specs.
-    std::vector<std::vector<std::size_t>> jobs;
-    for (std::vector<std::size_t> &members : sources) {
-        if (store != nullptr) {
-            const std::uint64_t digest = query_source_digest(query_source(
-                specs[members.front()].package,
-                specs[members.front()].version));
+    // One job per source. A warm store serves a query index under its
+    // recipe key, skipping compile + lift + canonicalize (the FWIX
+    // round-trip is bit-faithful, so outcomes are identical to a fresh
+    // build): the job renders and digests its source once for all its
+    // ISAs' keys and loads them. The misses then share one
+    // compile_to_mir, and each costs backend+link, lift and index. The
+    // AST dies once the MIR exists, each executable once it is lifted
+    // and each lifted IR once it is indexed; the slots keep only
+    // indexes. Workers write distinct recipe-keyed entries.
+    parallel_for(
+        resolve_worker_threads(threads), sources.size(), [&](std::size_t j) {
+            const QuerySpec &lead = specs[sources[j].front()];
+            const trace::TraceSpan span("query_build", lead.package);
+            std::optional<lang::PackageSource> source(
+                query_source(lead.package, lead.version));
             std::vector<std::size_t> missing;
-            for (const std::size_t i : members) {
-                slots[i].key = query_recipe_key(
-                    digest, query_request(specs[i].package, specs[i].arch),
-                    options_.canon);
-                probe_query(*store, slots[i]);
-                if (!slots[i].hit) {
-                    missing.push_back(i);
+            if (store == nullptr) {
+                missing = sources[j];
+            } else {
+                const std::uint64_t digest = query_source_digest(*source);
+                for (const std::size_t i : sources[j]) {
+                    slots[i].key = query_recipe_key(
+                        digest,
+                        query_request(specs[i].package, specs[i].arch),
+                        options_.canon);
+                    probe_query(*store, slots[i]);
+                    if (!slots[i].hit) {
+                        missing.push_back(i);
+                    }
                 }
             }
-            members = std::move(missing);
-        }
-        if (!members.empty()) {
-            jobs.push_back(std::move(members));
-        }
-    }
-
-    // Build one source per job: one compile_to_mir, then backend+link,
-    // lift and index per missing ISA. The AST dies once the MIR exists,
-    // each executable once it is lifted and each lifted IR once it is
-    // indexed; the slots keep only indexes. Workers write distinct
-    // recipe-keyed entries.
-    parallel_for(
-        resolve_worker_threads(threads), jobs.size(), [&](std::size_t j) {
             // Cancellation point, as in index_many: an unbuilt slot
             // leaves no trace in health.
-            if (cancel != nullptr && cancel->requested()) {
+            if (missing.empty() ||
+                (cancel != nullptr && cancel->requested())) {
                 return;
             }
-            const QuerySpec &lead = specs[jobs[j].front()];
-            const trace::TraceSpan span("query_build", lead.package);
-            codegen::BuildRequest request =
-                query_request(lead.package, lead.arch);
+            codegen::BuildRequest request = query_request(
+                specs[missing.front()].package, specs[missing.front()].arch);
             compiler::MModule module;
             {
-                const lang::PackageSource source =
-                    query_source(lead.package, lead.version);
                 const trace::TraceSpan compile("compile_to_mir");
-                module = codegen::compile_to_mir(source, request);
+                module = codegen::compile_to_mir(*source, request);
             }
-            for (const std::size_t i : jobs[j]) {
+            source.reset();
+            for (const std::size_t i : missing) {
                 request.arch = specs[i].arch;
                 auto lifted = [&] {
                     loader::Executable exe;
@@ -554,26 +550,58 @@ struct Driver::IndexSlot
     double load_seconds = 0.0;
 };
 
+/**
+ * The front end's claims for one hunt (open_hunt): the hunt's query
+ * fingerprints and, per content key, the store load of the first
+ * prefetch() that claimed it. `hit` is set once that load found the
+ * index; a miss keeps its load for index_many.
+ */
+struct Driver::Claims
+{
+    struct Claim
+    {
+        std::atomic<bool> hit{false};
+        IndexSlot slot;
+    };
+
+    bool confirm = true;
+    std::vector<std::uint64_t> fps;
+    std::mutex mutex;
+    std::unordered_map<std::uint64_t, Claim> map;
+};
+
+Driver::~Driver() = default;
+
+Driver::IndexSlot
+Driver::load_slot(std::uint64_t key, sim::IndexCacheStore &store) const
+{
+    // Any load failure (absent, corrupt, stale) is a miss.
+    IndexSlot slot;
+    const trace::TraceSpan span("store_load");
+    const auto load_start = std::chrono::steady_clock::now();
+    auto loaded = store.load(key, options_.mmap_index, &slot.load_stats);
+    slot.load_seconds = seconds_since(load_start);
+    slot.from_cache = loaded.ok();
+    slot.cache_miss = !slot.from_cache;
+    if (slot.from_cache) {
+        slot.index = std::move(loaded).take();
+    }
+    return slot;
+}
+
 Driver::IndexSlot
 Driver::load_or_lift(const loader::Executable &exe, std::uint64_t key,
-                     sim::IndexCacheStore *store, unsigned threads)
+                     sim::IndexCacheStore *store, unsigned threads,
+                     IndexSlot slot)
 {
-    IndexSlot slot;
-    slot.attempted = true;
     // Warm path: a persisted index skips the whole lift + canonicalize
-    // + pack phase. Any load failure (absent, corrupt, stale) is a
-    // miss; the cold path below re-lifts.
-    if (store != nullptr) {
-        const auto load_start = std::chrono::steady_clock::now();
-        auto loaded =
-            store->load(key, options_.mmap_index, &slot.load_stats);
-        slot.load_seconds = seconds_since(load_start);
-        if (loaded.ok()) {
-            slot.from_cache = true;
-            slot.index = std::move(loaded).take();
-            return slot;
-        }
-        slot.cache_miss = true;
+    // + pack phase; a miss re-lifts.
+    if (store != nullptr && !slot.cache_miss) {
+        slot = load_slot(key, *store);
+    }
+    slot.attempted = true;
+    if (slot.from_cache) {
+        return slot;
     }
     auto lifted = lift_untrusted(exe);
     if (!lifted.ok()) {
@@ -619,23 +647,24 @@ Driver::merge_slot(const loader::Executable &exe, std::uint64_t key,
 }
 
 const sim::ExecutableIndex *
-Driver::index_target(const loader::Executable &exe)
+Driver::cached_index(std::uint64_t key) const
 {
-    return index_keyed(exe, content_key(exe));
+    const auto it = index_cache_.find(key);
+    return it != index_cache_.end() ? &it->second : nullptr;
 }
 
 const sim::ExecutableIndex *
-Driver::index_keyed(const loader::Executable &exe, std::uint64_t key)
+Driver::index_target(const loader::Executable &exe)
 {
-    auto it = index_cache_.find(key);
-    if (it != index_cache_.end()) {
-        return &it->second;
+    const std::uint64_t key = content_key(exe);
+    if (const sim::ExecutableIndex *index = cached_index(key)) {
+        return index;
     }
     if (quarantined_.contains(key)) {
         return nullptr;
     }
     IndexSlot slot = load_or_lift(exe, key, cache_store(),
-                                  resolve_worker_threads(0));
+                                  resolve_worker_threads(0), {});
     return merge_slot(exe, key, slot);
 }
 
@@ -677,21 +706,25 @@ std::size_t
 Driver::preindex(const firmware::Corpus &corpus, unsigned threads)
 {
     const std::vector<CorpusTarget> targets = corpus_targets(corpus);
-    return index_many(targets, target_keys(targets), threads);
+    std::vector<std::size_t> all(targets.size());
+    std::iota(all.begin(), all.end(), 0);
+    return index_many(targets, target_keys(targets, threads), all, threads,
+                      {});
 }
 
 std::size_t
 Driver::index_many(const std::vector<CorpusTarget> &targets,
                    const std::vector<std::uint64_t> &keys,
-                   unsigned threads)
+                   const std::vector<std::size_t> &pending,
+                   unsigned threads, const Release &release)
 {
     const auto start = std::chrono::steady_clock::now();
     const std::uint64_t cpu_start = trace::process_cpu_ns();
-    // Distinct executables neither cached nor quarantined, in target
-    // order.
+    // Distinct executables neither cached nor quarantined, each at its
+    // first occurrence.
     std::vector<std::size_t> work;
-    std::set<std::uint64_t> seen;
-    for (std::size_t t = 0; t < targets.size(); ++t) {
+    std::unordered_set<std::uint64_t> seen;
+    for (const std::size_t t : pending) {
         if (seen.insert(keys[t]).second && !index_cache_.contains(keys[t]) &&
             !quarantined_.contains(keys[t])) {
             work.push_back(t);
@@ -702,7 +735,9 @@ Driver::index_many(const std::vector<CorpusTarget> &targets,
     // may touch the persistent store: loads read distinct files, write-
     // backs publish distinct content-keyed entries via atomic rename.
     // Each worker indexes its own executable serially (the parallelism
-    // is across executables here).
+    // is across executables here), starts from the store miss the front
+    // end claimed for its key, if any, and releases the executable's
+    // bytes once it is lifted.
     sim::IndexCacheStore *const store = cache_store();
     const CancelToken *const cancel = options_.cancel;
     std::vector<IndexSlot> slots(work.size());
@@ -714,8 +749,19 @@ Driver::index_many(const std::vector<CorpusTarget> &targets,
             if (cancel != nullptr && cancel->requested()) {
                 return;
             }
-            slots[i] = load_or_lift(*targets[work[i]].exe, keys[work[i]],
-                                    store, 1);
+            const std::size_t t = work[i];
+            IndexSlot claimed;
+            if (claims_ != nullptr) {
+                const auto it = claims_->map.find(keys[t]);
+                if (it != claims_->map.end()) {
+                    claimed = std::move(it->second.slot);
+                }
+            }
+            slots[i] = load_or_lift(*targets[t].exe, keys[t], store, 1,
+                                    std::move(claimed));
+            if (release) {
+                release(t);
+            }
         });
     std::size_t indexed = 0;
     for (std::size_t i = 0; i < work.size(); ++i) {
@@ -879,22 +925,16 @@ Driver::search(const Query &query, const sim::ExecutableIndex &target)
 std::vector<isa::Arch>
 Driver::query_isas(const std::vector<CorpusTarget> &targets,
                    const std::vector<std::uint64_t> &keys,
-                   unsigned threads)
+                   const std::vector<std::size_t> &pending,
+                   unsigned threads, const Release &release)
 {
-    index_many(targets, keys, threads);
-    // After indexing, index_keyed is a pure cache/quarantine lookup, so
-    // this finds exactly the ISAs the serial scan loop would query.
+    index_many(targets, keys, pending, threads, release);
+    // After indexing, the index map holds every pending target that
+    // index_many did not quarantine or skip on cancellation, so this
+    // finds exactly the ISAs a serial scan loop would query.
     std::vector<isa::Arch> isas;
-    for (std::size_t t = 0; t < targets.size(); ++t) {
-        // Cancellation point: on a cache miss (e.g. targets index_many
-        // skipped after cancellation) index_keyed cold-lifts serially,
-        // so a shutting-down scan must not walk the rest of the corpus
-        // here.
-        if (options_.cancel != nullptr && options_.cancel->requested()) {
-            break;
-        }
-        const sim::ExecutableIndex *index =
-            index_keyed(*targets[t].exe, keys[t]);
+    for (const std::size_t t : pending) {
+        const sim::ExecutableIndex *index = cached_index(keys[t]);
         if (index != nullptr &&
             std::ranges::find(isas, index->arch) == isas.end()) {
             isas.push_back(index->arch);
@@ -908,9 +948,12 @@ Driver::build_queries(const firmware::CveRecord &cve,
                       const std::vector<CorpusTarget> &targets,
                       unsigned threads)
 {
+    std::vector<std::size_t> all(targets.size());
+    std::iota(all.begin(), all.end(), 0);
     std::vector<QuerySpec> specs;
     for (const isa::Arch arch :
-         query_isas(targets, target_keys(targets), threads)) {
+         query_isas(targets, target_keys(targets, threads), all, threads,
+                    {})) {
         specs.push_back(cve_query_spec(cve, arch));
     }
     std::vector<Query> built =
@@ -1082,7 +1125,7 @@ Driver::search_corpus(const std::map<isa::Arch, Query> &queries,
     open_journal(label, confirm);
     std::vector<std::vector<CorpusOutcome>> rows =
         run_batch({&queries}, {query_fingerprint(label)}, targets,
-                  target_keys(targets), threads, confirm);
+                  target_keys(targets, threads), threads, confirm, {});
     return std::move(rows.front());
 }
 
@@ -1091,24 +1134,128 @@ Driver::search_corpus_batch(const std::vector<firmware::CveRecord> &cves,
                             const std::vector<CorpusTarget> &targets,
                             unsigned threads, bool confirm)
 {
-    // The journal identity must exist before any work happens so the
-    // pending sets can be carved out before anything lifts the corpus.
-    std::vector<std::string> labels;
-    labels.reserve(cves.size());
-    for (const firmware::CveRecord &cve : cves) {
-        labels.push_back(cve_scan_label(cve));
-    }
+    open_hunt(cves, confirm);
+    const std::vector<std::uint64_t> keys = target_keys(targets, threads);
+    return hunt(cves, targets, keys, threads, confirm, {});
+}
+
+std::vector<std::vector<CorpusOutcome>>
+Driver::search_corpus_batch(const std::vector<firmware::CveRecord> &cves,
+                            const std::vector<CorpusTarget> &targets,
+                            const std::vector<std::uint64_t> &keys,
+                            unsigned threads, const Release &release)
+{
+    FIRMUP_ASSERT(claims_ != nullptr,
+                  "a hunt over keyed targets starts with open_hunt");
+    return hunt(cves, targets, keys, threads, claims_->confirm, release);
+}
+
+void
+Driver::open_hunt(const std::vector<firmware::CveRecord> &cves,
+                  bool confirm)
+{
+    // The journal identity must exist before any work happens, so that
+    // the front end can skip every key the journal already answers.
     open_journal(batch_scan_label(cves), confirm);
-
-    std::vector<std::uint64_t> query_fps;
-    query_fps.reserve(labels.size());
-    for (const std::string &label : labels) {
-        query_fps.push_back(query_fingerprint(label));
+    cache_store();  // opened here: the front end's jobs share it
+    claims_ = std::make_unique<Claims>();
+    claims_->confirm = confirm;
+    for (const firmware::CveRecord &cve : cves) {
+        claims_->fps.push_back(query_fingerprint(cve_scan_label(cve)));
     }
+}
 
-    // Content keys once per scan call; every stage below looks targets
-    // up by these.
-    const std::vector<std::uint64_t> keys = target_keys(targets);
+bool
+Driver::hunt_needs(std::uint64_t key) const
+{
+    if (health_.resume_rejected || journal_replay_.contains({key, 0})) {
+        return false;
+    }
+    return std::ranges::any_of(claims_->fps, [&](std::uint64_t fp) {
+        return !journal_replay_.contains({key, fp});
+    });
+}
+
+bool
+Driver::prefetch(std::uint64_t key)
+{
+    FIRMUP_ASSERT(claims_ != nullptr, "prefetch outside a hunt");
+    // The index map, quarantine set and journal replay do not change
+    // while the front end runs, so reading them here is safe.
+    if (!hunt_needs(key) || index_cache_.contains(key) ||
+        quarantined_.contains(key)) {
+        return true;
+    }
+    Claims::Claim *claim = nullptr;
+    {
+        const std::lock_guard<std::mutex> lock(claims_->mutex);
+        const auto [it, fresh] = claims_->map.try_emplace(key);
+        if (!fresh) {
+            return it->second.hit.load(std::memory_order_acquire);
+        }
+        claim = &it->second;
+    }
+    if (store_ == nullptr) {
+        return false;
+    }
+    claim->slot = load_slot(key, *store_);
+    claim->hit.store(claim->slot.from_cache, std::memory_order_release);
+    return claim->slot.from_cache;
+}
+
+std::vector<std::uint64_t>
+Driver::target_keys(const std::vector<CorpusTarget> &targets,
+                    unsigned threads)
+{
+    const auto start = std::chrono::steady_clock::now();
+    const std::uint64_t cpu_start = trace::process_cpu_ns();
+    std::vector<std::uint64_t> keys(targets.size());
+    const unsigned workers = resolve_worker_threads(threads);
+    parallel_for(workers, targets.size(),
+                 chunk_for(targets.size(), workers),
+                 [&](std::size_t begin, std::size_t end) {
+                     {
+                         const trace::TraceSpan span("key");
+                         for (std::size_t t = begin; t < end; ++t) {
+                             keys[t] = content_key(*targets[t].exe);
+                         }
+                     }
+                     for (std::size_t t = begin;
+                          t < end && claims_ != nullptr; ++t) {
+                         prefetch(keys[t]);
+                     }
+                 });
+    health_.load_seconds += seconds_since(start);
+    health_.load_cpu_seconds +=
+        static_cast<double>(trace::process_cpu_ns() - cpu_start) * 1e-9;
+    return keys;
+}
+
+std::vector<std::vector<CorpusOutcome>>
+Driver::hunt(const std::vector<firmware::CveRecord> &cves,
+             const std::vector<CorpusTarget> &targets,
+             const std::vector<std::uint64_t> &keys, unsigned threads,
+             bool confirm, const Release &release)
+{
+    // Merge the front end's claims in target order: a store hit joins
+    // the index map at its key's first occurrence, a miss stays claimed
+    // for index_many. Only a first occurrence that is still to be
+    // lifted keeps its bytes.
+    std::unordered_set<std::uint64_t> seen;
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+        bool lift = false;
+        if (seen.insert(keys[t]).second) {
+            const auto it = claims_->map.find(keys[t]);
+            if (it != claims_->map.end() && it->second.slot.from_cache) {
+                merge_slot(*targets[t].exe, keys[t], it->second.slot);
+            }
+            lift = hunt_needs(keys[t]) && !index_cache_.contains(keys[t]) &&
+                   !quarantined_.contains(keys[t]);
+        }
+        if (!lift && release) {
+            release(t);
+        }
+    }
 
     // Per-CVE query ISAs over that CVE's pending targets — the same
     // carve-out a single-CVE scan performs, so replayed pairs and
@@ -1118,22 +1265,20 @@ Driver::search_corpus_batch(const std::vector<firmware::CveRecord> &cves,
     // query phase. A refused resume (journal fingerprint mismatch)
     // builds no query: run_batch returns the empty grid, and lifting
     // for a scan that is not going to run would be wasted.
+    const std::vector<std::uint64_t> query_fps = claims_->fps;
     std::vector<QuerySpec> specs;
     std::vector<std::size_t> spec_cve;
     for (std::size_t q = 0; q < cves.size() && !health_.resume_rejected;
          ++q) {
-        std::vector<CorpusTarget> pending;
-        std::vector<std::uint64_t> pending_keys;
+        std::vector<std::size_t> pending;
         for (std::size_t t = 0; t < targets.size(); ++t) {
-            if (journal_replay_.contains({keys[t], 0}) ||
-                journal_replay_.contains({keys[t], query_fps[q]})) {
-                continue;
+            if (!journal_replay_.contains({keys[t], 0}) &&
+                !journal_replay_.contains({keys[t], query_fps[q]})) {
+                pending.push_back(t);
             }
-            pending.push_back(targets[t]);
-            pending_keys.push_back(keys[t]);
         }
         for (const isa::Arch arch :
-             query_isas(pending, pending_keys, threads)) {
+             query_isas(targets, keys, pending, threads, release)) {
             specs.push_back(cve_query_spec(cves[q], arch));
             spec_cve.push_back(q);
         }
@@ -1152,7 +1297,10 @@ Driver::search_corpus_batch(const std::vector<firmware::CveRecord> &cves,
     for (const std::map<isa::Arch, Query> &set : query_sets) {
         set_ptrs.push_back(&set);
     }
-    return run_batch(set_ptrs, query_fps, targets, keys, threads, confirm);
+    std::vector<std::vector<CorpusOutcome>> out = run_batch(
+        set_ptrs, query_fps, targets, keys, threads, confirm, release);
+    claims_.reset();
+    return out;
 }
 
 std::vector<std::vector<CorpusOutcome>>
@@ -1161,7 +1309,7 @@ Driver::run_batch(
     const std::vector<std::uint64_t> &query_fps,
     const std::vector<CorpusTarget> &targets,
     const std::vector<std::uint64_t> &keys, unsigned threads,
-    bool confirm)
+    bool confirm, const Release &release)
 {
     const std::size_t nq = query_sets.size();
     const std::size_t nt = targets.size();
@@ -1220,36 +1368,30 @@ Driver::run_batch(
     // A target is still needed when any query's pair was not replayed;
     // fully-served targets must not be lifted (or even store-loaded).
     std::vector<char> needed(nt, 0);
-    std::vector<CorpusTarget> pending;
-    std::vector<std::uint64_t> pending_keys;
+    std::vector<std::size_t> pending;
     for (std::size_t t = 0; t < nt; ++t) {
         for (std::size_t q = 0; q < nq; ++q) {
             if (!replayed[q][t]) {
                 needed[t] = 1;
+                pending.push_back(t);
                 break;
             }
-        }
-        if (needed[t]) {
-            pending.push_back(targets[t]);
-            pending_keys.push_back(keys[t]);
         }
     }
     // index_many dedupes by content key and drops cached and
     // quarantined keys (replayed quarantines entered quarantined_
     // above), so each distinct pending executable indexes exactly once.
-    index_many(pending, pending_keys, threads);
+    index_many(targets, keys, pending, threads, release);
 
-    // Resolve targets against the now-complete caches (serial: this
-    // still mutates health for executables first seen here).
+    // Resolve targets against the now-complete index map.
     std::vector<const sim::ExecutableIndex *> resolved(nt, nullptr);
     std::vector<char> resolve_cancelled(nt, 0);
     for (std::size_t t = 0; t < nt; ++t) {
         if (!needed[t]) {
             continue;
         }
-        // Cancellation point: index_keyed cold-lifts on a cache miss
-        // (targets index_many skipped after cancellation), so mark the
-        // remainder cancelled instead of lifting through a shutdown.
+        // Cancellation point: a target index_many skipped after
+        // cancellation has no index, so mark the remainder cancelled.
         if (cancel != nullptr && cancel->requested()) {
             resolve_cancelled[t] = 1;
             for (std::size_t q = 0; q < nq; ++q) {
@@ -1259,7 +1401,7 @@ Driver::run_batch(
             }
             continue;
         }
-        resolved[t] = index_keyed(*targets[t].exe, keys[t]);
+        resolved[t] = cached_index(keys[t]);
         for (std::size_t q = 0; q < nq; ++q) {
             if (!replayed[q][t]) {
                 out[q][t].indexed = resolved[t] != nullptr;
@@ -1346,27 +1488,63 @@ Driver::run_batch(
         entry.outcome = outcome;
         return entry;
     };
-    // One chunk is one journal group: its decided pairs are committed
-    // with one write and one fsync once the whole range is done — also
-    // when the range drains on cancel, so a SIGTERM keeps every
-    // finished pair.
+    // Decided pairs gather in one shared group: the worker whose record
+    // fills it to kJournalGroup commits it with one write and one
+    // fsync, and the remainder is committed once the grid is done —
+    // also when it drains on cancel or a game throws, so a SIGTERM
+    // keeps every finished pair. Groups do not shrink with the chunks,
+    // so a small hunt commits about once. The cancel_after_appends
+    // seam also closes the group at its record, so that cut lands
+    // mid-grid however small the hunt.
     const bool journaled = journal_.is_open();
+    std::mutex group_mutex;
+    std::vector<JournalEntry> group;
+    std::size_t recorded = journal_.appended();
+    const auto journal_record = [&](JournalEntry entry) {
+        std::vector<JournalEntry> full;
+        {
+            const std::lock_guard<std::mutex> lock(group_mutex);
+            group.push_back(std::move(entry));
+            ++recorded;
+            if (group.size() == kJournalGroup ||
+                recorded == options_.cancel_after_appends) {
+                full.swap(group);
+            }
+        }
+        journal_append(full);
+    };
+    if (trace::level() != trace::Level::Off) {
+        std::uint64_t held = 0;
+        for (const CorpusTarget &target : targets) {
+            held += target.exe->text.size() + target.exe->data.size();
+        }
+        std::uint64_t index_bytes = 0;
+        for (const auto &[key, index] : index_cache_) {
+            index_bytes += index.blob.size();
+        }
+        g_text_bytes_held.set(static_cast<std::int64_t>(held));
+        g_index_bytes.set(static_cast<std::int64_t>(index_bytes));
+    }
     const auto match_start = std::chrono::steady_clock::now();
     const unsigned workers = resolve_worker_threads(threads);
     const std::size_t pairs = nq * nt;
     const std::size_t chunk = chunk_for(pairs, workers);
     c_chunks.add((pairs + chunk - 1) / chunk);
-    parallel_for(
-        workers, pairs, chunk, [&](std::size_t begin, std::size_t end) {
-            std::vector<JournalEntry> group;
-            for (std::size_t k = begin; k < end; ++k) {
-                std::optional<JournalEntry> record = play(k);
-                if (record && journaled) {
-                    group.push_back(std::move(*record));
-                }
-            }
-            journal_append(group);
-        });
+    try {
+        parallel_for(workers, pairs, chunk,
+                     [&](std::size_t begin, std::size_t end) {
+                         for (std::size_t k = begin; k < end; ++k) {
+                             std::optional<JournalEntry> record = play(k);
+                             if (record && journaled) {
+                                 journal_record(std::move(*record));
+                             }
+                         }
+                     });
+    } catch (...) {
+        journal_append(group);
+        throw;
+    }
+    journal_append(group);
     options_.game = saved_game;
     health_.match_wall_seconds += seconds_since(match_start);
 

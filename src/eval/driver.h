@@ -12,6 +12,7 @@
  */
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -77,9 +78,8 @@ struct SearchOptions
     /**
      * When non-empty, search_corpus keeps an append-only scan journal
      * (eval/journal.h) at this path: each target's outcome is durably
-     * recorded with the grid chunk it ran in (one group commit per
-     * chunk), so a crashed or cancelled scan can be resumed without
-     * redoing finished targets.
+     * recorded in a group commit of up to 64 records, so a crashed or
+     * cancelled scan can be resumed without redoing finished targets.
      */
     std::string journal_path;
     /**
@@ -92,9 +92,9 @@ struct SearchOptions
     /**
      * Cooperative cancellation token, polled between pipeline stages
      * and at game-deadline sample points. When it fires, in-flight
-     * targets drain, each chunk commits the pairs it finished, and the
-     * scan returns a partial result with health().cancelled set. Not
-     * owned.
+     * targets drain, every finished pair is committed to the journal,
+     * and the scan returns a partial result with health().cancelled
+     * set. Not owned.
      */
     CancelToken *cancel = nullptr;
     /**
@@ -109,9 +109,10 @@ struct SearchOptions
     /**
      * Test seam for deterministic interruption: request cancellation on
      * `cancel` after the journal commit that brings the appended record
-     * count to this value or past it (0 = never). The CI interrupt/resume
-     * smoke and the kill-mid-scan property test use it to cut a scan at
-     * a reproducible point without racing a signal.
+     * count to this value or past it (0 = never); the hunt commits its
+     * open journal group at that record. The CI interrupt/resume smoke
+     * and the kill-mid-scan property test use it to cut a scan at a
+     * reproducible point without racing a signal.
      */
     std::size_t cancel_after_appends = 0;
 };
@@ -173,8 +174,9 @@ std::vector<CorpusTarget> corpus_targets(const firmware::Corpus &corpus);
  * Content identity of an executable: name + text bytes. Byte-identical
  * executables re-shipped across firmware versions collapse to one key
  * (paper section 5.2 observation) — this is the cache and quarantine key
- * used throughout the driver. A scan call keys each target once; the
- * `scan.content_keys` counter records every call.
+ * used throughout the driver. A scan keys each target once, in its
+ * front end; the `scan.content_keys` counter records every call. Keying
+ * a released executable (loader::Executable::release) asserts.
  */
 std::uint64_t content_key(const loader::Executable &exe);
 
@@ -212,6 +214,13 @@ class Driver
 {
   public:
     explicit Driver(SearchOptions options = {});
+    ~Driver();
+
+    /**
+     * Called with a target's index once a scan no longer needs that
+     * target's bytes; see search_corpus_batch over keyed targets.
+     */
+    using Release = std::function<void(std::size_t target)>;
 
     const SearchOptions &options() const { return options_; }
     SearchOptions &options() { return options_; }
@@ -338,6 +347,43 @@ class Driver
         bool confirm = true);
 
     /**
+     * The first step of a hunt of @p cves whose targets a streamed front
+     * end keys (eval/shard.h hunt_manifest, DESIGN §14.1): open the
+     * journal and the store, so that prefetch() knows which keys the
+     * hunt still needs. search_corpus_batch over in-memory targets
+     * calls it itself.
+     */
+    void open_hunt(const std::vector<firmware::CveRecord> &cves,
+                   bool confirm = true);
+
+    /**
+     * The front end's store stage, called by its jobs between open_hunt
+     * and the hunt; thread-safe. The first call for a key the hunt still
+     * needs claims it and loads its index from the store; later calls
+     * only read that claim.
+     * @return true when @p key's index exists or the hunt never needs
+     *         it: no later stage keys or lifts such an executable, so
+     *         its bytes may be released.
+     */
+    bool prefetch(std::uint64_t key);
+
+    /**
+     * search_corpus_batch over targets the front end keyed after
+     * open_hunt(@p cves): @p keys[t] is targets[t]'s content key. The
+     * claims merge in target order; each store miss is lifted from its
+     * first occurrence. @p release(t) runs once target t's bytes are no
+     * longer needed — its key's index exists or was quarantined, it
+     * repeats an earlier target's key, or the hunt never needs it — on
+     * the calling thread or, right after a lift, on the worker that
+     * lifted it (never twice at once for one target).
+     */
+    std::vector<std::vector<CorpusOutcome>> search_corpus_batch(
+        const std::vector<firmware::CveRecord> &cves,
+        const std::vector<CorpusTarget> &targets,
+        const std::vector<std::uint64_t> &keys, unsigned threads,
+        const Release &release);
+
+    /**
      * Index @p targets (parallel) and build one query per ISA that
      * actually occurs among the indexable ones (first occurrence in
      * target order) in one query phase — one MIR for the CVE's source,
@@ -379,6 +425,9 @@ class Driver
     /** Scan journal (empty/closed when options_.journal_path is unset). */
     ScanJournal journal_;
     bool journal_opened_ = false;
+    /** The open hunt's front-end claims (open_hunt; driver.cc). */
+    struct Claims;
+    std::unique_ptr<Claims> claims_;
     /**
      * Journal replay: (content key, query fingerprint) → last journaled
      * record for that pair. Quarantine records live under query
@@ -429,23 +478,25 @@ class Driver
                                     isa::Arch arch);
 
     /**
-     * ISAs of the indexable @p targets (content keys @p keys), in
-     * first-occurrence order, after index_many over them. Stops at a
-     * requested cancellation.
+     * ISAs of the indexable targets @p pending (indexes into @p targets,
+     * content keys @p keys), in first-occurrence order, after index_many
+     * over them.
      */
     std::vector<isa::Arch> query_isas(
         const std::vector<CorpusTarget> &targets,
-        const std::vector<std::uint64_t> &keys, unsigned threads);
+        const std::vector<std::uint64_t> &keys,
+        const std::vector<std::size_t> &pending, unsigned threads,
+        const Release &release);
 
     /**
-     * The one query builder. Probe: on the calling thread, render each
-     * distinct (package, version) source once and load each recipe key
-     * from the store. Build: one job per source with a miss, on
-     * resolve_worker_threads(@p threads) workers — render, one
-     * compile_to_mir, then backend+link, lift and index per missing
-     * ISA, with store write-back. Merge: fold hits, misses, loads and
-     * writes into health in spec order. A job that finds @p cancel
-     * requested builds nothing; its queries come back with qv == -1.
+     * The one query builder: one job per distinct (package, version)
+     * source, on resolve_worker_threads(@p threads) workers. A job
+     * renders the source once, loads each of its ISAs' recipe keys from
+     * the store and, for the misses, runs one compile_to_mir, then
+     * backend+link, lift and index per missing ISA, with store
+     * write-back. Merge: fold hits, misses, loads and writes into health
+     * in spec order. A job that finds @p cancel requested after its
+     * loads builds nothing; its missing queries come back with qv == -1.
      * @return one query per spec, in spec order.
      */
     std::vector<Query> build_query_set(const std::vector<QuerySpec> &specs,
@@ -456,12 +507,34 @@ class Driver
     void probe_query(sim::IndexCacheStore &store, QuerySlot &slot) const;
 
     /**
+     * Content keys of @p targets, one parallel_for range of them per
+     * job; in a hunt open_hunt opened, each job also prefetches its
+     * keys. This is the front end of in-memory scans.
+     */
+    std::vector<std::uint64_t> target_keys(
+        const std::vector<CorpusTarget> &targets, unsigned threads);
+
+    /** True when the open hunt has a pair of @p key left to play. */
+    bool hunt_needs(std::uint64_t key) const;
+
+    /** The indexed target of @p key, or nullptr (quarantined/unindexed). */
+    const sim::ExecutableIndex *cached_index(std::uint64_t key) const;
+
+    /** Both search_corpus_batch overloads, after open_hunt. */
+    std::vector<std::vector<CorpusOutcome>> hunt(
+        const std::vector<firmware::CveRecord> &cves,
+        const std::vector<CorpusTarget> &targets,
+        const std::vector<std::uint64_t> &keys, unsigned threads,
+        bool confirm, const Release &release);
+
+    /**
      * The batched fan-out core every search_corpus overload lands on:
      * replay the journaled (query, target) pairs, index the remaining
      * distinct targets once, then run the outstanding games target-major
      * in chunked parallel_for ranges and merge accounting
      * single-threaded in (query, target) order — the same order N
-     * sequential single-query scans would have produced. The journal
+     * sequential single-query scans would have produced. Decided pairs
+     * are journaled in shared groups of up to 64 records. The journal
      * must already be open (or absent) when this runs.
      */
     std::vector<std::vector<CorpusOutcome>> run_batch(
@@ -469,7 +542,7 @@ class Driver
         const std::vector<std::uint64_t> &query_fps,
         const std::vector<CorpusTarget> &targets,
         const std::vector<std::uint64_t> &keys, unsigned threads,
-        bool confirm);
+        bool confirm, const Release &release);
 
     /**
      * Open (or resume) the journal per options_, once per driver;
@@ -495,17 +568,21 @@ class Driver
     /** What one executable's load_or_lift produced (driver.cc). */
     struct IndexSlot;
 
+    /** @p key's store load, as one IndexSlot (a hit or a miss). */
+    IndexSlot load_slot(std::uint64_t key,
+                        sim::IndexCacheStore &store) const;
+
     /**
-     * One executable's load-or-lift ladder: the persistent @p store,
-     * then lift (transient failures retried) + index + store
-     * write-back. The lifted IR is dropped as soon as the index exists.
-     * Reads only thread-safe driver state, so index_many runs it on
-     * worker threads; @p threads fans index_executable's procedures
-     * out.
+     * One executable's load-or-lift ladder: the persistent @p store
+     * (unless @p slot already holds its load), then lift + index +
+     * store write-back. The lifted IR is dropped as soon as the index
+     * exists. Reads only thread-safe driver state, so index_many runs
+     * it on worker threads; @p threads fans index_executable's
+     * procedures out.
      */
     IndexSlot load_or_lift(const loader::Executable &exe,
                            std::uint64_t key, sim::IndexCacheStore *store,
-                           unsigned threads);
+                           unsigned threads, IndexSlot slot);
 
     /**
      * Fold one load_or_lift result into the cache and health: store
@@ -518,22 +595,18 @@ class Driver
                                            IndexSlot &slot);
 
     /**
-     * index_target for an executable whose content key is @p key: a
-     * cache or quarantine lookup, else load_or_lift + merge_slot inline.
-     */
-    const sim::ExecutableIndex *index_keyed(const loader::Executable &exe,
-                                            std::uint64_t key);
-
-    /**
-     * Parallel load_or_lift of the distinct @p targets (content keys
-     * @p keys) that are neither cached nor quarantined; merge_slot runs
-     * single-threaded in target order. Records the phase wall-clock in
-     * health().index_seconds.
+     * Parallel load_or_lift of the distinct targets @p pending (indexes
+     * into @p targets, content keys @p keys) that are neither cached nor
+     * quarantined, each from its first occurrence, which @p release
+     * frees right after; a store miss the front end already loaded is
+     * not loaded again. merge_slot runs single-threaded in target
+     * order. Records the phase wall-clock in health().index_seconds.
      * @return number successfully indexed.
      */
     std::size_t index_many(const std::vector<CorpusTarget> &targets,
                            const std::vector<std::uint64_t> &keys,
-                           unsigned threads);
+                           const std::vector<std::size_t> &pending,
+                           unsigned threads, const Release &release);
 };
 
 /** The newest version of @p package that @p cve still affects. */

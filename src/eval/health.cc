@@ -74,6 +74,8 @@ ScanHealth::merge(const ScanHealth &other)
     if (resume_reject_reason.empty()) {
         resume_reject_reason = other.resume_reject_reason;
     }
+    load_seconds += other.load_seconds;
+    load_cpu_seconds += other.load_cpu_seconds;
     index_seconds += other.index_seconds;
     index_cpu_seconds += other.index_cpu_seconds;
     query_seconds += other.query_seconds;

@@ -127,6 +127,10 @@ struct ScanHealth
      * separately (and labeled in render_health) so a parallel scan's
      * numbers are unambiguous:
      *
+     *  - `load_seconds`/`load_cpu_seconds` are the elapsed wall clock
+     *    and process CPU of the scan front end (DESIGN §14.1): blob
+     *    read, unpack, target keying and the target-index store loads,
+     *    with the manifest-order merge behind them.
      *  - `index_seconds` is the *elapsed* wall clock of the (parallel)
      *    lift+index phase; `index_cpu_seconds` is the process-CPU time
      *    the phase consumed across all workers.
@@ -146,6 +150,8 @@ struct ScanHealth
      *    thread-CPU time inside scan-journal group commits (write +
      *    fsync), summed over threads; zero without a journal.
      */
+    double load_seconds = 0.0;
+    double load_cpu_seconds = 0.0;
     double index_seconds = 0.0;
     double index_cpu_seconds = 0.0;
     double query_seconds = 0.0;

@@ -6,8 +6,8 @@
  * crash, OOM-kill or operator SIGTERM must not forfeit the work already
  * done. The journal is an append-only write-ahead log of per-target
  * results keyed by content key (eval::content_key): each target's
- * outcome is appended — checksummed — once the grid chunk it ran in
- * completes, and a rerun with `--resume` replays the journal, skips
+ * outcome is appended — checksummed — in a group commit of up to 64
+ * records, and a rerun with `--resume` replays the journal, skips
  * every already-scanned content key, and merges the replayed outcomes
  * with the fresh ones so the final findings and ScanHealth are
  * bit-identical to an uninterrupted scan (the determinism tests are

@@ -76,15 +76,17 @@ std::string
 render_health(const ScanHealth &health)
 {
     std::string out = health.summary() + "\n";
-    if (health.index_seconds + health.query_seconds +
+    if (health.load_seconds + health.index_seconds + health.query_seconds +
             health.game_seconds + health.confirm_seconds +
             health.match_wall_seconds + health.journal_seconds >
         0.0) {
-        // Wall semantics differ per stage (see ScanHealth): index, query
-        // build and match-phase are elapsed clocks; game/confirm and the
-        // journal's group commits are sums, i.e. busy time across
-        // workers on a parallel scan.
+        // Wall semantics differ per stage (see ScanHealth): load, index,
+        // query build and match-phase are elapsed clocks; game/confirm
+        // and the journal's group commits are sums, i.e. busy time
+        // across workers on a parallel scan.
         Table stages({"stage", "wall s", "cpu s"});
+        add_stage_row(stages, "load", "elapsed", health.load_seconds,
+                      health.load_cpu_seconds);
         add_stage_row(stages, "lift+index", "elapsed",
                       health.index_seconds, health.index_cpu_seconds);
         add_stage_row(stages, "query build", "elapsed",

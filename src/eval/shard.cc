@@ -21,6 +21,7 @@
 #include "support/hash.h"
 #include "support/str.h"
 #include "support/subproc.h"
+#include "support/threadpool.h"
 #include "support/trace.h"
 
 namespace firmup::eval {
@@ -183,29 +184,68 @@ shard_of_path(std::string_view path, std::size_t shard_count)
 
 Manifest
 load_manifest(const std::vector<std::string> &paths,
-              std::size_t shard_index, std::size_t shard_count)
+              std::size_t shard_index, std::size_t shard_count,
+              unsigned threads, Driver *hunt)
 {
+    const auto start = std::chrono::steady_clock::now();
+    const std::uint64_t cpu_start = trace::process_cpu_ns();
     Manifest manifest;
-    std::vector<std::size_t> blob_index;  // global manifest index
+    std::vector<std::size_t> slice;  // global manifest indices
     for (std::size_t g = 0; g < paths.size(); ++g) {
-        if (shard_of_path(paths[g], shard_count) != shard_index) {
-            continue;
+        if (shard_of_path(paths[g], shard_count) == shard_index) {
+            slice.push_back(g);
         }
-        ++manifest.slice_size;
-        auto bytes = read_file_bytes(paths[g]);
-        auto unpacked = bytes.ok()
-                            ? firmware::unpack_firmware(bytes.value())
-                            : Result<firmware::UnpackResult>::error_from(
-                                  bytes);
+    }
+    // The blob's bytes die once it is unpacked; with a hunt, a member
+    // dies once its index is loaded.
+    std::vector<std::optional<Result<firmware::UnpackResult>>> loaded(
+        slice.size());
+    std::vector<std::vector<std::uint64_t>> keys(slice.size());
+    parallel_for(
+        resolve_worker_threads(threads), slice.size(), [&](std::size_t i) {
+            const std::string &path = paths[slice[i]];
+            {
+                auto bytes = [&] {
+                    const trace::TraceSpan span("read", path);
+                    return read_file_bytes(path);
+                }();
+                loaded[i].emplace(
+                    bytes.ok() ? firmware::unpack_firmware(bytes.value())
+                               : Result<firmware::UnpackResult>::error_from(
+                                     bytes));
+            }
+            if (hunt == nullptr || !loaded[i]->ok()) {
+                return;
+            }
+            std::vector<loader::Executable> &exes =
+                loaded[i]->value().image.executables;
+            keys[i].resize(exes.size());
+            {
+                const trace::TraceSpan span("key", path);
+                for (std::size_t j = 0; j < exes.size(); ++j) {
+                    keys[i][j] = content_key(exes[j]);
+                }
+            }
+            for (std::size_t j = 0; j < exes.size(); ++j) {
+                if (hunt->prefetch(keys[i][j])) {
+                    exes[j].release();
+                }
+            }
+        });
+    std::vector<std::size_t> blob_index;  // global manifest index
+    for (std::size_t i = 0; i < slice.size(); ++i) {
+        Result<firmware::UnpackResult> &unpacked = *loaded[i];
         if (!unpacked.ok()) {
-            std::fprintf(stderr, "firmup: %s: %s\n", paths[g].c_str(),
+            std::fprintf(stderr, "firmup: %s: %s\n", paths[slice[i]].c_str(),
                          unpacked.error_message().c_str());
             manifest.health.note_unpack_failure(unpacked.error_code());
             continue;
         }
         manifest.health.note_unpack(unpacked.value());
         manifest.blobs.push_back(std::move(unpacked).take());
-        blob_index.push_back(g);
+        blob_index.push_back(slice[i]);
+        manifest.keys.insert(manifest.keys.end(), keys[i].begin(),
+                             keys[i].end());
     }
     // Built only once every blob is in place: targets point into them.
     for (std::size_t b = 0; b < manifest.blobs.size(); ++b) {
@@ -216,7 +256,34 @@ load_manifest(const std::vector<std::string> &paths,
             manifest.ordinals.push_back(ord);
         }
     }
+    manifest.health.load_seconds = seconds_between(
+        start, std::chrono::steady_clock::now());
+    manifest.health.load_cpu_seconds =
+        static_cast<double>(trace::process_cpu_ns() - cpu_start) * 1e-9;
     return manifest;
+}
+
+ManifestHunt
+hunt_manifest(Driver &driver, const std::vector<firmware::CveRecord> &cves,
+              const std::vector<std::string> &paths, std::size_t shard_index,
+              std::size_t shard_count, unsigned threads)
+{
+    ManifestHunt hunt;
+    driver.open_hunt(cves);
+    Manifest &manifest = hunt.manifest;
+    manifest = load_manifest(paths, shard_index, shard_count, threads,
+                             &driver);
+    driver.health().merge(manifest.health);
+    std::vector<loader::Executable *> exes;  // targets[t]'s, writable
+    for (firmware::UnpackResult &blob : manifest.blobs) {
+        for (loader::Executable &exe : blob.image.executables) {
+            exes.push_back(&exe);
+        }
+    }
+    hunt.grid = driver.search_corpus_batch(
+        cves, manifest.targets, manifest.keys, threads,
+        [&exes](std::size_t t) { exes[t]->release(); });
+    return hunt;
 }
 
 std::vector<FleetFinding>
@@ -334,6 +401,8 @@ decode_frame(std::string_view payload, FrameFields *fields)
     X(cache_open_seconds)                                                \
     X(cache_checksum_seconds)                                            \
     X(cache_parse_seconds)                                               \
+    X(load_seconds)                                                      \
+    X(load_cpu_seconds)                                                  \
     X(index_seconds)                                                     \
     X(index_cpu_seconds)                                                 \
     X(query_seconds)                                                     \
@@ -450,12 +519,6 @@ run_shard_worker(const ShardWorkerOptions &options)
         heartbeat.join();
     };
 
-    // Global blob indices are preserved (image_index and the finding
-    // frames both carry them) so the coordinator's merge order is
-    // manifest order, not shard order.
-    const Manifest manifest = load_manifest(
-        options.blob_paths, options.shard_index, options.shard_count);
-
     sopt.journal_path = options.journal_path;
     sopt.resume = !options.journal_path.empty();
     CancelToken seam_token;
@@ -464,11 +527,14 @@ run_shard_worker(const ShardWorkerOptions &options)
         sopt.cancel_after_appends = options.exit_after_appends;
     }
 
+    // Global blob indices are preserved (image_index and the finding
+    // frames both carry them) so the coordinator's merge order is
+    // manifest order, not shard order.
     Driver driver(sopt);
-    driver.health().merge(manifest.health);
-    const std::vector<std::vector<CorpusOutcome>> grid =
-        driver.search_corpus_batch(cves.value(), manifest.targets,
-                                   options.threads);
+    const ManifestHunt hunt =
+        hunt_manifest(driver, cves.value(), options.blob_paths,
+                      options.shard_index, options.shard_count,
+                      options.threads);
 
     if (options.exit_after_appends > 0 && seam_token.requested()) {
         // Crash/stall test seams: the scan drained cooperatively after N
@@ -486,7 +552,8 @@ run_shard_worker(const ShardWorkerOptions &options)
     }
 
     const ScanHealth &health = driver.health();
-    for (const FleetFinding &f : manifest_findings(grid, manifest)) {
+    for (const FleetFinding &f :
+         manifest_findings(hunt.grid, hunt.manifest)) {
         writer.send({{"type", "finding"},
                      {"cve", std::to_string(f.cve)},
                      {"blob", std::to_string(f.blob)},

@@ -64,24 +64,54 @@ namespace firmup::eval {
 std::size_t shard_of_path(std::string_view path, std::size_t shard_count);
 
 /**
- * One shard's slice of a blob manifest, read and unpacked — the loader
- * `search` and a shard worker share. Unreadable blobs are reported on
- * stderr and counted in `health`; targets keep their GLOBAL manifest
- * index as image_index.
+ * One shard's slice of a blob manifest, read and unpacked. Unreadable
+ * blobs are reported on stderr and counted in `health`; targets keep
+ * their GLOBAL manifest index as image_index.
  */
 struct Manifest
 {
     std::vector<firmware::UnpackResult> blobs;
     std::vector<CorpusTarget> targets;  ///< in manifest order
     std::vector<std::size_t> ordinals;  ///< targets[t]'s index in its blob
-    std::size_t slice_size = 0;         ///< manifest entries in the slice
-    ScanHealth health;                  ///< unpack accounting
+    /** targets[t]'s content key; empty unless a hunt's front end ran. */
+    std::vector<std::uint64_t> keys;
+    ScanHealth health;  ///< unpack accounting and the load stage's time
 };
 
-/** Load the entries of @p paths in shard @p shard_index of @p shard_count. */
+/**
+ * Load the entries of @p paths in shard @p shard_index of @p shard_count:
+ * one parallel_for job per blob on resolve_worker_threads(@p threads)
+ * workers reads and unpacks it, and the results merge on the calling
+ * thread in manifest order (stderr lines, health, targets). With
+ * @p hunt, a driver after Driver::open_hunt, each job also keys its
+ * executables and prefetches their keys, and releases every executable
+ * whose index the prefetch found — the scan front end (DESIGN §14.1).
+ * Without it, every image stays intact.
+ */
 Manifest load_manifest(const std::vector<std::string> &paths,
                        std::size_t shard_index = 0,
-                       std::size_t shard_count = 1);
+                       std::size_t shard_count = 1, unsigned threads = 0,
+                       Driver *hunt = nullptr);
+
+/** A manifest slice and the hunt's grid over its targets. */
+struct ManifestHunt
+{
+    Manifest manifest;
+    std::vector<std::vector<CorpusOutcome>> grid;
+};
+
+/**
+ * The hunt `search` and a shard worker run: open the hunt of @p cves on
+ * @p driver, stream the slice through the front end (load_manifest with
+ * the driver) and hunt its targets, each executable's bytes released as
+ * soon as its index exists. @p threads is the scan's thread count, the
+ * front end's included.
+ */
+ManifestHunt hunt_manifest(Driver &driver,
+                           const std::vector<firmware::CveRecord> &cves,
+                           const std::vector<std::string> &paths,
+                           std::size_t shard_index, std::size_t shard_count,
+                           unsigned threads);
 
 /** Parsed shard-protocol frame payload: flat JSON, string values. */
 using FrameFields = std::map<std::string, std::string>;

@@ -413,6 +413,7 @@ detect_arch(const loader::Executable &exe)
 Result<LiftedExecutable>
 lift_executable(const loader::Executable &exe, const LiftOptions &options)
 {
+    FIRMUP_ASSERT(!exe.released, "lifting released executable " + exe.name);
     const trace::TraceSpan span("lift", exe.name);
     LiftedExecutable out;
     out.name = exe.name;

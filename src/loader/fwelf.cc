@@ -23,6 +23,15 @@ Executable::symbol_at(std::uint32_t addr) const
     return "";
 }
 
+void
+Executable::release()
+{
+    ByteBuffer().swap(text);
+    ByteBuffer().swap(data);
+    std::vector<Symbol>().swap(symbols);
+    released = true;
+}
+
 ByteBuffer
 write_fwelf(const Executable &exe)
 {

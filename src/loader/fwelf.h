@@ -53,6 +53,18 @@ struct Executable
     ByteBuffer text;
     ByteBuffer data;
     std::vector<Symbol> symbols;
+    /**
+     * Set by release(): the sections and symbols are gone and only the
+     * header fields and the name remain. Keying or lifting a released
+     * executable is a bug (eval::content_key and the lifter assert).
+     */
+    bool released = false;
+
+    /**
+     * Free the text, data and symbol table once nothing needs them any
+     * more — a scan does it as soon as the executable's index exists.
+     */
+    void release();
 
     /** True when @p addr falls inside the text section. */
     bool in_text(std::uint64_t addr) const

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "eval/driver.h"
+#include "eval/flags.h"
 #include "firmware/catalog.h"
 #include "firmware/corpus.h"
 #include "support/cancel.h"
@@ -272,6 +273,7 @@ struct TracedHunt
     ScanHealth health;
     trace::Snapshot metrics;
     std::size_t commit_spans = 0;
+    std::size_t generate_spans = 0;
 };
 
 /** Run one batch hunt at trace::Level::Full. */
@@ -294,6 +296,8 @@ traced_hunt(const SearchOptions &options,
     for (const trace::TraceEvent &event : registry.events()) {
         hunt.commit_spans +=
             std::string_view(event.name) == "journal_commit" ? 1 : 0;
+        hunt.generate_spans +=
+            std::string_view(event.name) == "generate" ? 1 : 0;
     }
     registry.reset();
     return hunt;
@@ -322,7 +326,7 @@ journal_pairs(const std::string &path)
 
 TEST(BatchHunt, JournalCommitsOneGroupPerChunk)
 {
-    // A journaled hunt commits each grid chunk's records as one group:
+    // A journaled hunt commits its records in shared groups of up to 64:
     // at least one commit, at most one per chunk (scan.chunks counts
     // the ceil(pairs / chunk_for(pairs, threads)) chunks), one record
     // per decided pair, one journal_commit span per commit, and nothing
@@ -382,6 +386,61 @@ TEST(BatchHunt, JournalCommitsOneGroupPerChunk)
             }
             EXPECT_EQ(journal_pairs(journaled.journal_path), order);
         }
+    }
+}
+
+TEST(BatchHunt, SmallJournaledHuntCommitsAboutOnce)
+{
+    // Journal groups do not shrink with the grid's chunks: a 48-pair
+    // hunt at 4 threads deals 1-pair chunks, yet it commits its records
+    // in at most threads + 1 groups instead of one per pair.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 6;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    const std::vector<firmware::CveRecord> cves =
+        resolve_cves({"CVE-2011-0762"}).take();
+    const unsigned threads = 4;
+    const std::size_t pairs = cves.size() * targets.size();
+    ASSERT_LT(pairs, 8u * threads * 2);  // 1-pair chunks
+    SearchOptions options;
+    options.journal_path = fresh_journal_path("small-hunt");
+    const TracedHunt hunt = traced_hunt(options, cves, targets, threads);
+    const std::uint64_t commits = hunt.metrics.counter("journal.commits");
+    EXPECT_GT(commits, 0u);
+    EXPECT_LE(commits, threads + 1u);
+    EXPECT_EQ(hunt.metrics.counter("journal.appends"),
+              hunt.metrics.counter("scan.outcomes"));
+    EXPECT_EQ(hunt.metrics.counter("scan.chunks"), pairs);
+}
+
+TEST(BatchHunt, QueryPhaseRendersEachSourceOnce)
+{
+    // One job per query source renders it once for both its recipe-key
+    // digest and its build: a cold hunt with a store records one
+    // `generate` span per distinct (package, version) source, and so
+    // does the warm rerun that only loads.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 2;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    const std::vector<firmware::CveRecord> &cves =
+        firmware::cve_database();
+    std::set<std::pair<std::string, std::string>> sources;
+    for (const firmware::CveRecord &cve : cves) {
+        sources.insert({cve.package, latest_vulnerable_version(cve)});
+    }
+    const ScopedTempDir store("firmup-batch-render-once");
+    SearchOptions options;
+    options.index_cache_dir = store.path();
+    for (const char *run : {"cold", "warm"}) {
+        const TracedHunt hunt = traced_hunt(options, cves, targets, 2);
+        EXPECT_EQ(hunt.generate_spans, sources.size()) << run;
+        EXPECT_EQ(hunt.health.query_cache_misses == 0,
+                  std::string_view(run) == "warm")
+            << run;
     }
 }
 

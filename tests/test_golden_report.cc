@@ -69,6 +69,8 @@ synthetic_health()
     health.cache_misses = 3;
     health.cache_write_bytes = 16384;
     health.cache_load_seconds = 0.0625;
+    health.load_seconds = 0.375;
+    health.load_cpu_seconds = 1.125;
     health.index_seconds = 1.5;
     health.index_cpu_seconds = 5.25;
     health.query_seconds = 0.5;

@@ -20,6 +20,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -31,6 +33,8 @@
 #include "firmware/catalog.h"
 #include "firmware/corpus.h"
 #include "firmware/image.h"
+#include "lifter/cfg.h"
+#include "support/fsio.h"
 #include "support/trace.h"
 
 namespace firmup::eval {
@@ -210,6 +214,8 @@ TEST(ShardFrames, HealthFieldsRoundTrip)
     health.query_cache_misses = 18;
     health.resume_rejected = true;
     health.resume_reject_reason = "fingerprint \"mismatch\"\n";
+    health.load_seconds = 0.625;
+    health.load_cpu_seconds = 1.75;
     health.index_seconds = 2.5;
     health.index_cpu_seconds = 2.0;
     health.query_seconds = 0.75;
@@ -258,6 +264,8 @@ TEST(ShardFrames, HealthFieldsRoundTrip)
     EXPECT_EQ(back.query_cache_misses, health.query_cache_misses);
     EXPECT_EQ(back.resume_rejected, health.resume_rejected);
     EXPECT_EQ(back.resume_reject_reason, health.resume_reject_reason);
+    EXPECT_EQ(back.load_seconds, health.load_seconds);
+    EXPECT_EQ(back.load_cpu_seconds, health.load_cpu_seconds);
     EXPECT_EQ(back.index_seconds, health.index_seconds);
     EXPECT_EQ(back.index_cpu_seconds, health.index_cpu_seconds);
     EXPECT_EQ(back.query_seconds, health.query_seconds);
@@ -627,6 +635,268 @@ TEST(ShardScanCli, DirectoryInBlobListIsOneUnpackFailure)
             << command;
     }
     fs::remove_all(base);
+}
+
+/** What one streamed hunt (hunt_manifest) left behind. */
+struct StreamedRun
+{
+    std::vector<FleetFinding> findings;
+    std::string stderr_text;
+    ScanHealth health;
+    trace::Snapshot metrics;
+    std::map<std::string, std::size_t> spans;  ///< span name -> count
+};
+
+/** Run hunt_manifest over @p paths at trace::Level::Full. */
+StreamedRun
+streamed_hunt(const SearchOptions &options,
+              const std::vector<firmware::CveRecord> &cves,
+              const std::vector<std::string> &paths, unsigned threads)
+{
+    StreamedRun run;
+    trace::MetricsRegistry &registry = trace::MetricsRegistry::global();
+    registry.reset();
+    trace::set_level(trace::Level::Full);
+    testing::internal::CaptureStderr();
+    {
+        Driver driver(options);
+        const ManifestHunt hunt =
+            hunt_manifest(driver, cves, paths, 0, 1, threads);
+        run.findings = manifest_findings(hunt.grid, hunt.manifest);
+        run.health = driver.health();
+    }
+    run.stderr_text = testing::internal::GetCapturedStderr();
+    trace::set_level(trace::Level::Off);
+    run.metrics = registry.snapshot();
+    for (const trace::TraceEvent &event : registry.events()) {
+        ++run.spans[event.name];
+    }
+    registry.reset();
+    return run;
+}
+
+/** Every count and flag of @p health: none depends on timing. */
+std::vector<std::uint64_t>
+discrete_health(const ScanHealth &h)
+{
+    std::vector<std::uint64_t> counts = {
+        h.images_seen,       h.images_rejected,    h.members_damaged,
+        h.executables_seen,  h.lifted_ok,          h.quarantined,
+        h.games_played,      h.games_unresolved,   h.resumed_targets,
+        h.cache_hits,        h.cache_misses,       h.cache_write_bytes,
+        h.cache_mmap_loads,  h.query_cache_hits,   h.query_cache_misses};
+    counts.insert(counts.end(), h.errors.begin(), h.errors.end());
+    return counts;
+}
+
+/**
+ * The counters of @p metrics that depend on neither time nor the thread
+ * count (scan.chunks counts the game grid's ranges, which do).
+ */
+std::map<std::string, std::uint64_t>
+work_counters(const trace::Snapshot &metrics)
+{
+    std::map<std::string, std::uint64_t> counters = metrics.counters;
+    counters.erase("cache.load_micros");
+    counters.erase("scan.chunks");
+    return counters;
+}
+
+/** Content keys of every member of @p paths, in manifest order. */
+std::vector<std::uint64_t>
+manifest_keys(const std::vector<std::string> &paths)
+{
+    std::vector<std::uint64_t> keys;
+    for (const CorpusTarget &target : load_manifest(paths).targets) {
+        keys.push_back(content_key(*target.exe));
+    }
+    return keys;
+}
+
+/** Blobs of a small corpus, written under @p dir. */
+std::vector<std::string>
+small_corpus_blobs(const std::string &dir)
+{
+    fs::create_directories(dir);
+    firmware::CorpusOptions copt;
+    copt.num_devices = 3;
+    auto written = firmware::write_corpus_blobs(
+        firmware::build_corpus(copt), copt.seed, dir);
+    EXPECT_TRUE(written.ok()) << written.error_message();
+    return written.ok() ? std::move(written).take()
+                        : std::vector<std::string>();
+}
+
+/** The first three CVEs of the database. */
+std::vector<firmware::CveRecord>
+three_cves()
+{
+    const std::vector<firmware::CveRecord> &all = firmware::cve_database();
+    return {all.begin(), all.begin() + 3};
+}
+
+TEST(StreamedHunt, FrontEndIsDeterministicAcrossThreadCounts)
+{
+    // The front end reads, unpacks, keys and store-loads the blobs on
+    // parallel_for jobs and merges in manifest order. A manifest with a
+    // damaged blob, a missing one and repeated members in the middle
+    // prints the same stderr lines, health, work counters and findings
+    // at 1, 2 and 8 threads, cold and warm, and no executable's bytes
+    // are held when the games start.
+    const ScopedTempDir dir("firmup-streamed-determinism");
+    const std::vector<std::string> blobs =
+        small_corpus_blobs(dir.path() + "/blobs");
+    ASSERT_GE(blobs.size(), 4u);
+    const std::string damaged = dir.path() + "/damaged.fw";
+    {
+        std::ofstream out(damaged, std::ios::binary);
+        out << "not a firmware image";
+    }
+    const std::string copy = dir.path() + "/copy.fw";
+    fs::copy_file(blobs[1], copy);
+    std::vector<std::string> manifest(blobs.begin(), blobs.begin() + 2);
+    manifest.push_back(damaged);
+    manifest.push_back(dir.path() + "/missing.fw");
+    manifest.push_back(blobs[0]);  // the same path twice
+    manifest.push_back(copy);      // the same members under another name
+    manifest.insert(manifest.end(), blobs.begin() + 2, blobs.end());
+    const std::vector<firmware::CveRecord> cves = three_cves();
+    const std::size_t targets = load_manifest(manifest).targets.size();
+
+    for (const bool warm : {false, true}) {
+        const std::string context_kind = warm ? "warm" : "cold";
+        const ScopedTempDir stores("firmup-streamed-stores");
+        std::optional<StreamedRun> first;
+        for (const unsigned threads : {1u, 2u, 8u}) {
+            const std::string context =
+                context_kind + " threads=" + std::to_string(threads);
+            SearchOptions options;
+            options.index_cache_dir =
+                stores.path() + "/" + std::to_string(threads);
+            if (warm) {
+                Driver primer(options);
+                hunt_manifest(primer, cves, manifest, 0, 1, threads);
+            }
+            const StreamedRun run =
+                streamed_hunt(options, cves, manifest, threads);
+            EXPECT_NE(run.stderr_text.find("damaged.fw"), std::string::npos)
+                << context;
+            EXPECT_NE(run.stderr_text.find("missing.fw"), std::string::npos)
+                << context;
+            EXPECT_EQ(run.health.images_rejected, 2u) << context;
+            EXPECT_EQ(run.health.cache_misses == 0, warm) << context;
+            EXPECT_GT(run.health.load_seconds, 0.0) << context;
+            EXPECT_EQ(run.metrics.gauges.at("scan.text_bytes_held"), 0)
+                << context;
+            EXPECT_GT(run.metrics.gauges.at("scan.index_bytes"), 0)
+                << context;
+            // One read span per manifest entry, one key span per
+            // unpacked blob, one store_load span per store load.
+            EXPECT_EQ(run.spans.at("read"), manifest.size()) << context;
+            EXPECT_EQ(run.spans.at("key"), manifest.size() - 2) << context;
+            EXPECT_EQ(run.spans.at("store_load"),
+                      run.health.cache_hits + run.health.cache_misses +
+                          run.health.query_cache_hits +
+                          run.health.query_cache_misses)
+                << context;
+            EXPECT_EQ(run.metrics.counter("scan.content_keys"), targets)
+                << context;
+            EXPECT_TRUE(run.health.sane()) << context;
+            if (!first) {
+                ASSERT_FALSE(run.findings.empty()) << context;
+                first = run;
+                continue;
+            }
+            EXPECT_EQ(run.stderr_text, first->stderr_text) << context;
+            EXPECT_EQ(discrete_health(run.health),
+                      discrete_health(first->health))
+                << context;
+            EXPECT_EQ(work_counters(run.metrics),
+                      work_counters(first->metrics))
+                << context;
+            EXPECT_EQ(run.metrics.gauges, first->metrics.gauges) << context;
+            EXPECT_EQ(run.findings, first->findings) << context;
+        }
+    }
+}
+
+TEST(StreamedHunt, ResumeLoadsAndLiftsNoReplayedKey)
+{
+    // A journal that answers every pair of a key spares that key the
+    // front end's store load and the lift: a resume over the whole
+    // manifest loads only the keys of the blobs the journaled hunt did
+    // not cover, and lifts only its store misses.
+    const ScopedTempDir dir("firmup-streamed-resume");
+    const std::vector<std::string> blobs =
+        small_corpus_blobs(dir.path() + "/blobs");
+    ASSERT_GE(blobs.size(), 4u);
+    const std::vector<firmware::CveRecord> cves = three_cves();
+    const std::vector<std::string> head(blobs.begin(),
+                                        blobs.begin() + blobs.size() / 2);
+    const std::vector<std::uint64_t> head_keys = manifest_keys(head);
+    const std::set<std::uint64_t> replayed(head_keys.begin(),
+                                           head_keys.end());
+    std::set<std::uint64_t> rest;
+    for (const std::uint64_t key : manifest_keys(blobs)) {
+        if (!replayed.contains(key)) {
+            rest.insert(key);
+        }
+    }
+    ASSERT_FALSE(rest.empty());
+
+    for (const bool warm : {false, true}) {
+        const std::string context = warm ? "warm" : "cold";
+        const ScopedTempDir store("firmup-streamed-resume-store");
+        SearchOptions options;
+        options.index_cache_dir = store.path();
+        if (warm) {
+            Driver primer(options);
+            hunt_manifest(primer, cves, blobs, 0, 1, 2);
+        }
+        SearchOptions journaled;
+        journaled.journal_path = dir.path() + "/" + context + ".fwsj";
+        {
+            Driver head_hunt(journaled);
+            hunt_manifest(head_hunt, cves, head, 0, 1, 2);
+        }
+        options.journal_path = journaled.journal_path;
+        options.resume = true;
+        const StreamedRun run = streamed_hunt(options, cves, blobs, 2);
+        EXPECT_GT(run.health.resumed_targets, 0u) << context;
+        EXPECT_EQ(run.health.cache_hits + run.health.cache_misses,
+                  rest.size())
+            << context;
+        EXPECT_EQ(run.health.cache_misses, warm ? 0u : rest.size())
+            << context;
+        EXPECT_EQ(run.metrics.counter("lift.executables"),
+                  run.health.cache_misses + run.health.query_cache_misses)
+            << context;
+        EXPECT_EQ(run.metrics.gauges.at("scan.text_bytes_held"), 0)
+            << context;
+    }
+}
+
+TEST(StreamedHunt, ReleasedExecutableNeverReachesKeyingOrLifter)
+{
+    // Once its index exists a scan releases an executable's bytes; a
+    // released executable that reached content_key or the lifter would
+    // key or index empty bytes, so both assert instead.
+    firmware::CorpusOptions copt;
+    copt.num_devices = 1;
+    const firmware::Corpus corpus = firmware::build_corpus(copt);
+    loader::Executable exe = corpus.images.front().executables.front();
+    ASSERT_FALSE(exe.text.empty());
+    const std::string name = exe.name;
+    exe.release();
+    EXPECT_TRUE(exe.released);
+    EXPECT_TRUE(exe.text.empty());
+    EXPECT_TRUE(exe.data.empty());
+    EXPECT_TRUE(exe.symbols.empty());
+    EXPECT_EQ(exe.name, name);
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(content_key(exe), "keying released executable");
+    EXPECT_DEATH((void)lifter::lift_executable(exe),
+                 "lifting released executable");
 }
 
 }  // namespace

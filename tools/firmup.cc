@@ -26,7 +26,7 @@
  * becoming blob paths. search, trace and shard-scan share one group
  * (ScanFlags: --cve-list, --index-cache, --no-mmap) and one hunt
  * path: the same CVE resolution and store wiring
- * (eval::prepare_hunt), manifest loader (eval::load_manifest) and
+ * (eval::prepare_hunt), streamed hunt (eval::hunt_manifest) and
  * finding printer; shard-scan hands the group to its workers unchanged.
  * The benchmark that times these verbs end to end is perfbench/.
  *
@@ -422,9 +422,9 @@ unknown_cve(const std::string &message)
  * The CVE hunt behind both `search` (tracing off unless --stats-json
  * asks for metrics) and `trace` (@p full_trace: Level::Full, Chrome
  * trace JSON written to --trace-out, default trace.json). The whole
- * hunt list is driven through one search_corpus_batch pass, so every
- * target is unpacked and indexed exactly once no matter how many CVEs
- * are hunted.
+ * hunt list is driven through one streamed pass (eval::hunt_manifest),
+ * so every target is unpacked and indexed exactly once no matter how
+ * many CVEs are hunted, and its bytes are freed once its index exists.
  */
 int
 cmd_search(const std::vector<std::string> &args, bool full_trace)
@@ -484,34 +484,37 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
     if (!cves.ok()) {
         return unknown_cve(cves.error_message());
     }
-    // Unpack everything first; the blobs must stay alive across the
-    // parallel fan-out.
-    const eval::Manifest manifest = eval::load_manifest(
-        paths, sharded ? static_cast<std::size_t>(shard_index) : 0,
-        sharded ? static_cast<std::size_t>(shard_count) : 1);
+    const std::size_t slice_index =
+        sharded ? static_cast<std::size_t>(shard_index) : 0;
+    const std::size_t slice_count =
+        sharded ? static_cast<std::size_t>(shard_count) : 1;
     if (sharded) {
+        std::size_t slice_size = 0;
+        for (const std::string &path : paths) {
+            slice_size +=
+                eval::shard_of_path(path, slice_count) == slice_index;
+        }
         std::printf("shard %d/%d: %zu of %zu blob(s)\n", shard_index,
-                    shard_count, manifest.slice_size, paths.size());
+                    shard_count, slice_size, paths.size());
     }
     print_hunt_header(cves.value());
     std::printf("\n");
 
     // Cooperative shutdown: the first SIGINT/SIGTERM requests the
-    // process-wide token (drained below: in-flight targets finish, each
-    // chunk commits its finished pairs to the journal, a partial report
+    // process-wide token (drained below: in-flight targets finish, the
+    // finished pairs are committed to the journal, a partial report
     // prints, exit 130); a second signal exits immediately.
     CancelToken &cancel = CancelToken::process();
     cancel.reset();
     install_cancel_signal_handlers();
     options.cancel = &cancel;
 
-    // The whole hunt — parallel index, per-ISA queries, the chunked
-    // (query, target) fan-out — in one batched pass; findings print per
-    // CVE in target order afterwards.
+    // The whole hunt — the streamed front end, parallel index, per-ISA
+    // queries, the chunked (query, target) fan-out — in one batched
+    // pass; findings print per CVE in target order afterwards.
     eval::Driver driver(options);
-    driver.health().merge(manifest.health);
-    const std::vector<std::vector<eval::CorpusOutcome>> grid =
-        driver.search_corpus_batch(cves.value(), manifest.targets);
+    const eval::ManifestHunt hunt = eval::hunt_manifest(
+        driver, cves.value(), paths, slice_index, slice_count, 0);
     const eval::ScanHealth &health = driver.health();
     if (health.resume_rejected) {
         // The journal on disk belongs to a different scan configuration
@@ -526,7 +529,7 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
         return 5;
     }
     const std::vector<eval::FleetFinding> findings =
-        eval::manifest_findings(grid, manifest);
+        eval::manifest_findings(hunt.grid, hunt.manifest);
     print_findings(findings, cves.value(), paths);
     const bool cancelled = health.cancelled;
     std::printf("\n%zu finding(s)%s\n", findings.size(),
