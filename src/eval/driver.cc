@@ -209,6 +209,19 @@ cpu_seconds_since(std::uint64_t start_ns)
     return static_cast<double>(trace::thread_cpu_ns() - start_ns) * 1e-9;
 }
 
+/**
+ * @p outcome without its wall and CPU seconds: the answer of a game
+ * this scan did not play (a journal replay, or a copy of a content key
+ * whose first occurrence played it).
+ */
+SearchOutcome
+untimed(SearchOutcome outcome)
+{
+    outcome.game_seconds = outcome.game_cpu_seconds = 0.0;
+    outcome.confirm_seconds = outcome.confirm_cpu_seconds = 0.0;
+    return outcome;
+}
+
 /** Fold one store load (wall @p seconds, stage split) into health. */
 void
 fold_load(ScanHealth &health, double seconds,
@@ -1420,17 +1433,43 @@ Driver::run_batch(
         options_.game.max_seconds = options_.target_budget_seconds;
     }
 
-    // Fan the outstanding games out over the (query, target) grid in
-    // contiguous chunks, target-major (k = t * nq + q): a chunk plays
+    // The games run over the first needed occurrence of each content
+    // key, in target order: every copy of a key shares that key's index,
+    // and a game's answer depends only on the query and target indexes,
+    // so the first occurrence's game answers its copies too. Replays
+    // and quarantines are per key as well, so a key's copies are needed
+    // exactly when its first occurrence is. copies[i] lists the later
+    // targets of leads[i]'s key.
+    std::vector<std::size_t> leads;
+    std::vector<std::vector<std::size_t>> copies;
+    {
+        std::unordered_map<std::uint64_t, std::size_t> lead_of;
+        for (std::size_t t = 0; t < nt; ++t) {
+            if (!needed[t]) {
+                continue;
+            }
+            const auto [it, fresh] =
+                lead_of.try_emplace(keys[t], leads.size());
+            if (fresh) {
+                leads.push_back(t);
+                copies.emplace_back();
+            } else {
+                copies[it->second].push_back(t);
+            }
+        }
+    }
+
+    // Fan the outstanding games out over the (query, lead) grid in
+    // contiguous chunks, lead-major (k = i * nq + q): a chunk plays
     // every query against one target back-to-back while its index is
     // hot, and free workers take the chunks in grid order, so targets
     // are touched roughly in order. Workers read the frozen caches and
-    // write disjoint slots; the first worker exception propagates out
-    // of parallel_for. play(k) plays pair k and returns its journal
-    // record when the pair decided an answer.
-    const auto play = [&](std::size_t k) -> std::optional<JournalEntry> {
-        const std::size_t t = k / nq;
-        const std::size_t q = k % nq;
+    // write disjoint slots (a pair's lead and its copies); the first
+    // worker exception propagates out of parallel_for. play(t, q) plays
+    // pair (q, t) and returns its journal record when the pair decided
+    // an answer.
+    const auto play = [&](std::size_t t,
+                          std::size_t q) -> std::optional<JournalEntry> {
         if (replayed[q][t] || resolve_cancelled[t]) {
             return std::nullopt;  // served from the journal / cancelled
         }
@@ -1525,19 +1564,39 @@ Driver::run_batch(
         g_text_bytes_held.set(static_cast<std::int64_t>(held));
         g_index_bytes.set(static_cast<std::int64_t>(index_bytes));
     }
+    // decide(k) plays grid pair k, then copies the lead's slot into each
+    // copy's slot the journal does not answer and no cancel skipped,
+    // untimed like a replay, and journals one record per pair decided.
+    const auto decide = [&](std::size_t k) {
+        const std::size_t i = k / nq;
+        const std::size_t q = k % nq;
+        const std::size_t lead = leads[i];
+        std::optional<JournalEntry> record = play(lead, q);
+        if (record && journaled) {
+            journal_record(*record);
+        }
+        for (const std::size_t t : copies[i]) {
+            if (replayed[q][t] || resolve_cancelled[t]) {
+                continue;
+            }
+            out[q][t].indexed = out[q][lead].indexed;
+            out[q][t].outcome = untimed(out[q][lead].outcome);
+            if (record && journaled) {
+                record->outcome = out[q][t].outcome;
+                journal_record(*record);
+            }
+        }
+    };
     const auto match_start = std::chrono::steady_clock::now();
     const unsigned workers = resolve_worker_threads(threads);
-    const std::size_t pairs = nq * nt;
+    const std::size_t pairs = nq * leads.size();
     const std::size_t chunk = chunk_for(pairs, workers);
     c_chunks.add((pairs + chunk - 1) / chunk);
     try {
         parallel_for(workers, pairs, chunk,
                      [&](std::size_t begin, std::size_t end) {
                          for (std::size_t k = begin; k < end; ++k) {
-                             std::optional<JournalEntry> record = play(k);
-                             if (record && journaled) {
-                                 journal_record(std::move(*record));
-                             }
+                             decide(k);
                          }
                      });
     } catch (...) {
@@ -1560,11 +1619,7 @@ Driver::run_batch(
                 if (co.indexed) {
                     // A replayed pair counts as the game it records, but
                     // its journaled timings are the earlier scan's work.
-                    SearchOutcome replay = co.outcome;
-                    replay.game_seconds = replay.game_cpu_seconds = 0.0;
-                    replay.confirm_seconds = 0.0;
-                    replay.confirm_cpu_seconds = 0.0;
-                    note_outcome(replay);
+                    note_outcome(untimed(co.outcome));
                 }
                 continue;
             }

@@ -327,19 +327,22 @@ class Driver
      * list across one corpus in a single pass. Each target executable
      * is indexed exactly once (warm FWIX load or cold lift), per-ISA
      * queries are built once per CVE, and the games fan out over the
-     * (query, target) grid ordered target-major, in contiguous chunks
-     * of chunk_for(pairs, threads) pairs (support/threadpool.h): every
+     * (query, key) grid of each content key's first needed occurrence,
+     * ordered target-major, in contiguous chunks of
+     * chunk_for(pairs, threads) pairs (support/threadpool.h): every
      * query's game against a target runs back-to-back while that
      * target's index is hot, and a chunk is big enough that warm-cache
-     * games are not drowned in per-item scheduling overhead.
+     * games are not drowned in per-item scheduling overhead. A key's
+     * other executables take its answers, untimed: `game.*` counts the
+     * games played, `scan.outcomes` the (query, executable) pairs.
      *
      * Returns one outcome row per CVE, in CVE order; row q is
      * bit-identical to what search_corpus(cves[q], targets) would have
      * produced with its own fresh caches, at any thread count and any
      * batch split (the batched-hunt determinism test is the bar).
-     * Journal records are keyed (content key, query fingerprint), so a
-     * killed hunt resumes mid-batch, skipping exactly the completed
-     * (query, target) pairs.
+     * Journal records are keyed (content key, query fingerprint), one
+     * per (query, executable) pair, so a killed hunt resumes mid-batch,
+     * skipping exactly the completed (query, target) pairs.
      */
     std::vector<std::vector<CorpusOutcome>> search_corpus_batch(
         const std::vector<firmware::CveRecord> &cves,
@@ -530,12 +533,17 @@ class Driver
     /**
      * The batched fan-out core every search_corpus overload lands on:
      * replay the journaled (query, target) pairs, index the remaining
-     * distinct targets once, then run the outstanding games target-major
-     * in chunked parallel_for ranges and merge accounting
-     * single-threaded in (query, target) order — the same order N
-     * sequential single-query scans would have produced. Decided pairs
-     * are journaled in shared groups of up to 64 records. The journal
-     * must already be open (or absent) when this runs.
+     * distinct targets once, then run the outstanding games over the
+     * first needed occurrence of each content key, target-major in
+     * chunked parallel_for ranges, and merge accounting single-threaded
+     * in (query, target) order — the same order N sequential
+     * single-query scans would have produced. The worker that decides a
+     * (query, key) pair copies the outcome, with its wall and CPU
+     * timings zeroed as a replay's are, into each later occurrence of
+     * the key that the journal does not answer and no cancel skipped.
+     * Decided pairs are journaled, one record per (query, executable),
+     * in shared groups of up to 64 records. The journal must already be
+     * open (or absent) when this runs.
      */
     std::vector<std::vector<CorpusOutcome>> run_batch(
         const std::vector<const std::map<isa::Arch, Query> *> &query_sets,

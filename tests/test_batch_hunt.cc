@@ -328,11 +328,12 @@ TEST(BatchHunt, JournalCommitsOneGroupPerChunk)
 {
     // A journaled hunt commits its records in shared groups of up to 64:
     // at least one commit, at most one per chunk (scan.chunks counts
-    // the ceil(pairs / chunk_for(pairs, threads)) chunks), one record
-    // per decided pair, one journal_commit span per commit, and nothing
-    // else about the hunt moves. At one thread the chunks walk the grid
-    // in order, so the records land in grid order: target-major, query
-    // by query.
+    // the ceil(pairs / chunk_for(pairs, threads)) chunks of the grid
+    // over distinct content keys), one record per decided pair, one
+    // journal_commit span per commit, and nothing else about the hunt
+    // moves. At one thread the chunks walk the grid in order, so the
+    // records land in grid order: first occurrences in target order,
+    // query by query, each decided pair followed by its copies'.
     firmware::CorpusOptions corpus_options;
     corpus_options.num_devices = 2;
     const firmware::Corpus corpus =
@@ -341,6 +342,20 @@ TEST(BatchHunt, JournalCommitsOneGroupPerChunk)
     ASSERT_FALSE(targets.empty());
     const std::vector<firmware::CveRecord> &cves =
         firmware::cve_database();
+    // Each distinct content key, with its number of occurrences, in
+    // first-occurrence order.
+    std::vector<std::pair<std::uint64_t, std::size_t>> distinct;
+    for (const CorpusTarget &target : targets) {
+        const std::uint64_t key = content_key(*target.exe);
+        const auto it = std::ranges::find(
+            distinct, key, &std::pair<std::uint64_t, std::size_t>::first);
+        if (it == distinct.end()) {
+            distinct.emplace_back(key, 1);
+        } else {
+            ++it->second;
+        }
+    }
+    ASSERT_LT(distinct.size(), targets.size());
     const ScopedTempDir store("firmup-batch-group");
     SearchOptions plain;
     plain.index_cache_dir = store.path();
@@ -358,7 +373,7 @@ TEST(BatchHunt, JournalCommitsOneGroupPerChunk)
         const std::uint64_t commits =
             got.metrics.counter("journal.commits");
         EXPECT_GT(commits, 0u) << context;
-        const std::size_t pairs = cves.size() * targets.size();
+        const std::size_t pairs = cves.size() * distinct.size();
         const std::size_t chunk = chunk_for(pairs, threads);
         const std::uint64_t chunks = got.metrics.counter("scan.chunks");
         EXPECT_EQ(chunks, (pairs + chunk - 1) / chunk) << context;
@@ -377,11 +392,11 @@ TEST(BatchHunt, JournalCommitsOneGroupPerChunk)
 
         if (threads == 1) {
             std::vector<std::pair<std::uint64_t, std::uint64_t>> order;
-            for (const CorpusTarget &target : targets) {
+            for (const auto &[key, occurrences] : distinct) {
                 for (const firmware::CveRecord &cve : cves) {
-                    order.emplace_back(
-                        content_key(*target.exe),
-                        fnv1a64("fwsj-query:" + cve_scan_label(cve)));
+                    order.insert(
+                        order.end(), occurrences,
+                        {key, fnv1a64("fwsj-query:" + cve_scan_label(cve))});
                 }
             }
             EXPECT_EQ(journal_pairs(journaled.journal_path), order);
@@ -392,8 +407,9 @@ TEST(BatchHunt, JournalCommitsOneGroupPerChunk)
 TEST(BatchHunt, SmallJournaledHuntCommitsAboutOnce)
 {
     // Journal groups do not shrink with the grid's chunks: a 48-pair
-    // hunt at 4 threads deals 1-pair chunks, yet it commits its records
-    // in at most threads + 1 groups instead of one per pair.
+    // hunt over 34 distinct content keys plays 34 games at 4 threads in
+    // 1-pair chunks, yet it commits its 48 records in at most
+    // threads + 1 groups instead of one per pair.
     firmware::CorpusOptions corpus_options;
     corpus_options.num_devices = 6;
     const firmware::Corpus corpus =
@@ -402,7 +418,11 @@ TEST(BatchHunt, SmallJournaledHuntCommitsAboutOnce)
     const std::vector<firmware::CveRecord> cves =
         resolve_cves({"CVE-2011-0762"}).take();
     const unsigned threads = 4;
-    const std::size_t pairs = cves.size() * targets.size();
+    std::set<std::uint64_t> keys;
+    for (const CorpusTarget &target : targets) {
+        keys.insert(content_key(*target.exe));
+    }
+    const std::size_t pairs = cves.size() * keys.size();
     ASSERT_LT(pairs, 8u * threads * 2);  // 1-pair chunks
     SearchOptions options;
     options.journal_path = fresh_journal_path("small-hunt");
@@ -413,6 +433,146 @@ TEST(BatchHunt, SmallJournaledHuntCommitsAboutOnce)
     EXPECT_EQ(hunt.metrics.counter("journal.appends"),
               hunt.metrics.counter("scan.outcomes"));
     EXPECT_EQ(hunt.metrics.counter("scan.chunks"), pairs);
+}
+
+/** A hunt played the slow way, one game per (CVE, executable). */
+struct OracleHunt
+{
+    std::vector<std::vector<CorpusOutcome>> grid;
+    ScanHealth health;
+    /** (content key, CVE) of every pair with a game to play. */
+    std::set<std::pair<std::uint64_t, std::size_t>> games;
+};
+
+/**
+ * The oracle of a hunt of @p cves over @p targets: a fresh driver on
+ * @p options indexes each target and builds each (CVE, ISA) query once,
+ * then calls search_outcome once per (CVE, executable) and folds each
+ * outcome into its health.
+ */
+OracleHunt
+oracle_hunt(const SearchOptions &options,
+            const std::vector<firmware::CveRecord> &cves,
+            const std::vector<CorpusTarget> &targets)
+{
+    OracleHunt oracle;
+    Driver driver(options);
+    std::vector<const sim::ExecutableIndex *> indexes;
+    for (const CorpusTarget &target : targets) {
+        indexes.push_back(driver.index_target(*target.exe));
+    }
+    std::map<std::pair<std::size_t, isa::Arch>, Query> queries;
+    for (std::size_t q = 0; q < cves.size(); ++q) {
+        std::vector<CorpusOutcome> &row = oracle.grid.emplace_back();
+        for (std::size_t t = 0; t < targets.size(); ++t) {
+            CorpusOutcome &co = row.emplace_back();
+            co.target = targets[t];
+            const sim::ExecutableIndex *index = indexes[t];
+            if (index == nullptr) {
+                continue;
+            }
+            auto it = queries.find({q, index->arch});
+            if (it == queries.end()) {
+                it = queries
+                         .emplace(std::make_pair(q, index->arch),
+                                  driver.build_query(cves[q], index->arch))
+                         .first;
+            }
+            co.indexed = true;
+            co.outcome = driver.search_outcome(it->second, *index);
+            driver.note_outcome(co.outcome);
+            if (!index->procs.empty()) {
+                oracle.games.emplace(content_key(*targets[t].exe), q);
+            }
+        }
+    }
+    oracle.health = driver.health();
+    return oracle;
+}
+
+TEST(BatchHunt, CopiesOfAKeyShareOneGame)
+{
+    // Every copy of a content key shares one index, so a hunt plays one
+    // game per (key, CVE) and copies its answer, untimed, into the
+    // key's other executables. Repeating the first image's executables
+    // at the end of the target list adds copies to the corpus's own
+    // re-shipped members. At any thread count, cold and warm, the grid
+    // and discrete health are the per-executable oracle's, game.games
+    // counts the distinct pairs, and the journal still holds one record
+    // per (CVE, executable).
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 2;
+    const firmware::Corpus corpus =
+        firmware::build_corpus(corpus_options);
+    std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    for (const loader::Executable &exe : corpus.images.front().executables) {
+        targets.push_back({&exe, 0});
+    }
+    const std::vector<firmware::CveRecord> cves = hunt_cves();
+    std::vector<char> copy(targets.size(), 0);
+    {
+        std::set<std::uint64_t> seen;
+        for (std::size_t t = 0; t < targets.size(); ++t) {
+            copy[t] = seen.insert(content_key(*targets[t].exe)).second ? 0
+                                                                       : 1;
+        }
+    }
+    ASSERT_GT(std::ranges::count(copy, 1),
+              static_cast<std::ptrdiff_t>(
+                  corpus.images.front().executables.size()));
+
+    const ScopedTempDir oracle_store("firmup-batch-copies-oracle");
+    SearchOptions oracle_options;
+    oracle_options.index_cache_dir = oracle_store.path();
+    const OracleHunt cold_oracle =
+        oracle_hunt(oracle_options, cves, targets);
+    const OracleHunt warm_oracle =
+        oracle_hunt(oracle_options, cves, targets);
+    ASSERT_EQ(cold_oracle.games, warm_oracle.games);
+    ASSERT_LT(cold_oracle.games.size(), cves.size() * targets.size());
+
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        const ScopedTempDir store("firmup-batch-copies");
+        for (const OracleHunt *oracle : {&cold_oracle, &warm_oracle}) {
+            const std::string context =
+                "threads=" + std::to_string(threads) +
+                (oracle == &cold_oracle ? " cold" : " warm");
+            SearchOptions options;
+            options.index_cache_dir = store.path();
+            options.journal_path = fresh_journal_path("copies");
+            const TracedHunt hunt = traced_hunt(options, cves, targets,
+                                                threads);
+            EXPECT_EQ(hunt.metrics.counter("game.games"),
+                      oracle->games.size())
+                << context;
+            EXPECT_EQ(hunt.metrics.counter("scan.outcomes"),
+                      cves.size() * targets.size())
+                << context;
+            EXPECT_EQ(hunt.metrics.counter("journal.appends"),
+                      hunt.metrics.counter("scan.outcomes"))
+                << context;
+            expect_grids_equal(oracle->grid, hunt.grid, context);
+            EXPECT_EQ(discrete_health(hunt.health),
+                      discrete_health(oracle->health))
+                << context;
+
+            double lead_seconds = 0.0;
+            for (std::size_t q = 0; q < cves.size(); ++q) {
+                for (std::size_t t = 0; t < targets.size(); ++t) {
+                    const SearchOutcome &outcome = hunt.grid[q][t].outcome;
+                    if (!copy[t]) {
+                        lead_seconds += outcome.game_seconds;
+                        continue;
+                    }
+                    EXPECT_EQ(outcome.game_seconds, 0.0) << context;
+                    EXPECT_EQ(outcome.game_cpu_seconds, 0.0) << context;
+                    EXPECT_EQ(outcome.confirm_seconds, 0.0) << context;
+                    EXPECT_EQ(outcome.confirm_cpu_seconds, 0.0) << context;
+                }
+            }
+            EXPECT_GT(lead_seconds, 0.0) << context;
+        }
+    }
 }
 
 TEST(BatchHunt, QueryPhaseRendersEachSourceOnce)
